@@ -16,7 +16,6 @@ use crate::netlist::{NetId, Netlist};
 use crate::pack::{EntityId, PackedDesign};
 use crate::sta::TimingKernel;
 use crate::timing::DelayModel;
-use std::collections::HashMap;
 use std::fmt;
 use xrand::SmallRng;
 
@@ -198,17 +197,116 @@ pub(crate) fn build_net_pins(netlist: &Netlist, packed: &PackedDesign) -> Vec<Ve
     pins
 }
 
+/// A device site `(x, y)`.
+type Site = (usize, usize);
+
+/// Entity locations per kind — `[CLBs, BRAMs, IOBs]`, each indexed like
+/// the matching `PackedDesign` list. Kinds 0/1/2 index every per-kind
+/// array in this module.
+type Locs = [Vec<Site>; 3];
+
+/// What each kind is called in capacity and pin-map errors.
+const KIND_NAMES: [&str; 3] = ["CLBs", "BRAMs", "IOBs"];
+
+fn kind_index(e: EntityId) -> (usize, usize) {
+    match e {
+        EntityId::Clb(i) => (0, i),
+        EntityId::Bram(i) => (1, i),
+        EntityId::Iob(i) => (2, i),
+    }
+}
+
+fn site_of(loc: &Locs, e: EntityId) -> Site {
+    let (kind, idx) = kind_index(e);
+    loc[kind][idx]
+}
+
+/// The sites of `sites` no entity in `locs` occupies, in site order.
+fn free_sites(locs: &[Site], sites: &[Site]) -> Vec<Site> {
+    let used: std::collections::HashSet<Site> = locs.iter().copied().collect();
+    sites
+        .iter()
+        .copied()
+        .filter(|s| !used.contains(s))
+        .collect()
+}
+
+/// One axis of a net's pin extent, with enough edge bookkeeping to drop a
+/// pin in O(1): each edge's value, how many pins sit on it, and the
+/// next-inner value behind it. Dropping a pin moves an edge only when
+/// that pin is the edge's sole occupant, and then to the next-inner value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    lo: usize,
+    lo_pins: u32,
+    lo_next: usize,
+    hi: usize,
+    hi_pins: u32,
+    hi_next: usize,
+}
+
+impl Extent {
+    const EMPTY: Extent = Extent {
+        lo: usize::MAX,
+        lo_pins: 0,
+        lo_next: usize::MAX,
+        hi: 0,
+        hi_pins: 0,
+        hi_next: 0,
+    };
+
+    fn add(&mut self, v: usize) {
+        if v < self.lo {
+            self.lo_next = self.lo;
+            self.lo = v;
+            self.lo_pins = 1;
+        } else if v == self.lo {
+            self.lo_pins += 1;
+        } else if v < self.lo_next {
+            self.lo_next = v;
+        }
+        if v > self.hi {
+            self.hi_next = self.hi;
+            self.hi = v;
+            self.hi_pins = 1;
+        } else if v == self.hi {
+            self.hi_pins += 1;
+        } else if v > self.hi_next {
+            self.hi_next = v;
+        }
+    }
+
+    /// `(lo, hi)` of the other pins once the pin at `from` leaves (the
+    /// net has ≥ 2 pins).
+    fn without(&self, from: usize) -> (usize, usize) {
+        let lo = if from == self.lo && self.lo_pins == 1 {
+            self.lo_next
+        } else {
+            self.lo
+        };
+        let hi = if from == self.hi && self.hi_pins == 1 {
+            self.hi_next
+        } else {
+            self.hi
+        };
+        (lo, hi)
+    }
+}
+
+/// Width of the extent `(lo, hi)` stretched over `to`.
+fn stretch((lo, hi): (usize, usize), to: usize) -> usize {
+    hi.max(to) - lo.min(to)
+}
+
 /// Cached bounding box of one net's pins, plus the HPWL derived from it.
-/// The anneal keeps one `NetBox` per active net so the cost of a layout
-/// *before* a move is a table lookup instead of a rescan of every pin;
-/// only the *after* side of a proposal recomputes boxes (a move can shrink
-/// a box, so the moved pin must be rescanned against its net anyway).
+/// The anneal and the quench keep one `NetBox` per active net, exact for
+/// the current layout, so a layout's per-net HPWL is a table lookup and a
+/// candidate move's is O(1) (see [`NetModel::priced`]); only a move that
+/// is actually taken rescans its nets to rebuild their boxes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct NetBox {
-    min_x: usize,
-    max_x: usize,
-    min_y: usize,
-    max_y: usize,
+    x: Extent,
+    y: Extent,
     /// `((max_x - min_x) + (max_y - min_y)) as f64`; 0.0 for nets with
     /// fewer than two pins (same convention as the historical scan).
     hpwl: f64,
@@ -217,40 +315,329 @@ struct NetBox {
 impl NetBox {
     /// Placeholder for nets the cost function never looks at (< 2 pins).
     const EMPTY: NetBox = NetBox {
-        min_x: 0,
-        max_x: 0,
-        min_y: 0,
-        max_y: 0,
+        x: Extent::EMPTY,
+        y: Extent::EMPTY,
         hpwl: 0.0,
     };
 
-    fn compute(pins: &[EntityId], loc: &dyn Fn(EntityId) -> (usize, usize)) -> NetBox {
+    fn compute(pins: &[EntityId], loc: impl Fn(EntityId) -> Site) -> NetBox {
         if pins.len() < 2 {
             return NetBox::EMPTY;
         }
-        let mut min_x = usize::MAX;
-        let mut max_x = 0;
-        let mut min_y = usize::MAX;
-        let mut max_y = 0;
+        let mut b = NetBox::EMPTY;
         for &p in pins {
             let (x, y) = loc(p);
-            min_x = min_x.min(x);
-            max_x = max_x.max(x);
-            min_y = min_y.min(y);
-            max_y = max_y.max(y);
+            b.x.add(x);
+            b.y.add(y);
         }
-        NetBox {
-            min_x,
-            max_x,
-            min_y,
-            max_y,
-            hpwl: ((max_x - min_x) + (max_y - min_y)) as f64,
-        }
+        b.hpwl = ((b.x.hi - b.x.lo) + (b.y.hi - b.y.lo)) as f64;
+        b
+    }
+
+    /// HPWL once the pin at `from` moves to `to`: the box of every other
+    /// pin, stretched over `to`.
+    fn moved(&self, from: Site, to: Site) -> f64 {
+        (stretch(self.x.without(from.0), to.0) + stretch(self.y.without(from.1), to.1)) as f64
     }
 }
 
 pub(crate) fn hpwl_of_net(pins: &[EntityId], loc: &dyn Fn(EntityId) -> (usize, usize)) -> f64 {
     NetBox::compute(pins, loc).hpwl
+}
+
+/// Where a move sends its entity.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// To the free-pool site at this index.
+    Free(usize),
+    /// To the site of this same-kind sibling, which takes the vacated one.
+    Swap(usize),
+}
+
+/// A single-entity move: entity `idx` of `kind` leaves `from` for `to`.
+#[derive(Debug, Clone, Copy)]
+struct Move {
+    kind: usize,
+    idx: usize,
+    from: Site,
+    to: Site,
+    target: Target,
+}
+
+impl Move {
+    fn partner(&self) -> Option<usize> {
+        match self.target {
+            Target::Free(_) => None,
+            Target::Swap(o) => Some(o),
+        }
+    }
+
+    /// Where `e` sits once the move is applied to `loc`.
+    fn site_after(&self, loc: &Locs, e: EntityId) -> Site {
+        match kind_index(e) {
+            (k, i) if k == self.kind && i == self.idx => self.to,
+            (k, i) if k == self.kind && Some(i) == self.partner() => self.from,
+            (k, i) => loc[k][i],
+        }
+    }
+
+    /// Applies the move; a vacated site joins the free pool at the end
+    /// (after the taken one is swap-removed).
+    fn apply(&self, loc: &mut Locs, free: &mut [Vec<Site>; 3]) {
+        loc[self.kind][self.idx] = self.to;
+        match self.target {
+            Target::Free(f) => {
+                free[self.kind].swap_remove(f);
+                free[self.kind].push(self.from);
+            }
+            Target::Swap(o) => loc[self.kind][o] = self.from,
+        }
+    }
+}
+
+/// Draws one range-limited move for the walks and the T0 sampler: a
+/// random entity of `movers`, sent to a free site or swapped with a
+/// (movable) sibling within Chebyshev radius `r` of its site — a free
+/// site with even odds when both kinds of candidate exist. The candidates
+/// are counted, the choice drawn, and the k-th candidate selected: the
+/// same RNG draws, in the same order, as materializing both lists, with
+/// no allocation. `None` when the window holds no candidate.
+fn propose(
+    rng: &mut SmallRng,
+    movers: &[(usize, usize)],
+    loc: &Locs,
+    free: &[Vec<Site>; 3],
+    movable: Option<[&[bool]; 3]>,
+    r: f64,
+) -> Option<Move> {
+    let (kind, idx) = movers[rng.random_range(0..movers.len())];
+    let (locs, pool) = (&loc[kind], &free[kind]);
+    let from = locs[idx];
+    let near = |s: Site| (from.0.abs_diff(s.0).max(from.1.abs_diff(s.1)) as f64) <= r;
+    let swappable = |o: usize| o != idx && movable.is_none_or(|m| m[kind][o]) && near(locs[o]);
+    let n_free = pool.iter().filter(|&&s| near(s)).count();
+    let n_swap = (0..locs.len()).filter(|&o| swappable(o)).count();
+    let target = if n_free > 0 && (n_swap == 0 || rng.random_bool(0.5)) {
+        let k = rng.random_range(0..n_free);
+        Target::Free(pool.iter().enumerate().filter(|&(_, &s)| near(s)).nth(k)?.0)
+    } else if n_swap > 0 {
+        let k = rng.random_range(0..n_swap);
+        Target::Swap((0..locs.len()).filter(|&o| swappable(o)).nth(k)?)
+    } else {
+        return None;
+    };
+    let to = match target {
+        Target::Free(f) => pool[f],
+        Target::Swap(o) => locs[o],
+    };
+    Some(Move {
+        kind,
+        idx,
+        from,
+        to,
+        target,
+    })
+}
+
+/// The placer's view of a packed netlist: the pins of every net, the nets
+/// worth costing (≥ 2 pins) in ascending id order, and the entity → nets
+/// table over those nets — one dense CSR array indexed by kind-major
+/// entity number (CLBs, then BRAMs, then IOBs). Each entity's nets come
+/// out in ascending id order, the order every cost fold below uses.
+struct NetModel {
+    pins: Vec<Vec<EntityId>>,
+    active: Vec<NetId>,
+    first: [usize; 3],
+    start: Vec<usize>,
+    nets: Vec<NetId>,
+}
+
+impl NetModel {
+    fn new(netlist: &Netlist, packed: &PackedDesign) -> NetModel {
+        let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
+        NetModel::from_pins(build_net_pins(netlist, packed), counts)
+    }
+
+    fn from_pins(pins: Vec<Vec<EntityId>>, counts: [usize; 3]) -> NetModel {
+        let active: Vec<NetId> = (0..pins.len())
+            .map(|i| NetId(i as u32))
+            .filter(|n| pins[n.index()].len() >= 2)
+            .collect();
+        let first = [0, counts[0], counts[0] + counts[1]];
+        let slot = |e: EntityId| {
+            let (kind, idx) = kind_index(e);
+            first[kind] + idx
+        };
+        let mut start = vec![0usize; first[2] + counts[2] + 1];
+        for &n in &active {
+            for &e in &pins[n.index()] {
+                start[slot(e) + 1] += 1;
+            }
+        }
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        let mut fill = start.clone();
+        let mut nets = vec![NetId(0); start[start.len() - 1]];
+        for &n in &active {
+            for &e in &pins[n.index()] {
+                nets[fill[slot(e)]] = n;
+                fill[slot(e)] += 1;
+            }
+        }
+        NetModel {
+            pins,
+            active,
+            first,
+            start,
+            nets,
+        }
+    }
+
+    /// The CSR slots of an entity's nets.
+    fn slots(&self, kind: usize, idx: usize) -> std::ops::Range<usize> {
+        let s = self.first[kind] + idx;
+        self.start[s]..self.start[s + 1]
+    }
+
+    fn nets_of(&self, kind: usize, idx: usize) -> &[NetId] {
+        &self.nets[self.slots(kind, idx)]
+    }
+
+    /// The nets a move touches (a net of both swapped entities twice).
+    fn touched(&self, mv: &Move) -> impl Iterator<Item = NetId> + '_ {
+        let theirs = mv.partner().map_or(&[][..], |o| self.nets_of(mv.kind, o));
+        self.nets_of(mv.kind, mv.idx).iter().chain(theirs).copied()
+    }
+
+    fn rescan(&self, n: NetId, loc: impl Fn(EntityId) -> Site) -> NetBox {
+        NetBox::compute(&self.pins[n.index()], loc)
+    }
+
+    /// Exact (Σ hpwl, Σ hpwl²) of a layout.
+    fn cost(&self, loc: &Locs) -> (f64, f64) {
+        self.active.iter().fold((0.0, 0.0), |(lin, sq), &n| {
+            let h = self.rescan(n, |e| site_of(loc, e)).hpwl;
+            (lin + h, sq + h * h)
+        })
+    }
+
+    /// The per-net box cache of a layout, from scratch.
+    fn boxes(&self, loc: &Locs) -> Vec<NetBox> {
+        let mut boxes = vec![NetBox::EMPTY; self.pins.len()];
+        for &n in &self.active {
+            boxes[n.index()] = self.rescan(n, |e| site_of(loc, e));
+        }
+        boxes
+    }
+
+    /// Every net `mv` touches, in ascending id order ([`merge`] of the
+    /// two entities' net lists, no allocation), with its HPWL before and
+    /// after the move, both O(1) from `boxes`: a net holding one mover is
+    /// that net's box without the mover's pin, stretched over the pin's
+    /// new site, and a net holding both swapped entities keeps its HPWL.
+    /// Debug builds check each after-value against a rescan.
+    fn priced<'a>(
+        &'a self,
+        boxes: &'a [NetBox],
+        loc: &'a Locs,
+        mv: Move,
+    ) -> impl Iterator<Item = (NetId, f64, f64)> + 'a {
+        let mine = self.nets_of(mv.kind, mv.idx);
+        let theirs = mv.partner().map_or(&[][..], |o| self.nets_of(mv.kind, o));
+        merge(mine, theirs).map(move |side| {
+            let (n, after) = match side {
+                Side::Mine(i) => (mine[i], boxes[mine[i].index()].moved(mv.from, mv.to)),
+                Side::Theirs(j) => (theirs[j], boxes[theirs[j].index()].moved(mv.to, mv.from)),
+                Side::Both(i) => (mine[i], boxes[mine[i].index()].hpwl),
+            };
+            debug_assert!(
+                after == self.rescan(n, |e| mv.site_after(loc, e)).hpwl,
+                "O(1) HPWL of net {n:?} under {mv:?} disagrees with a rescan"
+            );
+            (n, boxes[n.index()].hpwl, after)
+        })
+    }
+
+    /// Rebuilds the boxes of the nets `mv` touched, after it was applied.
+    fn rebox(&self, boxes: &mut [NetBox], loc: &Locs, mv: &Move) {
+        for n in self.touched(mv) {
+            boxes[n.index()] = self.rescan(n, |e| site_of(loc, e));
+        }
+    }
+}
+
+/// Which of a move's entities hold a net, with the net's index in the
+/// mover's list (`Mine`, `Both`) or the partner's (`Theirs`).
+#[derive(Debug, Clone, Copy)]
+enum Side {
+    Mine(usize),
+    Theirs(usize),
+    Both(usize),
+}
+
+/// Merges two ascending net lists into their union, ascending, each net
+/// tagged with the list(s) holding it.
+fn merge<'a>(mine: &'a [NetId], theirs: &'a [NetId]) -> impl Iterator<Item = Side> + 'a {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let side = match (mine.get(i), theirs.get(j)) {
+            (None, None) => return None,
+            (Some(a), Some(b)) if a == b => Side::Both(i),
+            (Some(a), Some(b)) if b.0 < a.0 => Side::Theirs(j),
+            (Some(_), _) => Side::Mine(i),
+            (None, Some(_)) => Side::Theirs(j),
+        };
+        match side {
+            Side::Mine(_) => i += 1,
+            Side::Theirs(_) => j += 1,
+            Side::Both(_) => (i, j) = (i + 1, j + 1),
+        }
+        Some(side)
+    })
+}
+
+/// (Σ h, Σ h²) of the before (`after = false`) or after side of a priced
+/// move, folded in net order.
+fn side_sums(step: &[(NetId, f64, f64)], after: bool) -> (f64, f64) {
+    step.iter().fold((0.0, 0.0), |(lin, sq), &(_, b, a)| {
+        let h = if after { a } else { b };
+        (lin + h, sq + h * h)
+    })
+}
+
+/// Standard deviation of the HPWL deltas of `samples` proposed — not
+/// applied — moves: the spread the adaptive initial temperature is set
+/// from (0.0 when no move was proposable).
+#[allow(clippy::too_many_arguments)]
+fn delta_spread(
+    rng: &mut SmallRng,
+    model: &NetModel,
+    boxes: &[NetBox],
+    loc: &Locs,
+    free: &[Vec<Site>; 3],
+    movers: &[(usize, usize)],
+    movable: Option<[&[bool]; 3]>,
+    r: f64,
+    samples: usize,
+) -> f64 {
+    let mut deltas: Vec<f64> = Vec::new();
+    for _ in 0..samples {
+        let Some(mv) = propose(rng, movers, loc, free, movable, r) else {
+            continue;
+        };
+        let (before, after) = model
+            .priced(boxes, loc, mv)
+            .fold((0.0, 0.0), |(b, a), (_, hb, ha)| (b + hb, a + ha));
+        deltas.push(after - before);
+    }
+    let n = deltas.len() as f64;
+    if deltas.is_empty() {
+        0.0
+    } else {
+        let mean = deltas.iter().sum::<f64>() / n;
+        (deltas.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n).sqrt()
+    }
 }
 
 /// Frozen-criticality timing context for the annealers, built only when
@@ -265,6 +652,13 @@ pub(crate) fn hpwl_of_net(pins: &[EntityId], loc: &dyn Fn(EntityId) -> (usize, u
 /// and every `retime_interval`-th refresh is backed by a from-scratch
 /// recompute that must be bit-identical to the incremental state (the
 /// committed drift bound, debug-asserted).
+///
+/// Nothing reads the kernel between refreshes, and a flush always lands
+/// on the unique fixed point of the current wire delays (that is what
+/// the drift bound checks), so accepted moves leave the kernel alone: the
+/// refresh syncs every active net's delay and one flush re-times all the
+/// nets the level's moves changed. Re-timing after each move would reach
+/// the same state at the next refresh, bit for bit, only slower.
 struct TimingCtx {
     kernel: TimingKernel,
     w: f64,
@@ -272,11 +666,7 @@ struct TimingCtx {
     retime_interval: u32,
     net_base: f64,
     per_hop: f64,
-    /// Raw criticality per net as of the last refresh; the skip-re-time
-    /// threshold (flush only when a touched net is ≥ 0.5 critical) reads
-    /// this.
-    crit_raw: Vec<f64>,
-    /// `crit_raw^crit_exp` per net (scratch kept for the normalizer).
+    /// `criticality^crit_exp` per net (scratch kept for the normalizer).
     crit_w: Vec<f64>,
     /// Per-net effective-cost coefficient (see above); `Σ coef·hpwl` over
     /// active nets is the cost the walk optimizes.
@@ -298,7 +688,6 @@ impl TimingCtx {
             retime_interval: opts.retime_interval,
             net_base: opts.delay.net_base,
             per_hop: opts.delay.net_per_hop,
-            crit_raw: vec![0.0; n],
             crit_w: vec![0.0; n],
             coef: vec![1.0; n],
             t_scale: 0.0,
@@ -328,9 +717,7 @@ impl TimingCtx {
         let mut t_anchor = 0.0;
         for &n in active_nets {
             let i = n.index();
-            let raw = self.kernel.criticality(n);
-            let c = raw.powf(self.crit_exp);
-            self.crit_raw[i] = raw;
+            let c = self.kernel.criticality(n).powf(self.crit_exp);
             self.crit_w[i] = c;
             wl_anchor += net_box[i].hpwl;
             t_anchor += c * self.per_hop * net_box[i].hpwl;
@@ -346,24 +733,6 @@ impl TimingCtx {
         }
     }
 
-    /// Marks the kernel's wire delays of `nets` dirty from the (already
-    /// updated) boxes, and flushes immediately only when one of them was
-    /// near-critical at the last refresh — moves touching only
-    /// non-critical nets skip the re-time entirely (the deferred dirt is
-    /// absorbed by the next [`Self::refresh`]).
-    fn note_moved(&mut self, nets: &[NetId], net_box: &[NetBox]) {
-        let mut hot = false;
-        for &n in nets {
-            let i = n.index();
-            self.kernel
-                .set_wire_delay(n, self.net_base + self.per_hop * net_box[i].hpwl);
-            hot |= self.crit_raw[i] >= 0.5;
-        }
-        if hot {
-            self.kernel.flush();
-        }
-    }
-
     /// The frozen effective cost, read from the bounding-box cache.
     fn eff_from_boxes(&self, active_nets: &[NetId], net_box: &[NetBox]) -> f64 {
         active_nets
@@ -374,15 +743,34 @@ impl TimingCtx {
 
     /// The frozen effective cost, recomputed from coordinates (used to
     /// re-score the best-seen snapshot after a coefficient refresh).
-    fn eff_from_locs(
-        &self,
-        active_nets: &[NetId],
-        pins: &[Vec<EntityId>],
-        loc: &dyn Fn(EntityId) -> (usize, usize),
-    ) -> f64 {
-        active_nets
+    fn eff_from_locs(&self, model: &NetModel, loc: &Locs) -> f64 {
+        model
+            .active
             .iter()
-            .map(|n| self.coef[n.index()] * hpwl_of_net(&pins[n.index()], loc))
+            .map(|&n| self.coef[n.index()] * model.rescan(n, |e| site_of(loc, e)).hpwl)
+            .sum()
+    }
+
+    /// Effective-cost early-exit test for a priced move: Σ coef·after_hpwl
+    /// only grows as nets are added (coef ≥ 0, hpwl ≥ 0), so once it
+    /// clears Σ coef·before_hpwl + 20·T the effective delta is ≥ 20·T and
+    /// Metropolis acceptance is ~e⁻²⁰ — the walks reject such a move
+    /// without its RNG draw. (Timing mode only: skipping draws would shift
+    /// the wirelength-only RNG stream.)
+    fn hopeless(&self, step: &[(NetId, f64, f64)], temperature: f64) -> bool {
+        let before_eff: f64 = step.iter().map(|&(n, b, _)| self.coef[n.index()] * b).sum();
+        let bar = before_eff + 20.0 * temperature;
+        let mut eff = 0.0;
+        step.iter().any(|&(n, _, a)| {
+            eff += self.coef[n.index()] * a;
+            eff > bar
+        })
+    }
+
+    /// The effective (coefficient-weighted) delta of a priced move.
+    fn delta(&self, step: &[(NetId, f64, f64)]) -> f64 {
+        step.iter()
+            .map(|&(n, b, a)| self.coef[n.index()] * (a - b))
             .sum()
     }
 }
@@ -406,159 +794,166 @@ impl TimingCtx {
 /// When `movable` is given (ECO mode), only entities whose mask entry is
 /// `true` are relocated, and swap partners are restricted to movable
 /// siblings — pinned entities keep their exact coordinates.
-/// When `timing` is given, the linear term is the frozen effective cost
-/// `Σ coef·hpwl` instead of raw HPWL, so the descent pulls critical nets
-/// in harder than don't-care ones; `None` reproduces the historical
-/// wirelength-only descent exactly.
-#[allow(clippy::too_many_arguments)]
+/// When `coef` is given (the frozen timing coefficients), the linear term
+/// is the effective cost `Σ coef·hpwl` instead of raw HPWL, so the
+/// descent pulls critical nets in harder than don't-care ones; `None`
+/// reproduces the historical wirelength-only descent exactly.
+///
+/// Each candidate is priced in O(1) per touched net from the exact box
+/// cache `boxes` (see [`NetModel::priced`]), folded per net in ascending
+/// id order exactly as the historical rescan did; a taken move rebuilds
+/// only its own nets' boxes, so `boxes` is exact again on return.
 fn quench(
-    pins: &[Vec<EntityId>],
-    nets_of_entity: &HashMap<EntityId, Vec<NetId>>,
-    clb_sites: &[(usize, usize)],
-    bram_sites: &[(usize, usize)],
-    iob_sites: &[(usize, usize)],
-    clb_loc: &mut Vec<(usize, usize)>,
-    bram_loc: &mut Vec<(usize, usize)>,
-    iob_loc: &mut Vec<(usize, usize)>,
+    model: &NetModel,
+    sites: &[Vec<Site>; 3],
+    loc: &mut Locs,
+    boxes: &mut [NetBox],
     movable: Option<[&[bool]; 3]>,
-    timing: Option<&TimingCtx>,
+    coef: Option<&[f64]>,
 ) {
-    let free_of = |locs: &[(usize, usize)], sites: &[(usize, usize)]| -> Vec<(usize, usize)> {
-        let used: std::collections::HashSet<(usize, usize)> = locs.iter().copied().collect();
-        sites
-            .iter()
-            .copied()
-            .filter(|s| !used.contains(s))
-            .collect()
+    // Linear-cost weight per net: the frozen coefficient, or 1.0 — exact,
+    // `1.0 · h == h` — in wirelength mode.
+    let weight = |n: NetId| coef.map_or(1.0, |c| c[n.index()]);
+    // `beats` implements the lexicographic (Δlin, Δsq) order with a small
+    // epsilon so f64 noise cannot masquerade as progress (deltas are
+    // integer-valued in exact arithmetic).
+    let beats = |cand: (f64, f64), incumbent: (f64, f64)| -> bool {
+        cand.0 < incumbent.0 - 1e-9 || (cand.0 < incumbent.0 + 1e-9 && cand.1 < incumbent.1 - 1e-9)
     };
-    let mut free_clb = free_of(clb_loc, clb_sites);
-    let mut free_bram = free_of(bram_loc, bram_sites);
-    let mut free_iob = free_of(iob_loc, iob_sites);
-    let counts = [clb_loc.len(), bram_loc.len(), iob_loc.len()];
     let may_move = |kind: usize, idx: usize| movable.is_none_or(|m| m[kind][idx]);
+    let mut free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+    // One incidence per (entity, net) pair, at the pair's CSR slot: the
+    // net's box without the entity's pin, the net's HPWL and its weight.
+    // Every candidate is priced from these alone — contiguous, O(1) per
+    // touched net — and a taken move refreshes the incidences on the nets
+    // it re-boxed.
+    #[derive(Clone, Copy)]
+    struct Incidence {
+        x: (usize, usize),
+        y: (usize, usize),
+        hpwl: f64,
+        w: f64,
+    }
+    impl Incidence {
+        /// The net's HPWL with the entity's pin moved to `to`.
+        fn at(&self, to: Site) -> f64 {
+            (stretch(self.x, to.0) + stretch(self.y, to.1)) as f64
+        }
+    }
+    let incidence = |boxes: &[NetBox], at: Site, n: NetId| {
+        let b = &boxes[n.index()];
+        Incidence {
+            x: b.x.without(at.0),
+            y: b.y.without(at.1),
+            hpwl: b.hpwl,
+            w: weight(n),
+        }
+    };
+    let mut inc: Vec<Incidence> = Vec::with_capacity(model.nets.len());
+    for (kind, locs) in loc.iter().enumerate() {
+        for (idx, &at) in locs.iter().enumerate() {
+            inc.extend(
+                model
+                    .nets_of(kind, idx)
+                    .iter()
+                    .map(|&n| incidence(boxes, at, n)),
+            );
+        }
+    }
     for _ in 0..16 {
         let mut improved = false;
         for kind in 0..3usize {
-            for idx in 0..counts[kind] {
-                if !may_move(kind, idx) {
+            for idx in 0..loc[kind].len() {
+                let mine = model.nets_of(kind, idx);
+                if !may_move(kind, idx) || mine.is_empty() {
                     continue;
                 }
-                let entity = match kind {
-                    0 => EntityId::Clb(idx),
-                    1 => EntityId::Bram(idx),
-                    _ => EntityId::Iob(idx),
-                };
-                let Some(my_nets) = nets_of_entity.get(&entity) else {
-                    continue;
-                };
-                let cur_site = match kind {
-                    0 => clb_loc[idx],
-                    1 => bram_loc[idx],
-                    _ => iob_loc[idx],
-                };
-                // Evaluate candidate relocations with an override closure
-                // (no mutation until the winning move is known); returns
-                // (Σ hpwl, Σ hpwl²) over the given nets.
-                let eval = |a: EntityId,
-                            sa: (usize, usize),
-                            b: Option<(EntityId, (usize, usize))>,
-                            nets: &[NetId]|
-                 -> (f64, f64) {
-                    let loc = |e: EntityId| {
-                        if e == a {
-                            return sa;
-                        }
-                        if let Some((be, bs)) = b {
-                            if e == be {
-                                return bs;
-                            }
-                        }
-                        match e {
-                            EntityId::Clb(i) => clb_loc[i],
-                            EntityId::Bram(i) => bram_loc[i],
-                            EntityId::Iob(i) => iob_loc[i],
-                        }
-                    };
-                    nets.iter().fold((0.0, 0.0), |(lin, sq), n| {
-                        let h = hpwl_of_net(&pins[n.index()], &loc);
-                        let lin_term = match timing {
-                            Some(t) => t.coef[n.index()] * h,
-                            None => h,
-                        };
-                        (lin + lin_term, sq + h * h)
-                    })
-                };
-                // `beats` implements the lexicographic (Δlin, Δsq) order
-                // with a small epsilon so f64 noise cannot masquerade as
-                // progress (deltas are integer-valued in exact arithmetic).
-                let beats = |cand: (f64, f64), incumbent: (f64, f64)| -> bool {
-                    cand.0 < incumbent.0 - 1e-9
-                        || (cand.0 < incumbent.0 + 1e-9 && cand.1 < incumbent.1 - 1e-9)
-                };
-                let before = eval(entity, cur_site, None, my_nets);
+                let from = loc[kind][idx];
+                let mi = &inc[model.slots(kind, idx)];
+                let before = mi.iter().fold((0.0, 0.0), |(lin, sq), m| {
+                    (lin + m.w * m.hpwl, sq + m.hpwl * m.hpwl)
+                });
                 let mut best_delta = (0.0f64, 0.0f64);
-                let mut best_move: Option<(Option<usize>, (usize, usize))> = None;
-                let free = match kind {
-                    0 => &free_clb,
-                    1 => &free_bram,
-                    _ => &free_iob,
-                };
-                for (f, &site) in free.iter().enumerate() {
-                    let after = eval(entity, site, None, my_nets);
-                    let delta = (after.0 - before.0, after.1 - before.1);
+                let mut best_move: Option<Move> = None;
+                let mut consider = |to: Site, target: Target, delta: (f64, f64)| {
                     if beats(delta, best_delta) {
                         best_delta = delta;
-                        best_move = Some((Some(f), site));
+                        best_move = Some(Move {
+                            kind,
+                            idx,
+                            from,
+                            to,
+                            target,
+                        });
                     }
+                };
+                for (f, &to) in free[kind].iter().enumerate() {
+                    let after = mine.iter().zip(mi).fold((0.0, 0.0), |(lin, sq), (&n, m)| {
+                        let h = m.at(to);
+                        debug_assert!(
+                            h == model
+                                .rescan(n, |e| if kind_index(e) == (kind, idx) {
+                                    to
+                                } else {
+                                    site_of(loc, e)
+                                })
+                                .hpwl,
+                            "O(1) HPWL of net {n:?} disagrees with a rescan"
+                        );
+                        (lin + m.w * h, sq + h * h)
+                    });
+                    consider(
+                        to,
+                        Target::Free(f),
+                        (after.0 - before.0, after.1 - before.1),
+                    );
                 }
-                for o in 0..counts[kind] {
+                for o in 0..loc[kind].len() {
                     if o == idx || !may_move(kind, o) {
                         continue;
                     }
-                    let other = match kind {
-                        0 => EntityId::Clb(o),
-                        1 => EntityId::Bram(o),
-                        _ => EntityId::Iob(o),
-                    };
-                    let other_site = match kind {
-                        0 => clb_loc[o],
-                        1 => bram_loc[o],
-                        _ => iob_loc[o],
-                    };
-                    let mut nets: Vec<NetId> = my_nets.clone();
-                    nets.extend(nets_of_entity.get(&other).cloned().unwrap_or_default());
-                    nets.sort_unstable_by_key(|n| n.0);
-                    nets.dedup();
-                    let b0 = eval(entity, cur_site, Some((other, other_site)), &nets);
-                    let a0 = eval(entity, other_site, Some((other, cur_site)), &nets);
-                    let delta = (a0.0 - b0.0, a0.1 - b0.1);
-                    if beats(delta, best_delta) {
-                        best_delta = delta;
-                        best_move = Some((None, other_site));
+                    let to = loc[kind][o];
+                    let theirs = model.nets_of(kind, o);
+                    let ti = &inc[model.slots(kind, o)];
+                    let (b0, a0) =
+                        merge(mine, theirs).fold(((0.0, 0.0), (0.0, 0.0)), |(b, a), side| {
+                            let (n, m, after) = match side {
+                                Side::Mine(i) => (mine[i], &mi[i], mi[i].at(to)),
+                                Side::Theirs(j) => (theirs[j], &ti[j], ti[j].at(from)),
+                                Side::Both(i) => (mine[i], &mi[i], mi[i].hpwl),
+                            };
+                            debug_assert!(
+                                after
+                                    == model
+                                        .rescan(n, |e| match kind_index(e) {
+                                            (k, i) if k == kind && i == idx => to,
+                                            (k, i) if k == kind && i == o => from,
+                                            (k, i) => loc[k][i],
+                                        })
+                                        .hpwl,
+                                "O(1) HPWL of net {n:?} disagrees with a rescan"
+                            );
+                            (
+                                (b.0 + m.w * m.hpwl, b.1 + m.hpwl * m.hpwl),
+                                (a.0 + m.w * after, a.1 + after * after),
+                            )
+                        });
+                    consider(to, Target::Swap(o), (a0.0 - b0.0, a0.1 - b0.1));
+                }
+                let Some(mv) = best_move else {
+                    continue;
+                };
+                mv.apply(loc, &mut free);
+                model.rebox(boxes, loc, &mv);
+                for n in model.touched(&mv) {
+                    for &e in &model.pins[n.index()] {
+                        let (k, i) = kind_index(e);
+                        let nets = model.nets_of(k, i);
+                        let slot = model.slots(k, i).start + nets.partition_point(|m| m.0 < n.0);
+                        inc[slot] = incidence(boxes, loc[k][i], n);
                     }
                 }
-                if let Some((free_pos, site)) = best_move {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut *clb_loc,
-                        1 => &mut *bram_loc,
-                        _ => &mut *iob_loc,
-                    };
-                    if let Some(f) = free_pos {
-                        locs[idx] = site;
-                        let free = match kind {
-                            0 => &mut free_clb,
-                            1 => &mut free_bram,
-                            _ => &mut free_iob,
-                        };
-                        free.swap_remove(f);
-                        free.push(cur_site);
-                    } else {
-                        let o = locs.iter().position(|&s| s == site).expect("swap target");
-                        locs[o] = cur_site;
-                        locs[idx] = site;
-                    }
-                    improved = true;
-                }
+                improved = true;
             }
         }
         if !improved {
@@ -637,6 +1032,21 @@ pub fn place(
     place_core(netlist, packed, device, opts)
 }
 
+/// The per-kind site lists of a device, `[CLBs, BRAMs, IOBs]`.
+fn device_sites(device: &Device) -> [Vec<Site>; 3] {
+    [device.clb_sites(), device.bram_sites(), device.iob_sites()]
+}
+
+/// The largest site coordinate on any axis: the anneals' maximum window.
+fn site_span(sites: &[Vec<Site>; 3]) -> f64 {
+    sites
+        .iter()
+        .flatten()
+        .map(|&(x, y)| x.max(y))
+        .max()
+        .unwrap_or(1) as f64
+}
+
 /// One arm of [`place`]: the annealing core, wirelength-only at
 /// `timing_weight = 0`, criticality-weighted otherwise.
 fn place_core(
@@ -645,54 +1055,28 @@ fn place_core(
     device: Device,
     opts: PlaceOptions,
 ) -> Result<Placement, PlaceError> {
-    let clb_sites = device.clb_sites();
-    let bram_sites = device.bram_sites();
-    let iob_sites = device.iob_sites();
-    if packed.clbs.len() > clb_sites.len() {
-        return Err(PlaceError::DoesNotFit {
-            what: "CLBs",
-            need: packed.clbs.len(),
-            have: clb_sites.len(),
-        });
-    }
-    if packed.brams.len() > bram_sites.len() {
-        return Err(PlaceError::DoesNotFit {
-            what: "BRAMs",
-            need: packed.brams.len(),
-            have: bram_sites.len(),
-        });
-    }
-    if packed.iobs.len() > iob_sites.len() {
-        return Err(PlaceError::DoesNotFit {
-            what: "IOBs",
-            need: packed.iobs.len(),
-            have: iob_sites.len(),
-        });
+    let sites = device_sites(&device);
+    let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
+    for k in 0..3 {
+        if counts[k] > sites[k].len() {
+            return Err(PlaceError::DoesNotFit {
+                what: KIND_NAMES[k],
+                need: counts[k],
+                have: sites[k].len(),
+            });
+        }
     }
 
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
 
     // Initial assignment: entities on the first sites, then anneal.
-    let mut clb_loc: Vec<(usize, usize)> = clb_sites[..packed.clbs.len()].to_vec();
-    let mut bram_loc: Vec<(usize, usize)> = bram_sites[..packed.brams.len()].to_vec();
-    let mut iob_loc: Vec<(usize, usize)> = iob_sites[..packed.iobs.len()].to_vec();
-
-    let pins = build_net_pins(netlist, packed);
-    // Nets worth costing (≥ 2 pins).
-    let active_nets: Vec<NetId> = (0..netlist.num_nets())
-        .map(|i| NetId(i as u32))
-        .filter(|n| pins[n.index()].len() >= 2)
-        .collect();
-    // Entity -> nets touching it (for incremental cost).
-    let mut nets_of_entity: HashMap<EntityId, Vec<NetId>> = HashMap::new();
-    for &net in &active_nets {
-        for &e in &pins[net.index()] {
-            nets_of_entity.entry(e).or_default().push(net);
-        }
-    }
+    let mut loc: Locs = std::array::from_fn(|k| sites[k][..counts[k]].to_vec());
+    let model = NetModel::new(netlist, packed);
+    let active_nets = &model.active;
 
     let num_entities = packed.num_entities();
     if num_entities == 0 || active_nets.is_empty() {
+        let [clb_loc, bram_loc, iob_loc] = loc;
         return Ok(Placement {
             device,
             clb_loc,
@@ -704,6 +1088,10 @@ fn place_core(
             budget: BudgetOutcome::Completed,
         });
     }
+    // Every entity may move; the pick below is uniform over them.
+    let movers: Vec<(usize, usize)> = (0..3)
+        .flat_map(|k| (0..counts[k]).map(move |i| (k, i)))
+        .collect();
 
     // Timing-driven mode: one incremental STA kernel for the whole anneal
     // (built here, refreshed per level, delta-updated per accepted move).
@@ -715,40 +1103,11 @@ fn place_core(
         None
     };
 
-    let cost_all = |clb_loc: &Vec<(usize, usize)>,
-                    bram_loc: &Vec<(usize, usize)>,
-                    iob_loc: &Vec<(usize, usize)>|
-     -> f64 {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        active_nets
-            .iter()
-            .map(|n| hpwl_of_net(&pins[n.index()], &loc))
-            .sum()
-    };
-    // Full rebuild of the per-net bounding-box cache from coordinates;
-    // used to seed the anneal and to refresh after each reheat quench
-    // (the quench moves entities without maintaining the cache).
-    let cache_of = |clb_loc: &Vec<(usize, usize)>,
-                    bram_loc: &Vec<(usize, usize)>,
-                    iob_loc: &Vec<(usize, usize)>|
-     -> Vec<NetBox> {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        let mut boxes = vec![NetBox::EMPTY; pins.len()];
-        for &n in &active_nets {
-            boxes[n.index()] = NetBox::compute(&pins[n.index()], &loc);
-        }
-        boxes
-    };
-
-    let cost = cost_all(&clb_loc, &bram_loc, &iob_loc);
+    let cost = model.cost(&loc).0;
+    // Per-net bounding-box cache: exact for the current layout at every
+    // point below. The quench and the walk price moves from it; taken
+    // moves rebuild the boxes of their own nets.
+    let mut net_box = model.boxes(&loc);
 
     // Deterministic descent baseline: quench the ordered seed layout
     // into a local optimum. The anneal explores FROM this quenched
@@ -762,36 +1121,12 @@ fn place_core(
     // descent already won — and best-seen tracking starts at the
     // baseline, so no effort level can return anything worse than plain
     // greedy descent.
-    quench(
-        &pins,
-        &nets_of_entity,
-        &clb_sites,
-        &bram_sites,
-        &iob_sites,
-        &mut clb_loc,
-        &mut bram_loc,
-        &mut iob_loc,
-        None,
-        None,
-    );
-    let base_cost = cost_all(&clb_loc, &bram_loc, &iob_loc);
-    let base_clb = clb_loc.clone();
-    let base_bram = bram_loc.clone();
-    let base_iob = iob_loc.clone();
+    quench(&model, &sites, &mut loc, &mut net_box, None, None);
+    let base_cost = model.cost(&loc).0;
 
     // Free-site pools per type (the quench may have moved entities onto
     // any site, so derive the pools from actual occupancy).
-    let free_of = |locs: &[(usize, usize)], sites: &[(usize, usize)]| -> Vec<(usize, usize)> {
-        let used: std::collections::HashSet<(usize, usize)> = locs.iter().copied().collect();
-        sites
-            .iter()
-            .copied()
-            .filter(|s| !used.contains(s))
-            .collect()
-    };
-    let mut free_clb = free_of(&clb_loc, &clb_sites);
-    let mut free_bram = free_of(&bram_loc, &bram_sites);
-    let mut free_iob = free_of(&iob_loc, &iob_sites);
+    let mut free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
 
     // Anneal. The walk returns the BEST configuration it visits, not the
     // final one: at nonzero temperature the walk may drift uphill just
@@ -806,18 +1141,7 @@ fn place_core(
     // refining locally — `annealing_improves_over_initial` caught exactly
     // that on its first real run (high effort froze at HPWL 17 on a
     // configuration where low effort reached 8).
-    let span = clb_sites
-        .iter()
-        .chain(bram_sites.iter())
-        .chain(iob_sites.iter())
-        .map(|&(x, y)| x.max(y))
-        .max()
-        .unwrap_or(1) as f64;
-    let in_window = |a: (usize, usize), b: (usize, usize), r: f64| -> bool {
-        let dx = a.0.abs_diff(b.0);
-        let dy = a.1.abs_diff(b.1);
-        (dx.max(dy) as f64) <= r
-    };
+    let span = site_span(&sites);
     // The walk starts from a local optimum, so it opens with a *basin
     // hop* window — a few sites wide — rather than the device-wide
     // window a melt would use (rlim can re-grow if the acceptance rate
@@ -836,91 +1160,10 @@ fn place_core(
     // re-randomizing what the quench had already won, then spending more
     // than half of every run's moves climbing back down.
     let t0 = {
-        let mut deltas: Vec<f64> = Vec::new();
         let samples = (num_entities * 2).clamp(64, 1024);
-        for _ in 0..samples {
-            let pick = rng.random_range(0..num_entities);
-            let (kind, idx) = if pick < packed.clbs.len() {
-                (0usize, pick)
-            } else if pick < packed.clbs.len() + packed.brams.len() {
-                (1, pick - packed.clbs.len())
-            } else {
-                (2, pick - packed.clbs.len() - packed.brams.len())
-            };
-            let entity = match kind {
-                0 => EntityId::Clb(idx),
-                1 => EntityId::Bram(idx),
-                _ => EntityId::Iob(idx),
-            };
-            let (locs, free, count) = match kind {
-                0 => (&clb_loc, &free_clb, packed.clbs.len()),
-                1 => (&bram_loc, &free_bram, packed.brams.len()),
-                _ => (&iob_loc, &free_iob, packed.iobs.len()),
-            };
-            let here = locs[idx];
-            let free_cands: Vec<usize> = free
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| in_window(here, s, w0))
-                .map(|(f, _)| f)
-                .collect();
-            let swap_cands: Vec<usize> = (0..count)
-                .filter(|&o| o != idx && in_window(here, locs[o], w0))
-                .collect();
-            let use_free =
-                !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
-            let (other, new_site) = if use_free {
-                (
-                    None,
-                    free[free_cands[rng.random_range(0..free_cands.len())]],
-                )
-            } else if !swap_cands.is_empty() {
-                let o = swap_cands[rng.random_range(0..swap_cands.len())];
-                let oe = match kind {
-                    0 => EntityId::Clb(o),
-                    1 => EntityId::Bram(o),
-                    _ => EntityId::Iob(o),
-                };
-                (Some(oe), locs[o])
-            } else {
-                continue;
-            };
-            let mut affected: Vec<NetId> = nets_of_entity.get(&entity).cloned().unwrap_or_default();
-            if let Some(oe) = other {
-                affected.extend(nets_of_entity.get(&oe).cloned().unwrap_or_default());
-                affected.sort_unstable_by_key(|n| n.0);
-                affected.dedup();
-            }
-            let eval = |moved: bool| -> f64 {
-                let loc = |e: EntityId| {
-                    if moved {
-                        if e == entity {
-                            return new_site;
-                        }
-                        if other == Some(e) {
-                            return here;
-                        }
-                    }
-                    match e {
-                        EntityId::Clb(i) => clb_loc[i],
-                        EntityId::Bram(i) => bram_loc[i],
-                        EntityId::Iob(i) => iob_loc[i],
-                    }
-                };
-                affected
-                    .iter()
-                    .map(|n| hpwl_of_net(&pins[n.index()], &loc))
-                    .sum()
-            };
-            deltas.push(eval(true) - eval(false));
-        }
-        let n = deltas.len() as f64;
-        let sd = if deltas.is_empty() {
-            0.0
-        } else {
-            let mean = deltas.iter().sum::<f64>() / n;
-            (deltas.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n).sqrt()
-        };
+        let sd = delta_spread(
+            &mut rng, &model, &net_box, &loc, &free, &movers, None, w0, samples,
+        );
         if sd > 0.0 {
             // A third of a standard deviation accepts a typical uphill
             // step with modest odds — a reheat, not a melt. The textbook
@@ -938,19 +1181,16 @@ fn place_core(
 
     let mut cur_cost = base_cost;
     let mut best_cost = base_cost;
-    let mut best = (base_clb, base_bram, base_iob);
-    // Per-net bounding-box cache: the walk's layout-before cost is read
-    // from here; accepted moves write the recomputed boxes of their
-    // affected nets back, so the cache tracks the layout exactly.
-    let mut net_box = cache_of(&clb_loc, &bram_loc, &iob_loc);
-    let mut box_scratch: Vec<NetBox> = Vec::new();
+    let mut best = loc.clone();
+    // The nets of the move being priced, with their HPWL before and after.
+    let mut step: Vec<(NetId, f64, f64)> = Vec::new();
     // Effective (timing-blended) costs the walk actually optimizes; at
     // `timing_weight = 0` they mirror the HPWL costs exactly.
     let mut cur_eff = cur_cost;
     let mut best_eff = best_cost;
     if let Some(t) = timing.as_mut() {
-        t.refresh(&active_nets, &net_box);
-        cur_eff = t.eff_from_boxes(&active_nets, &net_box);
+        t.refresh(active_nets, &net_box);
+        cur_eff = t.eff_from_boxes(active_nets, &net_box);
         best_eff = cur_eff;
     }
     // Per-level move budget. Most bands get a third of the classic
@@ -1004,172 +1244,32 @@ fn place_core(
                     break 'outer;
                 }
                 moves_spent += 1;
-                // Pick an entity class weighted by population.
-                let pick = rng.random_range(0..num_entities);
-                let (kind, idx) = if pick < packed.clbs.len() {
-                    (0, pick)
-                } else if pick < packed.clbs.len() + packed.brams.len() {
-                    (1, pick - packed.clbs.len())
-                } else {
-                    (2, pick - packed.clbs.len() - packed.brams.len())
-                };
-                let entity = match kind {
-                    0 => EntityId::Clb(idx),
-                    1 => EntityId::Bram(idx),
-                    _ => EntityId::Iob(idx),
-                };
-                type SitePools<'a> = (
-                    &'a mut Vec<(usize, usize)>,
-                    &'a mut Vec<(usize, usize)>,
-                    usize,
-                );
-                let (locs, free, count): SitePools<'_> = match kind {
-                    0 => (&mut clb_loc, &mut free_clb, packed.clbs.len()),
-                    1 => (&mut bram_loc, &mut free_bram, packed.brams.len()),
-                    _ => (&mut iob_loc, &mut free_iob, packed.iobs.len()),
-                };
-
                 // Candidate: swap with a sibling entity, or move to a free
                 // site — in either case within `rlim` of the current site.
-                let here = locs[idx];
-                let free_cands: Vec<usize> = free
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| in_window(here, s, rlim))
-                    .map(|(f, _)| f)
-                    .collect();
-                let swap_cands: Vec<usize> = (0..count)
-                    .filter(|&o| o != idx && in_window(here, locs[o], rlim))
-                    .collect();
-                let use_free =
-                    !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
-                let (other_idx, new_site) = if use_free {
-                    let f = free_cands[rng.random_range(0..free_cands.len())];
-                    (None, free[f])
-                } else if !swap_cands.is_empty() {
-                    let o = swap_cands[rng.random_range(0..swap_cands.len())];
-                    (Some(o), locs[o])
-                } else {
+                let Some(mv) = propose(&mut rng, &movers, &loc, &free, None, rlim) else {
                     continue;
                 };
-
-                // Delta cost over affected nets only.
-                let affected: Vec<NetId> = {
-                    let mut v: Vec<NetId> =
-                        nets_of_entity.get(&entity).cloned().unwrap_or_default();
-                    if let Some(o) = other_idx {
-                        let other_entity = match kind {
-                            0 => EntityId::Clb(o),
-                            1 => EntityId::Bram(o),
-                            _ => EntityId::Iob(o),
-                        };
-                        v.extend(
-                            nets_of_entity
-                                .get(&other_entity)
-                                .cloned()
-                                .unwrap_or_default(),
-                        );
-                        v.sort_unstable_by_key(|n| n.0);
-                        v.dedup();
-                    }
-                    v
-                };
-                let old_site = locs[idx];
-                // Layout-before cost from the bounding-box cache: one
-                // lookup per affected net instead of a rescan of every
-                // pin. Every HPWL is an integer-valued f64 and the fold
-                // order matches the historical rescan, so the sums are
-                // bit-identical; debug builds recompute the boxes from
-                // coordinates and insist on exact equality.
-                let before: (f64, f64) = affected.iter().fold((0.0, 0.0), |(lin, sq), n| {
-                    let h = net_box[n.index()].hpwl;
-                    (lin + h, sq + h * h)
-                });
+                // Both sides of the delta over the affected nets only, in
+                // O(1) per net from the box cache. Every HPWL is an
+                // integer-valued f64 and the fold order matches the
+                // historical rescan, so the sums are bit-identical; debug
+                // builds check the cache and every after-value against
+                // rescans of the coordinates.
+                step.clear();
+                step.extend(model.priced(&net_box, &loc, mv));
                 debug_assert!(
-                    {
-                        let loc = |e: EntityId| match e {
-                            EntityId::Clb(i) => clb_loc[i],
-                            EntityId::Bram(i) => bram_loc[i],
-                            EntityId::Iob(i) => iob_loc[i],
-                        };
-                        affected
-                            .iter()
-                            .all(|n| net_box[n.index()] == NetBox::compute(&pins[n.index()], &loc))
-                    },
-                    "stale bounding-box cache on nets {affected:?}"
+                    step.iter()
+                        .all(|&(n, ..)| net_box[n.index()] == model.rescan(n, |e| site_of(&loc, e))),
+                    "stale bounding-box cache under {mv:?}"
                 );
-                // Apply tentatively.
+                if timing
+                    .as_ref()
+                    .is_some_and(|t| t.hopeless(&step, temperature))
                 {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = new_site;
-                    if let Some(o) = other_idx {
-                        locs[o] = old_site;
-                    }
-                }
-                // Layout-after cost must rescan the affected nets (a move
-                // can shrink a box, so the cache cannot answer it); the
-                // fresh boxes land in a scratch so an accepted move
-                // installs them without a second scan.
-                box_scratch.clear();
-                let mut early_reject = false;
-                let after: (f64, f64) = {
-                    let loc = |e: EntityId| match e {
-                        EntityId::Clb(i) => clb_loc[i],
-                        EntityId::Bram(i) => bram_loc[i],
-                        EntityId::Iob(i) => iob_loc[i],
-                    };
-                    if let Some(t) = timing.as_ref() {
-                        // Early-exit rejection: Σ coef·after_hpwl only grows
-                        // as nets are rescanned (coef ≥ 0, hpwl ≥ 0), so once
-                        // it clears Σ coef·before_hpwl + 20·T the effective
-                        // delta is ≥ 20·T and Metropolis acceptance is ~e⁻²⁰ —
-                        // abandon the rescan and the RNG draw. (Timing mode
-                        // only: skipping draws would shift the wirelength-only
-                        // RNG stream.)
-                        let before_eff: f64 = affected
-                            .iter()
-                            .map(|n| t.coef[n.index()] * net_box[n.index()].hpwl)
-                            .sum();
-                        let bar = before_eff + 20.0 * temperature;
-                        let mut lin = 0.0;
-                        let mut sq = 0.0;
-                        let mut eff = 0.0;
-                        for n in &affected {
-                            let b = NetBox::compute(&pins[n.index()], &loc);
-                            box_scratch.push(b);
-                            lin += b.hpwl;
-                            sq += b.hpwl * b.hpwl;
-                            eff += t.coef[n.index()] * b.hpwl;
-                            if eff > bar {
-                                early_reject = true;
-                                break;
-                            }
-                        }
-                        (lin, sq)
-                    } else {
-                        affected.iter().fold((0.0, 0.0), |(lin, sq), n| {
-                            let b = NetBox::compute(&pins[n.index()], &loc);
-                            box_scratch.push(b);
-                            (lin + b.hpwl, sq + b.hpwl * b.hpwl)
-                        })
-                    }
-                };
-                if early_reject {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = old_site;
-                    if let Some(o) = other_idx {
-                        locs[o] = new_site;
-                    }
                     continue;
                 }
+                let before = side_sums(&step, false);
+                let after = side_sums(&step, true);
                 let delta = after.0 - before.0;
                 // Zero-linear-cost moves are plateau diffusion; bias them by
                 // the quadratic tie-breaker the quench optimizes, so shelf
@@ -1183,14 +1283,7 @@ fn place_core(
                 // The Metropolis test runs on the effective (timing-blended)
                 // delta; without a timing context it IS the wirelength delta,
                 // so the `timing_weight = 0` decision stream is untouched.
-                let delta_eff = match timing.as_ref() {
-                    Some(t) => affected
-                        .iter()
-                        .zip(&box_scratch)
-                        .map(|(n, b)| t.coef[n.index()] * (b.hpwl - net_box[n.index()].hpwl))
-                        .sum(),
-                    None => delta,
-                };
+                let delta_eff = timing.as_ref().map_or(delta, |t| t.delta(&step));
                 let accept = if delta_eff < -1e-9 {
                     true
                 } else if delta_eff < 1e-9 {
@@ -1202,45 +1295,18 @@ fn place_core(
                 if accept {
                     accepted += 1;
                     cur_cost += delta;
-                    for (&n, &b) in affected.iter().zip(&box_scratch) {
-                        net_box[n.index()] = b;
-                    }
-                    if let Some(t) = timing.as_mut() {
+                    mv.apply(&mut loc, &mut free);
+                    model.rebox(&mut net_box, &loc, &mv);
+                    if timing.is_some() {
                         cur_eff += delta_eff;
-                        t.note_moved(&affected, &net_box);
                         if cur_eff < best_eff {
                             best_eff = cur_eff;
                             best_cost = cur_cost;
-                            best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
+                            best.clone_from(&loc);
                         }
                     } else if cur_cost < best_cost {
                         best_cost = cur_cost;
-                        best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
-                    }
-                    if use_free {
-                        // The vacated site becomes free.
-                        let free: &mut Vec<(usize, usize)> = match kind {
-                            0 => &mut free_clb,
-                            1 => &mut free_bram,
-                            _ => &mut free_iob,
-                        };
-                        let pos = free
-                            .iter()
-                            .position(|s| *s == new_site)
-                            .expect("site came from the free pool");
-                        free.swap_remove(pos);
-                        free.push(old_site);
-                    }
-                } else {
-                    // Revert.
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = old_site;
-                    if let Some(o) = other_idx {
-                        locs[o] = new_site;
+                        best.clone_from(&loc);
                     }
                 }
             }
@@ -1270,34 +1336,24 @@ fn place_core(
             } else {
                 mid_moves
             };
-            if std::env::var("PLACE_DEBUG").is_ok() {
-                eprintln!(
-                "level T={temperature:.4} alpha={success:.3} rlim={rlim:.2} cur={cur_cost:.0} best={best_cost:.0} spent={moves_spent}"
-            );
-            }
             // Re-anchor the incremental cost per level so f64 drift cannot
             // accumulate across tens of thousands of accepted deltas. The
             // cached boxes carry exact integer-valued HPWLs summed in the
             // same net order as a full recompute, so the anchor is
-            // bit-identical to `cost_all` — debug builds check exactly
-            // that, equal-cost to the last bit.
+            // bit-identical to `NetModel::cost` — debug builds check
+            // exactly that, equal-cost to the last bit.
             cur_cost = active_nets.iter().map(|n| net_box[n.index()].hpwl).sum();
             debug_assert!(
-                cur_cost == cost_all(&clb_loc, &bram_loc, &iob_loc),
+                cur_cost == model.cost(&loc).0,
                 "bounding-box cache re-anchor diverged from recomputed HPWL"
             );
             // Re-freeze the criticality coefficients once per level and
             // re-anchor both effective costs under them (the best-seen
             // snapshot is re-scored so the comparison stays like-for-like).
             if let Some(t) = timing.as_mut() {
-                t.refresh(&active_nets, &net_box);
-                cur_eff = t.eff_from_boxes(&active_nets, &net_box);
-                let loc = |e: EntityId| match e {
-                    EntityId::Clb(i) => best.0[i],
-                    EntityId::Bram(i) => best.1[i],
-                    EntityId::Iob(i) => best.2[i],
-                };
-                best_eff = t.eff_from_locs(&active_nets, &pins, &loc);
+                t.refresh(active_nets, &net_box);
+                cur_eff = t.eff_from_boxes(active_nets, &net_box);
+                best_eff = t.eff_from_locs(&model, &best);
             }
         }
 
@@ -1312,32 +1368,23 @@ fn place_core(
         // the opening window. Each cycle therefore launches from a layout
         // at least as good as the previous cycle's polished result, and
         // best-seen tracking keeps whichever basin floor was deepest.
-        clb_loc = best.0.clone();
-        bram_loc = best.1.clone();
-        iob_loc = best.2.clone();
+        loc.clone_from(&best);
+        net_box = model.boxes(&loc);
         quench(
-            &pins,
-            &nets_of_entity,
-            &clb_sites,
-            &bram_sites,
-            &iob_sites,
-            &mut clb_loc,
-            &mut bram_loc,
-            &mut iob_loc,
+            &model,
+            &sites,
+            &mut loc,
+            &mut net_box,
             None,
-            timing.as_ref(),
+            timing.as_ref().map(|t| &t.coef[..]),
         );
-        free_clb = free_of(&clb_loc, &clb_sites);
-        free_bram = free_of(&bram_loc, &bram_sites);
-        free_iob = free_of(&iob_loc, &iob_sites);
-        // The quench moved entities without maintaining the cache.
-        net_box = cache_of(&clb_loc, &bram_loc, &iob_loc);
-        cur_cost = cost_all(&clb_loc, &bram_loc, &iob_loc);
+        free = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+        cur_cost = model.cost(&loc).0;
         best_cost = cur_cost;
-        best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
+        best.clone_from(&loc);
         if let Some(t) = timing.as_mut() {
-            t.refresh(&active_nets, &net_box);
-            cur_eff = t.eff_from_boxes(&active_nets, &net_box);
+            t.refresh(active_nets, &net_box);
+            cur_eff = t.eff_from_boxes(active_nets, &net_box);
             best_eff = cur_eff;
         }
         // The reheat is gentle — a fraction of the first cycle's t0.
@@ -1355,58 +1402,28 @@ fn place_core(
     // snapshot (the incremental tracker is only a heuristic trigger). In
     // timing mode the comparison runs on the effective cost under the
     // final frozen coefficients — the objective the walk was pursuing.
-    let (b_clb, b_bram, b_iob) = best;
     let restore_best = if let Some(t) = timing.as_ref() {
-        let cur_loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        let best_loc = |e: EntityId| match e {
-            EntityId::Clb(i) => b_clb[i],
-            EntityId::Bram(i) => b_bram[i],
-            EntityId::Iob(i) => b_iob[i],
-        };
-        t.eff_from_locs(&active_nets, &pins, &best_loc)
-            < t.eff_from_locs(&active_nets, &pins, &cur_loc)
+        t.eff_from_locs(&model, &best) < t.eff_from_locs(&model, &loc)
     } else {
-        cost_all(&b_clb, &b_bram, &b_iob) < cost_all(&clb_loc, &bram_loc, &iob_loc)
+        model.cost(&best).0 < model.cost(&loc).0
     };
     if restore_best {
-        clb_loc = b_clb;
-        bram_loc = b_bram;
-        iob_loc = b_iob;
+        loc = best;
+        net_box = model.boxes(&loc);
     }
 
     // Polish the winner with the same deterministic descent (criticality-
     // weighted in timing mode, under the final frozen coefficients).
     quench(
-        &pins,
-        &nets_of_entity,
-        &clb_sites,
-        &bram_sites,
-        &iob_sites,
-        &mut clb_loc,
-        &mut bram_loc,
-        &mut iob_loc,
+        &model,
+        &sites,
+        &mut loc,
+        &mut net_box,
         None,
-        timing.as_ref(),
+        timing.as_ref().map(|t| &t.coef[..]),
     );
-    let polished = cost_all(&clb_loc, &bram_loc, &iob_loc);
-    let polished_sq: f64 = {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        active_nets
-            .iter()
-            .map(|n| {
-                let h = hpwl_of_net(&pins[n.index()], &loc);
-                h * h
-            })
-            .sum()
-    };
+    let (polished, polished_sq) = model.cost(&loc);
+    let [clb_loc, bram_loc, iob_loc] = loc;
     Ok(Placement {
         device,
         clb_loc,
@@ -1583,18 +1600,11 @@ pub fn verify_eco_placement(
     placement: &Placement,
     pins: &PinnedEntities,
 ) -> Result<(), EcoPlaceError> {
-    let kinds: [(&'static str, &[Option<(usize, usize)>], &[(usize, usize)], Vec<(usize, usize)>);
-        3] = [
-        ("CLBs", &pins.clb, &placement.clb_loc, placement.device.clb_sites()),
-        (
-            "BRAMs",
-            &pins.bram,
-            &placement.bram_loc,
-            placement.device.bram_sites(),
-        ),
-        ("IOBs", &pins.iob, &placement.iob_loc, placement.device.iob_sites()),
-    ];
-    for (what, pin, loc, sites) in kinds {
+    let pin_lists = [&pins.clb, &pins.bram, &pins.iob];
+    let locs = [&placement.clb_loc, &placement.bram_loc, &placement.iob_loc];
+    let sites = device_sites(&placement.device);
+    for k in 0..3 {
+        let (what, pin, loc) = (KIND_NAMES[k], pin_lists[k], locs[k]);
         if pin.len() != loc.len() {
             return Err(EcoPlaceError::PinCount {
                 what,
@@ -1602,8 +1612,8 @@ pub fn verify_eco_placement(
                 entities: loc.len(),
             });
         }
-        let legal: std::collections::HashSet<(usize, usize)> = sites.iter().copied().collect();
-        let mut used: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
+        let legal: std::collections::HashSet<Site> = sites[k].iter().copied().collect();
+        let mut used: std::collections::HashSet<Site> = std::collections::HashSet::new();
         for (index, &site) in loc.iter().enumerate() {
             if !legal.contains(&site) {
                 return Err(EcoPlaceError::IllegalPin { what, index, site });
@@ -1697,30 +1707,24 @@ fn place_incremental_core(
     opts: PlaceOptions,
     pins_map: &PinnedEntities,
 ) -> Result<EcoPlacement, EcoPlaceError> {
-    let clb_sites = device.clb_sites();
-    let bram_sites = device.bram_sites();
-    let iob_sites = device.iob_sites();
-    let caps = [
-        ("CLBs", packed.clbs.len(), clb_sites.len()),
-        ("BRAMs", packed.brams.len(), bram_sites.len()),
-        ("IOBs", packed.iobs.len(), iob_sites.len()),
-    ];
-    for (what, need, have) in caps {
-        if need > have {
-            return Err(EcoPlaceError::DoesNotFit { what, need, have });
+    let sites = device_sites(&device);
+    let pin_lists = [&pins_map.clb, &pins_map.bram, &pins_map.iob];
+    let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
+    for k in 0..3 {
+        if counts[k] > sites[k].len() {
+            return Err(EcoPlaceError::DoesNotFit {
+                what: KIND_NAMES[k],
+                need: counts[k],
+                have: sites[k].len(),
+            });
         }
     }
-    let counts = [
-        ("CLBs", pins_map.clb.len(), packed.clbs.len()),
-        ("BRAMs", pins_map.bram.len(), packed.brams.len()),
-        ("IOBs", pins_map.iob.len(), packed.iobs.len()),
-    ];
-    for (what, pins, entities) in counts {
-        if pins != entities {
+    for k in 0..3 {
+        if pin_lists[k].len() != counts[k] {
             return Err(EcoPlaceError::PinCount {
-                what,
-                pins,
-                entities,
+                what: KIND_NAMES[k],
+                pins: pin_lists[k].len(),
+                entities: counts[k],
             });
         }
     }
@@ -1728,12 +1732,12 @@ fn place_incremental_core(
     // Validate the pins and seed locations: pinned entities at their pins,
     // movable entities on the first free sites (the quench below turns the
     // seed into a baseline local optimum).
-    let seed_kind = |pin: &[Option<(usize, usize)>],
-                     sites: &[(usize, usize)],
+    let seed_kind = |pin: &[Option<Site>],
+                     sites: &[Site],
                      what: &'static str|
-     -> Result<(Vec<(usize, usize)>, Vec<bool>), EcoPlaceError> {
-        let legal: std::collections::HashSet<(usize, usize)> = sites.iter().copied().collect();
-        let mut used: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
+     -> Result<(Vec<Site>, Vec<bool>), EcoPlaceError> {
+        let legal: std::collections::HashSet<Site> = sites.iter().copied().collect();
+        let mut used: std::collections::HashSet<Site> = std::collections::HashSet::new();
         for (index, p) in pin.iter().enumerate() {
             if let Some(site) = *p {
                 if !legal.contains(&site) {
@@ -1767,63 +1771,34 @@ fn place_incremental_core(
         }
         Ok((loc, movable))
     };
-    let (mut clb_loc, clb_mov) = seed_kind(&pins_map.clb, &clb_sites, "CLBs")?;
-    let (mut bram_loc, bram_mov) = seed_kind(&pins_map.bram, &bram_sites, "BRAMs")?;
-    let (mut iob_loc, iob_mov) = seed_kind(&pins_map.iob, &iob_sites, "IOBs")?;
-    let movable_mask: [&[bool]; 3] = [&clb_mov, &bram_mov, &iob_mov];
+    let (clb_loc, clb_mov) = seed_kind(pin_lists[0], &sites[0], KIND_NAMES[0])?;
+    let (bram_loc, bram_mov) = seed_kind(pin_lists[1], &sites[1], KIND_NAMES[1])?;
+    let (iob_loc, iob_mov) = seed_kind(pin_lists[2], &sites[2], KIND_NAMES[2])?;
+    let mut loc: Locs = [clb_loc, bram_loc, iob_loc];
+    let mov = [clb_mov, bram_mov, iob_mov];
+    let movable_mask: [&[bool]; 3] = [&mov[0], &mov[1], &mov[2]];
 
-    let pins = build_net_pins(netlist, packed);
-    let active_nets: Vec<NetId> = (0..netlist.num_nets())
-        .map(|i| NetId(i as u32))
-        .filter(|n| pins[n.index()].len() >= 2)
-        .collect();
-    let mut nets_of_entity: HashMap<EntityId, Vec<NetId>> = HashMap::new();
-    for &net in &active_nets {
-        for &e in &pins[net.index()] {
-            nets_of_entity.entry(e).or_default().push(net);
-        }
-    }
-    let is_movable = |e: EntityId| match e {
-        EntityId::Clb(i) => clb_mov[i],
-        EntityId::Bram(i) => bram_mov[i],
-        EntityId::Iob(i) => iob_mov[i],
-    };
-    // Indices of movable entities, flattened for uniform random picks.
-    let movable_entities: Vec<(usize, usize)> = (0..clb_mov.len())
-        .filter(|&i| clb_mov[i])
-        .map(|i| (0usize, i))
-        .chain((0..bram_mov.len()).filter(|&i| bram_mov[i]).map(|i| (1, i)))
-        .chain((0..iob_mov.len()).filter(|&i| iob_mov[i]).map(|i| (2, i)))
-        .collect();
-
-    let cost_all = |clb_loc: &Vec<(usize, usize)>,
-                    bram_loc: &Vec<(usize, usize)>,
-                    iob_loc: &Vec<(usize, usize)>|
-     -> (f64, f64) {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        active_nets.iter().fold((0.0, 0.0), |(lin, sq), n| {
-            let h = hpwl_of_net(&pins[n.index()], &loc);
-            (lin + h, sq + h * h)
+    let model = NetModel::new(netlist, packed);
+    let active_nets = &model.active;
+    // Movable entities, flattened for uniform random picks.
+    let movers: Vec<(usize, usize)> = (0..3)
+        .flat_map(|k| {
+            (0..counts[k])
+                .filter(move |&i| movable_mask[k][i])
+                .map(move |i| (k, i))
         })
-    };
+        .collect();
 
     let mut moves_spent = 0u64;
     let mut budget = BudgetOutcome::Completed;
-    if !movable_entities.is_empty() && !active_nets.is_empty() {
+    if !movers.is_empty() && !active_nets.is_empty() {
         // Baseline: deterministic descent over the movable delta only.
+        let mut net_box = model.boxes(&loc);
         quench(
-            &pins,
-            &nets_of_entity,
-            &clb_sites,
-            &bram_sites,
-            &iob_sites,
-            &mut clb_loc,
-            &mut bram_loc,
-            &mut iob_loc,
+            &model,
+            &sites,
+            &mut loc,
+            &mut net_box,
             Some(movable_mask),
             None,
         );
@@ -1840,139 +1815,24 @@ fn place_incremental_core(
         };
 
         let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x0ec0_5eed_ba5e_11f7);
-        let span = clb_sites
-            .iter()
-            .chain(bram_sites.iter())
-            .chain(iob_sites.iter())
-            .map(|&(x, y)| x.max(y))
-            .max()
-            .unwrap_or(1) as f64;
-        let in_window = |a: (usize, usize), b: (usize, usize), r: f64| -> bool {
-            (a.0.abs_diff(b.0).max(a.1.abs_diff(b.1)) as f64) <= r
-        };
+        let span = site_span(&sites);
         let w0 = (span / 4.0).clamp(2.0, span);
-        let free_of =
-            |locs: &[(usize, usize)], sites: &[(usize, usize)]| -> Vec<(usize, usize)> {
-                let used: std::collections::HashSet<(usize, usize)> =
-                    locs.iter().copied().collect();
-                sites.iter().copied().filter(|s| !used.contains(s)).collect()
-            };
-        let mut free_clb = free_of(&clb_loc, &clb_sites);
-        let mut free_bram = free_of(&bram_loc, &bram_sites);
-        let mut free_iob = free_of(&iob_loc, &iob_sites);
-
-        // Proposal generator shared by the T0 probe and the walk: a random
-        // movable entity, moved to a free site or swapped with a movable
-        // sibling, within the window. Returns (kind, idx, other, new_site).
-        #[allow(clippy::type_complexity)]
-        let propose = |rng: &mut SmallRng,
-                           clb_loc: &[(usize, usize)],
-                           bram_loc: &[(usize, usize)],
-                           iob_loc: &[(usize, usize)],
-                           free: [&Vec<(usize, usize)>; 3],
-                           r: f64|
-         -> Option<(usize, usize, Option<usize>, (usize, usize))> {
-            let (kind, idx) = movable_entities[rng.random_range(0..movable_entities.len())];
-            let locs: &[(usize, usize)] = match kind {
-                0 => clb_loc,
-                1 => bram_loc,
-                _ => iob_loc,
-            };
-            let mov: &[bool] = movable_mask[kind];
-            let here = locs[idx];
-            let free_cands: Vec<usize> = free[kind]
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| in_window(here, s, r))
-                .map(|(f, _)| f)
-                .collect();
-            let swap_cands: Vec<usize> = (0..locs.len())
-                .filter(|&o| o != idx && mov[o] && in_window(here, locs[o], r))
-                .collect();
-            let use_free = !free_cands.is_empty() && (swap_cands.is_empty() || rng.random_bool(0.5));
-            if use_free {
-                let f = free_cands[rng.random_range(0..free_cands.len())];
-                Some((kind, idx, None, free[kind][f]))
-            } else if !swap_cands.is_empty() {
-                let o = swap_cands[rng.random_range(0..swap_cands.len())];
-                Some((kind, idx, Some(o), locs[o]))
-            } else {
-                None
-            }
-        };
-        let entity_of = |kind: usize, idx: usize| match kind {
-            0 => EntityId::Clb(idx),
-            1 => EntityId::Bram(idx),
-            _ => EntityId::Iob(idx),
-        };
-        let affected_nets = |kind: usize, idx: usize, other: Option<usize>| -> Vec<NetId> {
-            let mut v: Vec<NetId> = nets_of_entity
-                .get(&entity_of(kind, idx))
-                .cloned()
-                .unwrap_or_default();
-            if let Some(o) = other {
-                v.extend(
-                    nets_of_entity
-                        .get(&entity_of(kind, o))
-                        .cloned()
-                        .unwrap_or_default(),
-                );
-                v.sort_unstable_by_key(|n| n.0);
-                v.dedup();
-            }
-            v
-        };
+        let mut free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
 
         // T0 probe: stddev/3 of sampled in-window move deltas (see `place`).
         let t0 = {
-            let mut deltas = Vec::new();
-            let samples = (movable_entities.len() * 4).clamp(32, 256);
-            for _ in 0..samples {
-                let Some((kind, idx, other, new_site)) = propose(
-                    &mut rng,
-                    &clb_loc,
-                    &bram_loc,
-                    &iob_loc,
-                    [&free_clb, &free_bram, &free_iob],
-                    w0,
-                ) else {
-                    continue;
-                };
-                let here = match kind {
-                    0 => clb_loc[idx],
-                    1 => bram_loc[idx],
-                    _ => iob_loc[idx],
-                };
-                let nets = affected_nets(kind, idx, other);
-                let entity = entity_of(kind, idx);
-                let other_entity = other.map(|o| entity_of(kind, o));
-                let eval = |moved: bool| -> f64 {
-                    let loc = |e: EntityId| {
-                        if moved {
-                            if e == entity {
-                                return new_site;
-                            }
-                            if other_entity == Some(e) {
-                                return here;
-                            }
-                        }
-                        match e {
-                            EntityId::Clb(i) => clb_loc[i],
-                            EntityId::Bram(i) => bram_loc[i],
-                            EntityId::Iob(i) => iob_loc[i],
-                        }
-                    };
-                    nets.iter().map(|n| hpwl_of_net(&pins[n.index()], &loc)).sum()
-                };
-                deltas.push(eval(true) - eval(false));
-            }
-            let n = deltas.len() as f64;
-            let sd = if deltas.is_empty() {
-                0.0
-            } else {
-                let mean = deltas.iter().sum::<f64>() / n;
-                (deltas.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n).sqrt()
-            };
+            let samples = (movers.len() * 4).clamp(32, 256);
+            let sd = delta_spread(
+                &mut rng,
+                &model,
+                &net_box,
+                &loc,
+                &free,
+                &movers,
+                Some(movable_mask),
+                w0,
+                samples,
+            );
             if sd > 0.0 {
                 sd / 3.0
             } else {
@@ -1980,32 +1840,19 @@ fn place_incremental_core(
             }
         };
 
-        let (mut cur_cost, _) = cost_all(&clb_loc, &bram_loc, &iob_loc);
+        let (mut cur_cost, _) = model.cost(&loc);
         let mut best_cost = cur_cost;
-        let mut best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
-        // Per-net bounding-box cache (see `place`): layout-before costs
-        // are lookups, accepted moves write their rescanned boxes back.
-        let mut net_box: Vec<NetBox> = {
-            let loc = |e: EntityId| match e {
-                EntityId::Clb(i) => clb_loc[i],
-                EntityId::Bram(i) => bram_loc[i],
-                EntityId::Iob(i) => iob_loc[i],
-            };
-            let mut boxes = vec![NetBox::EMPTY; pins.len()];
-            for &n in &active_nets {
-                boxes[n.index()] = NetBox::compute(&pins[n.index()], &loc);
-            }
-            boxes
-        };
-        let mut box_scratch: Vec<NetBox> = Vec::new();
+        let mut best = loc.clone();
+        // Per-net box cache and move pricing exactly as in `place`.
+        let mut step: Vec<(NetId, f64, f64)> = Vec::new();
         let mut cur_eff = cur_cost;
         let mut best_eff = best_cost;
         if let Some(t) = timing.as_mut() {
-            t.refresh(&active_nets, &net_box);
-            cur_eff = t.eff_from_boxes(&active_nets, &net_box);
+            t.refresh(active_nets, &net_box);
+            cur_eff = t.eff_from_boxes(active_nets, &net_box);
             best_eff = cur_eff;
         }
-        let m = movable_entities.len() as f64;
+        let m = movers.len() as f64;
         let moves_per_t = ((m.powf(4.0 / 3.0) * opts.effort.max(0.1)).ceil() as usize).max(16);
         let mut temperature = t0;
         let mut rlim = w0;
@@ -2018,149 +1865,44 @@ fn place_incremental_core(
                     break 'anneal;
                 }
                 moves_spent += 1;
-                let Some((kind, idx, other, new_site)) = propose(
-                    &mut rng,
-                    &clb_loc,
-                    &bram_loc,
-                    &iob_loc,
-                    [&free_clb, &free_bram, &free_iob],
-                    rlim,
-                ) else {
+                let Some(mv) = propose(&mut rng, &movers, &loc, &free, Some(movable_mask), rlim)
+                else {
                     continue;
                 };
-                let nets = affected_nets(kind, idx, other);
-                let old_site = match kind {
-                    0 => clb_loc[idx],
-                    1 => bram_loc[idx],
-                    _ => iob_loc[idx],
-                };
-                // Layout-before from the cache, layout-after by rescan —
-                // same scheme and same bit-identity argument as `place`.
-                let before: f64 = nets.iter().map(|n| net_box[n.index()].hpwl).sum();
+                step.clear();
+                step.extend(model.priced(&net_box, &loc, mv));
                 debug_assert!(
-                    {
-                        let loc = |e: EntityId| match e {
-                            EntityId::Clb(i) => clb_loc[i],
-                            EntityId::Bram(i) => bram_loc[i],
-                            EntityId::Iob(i) => iob_loc[i],
-                        };
-                        nets.iter()
-                            .all(|n| net_box[n.index()] == NetBox::compute(&pins[n.index()], &loc))
-                    },
-                    "stale bounding-box cache on nets {nets:?}"
+                    step.iter()
+                        .all(|&(n, ..)| net_box[n.index()] == model.rescan(n, |e| site_of(&loc, e))),
+                    "stale bounding-box cache under {mv:?}"
                 );
+                // Same early-exit bound as `place` (timing mode only, so
+                // the blind-ECO RNG stream is untouched).
+                if timing
+                    .as_ref()
+                    .is_some_and(|t| t.hopeless(&step, temperature))
                 {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = new_site;
-                    if let Some(o) = other {
-                        locs[o] = old_site;
-                    }
-                }
-                box_scratch.clear();
-                let mut early_reject = false;
-                let after: f64 = {
-                    let loc = |e: EntityId| match e {
-                        EntityId::Clb(i) => clb_loc[i],
-                        EntityId::Bram(i) => bram_loc[i],
-                        EntityId::Iob(i) => iob_loc[i],
-                    };
-                    if let Some(t) = timing.as_ref() {
-                        // Same early-exit bound as `place`: abandon the
-                        // rescan once the move is hopeless (timing mode
-                        // only, so the blind-ECO RNG stream is untouched).
-                        let before_eff: f64 = nets
-                            .iter()
-                            .map(|n| t.coef[n.index()] * net_box[n.index()].hpwl)
-                            .sum();
-                        let bar = before_eff + 20.0 * temperature;
-                        let mut lin = 0.0;
-                        let mut eff = 0.0;
-                        for n in &nets {
-                            let b = NetBox::compute(&pins[n.index()], &loc);
-                            box_scratch.push(b);
-                            lin += b.hpwl;
-                            eff += t.coef[n.index()] * b.hpwl;
-                            if eff > bar {
-                                early_reject = true;
-                                break;
-                            }
-                        }
-                        lin
-                    } else {
-                        nets.iter()
-                            .map(|n| {
-                                let b = NetBox::compute(&pins[n.index()], &loc);
-                                box_scratch.push(b);
-                                b.hpwl
-                            })
-                            .sum()
-                    }
-                };
-                if early_reject {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = old_site;
-                    if let Some(o) = other {
-                        locs[o] = new_site;
-                    }
                     continue;
                 }
-                let delta = after - before;
-                let delta_eff = match timing.as_ref() {
-                    Some(t) => nets
-                        .iter()
-                        .zip(&box_scratch)
-                        .map(|(n, b)| t.coef[n.index()] * (b.hpwl - net_box[n.index()].hpwl))
-                        .sum(),
-                    None => delta,
-                };
-                let accept = delta_eff < 1e-9
-                    || rng.random_bool((-delta_eff / temperature).exp().min(1.0));
+                let delta = side_sums(&step, true).0 - side_sums(&step, false).0;
+                let delta_eff = timing.as_ref().map_or(delta, |t| t.delta(&step));
+                let accept =
+                    delta_eff < 1e-9 || rng.random_bool((-delta_eff / temperature).exp().min(1.0));
                 if accept {
                     accepted += 1;
                     cur_cost += delta;
-                    for (&n, &b) in nets.iter().zip(&box_scratch) {
-                        net_box[n.index()] = b;
-                    }
-                    if let Some(t) = timing.as_mut() {
+                    mv.apply(&mut loc, &mut free);
+                    model.rebox(&mut net_box, &loc, &mv);
+                    if timing.is_some() {
                         cur_eff += delta_eff;
-                        t.note_moved(&nets, &net_box);
                         if cur_eff < best_eff {
                             best_eff = cur_eff;
                             best_cost = cur_cost;
-                            best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
+                            best.clone_from(&loc);
                         }
                     } else if cur_cost < best_cost {
                         best_cost = cur_cost;
-                        best = (clb_loc.clone(), bram_loc.clone(), iob_loc.clone());
-                    }
-                    if other.is_none() {
-                        let free: &mut Vec<(usize, usize)> = match kind {
-                            0 => &mut free_clb,
-                            1 => &mut free_bram,
-                            _ => &mut free_iob,
-                        };
-                        if let Some(pos) = free.iter().position(|s| *s == new_site) {
-                            free.swap_remove(pos);
-                            free.push(old_site);
-                        }
-                    }
-                } else {
-                    let locs: &mut Vec<(usize, usize)> = match kind {
-                        0 => &mut clb_loc,
-                        1 => &mut bram_loc,
-                        _ => &mut iob_loc,
-                    };
-                    locs[idx] = old_site;
-                    if let Some(o) = other {
-                        locs[o] = new_site;
+                        best.clone_from(&loc);
                     }
                 }
             }
@@ -2171,72 +1913,50 @@ fn place_incremental_core(
             // the matching comment in `place`).
             cur_cost = active_nets.iter().map(|n| net_box[n.index()].hpwl).sum();
             debug_assert!(
-                cur_cost == cost_all(&clb_loc, &bram_loc, &iob_loc).0,
+                cur_cost == model.cost(&loc).0,
                 "bounding-box cache re-anchor diverged from recomputed HPWL"
             );
             if let Some(t) = timing.as_mut() {
-                t.refresh(&active_nets, &net_box);
-                cur_eff = t.eff_from_boxes(&active_nets, &net_box);
-                let loc = |e: EntityId| match e {
-                    EntityId::Clb(i) => best.0[i],
-                    EntityId::Bram(i) => best.1[i],
-                    EntityId::Iob(i) => best.2[i],
-                };
-                best_eff = t.eff_from_locs(&active_nets, &pins, &loc);
+                t.refresh(active_nets, &net_box);
+                cur_eff = t.eff_from_boxes(active_nets, &net_box);
+                best_eff = t.eff_from_locs(&model, &best);
             }
         }
         let restore_best = if let Some(t) = timing.as_ref() {
-            let cur_loc = |e: EntityId| match e {
-                EntityId::Clb(i) => clb_loc[i],
-                EntityId::Bram(i) => bram_loc[i],
-                EntityId::Iob(i) => iob_loc[i],
-            };
-            let best_loc = |e: EntityId| match e {
-                EntityId::Clb(i) => best.0[i],
-                EntityId::Bram(i) => best.1[i],
-                EntityId::Iob(i) => best.2[i],
-            };
-            t.eff_from_locs(&active_nets, &pins, &best_loc)
-                < t.eff_from_locs(&active_nets, &pins, &cur_loc)
+            t.eff_from_locs(&model, &best) < t.eff_from_locs(&model, &loc)
         } else {
-            best_cost < cost_all(&clb_loc, &bram_loc, &iob_loc).0
+            best_cost < model.cost(&loc).0
         };
         if restore_best {
-            clb_loc = best.0;
-            bram_loc = best.1;
-            iob_loc = best.2;
+            loc = best;
+            net_box = model.boxes(&loc);
         }
         // Polish the delta with the masked deterministic descent
         // (criticality-weighted in timing mode).
         quench(
-            &pins,
-            &nets_of_entity,
-            &clb_sites,
-            &bram_sites,
-            &iob_sites,
-            &mut clb_loc,
-            &mut bram_loc,
-            &mut iob_loc,
+            &model,
+            &sites,
+            &mut loc,
+            &mut net_box,
             Some(movable_mask),
-            timing.as_ref(),
+            timing.as_ref().map(|t| &t.coef[..]),
         );
     }
 
-    let (hpwl, hpwl_sq) = cost_all(&clb_loc, &bram_loc, &iob_loc);
+    let (hpwl, hpwl_sq) = model.cost(&loc);
     // The wirelength actually decided by this pass: nets touching at
     // least one movable entity.
-    let delta_hpwl: f64 = {
-        let loc = |e: EntityId| match e {
-            EntityId::Clb(i) => clb_loc[i],
-            EntityId::Bram(i) => bram_loc[i],
-            EntityId::Iob(i) => iob_loc[i],
-        };
-        active_nets
-            .iter()
-            .filter(|n| pins[n.index()].iter().any(|&e| is_movable(e)))
-            .map(|n| hpwl_of_net(&pins[n.index()], &loc))
-            .sum()
-    };
+    let delta_hpwl: f64 = active_nets
+        .iter()
+        .filter(|n| {
+            model.pins[n.index()].iter().any(|&e| {
+                let (kind, idx) = kind_index(e);
+                mov[kind][idx]
+            })
+        })
+        .map(|&n| model.rescan(n, |e| site_of(&loc, e)).hpwl)
+        .sum();
+    let [clb_loc, bram_loc, iob_loc] = loc;
     let placement = Placement {
         device,
         clb_loc,
@@ -2262,6 +1982,7 @@ mod tests {
     use crate::device::Device;
     use crate::netlist::Cell;
     use crate::pack::pack;
+    use xrand::proptest_lite::run_cases;
 
     /// Chain of LUT+FF stages; plenty of connectivity for the annealer.
     fn chain(n_stages: usize) -> Netlist {
@@ -2483,7 +2204,10 @@ mod tests {
         assert_eq!(eco.delta_entities, 2);
         assert_eq!(eco.pinned_entities, p.num_entities() - 2);
         for i in 0..k - 2 {
-            assert_eq!(eco.placement.clb_loc[i], base.clb_loc[i], "pinned CLB {i} moved");
+            assert_eq!(
+                eco.placement.clb_loc[i], base.clb_loc[i],
+                "pinned CLB {i} moved"
+            );
         }
         assert_eq!(eco.placement.bram_loc, base.bram_loc);
         assert_eq!(eco.placement.iob_loc, base.iob_loc);
@@ -2508,12 +2232,18 @@ mod tests {
         let mut short = good.clone();
         short.clb.pop();
         let err = place_incremental(&n, &p, device, PlaceOptions::default(), &short);
-        assert!(matches!(err, Err(EcoPlaceError::PinCount { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(EcoPlaceError::PinCount { .. })),
+            "{err:?}"
+        );
 
         let mut illegal = good.clone();
         illegal.clb[0] = Some((usize::MAX, usize::MAX));
         let err = place_incremental(&n, &p, device, PlaceOptions::default(), &illegal);
-        assert!(matches!(err, Err(EcoPlaceError::IllegalPin { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(EcoPlaceError::IllegalPin { .. })),
+            "{err:?}"
+        );
 
         let mut dup = good.clone();
         if dup.clb.len() >= 2 {
@@ -2535,8 +2265,7 @@ mod tests {
         let pins = PinnedEntities::pin_base(&base, &p);
         let mut bad = base.clone();
         // Teleport the first CLB to a free legal site.
-        let used: std::collections::HashSet<(usize, usize)> =
-            bad.clb_loc.iter().copied().collect();
+        let used: std::collections::HashSet<(usize, usize)> = bad.clb_loc.iter().copied().collect();
         let free = device
             .clb_sites()
             .into_iter()
@@ -2544,8 +2273,248 @@ mod tests {
             .expect("free CLB site");
         bad.clb_loc[0] = free;
         let err = verify_eco_placement(&bad, &pins);
-        assert!(matches!(err, Err(EcoPlaceError::PinMoved { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(EcoPlaceError::PinMoved { .. })),
+            "{err:?}"
+        );
         // And the untouched base passes.
         verify_eco_placement(&base, &pins).unwrap();
+    }
+
+    fn entity(kind: usize, idx: usize) -> EntityId {
+        match kind {
+            0 => EntityId::Clb(idx),
+            1 => EntityId::Bram(idx),
+            _ => EntityId::Iob(idx),
+        }
+    }
+
+    /// The historical quench, kept as the oracle for the edge-box quench:
+    /// every candidate rescans every pin of every touched net through an
+    /// override locator, and every swap allocates, sorts and dedups the
+    /// union of both entities' net lists.
+    #[allow(clippy::needless_range_loop)]
+    fn quench_reference(
+        model: &NetModel,
+        sites: &[Vec<Site>; 3],
+        loc: &mut Locs,
+        movable: Option<[&[bool]; 3]>,
+        coef: Option<&[f64]>,
+    ) {
+        let mut free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+        let may_move = |kind: usize, idx: usize| movable.is_none_or(|m| m[kind][idx]);
+        for _ in 0..16 {
+            let mut improved = false;
+            for kind in 0..3usize {
+                for idx in 0..loc[kind].len() {
+                    if !may_move(kind, idx) {
+                        continue;
+                    }
+                    let my_nets = model.nets_of(kind, idx);
+                    if my_nets.is_empty() {
+                        continue;
+                    }
+                    let me = entity(kind, idx);
+                    let cur_site = loc[kind][idx];
+                    let eval = |a: EntityId,
+                                sa: Site,
+                                b: Option<(EntityId, Site)>,
+                                nets: &[NetId]|
+                     -> (f64, f64) {
+                        let at = |e: EntityId| {
+                            if e == a {
+                                return sa;
+                            }
+                            if let Some((be, bs)) = b {
+                                if e == be {
+                                    return bs;
+                                }
+                            }
+                            site_of(loc, e)
+                        };
+                        nets.iter().fold((0.0, 0.0), |(lin, sq), n| {
+                            let h = hpwl_of_net(&model.pins[n.index()], &at);
+                            let lin_term = match coef {
+                                Some(c) => c[n.index()] * h,
+                                None => h,
+                            };
+                            (lin + lin_term, sq + h * h)
+                        })
+                    };
+                    let beats = |cand: (f64, f64), incumbent: (f64, f64)| -> bool {
+                        cand.0 < incumbent.0 - 1e-9
+                            || (cand.0 < incumbent.0 + 1e-9 && cand.1 < incumbent.1 - 1e-9)
+                    };
+                    let before = eval(me, cur_site, None, my_nets);
+                    let mut best_delta = (0.0f64, 0.0f64);
+                    let mut best_move: Option<(Option<usize>, Site)> = None;
+                    for (f, &site) in free[kind].iter().enumerate() {
+                        let after = eval(me, site, None, my_nets);
+                        let delta = (after.0 - before.0, after.1 - before.1);
+                        if beats(delta, best_delta) {
+                            best_delta = delta;
+                            best_move = Some((Some(f), site));
+                        }
+                    }
+                    for o in 0..loc[kind].len() {
+                        if o == idx || !may_move(kind, o) {
+                            continue;
+                        }
+                        let other = entity(kind, o);
+                        let other_site = loc[kind][o];
+                        let mut nets: Vec<NetId> = my_nets.to_vec();
+                        nets.extend(model.nets_of(kind, o));
+                        nets.sort_unstable_by_key(|n| n.0);
+                        nets.dedup();
+                        let b0 = eval(me, cur_site, Some((other, other_site)), &nets);
+                        let a0 = eval(me, other_site, Some((other, cur_site)), &nets);
+                        let delta = (a0.0 - b0.0, a0.1 - b0.1);
+                        if beats(delta, best_delta) {
+                            best_delta = delta;
+                            best_move = Some((None, other_site));
+                        }
+                    }
+                    if let Some((free_pos, site)) = best_move {
+                        let locs = &mut loc[kind];
+                        if let Some(f) = free_pos {
+                            locs[idx] = site;
+                            free[kind].swap_remove(f);
+                            free[kind].push(cur_site);
+                        } else {
+                            let o = locs.iter().position(|&s| s == site).expect("swap target");
+                            locs[o] = cur_site;
+                            locs[idx] = site;
+                        }
+                        improved = true;
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+
+    /// A random placement problem on `device`: entity counts, nets of one
+    /// to six distinct pins (one-pin nets stay inactive, as in real
+    /// netlists), and a random legal layout.
+    fn random_problem(rng: &mut xrand::SmallRng, device: Device) -> (NetModel, Locs) {
+        let sites = device_sites(&device);
+        let counts = [
+            rng.random_range(1..=sites[0].len().min(20)),
+            rng.random_range(0..=sites[1].len().min(4)),
+            rng.random_range(1..=sites[2].len().min(12)),
+        ];
+        let all: Vec<EntityId> = (0..3)
+            .flat_map(|k| (0..counts[k]).map(move |i| entity(k, i)))
+            .collect();
+        let n_nets = rng.random_range(1..=2 * all.len());
+        let pins: Vec<Vec<EntityId>> = (0..n_nets)
+            .map(|_| {
+                let want = rng.random_range(1..=all.len().min(6));
+                let mut net: Vec<EntityId> = Vec::new();
+                while net.len() < want {
+                    let e = all[rng.random_range(0..all.len())];
+                    if !net.contains(&e) {
+                        net.push(e);
+                    }
+                }
+                net
+            })
+            .collect();
+        let loc: Locs = std::array::from_fn(|k| {
+            let mut s = sites[k].clone();
+            for i in (1..s.len()).rev() {
+                s.swap(i, rng.random_range(0..=i));
+            }
+            s.truncate(counts[k]);
+            s
+        });
+        (NetModel::from_pins(pins, counts), loc)
+    }
+
+    #[test]
+    fn quench_matches_the_rescan_reference() {
+        run_cases(40, |rng| {
+            let device = if rng.random_bool(0.5) {
+                Device::by_name("XC2V40").expect("family member")
+            } else {
+                Device::xc2v250()
+            };
+            let sites = device_sites(&device);
+            let (model, start) = random_problem(rng, device);
+            let mov: [Vec<bool>; 3] = std::array::from_fn(|k| {
+                (0..start[k].len()).map(|_| rng.random_bool(0.6)).collect()
+            });
+            let movable = rng
+                .random_bool(0.5)
+                .then(|| -> [&[bool]; 3] { [&mov[0], &mov[1], &mov[2]] });
+            // Non-integer coefficients make the fold order observable.
+            let coefs: Vec<f64> = (0..model.pins.len())
+                .map(|_| 0.3 + 2.0 * rng.random::<f64>())
+                .collect();
+            let coef = rng.random_bool(0.5).then_some(&coefs[..]);
+
+            let mut fast = start.clone();
+            let mut boxes = model.boxes(&fast);
+            quench(&model, &sites, &mut fast, &mut boxes, movable, coef);
+            let mut slow = start.clone();
+            quench_reference(&model, &sites, &mut slow, movable, coef);
+            assert_eq!(
+                fast, slow,
+                "edge-box quench diverged from the rescan oracle"
+            );
+            assert_eq!(boxes, model.boxes(&fast), "quench left a stale box cache");
+        });
+    }
+
+    #[test]
+    fn proposals_match_materialized_candidate_lists() {
+        run_cases(40, |rng| {
+            let device = Device::xc2v250();
+            let (_, loc) = random_problem(rng, device);
+            let sites = device_sites(&device);
+            let free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+            let mov: [Vec<bool>; 3] =
+                std::array::from_fn(|k| (0..loc[k].len()).map(|_| rng.random_bool(0.6)).collect());
+            let masked = rng.random_bool(0.5);
+            let movable = masked.then(|| -> [&[bool]; 3] { [&mov[0], &mov[1], &mov[2]] });
+            let movers: Vec<(usize, usize)> = (0..3)
+                .flat_map(|k| (0..loc[k].len()).map(move |i| (k, i)))
+                .collect();
+            let r = f64::from(rng.random_range(1u32..8));
+            let seed = rng.random::<u64>();
+            let (mut a, mut b) = (
+                xrand::SmallRng::seed_from_u64(seed),
+                xrand::SmallRng::seed_from_u64(seed),
+            );
+            for _ in 0..64 {
+                let got = propose(&mut a, &movers, &loc, &free, movable, r)
+                    .map(|mv| (mv.kind, mv.idx, mv.to, mv.partner()));
+                // The historical proposal: both candidate lists built.
+                let (kind, idx) = movers[b.random_range(0..movers.len())];
+                let here = loc[kind][idx];
+                let near = |s: Site| (here.0.abs_diff(s.0).max(here.1.abs_diff(s.1)) as f64) <= r;
+                let free_cands: Vec<usize> = (0..free[kind].len())
+                    .filter(|&f| near(free[kind][f]))
+                    .collect();
+                let swap_cands: Vec<usize> = (0..loc[kind].len())
+                    .filter(|&o| o != idx && (!masked || mov[kind][o]) && near(loc[kind][o]))
+                    .collect();
+                let want =
+                    if !free_cands.is_empty() && (swap_cands.is_empty() || b.random_bool(0.5)) {
+                        let f = free_cands[b.random_range(0..free_cands.len())];
+                        Some((kind, idx, free[kind][f], None))
+                    } else if !swap_cands.is_empty() {
+                        let o = swap_cands[b.random_range(0..swap_cands.len())];
+                        Some((kind, idx, loc[kind][o], Some(o)))
+                    } else {
+                        None
+                    };
+                assert_eq!(got, want);
+            }
+            // Same number of draws consumed on both sides.
+            assert_eq!(a.next_u64(), b.next_u64());
+        });
     }
 }
