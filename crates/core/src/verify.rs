@@ -6,11 +6,11 @@
 //! [`fsm_model::simulate::StgSimulator`] over a deterministic random
 //! stimulus and comparing the FSM outputs cycle by cycle.
 
-use fpga_fabric::netlist::{Netlist, NetlistError};
+use fpga_fabric::netlist::{NetId, Netlist, NetlistError};
 use fsm_model::simulate::StgSimulator;
-use fsm_model::stg::{StateId, Stg};
+use fsm_model::stg::Stg;
 use netsim::engine::Simulator;
-use netsim::kernel::{BatchSimulator, LANES};
+use netsim::kernel::{transpose64, BatchSimulator, LANES};
 use netsim::stimulus;
 use std::fmt;
 
@@ -141,46 +141,402 @@ fn minterm_inputs(m: u64, num_inputs: usize) -> Vec<bool> {
     (0..num_inputs).map(|i| m >> i & 1 == 1).collect()
 }
 
-/// Packs bit groups into `u64` words, LSB-first across the concatenation.
-/// Group widths are fixed per walk, so the packing is injective: two
-/// joint states produce equal words iff every bit matches. Keys in the
-/// `seen` set shrink ~64× versus `Vec<bool>` tuples, which is what lets
-/// the batched walks hold the sand/styr product spaces comfortably.
-fn pack_key(groups: &[&[bool]]) -> Vec<u64> {
-    let total: usize = groups.iter().map(|g| g.len()).sum();
-    let mut words = vec![0u64; total.div_ceil(64)];
-    let mut i = 0usize;
-    for g in groups {
-        for &b in *g {
-            if b {
-                words[i / 64] |= 1u64 << (i % 64);
+/// Lane words of input bits 0..6 in a batch: bit `l` of word `k` is bit
+/// `k` of `l`. Every batch starts at a node boundary (see
+/// [`ProductWalk::next_batch`]), so these are the input words of the low
+/// six inputs in every batch; inputs 6 and up are broadcasts of the
+/// batch's base minterm.
+const LANE_BITS: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The batch-aligned breadth-first product walk behind
+/// [`verify_exhaustive`] and [`netlists_equivalent`].
+///
+/// Nodes are expanded in FIFO order under minterms `0..2^I` — the global
+/// edge order of the scalar walks — 64 edges per batch. With `2^I ≤ 64` a
+/// batch holds up to `64 / 2^I` whole nodes (fewer when the frontier runs
+/// out); with `2^I ≥ 64` it holds 64 aligned minterms of one node. Each
+/// node is identified by a fixed-width packed key; new keys are appended
+/// in lane order, so node discovery order is the scalar walk's. The walk
+/// keeps each node's parent (node 0, the reset state, is its own) and
+/// its key, from which the node's state is reloaded.
+struct ProductWalk {
+    num_inputs: usize,
+    /// `log2` of the lanes one node occupies in a batch: `min(I, 6)`.
+    span: usize,
+    key_words: usize,
+    /// Flat key arena: node `n`'s key is `keys[n * key_words..][..key_words]`.
+    keys: Vec<u64>,
+    parents: Vec<u32>,
+    set: KeySet,
+    /// Next node to expand, and its next minterm base (`2^I > 64` only).
+    cursor: usize,
+    cursor_base: u64,
+    /// The current batch: nodes `first..first + count`, lane `l` carrying
+    /// minterm `base + (l mod 2^span)` of node `first + l / 2^span`.
+    first: usize,
+    count: usize,
+    base: u64,
+    /// Lanes that carry an edge of the current batch (a prefix).
+    live: u64,
+    /// One input word per primary input for the current batch.
+    inputs: Vec<u64>,
+}
+
+impl ProductWalk {
+    fn new(num_inputs: usize, root_key: &[u64]) -> Self {
+        let mut walk = ProductWalk {
+            num_inputs,
+            span: num_inputs.min(6),
+            key_words: root_key.len(),
+            keys: Vec::new(),
+            parents: Vec::new(),
+            set: KeySet::default(),
+            cursor: 0,
+            cursor_base: 0,
+            first: 0,
+            count: 0,
+            base: 0,
+            live: 0,
+            inputs: vec![0; num_inputs],
+        };
+        walk.insert(root_key, 0);
+        walk
+    }
+
+    /// Advances to the next batch of the global edge order; `false` once
+    /// every discovered node has been expanded.
+    fn next_batch(&mut self) -> bool {
+        if self.cursor >= self.parents.len() {
+            return false;
+        }
+        self.first = self.cursor;
+        if self.num_inputs <= 6 {
+            let per_batch = 1 << (6 - self.num_inputs);
+            self.count = per_batch.min(self.parents.len() - self.cursor);
+            let lanes = self.count << self.num_inputs;
+            self.live = if lanes == 64 {
+                u64::MAX
+            } else {
+                (1 << lanes) - 1
+            };
+            self.base = 0;
+            self.cursor += self.count;
+        } else {
+            self.count = 1;
+            self.live = u64::MAX;
+            self.base = self.cursor_base;
+            self.cursor_base += 64;
+            if self.cursor_base == 1 << self.num_inputs {
+                self.cursor_base = 0;
+                self.cursor += 1;
             }
-            i += 1;
+        }
+        for (k, w) in self.inputs.iter_mut().enumerate() {
+            *w = match LANE_BITS.get(k) {
+                Some(&bits) => bits,
+                None => 0u64.wrapping_sub(self.base >> k & 1),
+            };
+        }
+        true
+    }
+
+    /// The lane mask of the `j`-th node of the current batch.
+    fn group(&self, j: usize) -> u64 {
+        let width = 1usize << self.span;
+        let mask = if width == 64 {
+            u64::MAX
+        } else {
+            (1 << width) - 1
+        };
+        mask << (j << self.span)
+    }
+
+    fn node_of(&self, lane: usize) -> usize {
+        self.first + (lane >> self.span)
+    }
+
+    fn minterm_of(&self, lane: usize) -> u64 {
+        self.base + (lane & ((1 << self.span) - 1)) as u64
+    }
+
+    fn key(&self, node: usize) -> &[u64] {
+        &self.keys[node * self.key_words..][..self.key_words]
+    }
+
+    /// Records a state reached by an edge out of node `parent`; a new key
+    /// becomes a new node.
+    fn insert(&mut self, key: &[u64], parent: usize) {
+        if self.set.insert(&mut self.keys, key) {
+            self.parents.push(parent as u32);
         }
     }
-    words
-}
 
-/// A discovered joint state in the batched product walk. `parent` and
-/// `minterm` form a parent-pointer tree from which the minimal witness
-/// trace is reconstructed on divergence; node 0 is the reset state.
-struct WalkNode {
-    oracle: StateId,
-    parent: u32,
-    minterm: u64,
-}
-
-/// The input trace that reaches `nodes[idx]` from reset, by walking the
-/// parent chain back to node 0.
-fn trace_to(nodes: &[WalkNode], idx: usize, num_inputs: usize) -> Vec<Vec<bool>> {
-    let mut rev = Vec::new();
-    let mut cur = idx;
-    while cur != 0 {
-        rev.push(minterm_inputs(nodes[cur].minterm, num_inputs));
-        cur = nodes[cur].parent as usize;
+    /// Edges from reset to `node` (the cycle index of its out-edges).
+    fn depth(&self, node: usize) -> usize {
+        let (mut cur, mut depth) = (node, 0);
+        while cur != 0 {
+            cur = self.parents[cur] as usize;
+            depth += 1;
+        }
+        depth
     }
-    rev.reverse();
-    rev
+}
+
+/// An open-addressing set of the keys in a walk's arena. Slots hold node
+/// indices; lookups hash and compare borrowed key slices, so finding or
+/// adding a key allocates nothing beyond the arena's own growth.
+#[derive(Default)]
+struct KeySet {
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl KeySet {
+    const EMPTY: u32 = u32::MAX;
+
+    /// Inserts `key`, appending it to `arena`; `false` when present.
+    fn insert(&mut self, arena: &mut Vec<u64>, key: &[u64]) -> bool {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow(arena, key.len());
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash_words(key) as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == Self::EMPTY {
+                self.slots[i] = self.len as u32;
+                self.len += 1;
+                arena.extend_from_slice(key);
+                return true;
+            }
+            if arena[slot as usize * key.len()..][..key.len()] == *key {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn grow(&mut self, arena: &[u64], key_words: usize) {
+        let cap = (self.slots.len() * 2).max(1024);
+        self.slots = vec![Self::EMPTY; cap];
+        for node in 0..self.len {
+            let key = &arena[node * key_words..][..key_words];
+            let mut i = hash_words(key) as usize & (cap - 1);
+            while self.slots[i] != Self::EMPTY {
+                i = (i + 1) & (cap - 1);
+            }
+            self.slots[i] = node as u32;
+        }
+    }
+}
+
+/// A multiplicative word hash with a final avalanche (the murmur3 64-bit
+/// finalizer), so the low bits used as the slot index depend on every key
+/// bit.
+fn hash_words(key: &[u64]) -> u64 {
+    let mut h = key.len() as u64;
+    for &w in key {
+        h = (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ h >> 33
+}
+
+/// The word-level bridge between one simulator's sequential nets and the
+/// packed snapshots inside walk keys: loads a batch's node snapshots as
+/// whole lane words, and transposes the post-edge lane words back into
+/// one packed snapshot row per lane.
+struct SeqPort {
+    /// Packed words per snapshot.
+    words: usize,
+    /// One lane word per sequential net.
+    seq: Vec<u64>,
+    /// Lane-major snapshot rows, `words` per lane.
+    rows: Vec<u64>,
+}
+
+impl SeqPort {
+    /// A port over `sim`, with the current (reset) state captured.
+    fn new(sim: &BatchSimulator<'_>) -> Self {
+        let bits = sim.seq_nets().len();
+        let words = bits.div_ceil(64);
+        let mut port = SeqPort {
+            words,
+            seq: vec![0; bits],
+            rows: vec![0; words * LANES],
+        };
+        port.capture(sim);
+        port
+    }
+
+    /// Loads each batch node's snapshot, read from its key at `offset`,
+    /// into that node's lanes (dead lanes get zeros).
+    fn load(&mut self, sim: &mut BatchSimulator<'_>, walk: &ProductWalk, offset: usize) {
+        self.seq.fill(0);
+        for j in 0..walk.count {
+            let group = walk.group(j);
+            let snap = &walk.key(walk.first + j)[offset..][..self.words];
+            for (i, w) in self.seq.iter_mut().enumerate() {
+                *w |= group & 0u64.wrapping_sub(snap[i / 64] >> (i % 64) & 1);
+            }
+        }
+        sim.set_seq_words(&self.seq);
+    }
+
+    /// Captures every lane's snapshot row from `sim`.
+    fn capture(&mut self, sim: &BatchSimulator<'_>) {
+        sim.seq_words(&mut self.seq);
+        for (b, chunk) in self.seq.chunks(64).enumerate() {
+            let mut block = [0u64; LANES];
+            block[..chunk.len()].copy_from_slice(chunk);
+            transpose64(&mut block);
+            for (lane, w) in block.iter().enumerate() {
+                self.rows[lane * self.words + b] = *w;
+            }
+        }
+    }
+
+    fn row(&self, lane: usize) -> &[u64] {
+        &self.rows[lane * self.words..][..self.words]
+    }
+}
+
+/// One transition of the bit-sliced oracle: the input cube as care/value
+/// masks (bit `k` = input `k`) and the destination.
+struct OracleArc {
+    care: u64,
+    value: u64,
+    to: u32,
+}
+
+/// The STG as per-state transition lists, evaluated 64 lanes at a time.
+///
+/// Within a state the arcs keep declaration order and the first match
+/// claims a lane, so a lane takes exactly the transition
+/// [`Stg::lookup`] finds; a lane no arc claims holds its state with zero
+/// outputs — the completion rule of [`Stg::step`].
+struct BitOracle {
+    /// The arcs of state `s` are `arcs[first[s]..first[s + 1]]`.
+    first: Vec<usize>,
+    arcs: Vec<OracleArc>,
+    /// Packed don't-care-as-zero outputs, `out_words` per arc.
+    outs: Vec<u64>,
+    out_words: usize,
+}
+
+/// `lane_arc` marker of a lane no transition matched.
+const NO_ARC: u32 = u32::MAX;
+
+impl BitOracle {
+    fn new(stg: &Stg) -> Self {
+        // A stable sort keeps declaration order within each state.
+        let mut order: Vec<_> = stg.transitions().iter().collect();
+        order.sort_by_key(|t| t.from);
+        let mut first = vec![0usize; stg.num_states() + 1];
+        for t in &order {
+            first[t.from.index() + 1] += 1;
+        }
+        for s in 0..stg.num_states() {
+            first[s + 1] += first[s];
+        }
+        let out_words = stg.num_outputs().div_ceil(64);
+        let mut outs = vec![0u64; order.len() * out_words];
+        let mut arcs = Vec::with_capacity(order.len());
+        for (a, t) in order.iter().enumerate() {
+            let (mut care, mut value) = (0u64, 0u64);
+            for (k, trit) in t.input.trits().iter().enumerate() {
+                if let Some(v) = trit.value() {
+                    care |= 1 << k;
+                    value |= u64::from(v) << k;
+                }
+            }
+            for (o, trit) in t.output.trits().iter().enumerate() {
+                if trit.value() == Some(true) {
+                    outs[a * out_words + o / 64] |= 1 << (o % 64);
+                }
+            }
+            arcs.push(OracleArc {
+                care,
+                value,
+                to: t.to.0,
+            });
+        }
+        BitOracle {
+            first,
+            arcs,
+            outs,
+            out_words,
+        }
+    }
+
+    fn outs(&self, arc: u32) -> &[u64] {
+        &self.outs[arc as usize * self.out_words..][..self.out_words]
+    }
+
+    /// Steps `state` in the lanes of `group`, whose low six inputs are
+    /// [`LANE_BITS`] and higher inputs the bits of `base`: records each
+    /// lane's arc in `lane_arc` and ORs the outputs into `expected` (one
+    /// lane word per output).
+    fn step(
+        &self,
+        state: usize,
+        group: u64,
+        base: u64,
+        lane_arc: &mut [u32; LANES],
+        expected: &mut [u64],
+    ) {
+        let mut open = group;
+        for a in self.first[state]..self.first[state + 1] {
+            let arc = &self.arcs[a];
+            if arc.care & !63 & (arc.value ^ base) != 0 {
+                continue;
+            }
+            let mut hit = open;
+            let mut low = arc.care & 63;
+            while low != 0 {
+                let k = low.trailing_zeros() as usize;
+                low &= low - 1;
+                hit &= if arc.value >> k & 1 == 1 {
+                    LANE_BITS[k]
+                } else {
+                    !LANE_BITS[k]
+                };
+            }
+            if hit == 0 {
+                continue;
+            }
+            open &= !hit;
+            let mut lanes = hit;
+            while lanes != 0 {
+                lane_arc[lanes.trailing_zeros() as usize] = a as u32;
+                lanes &= lanes - 1;
+            }
+            for (w, word) in self.outs(a as u32).iter().enumerate() {
+                let mut bits = *word;
+                while bits != 0 {
+                    expected[w * 64 + bits.trailing_zeros() as usize] |= hit;
+                    bits &= bits - 1;
+                }
+            }
+            if open == 0 {
+                return;
+            }
+        }
+        while open != 0 {
+            lane_arc[open.trailing_zeros() as usize] = NO_ARC;
+            open &= open - 1;
+        }
+    }
 }
 
 /// Exhaustively verifies `netlist` against `stg` by product-machine
@@ -195,13 +551,13 @@ fn trace_to(nodes: &[WalkNode], idx: usize, num_inputs: usize) -> Vec<Vec<bool>>
 /// joint state space is finite and only reachable states are visited.
 ///
 /// Edges are expanded through the bit-parallel
-/// [`netsim::kernel::BatchSimulator`], 64 per clock: each lane is loaded
-/// with one frontier state's sequential snapshot and one input minterm.
-/// The frontier is expanded in FIFO node order × minterm order — the
-/// exact global edge order of the scalar walk — so the report counts and
-/// the first-divergence witness are identical to
-/// [`verify_exhaustive_scalar`]. Netlists with BRAM write ports fall back
-/// to the scalar walk (their memory contents are architectural state
+/// [`netsim::kernel::BatchSimulator`], 64 per clock, in the exact global
+/// edge order of the scalar walk (FIFO node order × minterm order), so
+/// the report counts and the first-divergence witness are identical to
+/// [`verify_exhaustive_scalar`]. The oracle side is bit-sliced too: the
+/// STG is stepped for a whole node's lanes with word operations, and
+/// outputs are compared word-wise. Netlists with BRAM write ports fall
+/// back to the scalar walk (their memory contents are architectural state
 /// beyond the sequential nets, so the lane snapshot would under-key).
 ///
 /// # Errors
@@ -215,97 +571,95 @@ pub fn verify_exhaustive(
     max_inputs: usize,
 ) -> Result<ExhaustiveReport, VerifyError> {
     check_exhaustive_bounds(netlist, stg, max_inputs)?;
-    let mut batch = BatchSimulator::new(netlist)?;
-    if batch.has_write_ports() {
+    let mut sim = BatchSimulator::new(netlist)?;
+    if sim.has_write_ports() {
         return scalar_exhaustive_walk(netlist, stg, timing);
     }
+    sim.set_active(0);
 
     let num_inputs = stg.num_inputs();
     let num_outputs = stg.num_outputs();
-    let vectors = 1u64 << num_inputs;
+    let out_nets: Vec<NetId> = netlist.outputs()[..num_outputs]
+        .iter()
+        .map(|(_, n)| *n)
+        .collect();
+    let oracle = BitOracle::new(stg);
+    let mut port = SeqPort::new(&sim);
 
-    batch.reset();
-    let mut nodes: Vec<WalkNode> = Vec::new();
-    let mut snaps: Vec<Vec<bool>> = Vec::new();
-    let mut seen: std::collections::HashSet<(u32, Vec<u64>)> = std::collections::HashSet::new();
+    // Joint key: implementation snapshot, oracle outputs, oracle state.
+    let (snap_words, out_words) = (port.words, oracle.out_words);
+    let state_word = snap_words + out_words;
+    let mut key = vec![0u64; state_word + 1];
+    key[..snap_words].copy_from_slice(port.row(0));
+    key[state_word] = u64::from(stg.reset_state().0);
+    let mut walk = ProductWalk::new(num_inputs, &key);
 
-    let root_outputs = vec![false; num_outputs];
-    let root_snap = batch.lane_state(0);
-    seen.insert((stg.reset_state().0, pack_key(&[&root_outputs, &root_snap])));
-    nodes.push(WalkNode {
-        oracle: stg.reset_state(),
-        parent: 0,
-        minterm: 0,
-    });
-    snaps.push(root_snap);
-
-    let mut states_explored = 0usize;
-    let mut edges_checked = 0usize;
-    let mut input_words = vec![0u64; num_inputs];
-    let mut batch_edges: Vec<(usize, u64)> = Vec::with_capacity(LANES);
-    let mut cur_node = 0usize;
-    let mut cur_minterm = 0u64;
-    while cur_node < nodes.len() {
-        // Fill up to 64 lanes with the next edges of the global order.
-        batch_edges.clear();
-        while batch_edges.len() < LANES && cur_node < nodes.len() {
-            if cur_minterm == 0 {
-                states_explored += 1;
-            }
-            batch_edges.push((cur_node, cur_minterm));
-            cur_minterm += 1;
-            if cur_minterm == vectors {
-                cur_minterm = 0;
-                cur_node += 1;
-            }
+    let mut expected = vec![0u64; num_outputs];
+    let mut got = vec![0u64; num_outputs];
+    let mut lane_arc = [NO_ARC; LANES];
+    while walk.next_batch() {
+        port.load(&mut sim, &walk, 0);
+        sim.clock_words(&walk.inputs);
+        expected.fill(0);
+        for j in 0..walk.count {
+            let state = walk.key(walk.first + j)[state_word] as usize;
+            oracle.step(
+                state,
+                walk.group(j),
+                walk.base,
+                &mut lane_arc,
+                &mut expected,
+            );
         }
-        for w in &mut input_words {
-            *w = 0;
-        }
-        for (lane, &(ni, m)) in batch_edges.iter().enumerate() {
-            batch.load_lane_state(lane, &snaps[ni]);
-            for (k, w) in input_words.iter_mut().enumerate() {
-                if m >> k & 1 == 1 {
-                    *w |= 1u64 << lane;
+        match timing {
+            OutputTiming::Registered => {
+                for (g, net) in got.iter_mut().zip(&out_nets) {
+                    *g = sim.word(*net);
                 }
             }
+            OutputTiming::Combinational => {
+                got.copy_from_slice(&sim.pre_edge_words()[..num_outputs]);
+            }
         }
-        batch.clock_words(&input_words);
-        // Scan lanes in edge order: the first divergence and the seen-set
-        // insertion order match the scalar walk exactly.
-        for (lane, &(ni, m)) in batch_edges.iter().enumerate() {
-            edges_checked += 1;
-            let inputs = minterm_inputs(m, num_inputs);
-            let (next, expected) = stg.step(nodes[ni].oracle, &inputs);
-            let got_all = match timing {
-                OutputTiming::Registered => batch.lane_outputs(lane),
-                OutputTiming::Combinational => batch.lane_pre_edge_outputs(lane),
-            };
-            let got = got_all[..num_outputs].to_vec();
-            if got != expected {
-                let mut witness = trace_to(&nodes, ni, num_inputs);
-                witness.push(inputs.clone());
-                return Err(VerifyError::Mismatch {
-                    cycle: witness.len() - 1,
-                    inputs,
-                    expected,
-                    got,
-                });
+        let diff = got
+            .iter()
+            .zip(&expected)
+            .fold(0u64, |acc, (g, e)| acc | (g ^ e))
+            & walk.live;
+        if diff != 0 {
+            // Lanes run in edge order, so the lowest divergent lane is the
+            // scalar walk's first divergent edge.
+            let lane = diff.trailing_zeros() as usize;
+            let lane_bits = |words: &[u64]| words.iter().map(|w| w >> lane & 1 == 1).collect();
+            return Err(VerifyError::Mismatch {
+                cycle: walk.depth(walk.node_of(lane)),
+                inputs: minterm_inputs(walk.minterm_of(lane), num_inputs),
+                expected: lane_bits(&expected),
+                got: lane_bits(&got),
+            });
+        }
+        port.capture(&sim);
+        let live_lanes = walk.live.count_ones() as usize;
+        for (lane, &arc) in lane_arc.iter().enumerate().take(live_lanes) {
+            key[..snap_words].copy_from_slice(port.row(lane));
+            match arc {
+                NO_ARC => {
+                    key[snap_words..state_word].fill(0);
+                    key[state_word] = walk.key(walk.node_of(lane))[state_word];
+                }
+                arc => {
+                    key[snap_words..state_word].copy_from_slice(oracle.outs(arc));
+                    key[state_word] = u64::from(oracle.arcs[arc as usize].to);
+                }
             }
-            let snap = batch.lane_state(lane);
-            if seen.insert((next.0, pack_key(&[&expected, &snap]))) {
-                nodes.push(WalkNode {
-                    oracle: next,
-                    parent: ni as u32,
-                    minterm: m,
-                });
-                snaps.push(snap);
-            }
+            walk.insert(&key, walk.node_of(lane));
         }
     }
+    // The walk ends only when every discovered node has been expanded
+    // under all 2^I minterms.
     Ok(ExhaustiveReport {
-        states_explored,
-        edges_checked,
+        states_explored: walk.parents.len(),
+        edges_checked: walk.parents.len() << num_inputs,
     })
 }
 
@@ -500,10 +854,10 @@ pub fn verify_rewrite(
 ///
 /// Both netlists must expose the same input and output port counts.
 ///
-/// Like [`verify_exhaustive`], the walk runs on the bit-parallel kernel —
-/// two lockstep [`BatchSimulator`]s expand 64 joint edges per clock — and
-/// falls back to the scalar pairwise walk when either netlist has BRAM
-/// write ports.
+/// Like [`verify_exhaustive`], the walk runs on the bit-parallel kernel
+/// and the same batch-aligned walk — two lockstep [`BatchSimulator`]s
+/// expand 64 joint edges per clock — and falls back to the scalar
+/// pairwise walk when either netlist has BRAM write ports.
 ///
 /// # Errors
 ///
@@ -514,6 +868,50 @@ pub fn netlists_equivalent(
     b: &Netlist,
     max_inputs: usize,
 ) -> Result<bool, VerifyError> {
+    let num_inputs = check_pair_bounds(a, b, max_inputs)?;
+    let mut sa = BatchSimulator::new(a)?;
+    let mut sb = BatchSimulator::new(b)?;
+    if sa.has_write_ports() || sb.has_write_ports() {
+        return netlists_equivalent_scalar_walk(a, b, num_inputs);
+    }
+    sa.set_active(0);
+    sb.set_active(0);
+    let out_pairs: Vec<(NetId, NetId)> = a
+        .outputs()
+        .iter()
+        .zip(b.outputs())
+        .map(|((_, na), (_, nb))| (*na, *nb))
+        .collect();
+    let (mut pa, mut pb) = (SeqPort::new(&sa), SeqPort::new(&sb));
+
+    // Joint key: the snapshot of `a`, then the snapshot of `b`.
+    let mut key = [pa.row(0), pb.row(0)].concat();
+    let mut walk = ProductWalk::new(num_inputs, &key);
+    while walk.next_batch() {
+        pa.load(&mut sa, &walk, 0);
+        pb.load(&mut sb, &walk, pa.words);
+        sa.clock_words(&walk.inputs);
+        sb.clock_words(&walk.inputs);
+        let diff = out_pairs
+            .iter()
+            .fold(0u64, |acc, (na, nb)| acc | (sa.word(*na) ^ sb.word(*nb)));
+        if diff & walk.live != 0 {
+            return Ok(false);
+        }
+        pa.capture(&sa);
+        pb.capture(&sb);
+        for lane in 0..walk.live.count_ones() as usize {
+            key[..pa.words].copy_from_slice(pa.row(lane));
+            key[pa.words..].copy_from_slice(pb.row(lane));
+            walk.insert(&key, walk.node_of(lane));
+        }
+    }
+    Ok(true)
+}
+
+/// The shared precondition checks of the pairwise walks; returns the
+/// input count.
+fn check_pair_bounds(a: &Netlist, b: &Netlist, max_inputs: usize) -> Result<usize, VerifyError> {
     let num_inputs = a.inputs().len();
     if num_inputs > max_inputs || num_inputs > 20 {
         return Err(VerifyError::InputsTooWide {
@@ -527,68 +925,25 @@ pub fn netlists_equivalent(
             expected: a.outputs().len(),
         });
     }
-    let mut ba = BatchSimulator::new(a)?;
-    let mut bb = BatchSimulator::new(b)?;
-    if ba.has_write_ports() || bb.has_write_ports() {
-        return netlists_equivalent_scalar_walk(a, b, num_inputs);
-    }
-
-    let vectors = 1u64 << num_inputs;
-    ba.reset();
-    bb.reset();
-    // The joint frontier: per node, the sequential snapshot of each side.
-    let mut snaps: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
-    let mut seen: std::collections::HashSet<Vec<u64>> = std::collections::HashSet::new();
-    let sa0 = ba.lane_state(0);
-    let sb0 = bb.lane_state(0);
-    seen.insert(pack_key(&[&sa0, &sb0]));
-    snaps.push((sa0, sb0));
-
-    let mut input_words = vec![0u64; num_inputs];
-    let mut batch_edges: Vec<(usize, u64)> = Vec::with_capacity(LANES);
-    let mut cur_node = 0usize;
-    let mut cur_minterm = 0u64;
-    while cur_node < snaps.len() {
-        batch_edges.clear();
-        while batch_edges.len() < LANES && cur_node < snaps.len() {
-            batch_edges.push((cur_node, cur_minterm));
-            cur_minterm += 1;
-            if cur_minterm == vectors {
-                cur_minterm = 0;
-                cur_node += 1;
-            }
-        }
-        for w in &mut input_words {
-            *w = 0;
-        }
-        for (lane, &(ni, m)) in batch_edges.iter().enumerate() {
-            let (sa, sb) = &snaps[ni];
-            ba.load_lane_state(lane, sa);
-            bb.load_lane_state(lane, sb);
-            for (k, w) in input_words.iter_mut().enumerate() {
-                if m >> k & 1 == 1 {
-                    *w |= 1u64 << lane;
-                }
-            }
-        }
-        ba.clock_words(&input_words);
-        bb.clock_words(&input_words);
-        for (lane, _) in batch_edges.iter().enumerate() {
-            if ba.lane_outputs(lane) != bb.lane_outputs(lane) {
-                return Ok(false);
-            }
-            let sa = ba.lane_state(lane);
-            let sb = bb.lane_state(lane);
-            if seen.insert(pack_key(&[&sa, &sb])) {
-                snaps.push((sa, sb));
-            }
-        }
-    }
-    Ok(true)
+    Ok(num_inputs)
 }
 
-/// The scalar pairwise product walk backing [`netlists_equivalent`] for
-/// write-port netlists, and serving as its differential oracle in tests.
+/// The scalar (one edge per clock) pairwise product walk — the
+/// differential-testing oracle of [`netlists_equivalent`], which also
+/// routes here for netlists with BRAM write ports.
+///
+/// # Errors
+///
+/// Identical contract to [`netlists_equivalent`].
+pub fn netlists_equivalent_scalar(
+    a: &Netlist,
+    b: &Netlist,
+    max_inputs: usize,
+) -> Result<bool, VerifyError> {
+    let num_inputs = check_pair_bounds(a, b, max_inputs)?;
+    netlists_equivalent_scalar_walk(a, b, num_inputs)
+}
+
 fn netlists_equivalent_scalar_walk(
     a: &Netlist,
     b: &Netlist,

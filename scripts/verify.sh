@@ -9,10 +9,13 @@
 #
 # Beyond build+test, the robustness gates run (ISSUE 2 / 3 / 4 / 5):
 #
-#  * placer exactness — the placer's oracle tests (O(1) quench vs the
-#    rescan reference, proposals vs materialized candidate lists), the
-#    keyb/sand placement pins, the STA differential and the placement-
-#    quality gate re-run in release mode, without the debug asserts;
+#  * exactness — the placer's oracle tests (O(1) quench vs the rescan
+#    reference, proposals vs materialized candidate lists), the keyb/sand
+#    placement pins, the STA differential and the placement-quality gate,
+#    plus the verifier's walk-exactness suite (word-parallel product walk
+#    vs the scalar walk: equal reports and witnesses) and the equivalence
+#    suite, re-run in release mode with more random cases and without the
+#    debug asserts;
 #  * panic-site budget — the number of unwrap()/expect(/panic!( sites in
 #    non-test library code must not grow past the recorded baseline;
 #  * runner determinism — a RUNNER_THREADS=1 and a RUNNER_THREADS=4 run
@@ -97,7 +100,7 @@ echo "== cargo test -q --offline" >&2
 cargo test -q --offline --workspace "$@" \
     || fail "test suite failed"
 
-# -- Placer exactness in release mode ---------------------------------------
+# -- Exactness in release mode ----------------------------------------------
 # The suite above runs in debug builds, where every O(1) move evaluation
 # of the placer is also debug-asserted against a pin rescan. Release
 # builds drop those asserts, so the oracle checks run again here, with
@@ -105,14 +108,26 @@ cargo test -q --offline --workspace "$@" \
 # quench and allocation-free proposals against materialized candidate
 # lists (fpga-fabric place::tests), the keyb/sand placement pins
 # (tests/place_exact.rs), the kernel-vs-analyze STA differential and
-# the placement-quality gate.
-echo "== placer exactness (release: quench oracle, placement pins, STA differential, place quality)" >&2
+# the placement-quality gate. The word-parallel exhaustive verifier gets
+# the same treatment: tests/walk_exact.rs compares it with the scalar
+# walk (reports and first-divergence witnesses) on many more generated
+# machines — the series-bank property separately, as each of its cases
+# costs the scalar oracle ~10^5 edges over 16K-word BRAM images (~30 s)
+# — and tests/equivalence.rs proves
+# every paper benchmark in every mapping style.
+echo "== exactness (release: quench oracle, placement pins, STA differential, place quality, walk exactness, equivalence)" >&2
 CASES=400 cargo test -q --offline --release -p fpga-fabric --lib place::tests \
     || fail "release-mode placer oracle tests failed (fast quench or proposal diverged from the reference)"
 cargo test -q --offline --release --test place_exact \
     || fail "release-mode placement pins failed (a placement moved: bump ALGORITHM_VERSION and re-record, or fix the placer)"
 cargo test -q --offline --release -p paper-bench --test sta_differential --test place_quality \
     || fail "release-mode STA differential or placement-quality gate failed"
+CASES=1000 cargo test -q --offline --release --test walk_exact -- --skip series_bank \
+    || fail "release-mode walk-exactness suite failed (the batched exhaustive walk diverged from the scalar walk)"
+CASES=2 cargo test -q --offline --release --test walk_exact series_bank \
+    || fail "release-mode series-bank walk exactness failed"
+cargo test -q --offline --release --test equivalence \
+    || fail "release-mode equivalence suite failed"
 
 # -- Panic-site budget ------------------------------------------------------
 # Counts unwrap()/expect(/panic!( in library sources (bins excluded, and
@@ -199,9 +214,9 @@ else
     done
     # The bit-parallel kernel must keep paying for itself: the batched
     # exhaustive walk must beat the scalar walk by at least 10x on keyb
-    # (it runs 64 input vectors per word; measured ratio is ~15x, so 10x
-    # leaves headroom for noise without letting the kernel quietly rot
-    # back to scalar speed).
+    # (it runs 64 input vectors per word and steps the STG word-wide;
+    # measured ratio is ~27x, so 10x leaves headroom for noise without
+    # letting the kernel quietly rot back to scalar speed).
     batched=$(sed -n 's#.*"name": "verify_exhaustive/keyb", "median_ns": \([0-9.]*\).*#\1#p' \
         "$fresh_dir/bench_substrates.json")
     scalar=$(sed -n 's#.*"name": "verify_exhaustive_scalar/keyb", "median_ns": \([0-9.]*\).*#\1#p' \
