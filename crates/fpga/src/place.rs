@@ -276,6 +276,32 @@ impl Extent {
         }
     }
 
+    /// Moves one pin from `from` to `to` in O(1), unless `from` is a sole
+    /// edge pin or the recorded next-inner value (whose pin count is not
+    /// kept): `false`, extent untouched, in that case. An extent is a pure
+    /// function of its pin multiset, so dropping the pin and adding `to`
+    /// lands on exactly what a rescan builds.
+    fn shift(&mut self, from: usize, to: usize) -> bool {
+        if from == to {
+            return true;
+        }
+        if from == self.lo_next
+            || from == self.hi_next
+            || (from == self.lo && self.lo_pins == 1)
+            || (from == self.hi && self.hi_pins == 1)
+        {
+            return false;
+        }
+        if from == self.lo {
+            self.lo_pins -= 1;
+        }
+        if from == self.hi {
+            self.hi_pins -= 1;
+        }
+        self.add(to);
+        true
+    }
+
     /// `(lo, hi)` of the other pins once the pin at `from` leaves (the
     /// net has ≥ 2 pins).
     fn without(&self, from: usize) -> (usize, usize) {
@@ -334,6 +360,17 @@ impl NetBox {
         b
     }
 
+    /// Moves one pin from `from` to `to` in O(1) where [`Extent::shift`]
+    /// can on both axes; `false` otherwise, and the (possibly half-shifted)
+    /// box must then be rescanned.
+    fn shift(&mut self, from: Site, to: Site) -> bool {
+        if !(self.x.shift(from.0, to.0) && self.y.shift(from.1, to.1)) {
+            return false;
+        }
+        self.hpwl = ((self.x.hi - self.x.lo) + (self.y.hi - self.y.lo)) as f64;
+        true
+    }
+
     /// HPWL once the pin at `from` moves to `to`: the box of every other
     /// pin, stretched over `to`.
     fn moved(&self, from: Site, to: Site) -> f64 {
@@ -346,7 +383,7 @@ pub(crate) fn hpwl_of_net(pins: &[EntityId], loc: &dyn Fn(EntityId) -> (usize, u
 }
 
 /// Where a move sends its entity.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Target {
     /// To the free-pool site at this index.
     Free(usize),
@@ -382,61 +419,180 @@ impl Move {
     }
 
     /// Applies the move; a vacated site joins the free pool at the end
-    /// (after the taken one is swap-removed).
-    fn apply(&self, loc: &mut Locs, free: &mut [Vec<Site>; 3]) {
+    /// (after the taken one is swap-removed), and the site index follows.
+    fn apply(&self, loc: &mut Locs, pools: &mut Pools) {
+        let (pool, index) = (&mut pools.free[self.kind], &mut pools.index[self.kind]);
         loc[self.kind][self.idx] = self.to;
+        index.set(self.to, self.idx);
         match self.target {
             Target::Free(f) => {
-                free[self.kind].swap_remove(f);
-                free[self.kind].push(self.from);
+                pool.swap_remove(f);
+                if let Some(&moved) = pool.get(f) {
+                    index.set(moved, FREE | f);
+                }
+                index.set(self.from, FREE | pool.len());
+                pool.push(self.from);
             }
-            Target::Swap(o) => loc[self.kind][o] = self.from,
+            Target::Swap(o) => {
+                loc[self.kind][o] = self.from;
+                index.set(self.from, o);
+            }
         }
     }
 }
 
-/// Draws one range-limited move for the walks and the T0 sampler: a
-/// random entity of `movers`, sent to a free site or swapped with a
-/// (movable) sibling within Chebyshev radius `r` of its site — a free
-/// site with even odds when both kinds of candidate exist. The candidates
-/// are counted, the choice drawn, and the k-th candidate selected: the
-/// same RNG draws, in the same order, as materializing both lists, with
-/// no allocation. `None` when the window holds no candidate.
-fn propose(
-    rng: &mut SmallRng,
-    movers: &[(usize, usize)],
-    loc: &Locs,
-    free: &[Vec<Site>; 3],
-    movable: Option<[&[bool]; 3]>,
-    r: f64,
-) -> Option<Move> {
-    let (kind, idx) = movers[rng.random_range(0..movers.len())];
-    let (locs, pool) = (&loc[kind], &free[kind]);
-    let from = locs[idx];
-    let near = |s: Site| (from.0.abs_diff(s.0).max(from.1.abs_diff(s.1)) as f64) <= r;
-    let swappable = |o: usize| o != idx && movable.is_none_or(|m| m[kind][o]) && near(locs[o]);
-    let n_free = pool.iter().filter(|&&s| near(s)).count();
-    let n_swap = (0..locs.len()).filter(|&o| swappable(o)).count();
-    let target = if n_free > 0 && (n_swap == 0 || rng.random_bool(0.5)) {
-        let k = rng.random_range(0..n_free);
-        Target::Free(pool.iter().enumerate().filter(|&(_, &s)| near(s)).nth(k)?.0)
-    } else if n_swap > 0 {
-        let k = rng.random_range(0..n_swap);
-        Target::Swap((0..locs.len()).filter(|&o| swappable(o)).nth(k)?)
-    } else {
-        return None;
-    };
-    let to = match target {
-        Target::Free(f) => pool[f],
-        Target::Swap(o) => locs[o],
-    };
-    Some(Move {
-        kind,
-        idx,
-        from,
-        to,
-        target,
-    })
+/// Tags a [`SiteIndex`] occupant as a free-pool index rather than an
+/// entity index.
+const FREE: usize = 1 << 31;
+
+/// Every site of one kind, bucketed by column with rows ascending, and
+/// what occupies each: an entity of the kind, or a free site at some
+/// free-pool index. A proposal visits only the sites inside its window
+/// instead of scanning every free site and every sibling.
+#[derive(Debug, Clone)]
+struct SiteIndex {
+    /// Grid width: one past the largest site column.
+    w: usize,
+    /// The sites of column `x` are slots `col[x]..col[x + 1]`.
+    col: Vec<usize>,
+    /// The row of each slot.
+    ys: Vec<usize>,
+    /// The slot of the site on tile `y · w + x` (unused off-site).
+    slot: Vec<u32>,
+    /// The occupant of each slot: an entity index, or `FREE |` a
+    /// free-pool index.
+    occ: Vec<u32>,
+}
+
+impl SiteIndex {
+    fn new(sites: &[Site], locs: &[Site], free: &[Site]) -> SiteIndex {
+        let mut order = sites.to_vec();
+        order.sort_unstable();
+        let w = order.last().map_or(0, |s| s.0 + 1);
+        let h = order.iter().map(|s| s.1 + 1).max().unwrap_or(0);
+        let mut col = vec![0; w + 1];
+        for &(x, _) in &order {
+            col[x + 1] += 1;
+        }
+        for x in 1..col.len() {
+            col[x] += col[x - 1];
+        }
+        let mut slot = vec![0; w * h];
+        for (k, &(x, y)) in order.iter().enumerate() {
+            slot[y * w + x] = k as u32;
+        }
+        let mut index = SiteIndex {
+            w,
+            col,
+            ys: order.iter().map(|s| s.1).collect(),
+            slot,
+            occ: vec![0; order.len()],
+        };
+        for (i, &s) in locs.iter().enumerate() {
+            index.set(s, i);
+        }
+        for (f, &s) in free.iter().enumerate() {
+            index.set(s, FREE | f);
+        }
+        index
+    }
+
+    fn set(&mut self, (x, y): Site, occupant: usize) {
+        self.occ[self.slot[y * self.w + x] as usize] = occupant as u32;
+    }
+
+    /// Calls `visit` with the occupant of every site within Chebyshev
+    /// distance `reach` of `at`.
+    fn window(&self, at: Site, reach: usize, mut visit: impl FnMut(usize)) {
+        let (y_lo, y_hi) = (at.1.saturating_sub(reach), at.1.saturating_add(reach));
+        let x_hi = at.0.saturating_add(reach).min(self.w.saturating_sub(1));
+        for x in at.0.saturating_sub(reach)..=x_hi {
+            let (start, end) = (self.col[x], self.col[x + 1]);
+            let ys = &self.ys[start..end];
+            let lo = start + ys.partition_point(|&y| y < y_lo);
+            let hi = start + ys.partition_point(|&y| y <= y_hi);
+            for &o in &self.occ[lo..hi] {
+                visit(o as usize);
+            }
+        }
+    }
+}
+
+/// The free-site pools per kind, the site index kept in step with them
+/// (see [`Move::apply`]), and the proposal scratch.
+#[derive(Debug, Clone)]
+struct Pools {
+    free: [Vec<Site>; 3],
+    index: [SiteIndex; 3],
+    /// The current window's free-pool indices and swappable siblings.
+    near_free: Vec<usize>,
+    near_swap: Vec<usize>,
+}
+
+impl Pools {
+    /// The pools of a layout: each kind's unoccupied sites, in site order.
+    fn new(sites: &[Vec<Site>; 3], loc: &Locs) -> Pools {
+        let free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+        let index = std::array::from_fn(|k| SiteIndex::new(&sites[k], &loc[k], &free[k]));
+        Pools {
+            free,
+            index,
+            near_free: Vec::new(),
+            near_swap: Vec::new(),
+        }
+    }
+
+    /// Draws one range-limited move for the walks and the T0 sampler: a
+    /// random entity of `movers`, sent to a free site or swapped with a
+    /// (movable) sibling within Chebyshev radius `r` of its site — a free
+    /// site with even odds when both kinds of candidate exist. The window's
+    /// candidates are gathered from the site index, the choice drawn, and
+    /// the k-th smallest pool or entity index selected: the same RNG draws,
+    /// in the same order, as materializing both lists in index order.
+    /// `None` when the window holds no candidate.
+    fn propose(
+        &mut self,
+        rng: &mut SmallRng,
+        movers: &[(usize, usize)],
+        loc: &Locs,
+        movable: Option<[&[bool]; 3]>,
+        r: f64,
+    ) -> Option<Move> {
+        let (kind, idx) = movers[rng.random_range(0..movers.len())];
+        let from = loc[kind][idx];
+        let (near_free, near_swap) = (&mut self.near_free, &mut self.near_swap);
+        near_free.clear();
+        near_swap.clear();
+        // Site distances are integers, so `d as f64 <= r` is `d <= ⌊r⌋`.
+        self.index[kind].window(from, r.floor() as usize, |o| {
+            if o & FREE != 0 {
+                near_free.push(o & !FREE);
+            } else if o != idx && movable.is_none_or(|m| m[kind][o]) {
+                near_swap.push(o);
+            }
+        });
+        let (n_free, n_swap) = (near_free.len(), near_swap.len());
+        let target = if n_free > 0 && (n_swap == 0 || rng.random_bool(0.5)) {
+            let k = rng.random_range(0..n_free);
+            Target::Free(*near_free.select_nth_unstable(k).1)
+        } else if n_swap > 0 {
+            let k = rng.random_range(0..n_swap);
+            Target::Swap(*near_swap.select_nth_unstable(k).1)
+        } else {
+            return None;
+        };
+        let to = match target {
+            Target::Free(f) => self.free[kind][f],
+            Target::Swap(o) => loc[kind][o],
+        };
+        Some(Move {
+            kind,
+            idx,
+            from,
+            to,
+            target,
+        })
+    }
 }
 
 /// The placer's view of a packed netlist: the pins of every net, the nets
@@ -559,10 +715,28 @@ impl NetModel {
         })
     }
 
-    /// Rebuilds the boxes of the nets `mv` touched, after it was applied.
+    /// Updates the boxes of the nets `mv` touched, after it was applied.
+    /// A net holding both swapped entities keeps its pin multiset, so its
+    /// box; any other net's box shifts its one moved pin in O(1), unless
+    /// that pin's leaving could uncover an edge the box does not record —
+    /// then the net is rescanned.
     fn rebox(&self, boxes: &mut [NetBox], loc: &Locs, mv: &Move) {
-        for n in self.touched(mv) {
-            boxes[n.index()] = self.rescan(n, |e| site_of(loc, e));
+        let mine = self.nets_of(mv.kind, mv.idx);
+        let theirs = mv.partner().map_or(&[][..], |o| self.nets_of(mv.kind, o));
+        for side in merge(mine, theirs) {
+            let (n, from, to) = match side {
+                Side::Mine(i) => (mine[i], mv.from, mv.to),
+                Side::Theirs(j) => (theirs[j], mv.to, mv.from),
+                Side::Both(_) => continue,
+            };
+            let b = &mut boxes[n.index()];
+            if !b.shift(from, to) {
+                *b = self.rescan(n, |e| site_of(loc, e));
+            }
+            debug_assert!(
+                *b == self.rescan(n, |e| site_of(loc, e)),
+                "shifted box of net {n:?} under {mv:?} disagrees with a rescan"
+            );
         }
     }
 }
@@ -615,7 +789,7 @@ fn delta_spread(
     model: &NetModel,
     boxes: &[NetBox],
     loc: &Locs,
-    free: &[Vec<Site>; 3],
+    pools: &mut Pools,
     movers: &[(usize, usize)],
     movable: Option<[&[bool]; 3]>,
     r: f64,
@@ -623,7 +797,7 @@ fn delta_spread(
 ) -> f64 {
     let mut deltas: Vec<f64> = Vec::new();
     for _ in 0..samples {
-        let Some(mv) = propose(rng, movers, loc, free, movable, r) else {
+        let Some(mv) = pools.propose(rng, movers, loc, movable, r) else {
             continue;
         };
         let (before, after) = model
@@ -821,7 +995,7 @@ fn quench(
         cand.0 < incumbent.0 - 1e-9 || (cand.0 < incumbent.0 + 1e-9 && cand.1 < incumbent.1 - 1e-9)
     };
     let may_move = |kind: usize, idx: usize| movable.is_none_or(|m| m[kind][idx]);
-    let mut free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+    let mut pools = Pools::new(sites, loc);
     // One incidence per (entity, net) pair, at the pair's CSR slot: the
     // net's box without the entity's pin, the net's HPWL and its weight.
     // Every candidate is priced from these alone — contiguous, O(1) per
@@ -887,7 +1061,7 @@ fn quench(
                         });
                     }
                 };
-                for (f, &to) in free[kind].iter().enumerate() {
+                for (f, &to) in pools.free[kind].iter().enumerate() {
                     let after = mine.iter().zip(mi).fold((0.0, 0.0), |(lin, sq), (&n, m)| {
                         let h = m.at(to);
                         debug_assert!(
@@ -943,7 +1117,7 @@ fn quench(
                 let Some(mv) = best_move else {
                     continue;
                 };
-                mv.apply(loc, &mut free);
+                mv.apply(loc, &mut pools);
                 model.rebox(boxes, loc, &mv);
                 for n in model.touched(&mv) {
                     for &e in &model.pins[n.index()] {
@@ -969,67 +1143,35 @@ fn quench(
 /// is bit-identical to a `timing_weight = 0` run, the chosen estimate is
 /// never worse than wirelength-only placement — deterministically, per
 /// design, not just in expectation. `moves` and `budget` report the
-/// combined spend of both arms.
-fn pick_guarded(
+/// combined spend of both arms. `placement` reaches the [`Placement`]
+/// inside an arm's result, so [`place`] and [`place_incremental`] share
+/// the guard.
+fn pick_guarded<T>(
     netlist: &Netlist,
     packed: &PackedDesign,
     opts: &PlaceOptions,
-    blind: Placement,
-    timed: Placement,
-) -> Placement {
+    mut blind: T,
+    mut timed: T,
+    placement: fn(&mut T) -> &mut Placement,
+) -> T {
     let estimate = |p: &Placement| {
         crate::sta::estimate_critical_ns(netlist, packed, p, &opts.delay).unwrap_or(f64::INFINITY)
     };
-    let (blind_ns, timed_ns) = (estimate(&blind), estimate(&timed));
-    let moves = blind.moves + timed.moves;
-    let exhausted = blind.budget.is_exhausted() || timed.budget.is_exhausted();
-    let timed_wins = timed_ns < blind_ns
-        || (timed_ns == blind_ns && (timed.hpwl, timed.hpwl_sq) < (blind.hpwl, blind.hpwl_sq));
+    let (b, t) = (placement(&mut blind), placement(&mut timed));
+    let (blind_ns, timed_ns) = (estimate(b), estimate(t));
+    let moves = b.moves + t.moves;
+    let exhausted = b.budget.is_exhausted() || t.budget.is_exhausted();
+    let timed_wins =
+        timed_ns < blind_ns || (timed_ns == blind_ns && (t.hpwl, t.hpwl_sq) < (b.hpwl, b.hpwl_sq));
     let mut chosen = if timed_wins { timed } else { blind };
-    chosen.moves = moves;
-    chosen.budget = if exhausted {
+    let p = placement(&mut chosen);
+    p.moves = moves;
+    p.budget = if exhausted {
         BudgetOutcome::Exhausted { spent: moves }
     } else {
         BudgetOutcome::Completed
     };
     chosen
-}
-
-/// Places a packed design on a device.
-///
-/// With the timing term enabled (`timing_weight > 0`) this is a *guarded
-/// pair* of anneals: the wirelength-only arm (bit-identical to a
-/// `timing_weight = 0` run) and the criticality-weighted arm both run,
-/// and [`pick_guarded`] keeps whichever ends with the better STA
-/// estimate. The guard is what lets `scripts/verify.sh` require the
-/// placer's fmax estimate to be no worse than wirelength-only placement
-/// on every paper benchmark, not merely in geomean; [`Placement::moves`]
-/// then reports the combined spend of both arms (so the effective move
-/// budget is up to `2 · max_moves`).
-///
-/// # Errors
-///
-/// Fails with [`PlaceError::DoesNotFit`] if any resource is exhausted.
-pub fn place(
-    netlist: &Netlist,
-    packed: &PackedDesign,
-    device: Device,
-    opts: PlaceOptions,
-) -> Result<Placement, PlaceError> {
-    if opts.timing_weight > 0.0 {
-        let blind = place_core(
-            netlist,
-            packed,
-            device,
-            PlaceOptions {
-                timing_weight: 0.0,
-                ..opts
-            },
-        )?;
-        let timed = place_core(netlist, packed, device, opts)?;
-        return Ok(pick_guarded(netlist, packed, &opts, blind, timed));
-    }
-    place_core(netlist, packed, device, opts)
 }
 
 /// The per-kind site lists of a device, `[CLBs, BRAMs, IOBs]`.
@@ -1047,9 +1189,48 @@ fn site_span(sites: &[Vec<Site>; 3]) -> f64 {
         .unwrap_or(1) as f64
 }
 
-/// One arm of [`place`]: the annealing core, wirelength-only at
-/// `timing_weight = 0`, criticality-weighted otherwise.
-fn place_core(
+/// The state an anneal starts from. Both arms of a guarded placement
+/// start from the same one — the seed layout quenched, the pools built,
+/// T0 sampled — so [`place`] and [`place_incremental`] compute it once and
+/// hand each arm a clone; the RNG stream included, each arm then runs
+/// exactly as if it had computed the prefix itself.
+#[derive(Clone)]
+struct Walk {
+    rng: SmallRng,
+    loc: Locs,
+    /// Per-net bounding-box cache, exact for `loc`.
+    net_box: Vec<NetBox>,
+    pools: Pools,
+    t0: f64,
+}
+
+/// What an anneal reads but never changes.
+struct Problem<'a> {
+    model: &'a NetModel,
+    sites: &'a [Vec<Site>; 3],
+    movers: &'a [(usize, usize)],
+    opts: &'a PlaceOptions,
+    /// The window an anneal opens with, and its maximum.
+    w0: f64,
+    span: f64,
+}
+
+/// Places a packed design on a device.
+///
+/// With the timing term enabled (`timing_weight > 0`) this is a *guarded
+/// pair* of anneals: the wirelength-only arm (bit-identical to a
+/// `timing_weight = 0` run) and the criticality-weighted arm both run
+/// from one shared prefix ([`Walk`]), and [`pick_guarded`] keeps
+/// whichever ends with the better STA estimate. The guard is what lets
+/// `scripts/verify.sh` require the placer's fmax estimate to be no worse
+/// than wirelength-only placement on every paper benchmark, not merely in
+/// geomean; [`Placement::moves`] then reports the combined spend of both
+/// arms (so the effective move budget is up to `2 · max_moves`).
+///
+/// # Errors
+///
+/// Fails with [`PlaceError::DoesNotFit`] if any resource is exhausted.
+pub fn place(
     netlist: &Netlist,
     packed: &PackedDesign,
     device: Device,
@@ -1067,46 +1248,36 @@ fn place_core(
         }
     }
 
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
-
     // Initial assignment: entities on the first sites, then anneal.
     let mut loc: Locs = std::array::from_fn(|k| sites[k][..counts[k]].to_vec());
     let model = NetModel::new(netlist, packed);
-    let active_nets = &model.active;
-
-    let num_entities = packed.num_entities();
-    if num_entities == 0 || active_nets.is_empty() {
+    let finish = |loc: Locs, moves: u64, budget: BudgetOutcome| {
+        let (hpwl, hpwl_sq) = model.cost(&loc);
         let [clb_loc, bram_loc, iob_loc] = loc;
-        return Ok(Placement {
+        Placement {
             device,
             clb_loc,
             bram_loc,
             iob_loc,
-            hpwl: 0.0,
-            hpwl_sq: 0.0,
-            moves: 0,
-            budget: BudgetOutcome::Completed,
-        });
+            hpwl,
+            hpwl_sq,
+            moves,
+            budget,
+        }
+    };
+    let num_entities = packed.num_entities();
+    if num_entities == 0 || model.active.is_empty() {
+        return Ok(finish(loc, 0, BudgetOutcome::Completed));
     }
     // Every entity may move; the pick below is uniform over them.
     let movers: Vec<(usize, usize)> = (0..3)
         .flat_map(|k| (0..counts[k]).map(move |i| (k, i)))
         .collect();
 
-    // Timing-driven mode: one incremental STA kernel for the whole anneal
-    // (built here, refreshed per level, delta-updated per accepted move).
-    // `timing_weight = 0` skips all of it and the walk below is
-    // byte-identical to the wirelength-only placer.
-    let mut timing = if opts.timing_weight > 0.0 {
-        TimingCtx::build(netlist, &opts)
-    } else {
-        None
-    };
-
     let cost = model.cost(&loc).0;
     // Per-net bounding-box cache: exact for the current layout at every
     // point below. The quench and the walk price moves from it; taken
-    // moves rebuild the boxes of their own nets.
+    // moves update the boxes of their own nets.
     let mut net_box = model.boxes(&loc);
 
     // Deterministic descent baseline: quench the ordered seed layout
@@ -1122,25 +1293,11 @@ fn place_core(
     // baseline, so no effort level can return anything worse than plain
     // greedy descent.
     quench(&model, &sites, &mut loc, &mut net_box, None, None);
-    let base_cost = model.cost(&loc).0;
 
     // Free-site pools per type (the quench may have moved entities onto
     // any site, so derive the pools from actual occupancy).
-    let mut free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+    let mut pools = Pools::new(&sites, &loc);
 
-    // Anneal. The walk returns the BEST configuration it visits, not the
-    // final one: at nonzero temperature the walk may drift uphill just
-    // before freezing, which made high-effort runs occasionally finish
-    // worse than low-effort ones (caught by
-    // `annealing_improves_over_initial` the first time the suite ran).
-    // VPR-style range limiting: moves are confined to a window of radius
-    // `rlim` around the entity, and the window shrinks as the acceptance
-    // rate drops (target ~44%, Betz & Rose). Without it, low-temperature
-    // proposals are device-wide jumps that are almost always rejected, so
-    // a high-effort walk freezes wherever the hot phase left it instead of
-    // refining locally — `annealing_improves_over_initial` caught exactly
-    // that on its first real run (high effort froze at HPWL 17 on a
-    // configuration where low effort reached 8).
     let span = site_span(&sites);
     // The walk starts from a local optimum, so it opens with a *basin
     // hop* window — a few sites wide — rather than the device-wide
@@ -1148,6 +1305,7 @@ fn place_core(
     // says the reheat overshot).
     let w0 = (span / 4.0).clamp(2.0, span);
 
+    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
     // Adaptive initial temperature (VPR, after Betz & Rose): probe the
     // move distribution by evaluating — not applying — a batch of random
     // moves from the quenched layout *within the starting window*, and
@@ -1162,7 +1320,7 @@ fn place_core(
     let t0 = {
         let samples = (num_entities * 2).clamp(64, 1024);
         let sd = delta_spread(
-            &mut rng, &model, &net_box, &loc, &free, &movers, None, w0, samples,
+            &mut rng, &model, &net_box, &loc, &mut pools, &movers, None, w0, samples,
         );
         if sd > 0.0 {
             // A third of a standard deviation accepts a typical uphill
@@ -1175,10 +1333,81 @@ fn place_core(
         } else {
             // Degenerate spread (e.g. a single movable entity): fall
             // back to the old average-net-cost heuristic.
-            (cost / active_nets.len().max(1) as f64).max(1.0) * 2.0
+            (cost / model.active.len().max(1) as f64).max(1.0) * 2.0
         }
     };
 
+    let walk = Walk {
+        rng,
+        loc,
+        net_box,
+        pools,
+        t0,
+    };
+    let problem = Problem {
+        model: &model,
+        sites: &sites,
+        movers: &movers,
+        opts: &opts,
+        w0,
+        span,
+    };
+    // Timing-driven mode: one incremental STA kernel for the timed arm's
+    // anneal (built here, refreshed per level). `timing_weight = 0` skips
+    // all of it and the walk is byte-identical to the wirelength-only
+    // placer.
+    let arm = |timing: Option<TimingCtx>| {
+        let (loc, moves, budget) = anneal(&problem, walk.clone(), timing);
+        finish(loc, moves, budget)
+    };
+    if opts.timing_weight > 0.0 {
+        let blind = arm(None);
+        let timed = arm(TimingCtx::build(netlist, &opts));
+        return Ok(pick_guarded(netlist, packed, &opts, blind, timed, |p| p));
+    }
+    Ok(arm(None))
+}
+
+/// One arm of [`place`]: the annealing walk from `walk` and the closing
+/// quench, wirelength-only without `timing`, criticality-weighted with
+/// it. Returns the layout, the moves spent and the budget outcome.
+fn anneal(
+    problem: &Problem,
+    walk: Walk,
+    mut timing: Option<TimingCtx>,
+) -> (Locs, u64, BudgetOutcome) {
+    let Problem {
+        model,
+        sites,
+        movers,
+        opts,
+        w0,
+        span,
+    } = *problem;
+    let Walk {
+        mut rng,
+        mut loc,
+        mut net_box,
+        mut pools,
+        t0,
+    } = walk;
+    let active_nets = &model.active;
+    let num_entities = movers.len();
+    let base_cost = model.cost(&loc).0;
+
+    // Anneal. The walk returns the BEST configuration it visits, not the
+    // final one: at nonzero temperature the walk may drift uphill just
+    // before freezing, which made high-effort runs occasionally finish
+    // worse than low-effort ones (caught by
+    // `annealing_improves_over_initial` the first time the suite ran).
+    // VPR-style range limiting: moves are confined to a window of radius
+    // `rlim` around the entity, and the window shrinks as the acceptance
+    // rate drops (target ~44%, Betz & Rose). Without it, low-temperature
+    // proposals are device-wide jumps that are almost always rejected, so
+    // a high-effort walk freezes wherever the hot phase left it instead of
+    // refining locally — `annealing_improves_over_initial` caught exactly
+    // that on its first real run (high effort froze at HPWL 17 on a
+    // configuration where low effort reached 8).
     let mut cur_cost = base_cost;
     let mut best_cost = base_cost;
     let mut best = loc.clone();
@@ -1246,7 +1475,7 @@ fn place_core(
                 moves_spent += 1;
                 // Candidate: swap with a sibling entity, or move to a free
                 // site — in either case within `rlim` of the current site.
-                let Some(mv) = propose(&mut rng, &movers, &loc, &free, None, rlim) else {
+                let Some(mv) = pools.propose(&mut rng, movers, &loc, None, rlim) else {
                     continue;
                 };
                 // Both sides of the delta over the affected nets only, in
@@ -1295,7 +1524,7 @@ fn place_core(
                 if accept {
                     accepted += 1;
                     cur_cost += delta;
-                    mv.apply(&mut loc, &mut free);
+                    mv.apply(&mut loc, &mut pools);
                     model.rebox(&mut net_box, &loc, &mv);
                     if timing.is_some() {
                         cur_eff += delta_eff;
@@ -1353,7 +1582,7 @@ fn place_core(
             if let Some(t) = timing.as_mut() {
                 t.refresh(active_nets, &net_box);
                 cur_eff = t.eff_from_boxes(active_nets, &net_box);
-                best_eff = t.eff_from_locs(&model, &best);
+                best_eff = t.eff_from_locs(model, &best);
             }
         }
 
@@ -1371,14 +1600,14 @@ fn place_core(
         loc.clone_from(&best);
         net_box = model.boxes(&loc);
         quench(
-            &model,
-            &sites,
+            model,
+            sites,
             &mut loc,
             &mut net_box,
             None,
             timing.as_ref().map(|t| &t.coef[..]),
         );
-        free = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+        pools = Pools::new(sites, &loc);
         cur_cost = model.cost(&loc).0;
         best_cost = cur_cost;
         best.clone_from(&loc);
@@ -1403,7 +1632,7 @@ fn place_core(
     // timing mode the comparison runs on the effective cost under the
     // final frozen coefficients — the objective the walk was pursuing.
     let restore_best = if let Some(t) = timing.as_ref() {
-        t.eff_from_locs(&model, &best) < t.eff_from_locs(&model, &loc)
+        t.eff_from_locs(model, &best) < t.eff_from_locs(model, &loc)
     } else {
         model.cost(&best).0 < model.cost(&loc).0
     };
@@ -1415,25 +1644,14 @@ fn place_core(
     // Polish the winner with the same deterministic descent (criticality-
     // weighted in timing mode, under the final frozen coefficients).
     quench(
-        &model,
-        &sites,
+        model,
+        sites,
         &mut loc,
         &mut net_box,
         None,
         timing.as_ref().map(|t| &t.coef[..]),
     );
-    let (polished, polished_sq) = model.cost(&loc);
-    let [clb_loc, bram_loc, iob_loc] = loc;
-    Ok(Placement {
-        device,
-        clb_loc,
-        bram_loc,
-        iob_loc,
-        hpwl: polished,
-        hpwl_sq: polished_sq,
-        moves: moves_spent,
-        budget,
-    })
+    (loc, moves_spent, budget)
 }
 
 /// Per-entity pin map for ECO placement: `Some(site)` pins the entity at
@@ -1645,8 +1863,9 @@ pub fn verify_eco_placement(
 /// With the timing term enabled (`timing_weight > 0`) the delta anneal is
 /// a *guarded pair*, exactly like [`place`]: the blind arm (bit-identical
 /// to a `timing_weight = 0` run) and the criticality-weighted arm both
-/// run against the same pin map, and the arm with the better STA estimate
-/// wins (ties fall to the better wirelength pair, then to the blind arm).
+/// run against the same pin map from one shared prefix, and
+/// [`pick_guarded`] keeps the arm with the better STA estimate (ties fall
+/// to the better wirelength pair, then to the blind arm).
 /// The gated design's fmax estimate is therefore never worse than the
 /// blind-ECO baseline, per benchmark, by construction —
 /// `tests/timing_quality.rs` pins that property over the paper suite.
@@ -1656,51 +1875,6 @@ pub fn verify_eco_placement(
 /// Typed [`EcoPlaceError`] on capacity overflow, a malformed pin map, or a
 /// failed post-placement self-check.
 pub fn place_incremental(
-    netlist: &Netlist,
-    packed: &PackedDesign,
-    device: Device,
-    opts: PlaceOptions,
-    pins_map: &PinnedEntities,
-) -> Result<EcoPlacement, EcoPlaceError> {
-    if opts.timing_weight > 0.0 {
-        let blind = place_incremental_core(
-            netlist,
-            packed,
-            device,
-            PlaceOptions {
-                timing_weight: 0.0,
-                ..opts
-            },
-            pins_map,
-        )?;
-        let timed = place_incremental_core(netlist, packed, device, opts, pins_map)?;
-        let estimate = |e: &EcoPlacement| {
-            crate::sta::estimate_critical_ns(netlist, packed, &e.placement, &opts.delay)
-                .unwrap_or(f64::INFINITY)
-        };
-        let (blind_ns, timed_ns) = (estimate(&blind), estimate(&timed));
-        let moves = blind.placement.moves + timed.placement.moves;
-        let exhausted =
-            blind.placement.budget.is_exhausted() || timed.placement.budget.is_exhausted();
-        let timed_wins = timed_ns < blind_ns
-            || (timed_ns == blind_ns
-                && (timed.placement.hpwl, timed.placement.hpwl_sq)
-                    < (blind.placement.hpwl, blind.placement.hpwl_sq));
-        let mut chosen = if timed_wins { timed } else { blind };
-        chosen.placement.moves = moves;
-        chosen.placement.budget = if exhausted {
-            BudgetOutcome::Exhausted { spent: moves }
-        } else {
-            BudgetOutcome::Completed
-        };
-        return Ok(chosen);
-    }
-    place_incremental_core(netlist, packed, device, opts, pins_map)
-}
-
-/// One arm of [`place_incremental`]: the masked delta anneal, blind at
-/// `timing_weight = 0`, criticality-weighted otherwise.
-fn place_incremental_core(
     netlist: &Netlist,
     packed: &PackedDesign,
     device: Device,
@@ -1789,191 +1963,243 @@ fn place_incremental_core(
         })
         .collect();
 
+    // The placement of a finished layout, self-checked against the pins.
+    let finish = |loc: Locs, moves: u64, budget: BudgetOutcome| {
+        let (hpwl, hpwl_sq) = model.cost(&loc);
+        // The wirelength actually decided by this pass: nets touching at
+        // least one movable entity.
+        let delta_hpwl: f64 = active_nets
+            .iter()
+            .filter(|n| {
+                model.pins[n.index()].iter().any(|&e| {
+                    let (kind, idx) = kind_index(e);
+                    mov[kind][idx]
+                })
+            })
+            .map(|&n| model.rescan(n, |e| site_of(&loc, e)).hpwl)
+            .sum();
+        let [clb_loc, bram_loc, iob_loc] = loc;
+        let placement = Placement {
+            device,
+            clb_loc,
+            bram_loc,
+            iob_loc,
+            hpwl,
+            hpwl_sq,
+            moves,
+            budget,
+        };
+        verify_eco_placement(&placement, pins_map)?;
+        Ok(EcoPlacement {
+            placement,
+            pinned_entities: pins_map.pinned_count(),
+            delta_entities: pins_map.movable_count(),
+            delta_hpwl,
+        })
+    };
+    if movers.is_empty() || active_nets.is_empty() {
+        return finish(loc, 0, BudgetOutcome::Completed);
+    }
+
+    // Baseline: deterministic descent over the movable delta only.
+    let mut net_box = model.boxes(&loc);
+    quench(
+        &model,
+        &sites,
+        &mut loc,
+        &mut net_box,
+        Some(movable_mask),
+        None,
+    );
+
+    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x0ec0_5eed_ba5e_11f7);
+    let span = site_span(&sites);
+    let w0 = (span / 4.0).clamp(2.0, span);
+    let mut pools = Pools::new(&sites, &loc);
+
+    // T0 probe: stddev/3 of sampled in-window move deltas (see `place`).
+    let t0 = {
+        let samples = (movers.len() * 4).clamp(32, 256);
+        let sd = delta_spread(
+            &mut rng,
+            &model,
+            &net_box,
+            &loc,
+            &mut pools,
+            &movers,
+            Some(movable_mask),
+            w0,
+            samples,
+        );
+        if sd > 0.0 {
+            sd / 3.0
+        } else {
+            1.0
+        }
+    };
+    let walk = Walk {
+        rng,
+        loc,
+        net_box,
+        pools,
+        t0,
+    };
+    let problem = Problem {
+        model: &model,
+        sites: &sites,
+        movers: &movers,
+        opts: &opts,
+        w0,
+        span,
+    };
+    // Criticality-aware ECO: the timed arm prices the enable cone's nets
+    // by the same frozen criticalities as the full anneal, so the cone is
+    // placed aware of the BRAM setup path it feeds instead of blind on
+    // wirelength. The blind arm reproduces the blind ECO byte-for-byte.
+    let arm = |timing: Option<TimingCtx>| {
+        let (loc, moves, budget) = anneal_eco(&problem, movable_mask, walk.clone(), timing);
+        finish(loc, moves, budget)
+    };
+    if opts.timing_weight > 0.0 {
+        let blind = arm(None)?;
+        let timed = arm(TimingCtx::build(netlist, &opts))?;
+        return Ok(pick_guarded(netlist, packed, &opts, blind, timed, |e| {
+            &mut e.placement
+        }));
+    }
+    arm(None)
+}
+
+/// One arm of [`place_incremental`]: the masked delta anneal from `walk`
+/// and the closing masked quench, blind without `timing`,
+/// criticality-weighted with it. Returns the layout, the moves spent and
+/// the budget outcome.
+fn anneal_eco(
+    problem: &Problem,
+    movable_mask: [&[bool]; 3],
+    walk: Walk,
+    mut timing: Option<TimingCtx>,
+) -> (Locs, u64, BudgetOutcome) {
+    let Problem {
+        model,
+        sites,
+        movers,
+        opts,
+        w0,
+        span,
+    } = *problem;
+    let Walk {
+        mut rng,
+        mut loc,
+        mut net_box,
+        mut pools,
+        t0,
+    } = walk;
+    let movable = Some(movable_mask);
+    let active_nets = &model.active;
     let mut moves_spent = 0u64;
     let mut budget = BudgetOutcome::Completed;
-    if !movers.is_empty() && !active_nets.is_empty() {
-        // Baseline: deterministic descent over the movable delta only.
-        let mut net_box = model.boxes(&loc);
-        quench(
-            &model,
-            &sites,
-            &mut loc,
-            &mut net_box,
-            Some(movable_mask),
-            None,
-        );
-
-        // Criticality-aware ECO: the delta anneal prices the enable cone's
-        // nets by the same frozen criticalities as the full anneal, so the
-        // cone is placed aware of the BRAM setup path it feeds instead of
-        // blind on wirelength. `timing_weight = 0` reproduces the blind
-        // ECO byte-for-byte.
-        let mut timing = if opts.timing_weight > 0.0 {
-            TimingCtx::build(netlist, &opts)
-        } else {
-            None
-        };
-
-        let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x0ec0_5eed_ba5e_11f7);
-        let span = site_span(&sites);
-        let w0 = (span / 4.0).clamp(2.0, span);
-        let mut free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
-
-        // T0 probe: stddev/3 of sampled in-window move deltas (see `place`).
-        let t0 = {
-            let samples = (movers.len() * 4).clamp(32, 256);
-            let sd = delta_spread(
-                &mut rng,
-                &model,
-                &net_box,
-                &loc,
-                &free,
-                &movers,
-                Some(movable_mask),
-                w0,
-                samples,
-            );
-            if sd > 0.0 {
-                sd / 3.0
-            } else {
-                1.0
+    let (mut cur_cost, _) = model.cost(&loc);
+    let mut best_cost = cur_cost;
+    let mut best = loc.clone();
+    // Per-net box cache and move pricing exactly as in `place`.
+    let mut step: Vec<(NetId, f64, f64)> = Vec::new();
+    let mut cur_eff = cur_cost;
+    let mut best_eff = best_cost;
+    if let Some(t) = timing.as_mut() {
+        t.refresh(active_nets, &net_box);
+        cur_eff = t.eff_from_boxes(active_nets, &net_box);
+        best_eff = cur_eff;
+    }
+    let m = movers.len() as f64;
+    let moves_per_t = ((m.powf(4.0 / 3.0) * opts.effort.max(0.1)).ceil() as usize).max(16);
+    let mut temperature = t0;
+    let mut rlim = w0;
+    let exit_t = (0.005 * cur_cost / active_nets.len() as f64).max(1e-6);
+    'anneal: while temperature > exit_t {
+        let mut accepted = 0usize;
+        for _ in 0..moves_per_t {
+            if moves_spent >= opts.max_moves {
+                budget = BudgetOutcome::Exhausted { spent: moves_spent };
+                break 'anneal;
             }
-        };
-
-        let (mut cur_cost, _) = model.cost(&loc);
-        let mut best_cost = cur_cost;
-        let mut best = loc.clone();
-        // Per-net box cache and move pricing exactly as in `place`.
-        let mut step: Vec<(NetId, f64, f64)> = Vec::new();
-        let mut cur_eff = cur_cost;
-        let mut best_eff = best_cost;
-        if let Some(t) = timing.as_mut() {
-            t.refresh(active_nets, &net_box);
-            cur_eff = t.eff_from_boxes(active_nets, &net_box);
-            best_eff = cur_eff;
-        }
-        let m = movers.len() as f64;
-        let moves_per_t = ((m.powf(4.0 / 3.0) * opts.effort.max(0.1)).ceil() as usize).max(16);
-        let mut temperature = t0;
-        let mut rlim = w0;
-        let exit_t = (0.005 * cur_cost / active_nets.len() as f64).max(1e-6);
-        'anneal: while temperature > exit_t {
-            let mut accepted = 0usize;
-            for _ in 0..moves_per_t {
-                if moves_spent >= opts.max_moves {
-                    budget = BudgetOutcome::Exhausted { spent: moves_spent };
-                    break 'anneal;
-                }
-                moves_spent += 1;
-                let Some(mv) = propose(&mut rng, &movers, &loc, &free, Some(movable_mask), rlim)
-                else {
-                    continue;
-                };
-                step.clear();
-                step.extend(model.priced(&net_box, &loc, mv));
-                debug_assert!(
-                    step.iter()
-                        .all(|&(n, ..)| net_box[n.index()] == model.rescan(n, |e| site_of(&loc, e))),
-                    "stale bounding-box cache under {mv:?}"
-                );
-                // Same early-exit bound as `place` (timing mode only, so
-                // the blind-ECO RNG stream is untouched).
-                if timing
-                    .as_ref()
-                    .is_some_and(|t| t.hopeless(&step, temperature))
-                {
-                    continue;
-                }
-                let delta = side_sums(&step, true).0 - side_sums(&step, false).0;
-                let delta_eff = timing.as_ref().map_or(delta, |t| t.delta(&step));
-                let accept =
-                    delta_eff < 1e-9 || rng.random_bool((-delta_eff / temperature).exp().min(1.0));
-                if accept {
-                    accepted += 1;
-                    cur_cost += delta;
-                    mv.apply(&mut loc, &mut free);
-                    model.rebox(&mut net_box, &loc, &mv);
-                    if timing.is_some() {
-                        cur_eff += delta_eff;
-                        if cur_eff < best_eff {
-                            best_eff = cur_eff;
-                            best_cost = cur_cost;
-                            best.clone_from(&loc);
-                        }
-                    } else if cur_cost < best_cost {
+            moves_spent += 1;
+            let Some(mv) = pools.propose(&mut rng, movers, &loc, movable, rlim) else {
+                continue;
+            };
+            step.clear();
+            step.extend(model.priced(&net_box, &loc, mv));
+            debug_assert!(
+                step.iter()
+                    .all(|&(n, ..)| net_box[n.index()] == model.rescan(n, |e| site_of(&loc, e))),
+                "stale bounding-box cache under {mv:?}"
+            );
+            // Same early-exit bound as `place` (timing mode only, so
+            // the blind-ECO RNG stream is untouched).
+            if timing
+                .as_ref()
+                .is_some_and(|t| t.hopeless(&step, temperature))
+            {
+                continue;
+            }
+            let delta = side_sums(&step, true).0 - side_sums(&step, false).0;
+            let delta_eff = timing.as_ref().map_or(delta, |t| t.delta(&step));
+            let accept =
+                delta_eff < 1e-9 || rng.random_bool((-delta_eff / temperature).exp().min(1.0));
+            if accept {
+                accepted += 1;
+                cur_cost += delta;
+                mv.apply(&mut loc, &mut pools);
+                model.rebox(&mut net_box, &loc, &mv);
+                if timing.is_some() {
+                    cur_eff += delta_eff;
+                    if cur_eff < best_eff {
+                        best_eff = cur_eff;
                         best_cost = cur_cost;
                         best.clone_from(&loc);
                     }
+                } else if cur_cost < best_cost {
+                    best_cost = cur_cost;
+                    best.clone_from(&loc);
                 }
             }
-            let success = accepted as f64 / moves_per_t.max(1) as f64;
-            temperature *= if success > 0.8 { 0.7 } else { 0.85 };
-            rlim = (rlim * (0.56 + success)).clamp(1.0, span);
-            // Cache-summed re-anchor, bit-identical to a recompute (see
-            // the matching comment in `place`).
-            cur_cost = active_nets.iter().map(|n| net_box[n.index()].hpwl).sum();
-            debug_assert!(
-                cur_cost == model.cost(&loc).0,
-                "bounding-box cache re-anchor diverged from recomputed HPWL"
-            );
-            if let Some(t) = timing.as_mut() {
-                t.refresh(active_nets, &net_box);
-                cur_eff = t.eff_from_boxes(active_nets, &net_box);
-                best_eff = t.eff_from_locs(&model, &best);
-            }
         }
-        let restore_best = if let Some(t) = timing.as_ref() {
-            t.eff_from_locs(&model, &best) < t.eff_from_locs(&model, &loc)
-        } else {
-            best_cost < model.cost(&loc).0
-        };
-        if restore_best {
-            loc = best;
-            net_box = model.boxes(&loc);
-        }
-        // Polish the delta with the masked deterministic descent
-        // (criticality-weighted in timing mode).
-        quench(
-            &model,
-            &sites,
-            &mut loc,
-            &mut net_box,
-            Some(movable_mask),
-            timing.as_ref().map(|t| &t.coef[..]),
+        let success = accepted as f64 / moves_per_t.max(1) as f64;
+        temperature *= if success > 0.8 { 0.7 } else { 0.85 };
+        rlim = (rlim * (0.56 + success)).clamp(1.0, span);
+        // Cache-summed re-anchor, bit-identical to a recompute (see
+        // the matching comment in `place`).
+        cur_cost = active_nets.iter().map(|n| net_box[n.index()].hpwl).sum();
+        debug_assert!(
+            cur_cost == model.cost(&loc).0,
+            "bounding-box cache re-anchor diverged from recomputed HPWL"
         );
+        if let Some(t) = timing.as_mut() {
+            t.refresh(active_nets, &net_box);
+            cur_eff = t.eff_from_boxes(active_nets, &net_box);
+            best_eff = t.eff_from_locs(model, &best);
+        }
     }
-
-    let (hpwl, hpwl_sq) = model.cost(&loc);
-    // The wirelength actually decided by this pass: nets touching at
-    // least one movable entity.
-    let delta_hpwl: f64 = active_nets
-        .iter()
-        .filter(|n| {
-            model.pins[n.index()].iter().any(|&e| {
-                let (kind, idx) = kind_index(e);
-                mov[kind][idx]
-            })
-        })
-        .map(|&n| model.rescan(n, |e| site_of(&loc, e)).hpwl)
-        .sum();
-    let [clb_loc, bram_loc, iob_loc] = loc;
-    let placement = Placement {
-        device,
-        clb_loc,
-        bram_loc,
-        iob_loc,
-        hpwl,
-        hpwl_sq,
-        moves: moves_spent,
-        budget,
+    let restore_best = if let Some(t) = timing.as_ref() {
+        t.eff_from_locs(model, &best) < t.eff_from_locs(model, &loc)
+    } else {
+        best_cost < model.cost(&loc).0
     };
-    verify_eco_placement(&placement, pins_map)?;
-    Ok(EcoPlacement {
-        placement,
-        pinned_entities: pins_map.pinned_count(),
-        delta_entities: pins_map.movable_count(),
-        delta_hpwl,
-    })
+    if restore_best {
+        loc = best;
+        net_box = model.boxes(&loc);
+    }
+    // Polish the delta with the masked deterministic descent
+    // (criticality-weighted in timing mode).
+    quench(
+        model,
+        sites,
+        &mut loc,
+        &mut net_box,
+        movable,
+        timing.as_ref().map(|t| &t.coef[..]),
+    );
+    (loc, moves_spent, budget)
 }
 
 #[cfg(test)]
@@ -2468,50 +2694,125 @@ mod tests {
         });
     }
 
+    /// The scan proposal [`Pools::propose`] replaced, kept as its oracle:
+    /// every free site and every sibling tested against the window twice,
+    /// once to count the candidates and once to select the k-th.
+    fn propose_reference(
+        rng: &mut SmallRng,
+        movers: &[(usize, usize)],
+        loc: &Locs,
+        free: &[Vec<Site>; 3],
+        movable: Option<[&[bool]; 3]>,
+        r: f64,
+    ) -> Option<Move> {
+        let (kind, idx) = movers[rng.random_range(0..movers.len())];
+        let (locs, pool) = (&loc[kind], &free[kind]);
+        let from = locs[idx];
+        let near = |s: Site| (from.0.abs_diff(s.0).max(from.1.abs_diff(s.1)) as f64) <= r;
+        let swappable = |o: usize| o != idx && movable.is_none_or(|m| m[kind][o]) && near(locs[o]);
+        let n_free = pool.iter().filter(|&&s| near(s)).count();
+        let n_swap = (0..locs.len()).filter(|&o| swappable(o)).count();
+        let target = if n_free > 0 && (n_swap == 0 || rng.random_bool(0.5)) {
+            let k = rng.random_range(0..n_free);
+            Target::Free(pool.iter().enumerate().filter(|&(_, &s)| near(s)).nth(k)?.0)
+        } else if n_swap > 0 {
+            let k = rng.random_range(0..n_swap);
+            Target::Swap((0..locs.len()).filter(|&o| swappable(o)).nth(k)?)
+        } else {
+            return None;
+        };
+        let to = match target {
+            Target::Free(f) => pool[f],
+            Target::Swap(o) => locs[o],
+        };
+        Some(Move {
+            kind,
+            idx,
+            from,
+            to,
+            target,
+        })
+    }
+
+    /// Whether `pools`' site index agrees with `loc` and the free pools:
+    /// every entity and every free site recorded on its own site.
+    fn index_consistent(pools: &Pools, loc: &Locs) -> bool {
+        (0..3).all(|k| {
+            let ix = &pools.index[k];
+            let at = |(x, y): Site| ix.occ[ix.slot[y * ix.w + x] as usize] as usize;
+            loc[k].iter().enumerate().all(|(i, &s)| at(s) == i)
+                && pools.free[k]
+                    .iter()
+                    .enumerate()
+                    .all(|(f, &s)| at(s) == FREE | f)
+                && loc[k].len() + pools.free[k].len() == ix.occ.len()
+        })
+    }
+
     #[test]
     fn proposals_match_materialized_candidate_lists() {
         run_cases(40, |rng| {
-            let device = Device::xc2v250();
-            let (_, loc) = random_problem(rng, device);
+            let device = match rng.random_range(0..3u32) {
+                0 => Device::by_name("XC2V40").expect("family member"),
+                1 => Device::xc2v250(),
+                _ => Device::by_name("XC2V1000").expect("family member"),
+            };
+            let (model, mut loc) = random_problem(rng, device);
             let sites = device_sites(&device);
-            let free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+            let mut pools = Pools::new(&sites, &loc);
+            let mut free = pools.free.clone();
+            let mut boxes = model.boxes(&loc);
             let mov: [Vec<bool>; 3] =
                 std::array::from_fn(|k| (0..loc[k].len()).map(|_| rng.random_bool(0.6)).collect());
+            // ECO-style: only movable entities move, and only movable
+            // siblings swap.
             let masked = rng.random_bool(0.5);
             let movable = masked.then(|| -> [&[bool]; 3] { [&mov[0], &mov[1], &mov[2]] });
             let movers: Vec<(usize, usize)> = (0..3)
                 .flat_map(|k| (0..loc[k].len()).map(move |i| (k, i)))
+                .filter(|&(k, i)| !masked || mov[k][i])
                 .collect();
-            let r = f64::from(rng.random_range(1u32..8));
+            if movers.is_empty() {
+                return;
+            }
+            let span = site_span(&sites);
             let seed = rng.random::<u64>();
             let (mut a, mut b) = (
                 xrand::SmallRng::seed_from_u64(seed),
                 xrand::SmallRng::seed_from_u64(seed),
             );
-            for _ in 0..64 {
-                let got = propose(&mut a, &movers, &loc, &free, movable, r)
-                    .map(|mv| (mv.kind, mv.idx, mv.to, mv.partner()));
-                // The historical proposal: both candidate lists built.
-                let (kind, idx) = movers[b.random_range(0..movers.len())];
-                let here = loc[kind][idx];
-                let near = |s: Site| (here.0.abs_diff(s.0).max(here.1.abs_diff(s.1)) as f64) <= r;
-                let free_cands: Vec<usize> = (0..free[kind].len())
-                    .filter(|&f| near(free[kind][f]))
-                    .collect();
-                let swap_cands: Vec<usize> = (0..loc[kind].len())
-                    .filter(|&o| o != idx && (!masked || mov[kind][o]) && near(loc[kind][o]))
-                    .collect();
-                let want =
-                    if !free_cands.is_empty() && (swap_cands.is_empty() || b.random_bool(0.5)) {
-                        let f = free_cands[b.random_range(0..free_cands.len())];
-                        Some((kind, idx, free[kind][f], None))
-                    } else if !swap_cands.is_empty() {
-                        let o = swap_cands[b.random_range(0..swap_cands.len())];
-                        Some((kind, idx, loc[kind][o], Some(o)))
-                    } else {
-                        None
-                    };
-                assert_eq!(got, want);
+            for _ in 0..256 {
+                // Fractional radii, as the walks' `rlim`; integers too.
+                let r = if rng.random_bool(0.3) {
+                    f64::from(rng.random_range(1u32..8))
+                } else {
+                    1.0 + rng.random::<f64>() * (span - 1.0).max(0.0)
+                };
+                let got = pools.propose(&mut a, &movers, &loc, movable, r);
+                let want = propose_reference(&mut b, &movers, &loc, &free, movable, r);
+                assert_eq!(
+                    got.map(|mv| (mv.kind, mv.idx, mv.from, mv.to, mv.target)),
+                    want.map(|mv| (mv.kind, mv.idx, mv.from, mv.to, mv.target)),
+                    "radius {r}"
+                );
+                // Apply about half the moves, keeping the reference's
+                // free pools in step by the historical rule, and the box
+                // cache by O(1) shifts.
+                let Some(mv) = got.filter(|_| rng.random_bool(0.5)) else {
+                    continue;
+                };
+                mv.apply(&mut loc, &mut pools);
+                if let Target::Free(f) = mv.target {
+                    free[mv.kind].swap_remove(f);
+                    free[mv.kind].push(mv.from);
+                }
+                assert_eq!(pools.free, free, "free pools diverged under {mv:?}");
+                assert!(
+                    index_consistent(&pools, &loc),
+                    "site index out of step after {mv:?}"
+                );
+                model.rebox(&mut boxes, &loc, &mv);
+                assert_eq!(boxes, model.boxes(&loc), "stale box after {mv:?}");
             }
             // Same number of draws consumed on both sides.
             assert_eq!(a.next_u64(), b.next_u64());

@@ -15,7 +15,6 @@
 use crate::netlist::{NetId, Netlist};
 use crate::pack::{EntityId, PackedDesign};
 use crate::place::Placement;
-use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
 
 /// Routing options.
@@ -188,6 +187,7 @@ pub fn route(
     let mut history = vec![0.0f64; w * h];
     let mut routes: Vec<Option<NetRoute>> = vec![None; netlist.num_nets()];
     let mut expansions = 0u64;
+    let mut search = Search::new(w, h);
 
     for round in 0..opts.max_rounds {
         // (Re)route every net against current congestion costs.
@@ -198,21 +198,23 @@ pub fn route(
                     usage[t.1 * w + t.0] -= 1;
                 }
             }
-            let tree = route_net(
-                &terminals[net.index()],
-                w,
-                h,
-                &usage,
-                &history,
-                opts.tile_capacity,
+            let cost = TileCost {
+                usage: &usage,
+                history: &history,
+                capacity: opts.tile_capacity,
                 round,
-                opts.max_expansions,
-                &mut expansions,
-            )
-            .map_err(|stop| match stop {
-                RouteStop::Unreachable => RouteError::Unroutable(net),
-                RouteStop::Budget => RouteError::BudgetExhausted { spent: expansions },
-            })?;
+            };
+            let tree = search
+                .route_net(
+                    &terminals[net.index()],
+                    cost,
+                    opts.max_expansions,
+                    &mut expansions,
+                )
+                .map_err(|stop| match stop {
+                    RouteStop::Unreachable => RouteError::Unroutable(net),
+                    RouteStop::Budget => RouteError::BudgetExhausted { spent: expansions },
+                })?;
             for t in &tree {
                 usage[t.1 * w + t.0] += 1;
             }
@@ -244,7 +246,8 @@ pub fn route(
     Err(RouteError::CongestionUnresolved { overflowed_tiles })
 }
 
-/// Why [`route_net`] stopped without a tree.
+/// Why [`Search::route_net`] stopped without a tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RouteStop {
     /// A sink is unreachable (disconnected grid).
     Unreachable,
@@ -252,92 +255,192 @@ enum RouteStop {
     Budget,
 }
 
-/// Routes one net: grows a Steiner tree with Dijkstra searches from the
-/// current tree to each remaining sink.
-#[allow(clippy::too_many_arguments)]
-fn route_net(
-    terminals: &[(usize, usize)],
-    w: usize,
-    h: usize,
-    usage: &[usize],
-    history: &[f64],
+/// A tile `(x, y)` of the routing grid.
+type Tile = (usize, usize);
+
+/// No predecessor recorded for a tile in the current search.
+const NO_PREV: u32 = u32::MAX;
+
+/// One search-heap entry: the cheapest tile first, ties to the larger
+/// tile — a total order, so the pop sequence depends only on what was
+/// pushed, never on the order it was pushed in.
+type HeapEntry = (std::cmp::Reverse<ordered::F64>, Tile);
+
+/// What entering a tile costs in one routing round.
+#[derive(Debug, Clone, Copy)]
+struct TileCost<'a> {
+    usage: &'a [usize],
+    history: &'a [f64],
     capacity: usize,
     round: usize,
-    max_expansions: u64,
-    expansions: &mut u64,
-) -> Result<Vec<(usize, usize)>, RouteStop> {
-    let tile_cost = |x: usize, y: usize| -> f64 {
-        let i = y * w + x;
-        let u = usage[i];
+}
+
+impl TileCost<'_> {
+    /// The cost of entering tile `i` (`y · w + x`).
+    fn of(&self, i: usize) -> f64 {
+        let u = self.usage[i];
         // Base + congestion: sharply penalize over-capacity in later rounds.
-        let over = u.saturating_sub(capacity) as f64;
-        1.0 + history[i] + over * (1.0 + round as f64 * 4.0) + u as f64 * 0.02
-    };
+        let over = u.saturating_sub(self.capacity) as f64;
+        1.0 + self.history[i] + over * (1.0 + self.round as f64 * 4.0) + u as f64 * 0.02
+    }
+}
 
-    let mut tree: HashSet<(usize, usize)> = HashSet::new();
-    tree.insert(terminals[0]);
-    let mut remaining: Vec<(usize, usize)> = terminals[1..]
-        .iter()
-        .copied()
-        .filter(|t| !tree.contains(t))
-        .collect();
+/// Reusable net-search state over a `w × h` tile grid: dense per-tile
+/// arrays that every search leaves as it found them by resetting only the
+/// tiles it touched, so routing a net costs what its searches visit,
+/// whatever the grid size.
+struct Search {
+    w: usize,
+    h: usize,
+    /// Best known path cost per tile in the current Dijkstra round
+    /// (`INFINITY` when unreached).
+    dist: Vec<f64>,
+    /// The tile each reached tile was relaxed from ([`NO_PREV`] if none).
+    prev: Vec<u32>,
+    /// Tiles whose `dist`/`prev` the current round set.
+    touched: Vec<usize>,
+    /// Membership of the net's tree so far.
+    in_tree: Vec<bool>,
+    /// The net's tree so far, in the order tiles joined it.
+    tree: Vec<Tile>,
+    /// Sinks still to reach, counted per tile (a duplicated sink counts
+    /// once per copy).
+    sinks: Vec<u32>,
+    heap: std::collections::BinaryHeap<HeapEntry>,
+}
 
-    while !remaining.is_empty() {
-        // Dijkstra from all tree tiles.
-        let mut dist: HashMap<(usize, usize), f64> = HashMap::new();
-        let mut prev: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-        let mut heap: BinaryHeap<(std::cmp::Reverse<ordered::F64>, (usize, usize))> =
-            BinaryHeap::new();
-        for &t in &tree {
-            dist.insert(t, 0.0);
-            heap.push((std::cmp::Reverse(ordered::F64(0.0)), t));
-        }
-        let mut reached: Option<(usize, usize)> = None;
-        while let Some((std::cmp::Reverse(ordered::F64(d)), (x, y))) = heap.pop() {
-            *expansions += 1;
-            if *expansions > max_expansions {
-                return Err(RouteStop::Budget);
-            }
-            if dist.get(&(x, y)).copied().unwrap_or(f64::INFINITY) < d {
-                continue;
-            }
-            if let Some(pos) = remaining.iter().position(|&s| s == (x, y)) {
-                remaining.swap_remove(pos);
-                reached = Some((x, y));
-                break;
-            }
-            let neighbors = [
-                (x.wrapping_sub(1), y),
-                (x + 1, y),
-                (x, y.wrapping_sub(1)),
-                (x, y + 1),
-            ];
-            for (nx, ny) in neighbors {
-                if nx >= w || ny >= h {
-                    continue;
-                }
-                let nd = d + tile_cost(nx, ny);
-                if nd < dist.get(&(nx, ny)).copied().unwrap_or(f64::INFINITY) {
-                    dist.insert((nx, ny), nd);
-                    prev.insert((nx, ny), (x, y));
-                    heap.push((std::cmp::Reverse(ordered::F64(nd)), (nx, ny)));
-                }
-            }
-        }
-        let sink = reached.ok_or(RouteStop::Unreachable)?;
-        // Back-trace into the tree.
-        let mut cur = sink;
-        while !tree.contains(&cur) {
-            tree.insert(cur);
-            match prev.get(&cur) {
-                Some(&p) => cur = p,
-                None => break, // cur was a tree seed
-            }
+impl Search {
+    fn new(w: usize, h: usize) -> Search {
+        Search {
+            w,
+            h,
+            dist: vec![f64::INFINITY; w * h],
+            prev: vec![NO_PREV; w * h],
+            touched: Vec::new(),
+            in_tree: vec![false; w * h],
+            tree: Vec::new(),
+            sinks: vec![0; w * h],
+            heap: std::collections::BinaryHeap::new(),
         }
     }
-    let mut tiles: Vec<(usize, usize)> = tree.into_iter().collect();
-    tiles.sort_unstable();
-    Ok(tiles)
+
+    /// Routes one net: grows a Steiner tree with Dijkstra searches from
+    /// the current tree to the nearest remaining sink, until every sink is
+    /// in the tree. Returns the tree's tiles, sorted. Every heap pop
+    /// counts against `max_expansions`.
+    fn route_net(
+        &mut self,
+        terminals: &[Tile],
+        cost: TileCost,
+        max_expansions: u64,
+        expansions: &mut u64,
+    ) -> Result<Vec<Tile>, RouteStop> {
+        let grown = self.grow(terminals, cost, max_expansions, expansions);
+        let w = self.w;
+        for &(x, y) in terminals {
+            self.sinks[y * w + x] = 0;
+        }
+        for &(x, y) in &self.tree {
+            self.in_tree[y * w + x] = false;
+        }
+        self.unmark();
+        let mut tiles = std::mem::take(&mut self.tree);
+        grown.map(|()| {
+            tiles.sort_unstable();
+            tiles
+        })
+    }
+
+    /// Resets `dist`/`prev` on the tiles the last round touched.
+    fn unmark(&mut self) {
+        for &i in &self.touched {
+            self.dist[i] = f64::INFINITY;
+            self.prev[i] = NO_PREV;
+        }
+        self.touched.clear();
+    }
+
+    fn grow(
+        &mut self,
+        terminals: &[Tile],
+        cost: TileCost,
+        max_expansions: u64,
+        expansions: &mut u64,
+    ) -> Result<(), RouteStop> {
+        let (w, h) = (self.w, self.h);
+        let (sx, sy) = terminals[0];
+        self.in_tree[sy * w + sx] = true;
+        self.tree.push(terminals[0]);
+        let mut remaining = 0usize;
+        for &(x, y) in &terminals[1..] {
+            if !self.in_tree[y * w + x] {
+                self.sinks[y * w + x] += 1;
+                remaining += 1;
+            }
+        }
+
+        while remaining > 0 {
+            // Dijkstra from all tree tiles.
+            self.unmark();
+            self.heap.clear();
+            for &(x, y) in &self.tree {
+                self.dist[y * w + x] = 0.0;
+                self.touched.push(y * w + x);
+                self.heap
+                    .push((std::cmp::Reverse(ordered::F64(0.0)), (x, y)));
+            }
+            let mut reached: Option<usize> = None;
+            while let Some((std::cmp::Reverse(ordered::F64(d)), (x, y))) = self.heap.pop() {
+                *expansions += 1;
+                if *expansions > max_expansions {
+                    return Err(RouteStop::Budget);
+                }
+                let i = y * w + x;
+                if self.dist[i] < d {
+                    continue;
+                }
+                if self.sinks[i] > 0 {
+                    self.sinks[i] -= 1;
+                    remaining -= 1;
+                    reached = Some(i);
+                    break;
+                }
+                let neighbors = [
+                    (x.wrapping_sub(1), y),
+                    (x + 1, y),
+                    (x, y.wrapping_sub(1)),
+                    (x, y + 1),
+                ];
+                for (nx, ny) in neighbors {
+                    if nx >= w || ny >= h {
+                        continue;
+                    }
+                    let n = ny * w + nx;
+                    let nd = d + cost.of(n);
+                    if nd < self.dist[n] {
+                        if self.dist[n] == f64::INFINITY {
+                            self.touched.push(n);
+                        }
+                        self.dist[n] = nd;
+                        self.prev[n] = i as u32;
+                        self.heap
+                            .push((std::cmp::Reverse(ordered::F64(nd)), (nx, ny)));
+                    }
+                }
+            }
+            // Back-trace into the tree; only tree tiles lack a predecessor.
+            let mut cur = reached.ok_or(RouteStop::Unreachable)?;
+            while !self.in_tree[cur] {
+                self.in_tree[cur] = true;
+                self.tree.push((cur % w, cur / w));
+                match self.prev[cur] {
+                    NO_PREV => break,
+                    p => cur = p as usize,
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Total-order wrapper for f64 path costs (never NaN).
@@ -368,6 +471,8 @@ mod tests {
     use crate::netlist::Cell;
     use crate::pack::pack;
     use crate::place::{place, PlaceOptions};
+    use std::collections::{BinaryHeap, HashMap, HashSet};
+    use xrand::proptest_lite::run_cases;
 
     fn routed_chain(stages: usize) -> (Netlist, RoutedDesign) {
         let mut n = Netlist::new("chain");
@@ -561,5 +666,161 @@ mod tests {
         };
         let r = route(&n, &p, &pl, ample).unwrap();
         assert!(r.total_wirelength > 0);
+    }
+
+    /// The hash-map search [`Search::route_net`] replaced, kept as its
+    /// oracle: `dist`/`prev` rebuilt per sink, the tree in a `HashSet`, a
+    /// linear scan of the remaining sinks per expansion.
+    #[allow(clippy::too_many_arguments)]
+    fn route_net_reference(
+        terminals: &[(usize, usize)],
+        w: usize,
+        h: usize,
+        usage: &[usize],
+        history: &[f64],
+        capacity: usize,
+        round: usize,
+        max_expansions: u64,
+        expansions: &mut u64,
+    ) -> Result<Vec<(usize, usize)>, RouteStop> {
+        let tile_cost = |x: usize, y: usize| -> f64 {
+            let i = y * w + x;
+            let u = usage[i];
+            // Base + congestion: sharply penalize over-capacity in later rounds.
+            let over = u.saturating_sub(capacity) as f64;
+            1.0 + history[i] + over * (1.0 + round as f64 * 4.0) + u as f64 * 0.02
+        };
+
+        let mut tree: HashSet<(usize, usize)> = HashSet::new();
+        tree.insert(terminals[0]);
+        let mut remaining: Vec<(usize, usize)> = terminals[1..]
+            .iter()
+            .copied()
+            .filter(|t| !tree.contains(t))
+            .collect();
+
+        while !remaining.is_empty() {
+            // Dijkstra from all tree tiles.
+            let mut dist: HashMap<(usize, usize), f64> = HashMap::new();
+            let mut prev: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
+            let mut heap: BinaryHeap<(std::cmp::Reverse<ordered::F64>, (usize, usize))> =
+                BinaryHeap::new();
+            for &t in &tree {
+                dist.insert(t, 0.0);
+                heap.push((std::cmp::Reverse(ordered::F64(0.0)), t));
+            }
+            let mut reached: Option<(usize, usize)> = None;
+            while let Some((std::cmp::Reverse(ordered::F64(d)), (x, y))) = heap.pop() {
+                *expansions += 1;
+                if *expansions > max_expansions {
+                    return Err(RouteStop::Budget);
+                }
+                if dist.get(&(x, y)).copied().unwrap_or(f64::INFINITY) < d {
+                    continue;
+                }
+                if let Some(pos) = remaining.iter().position(|&s| s == (x, y)) {
+                    remaining.swap_remove(pos);
+                    reached = Some((x, y));
+                    break;
+                }
+                let neighbors = [
+                    (x.wrapping_sub(1), y),
+                    (x + 1, y),
+                    (x, y.wrapping_sub(1)),
+                    (x, y + 1),
+                ];
+                for (nx, ny) in neighbors {
+                    if nx >= w || ny >= h {
+                        continue;
+                    }
+                    let nd = d + tile_cost(nx, ny);
+                    if nd < dist.get(&(nx, ny)).copied().unwrap_or(f64::INFINITY) {
+                        dist.insert((nx, ny), nd);
+                        prev.insert((nx, ny), (x, y));
+                        heap.push((std::cmp::Reverse(ordered::F64(nd)), (nx, ny)));
+                    }
+                }
+            }
+            let sink = reached.ok_or(RouteStop::Unreachable)?;
+            // Back-trace into the tree.
+            let mut cur = sink;
+            while !tree.contains(&cur) {
+                tree.insert(cur);
+                match prev.get(&cur) {
+                    Some(&p) => cur = p,
+                    None => break, // cur was a tree seed
+                }
+            }
+        }
+        let mut tiles: Vec<(usize, usize)> = tree.into_iter().collect();
+        tiles.sort_unstable();
+        Ok(tiles)
+    }
+
+    #[test]
+    fn dense_search_matches_the_hash_map_reference() {
+        run_cases(60, |rng| {
+            let w = rng.random_range(1..=14usize);
+            let h = rng.random_range(1..=14usize);
+            let capacity = rng.random_range(1..=4usize);
+            let usage: Vec<usize> = (0..w * h).map(|_| rng.random_range(0..=6usize)).collect();
+            let history: Vec<f64> = (0..w * h)
+                .map(|_| {
+                    if rng.random_bool(0.3) {
+                        f64::from(rng.random_range(0..4u32))
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let round = rng.random_range(0..4usize);
+            let mut search = Search::new(w, h);
+            // Several nets through one `Search`, so a later net would see
+            // any state an earlier one (finished or cut off) left behind.
+            for _ in 0..6 {
+                let tile =
+                    |rng: &mut xrand::SmallRng| (rng.random_range(0..w), rng.random_range(0..h));
+                let mut terminals = vec![tile(rng)];
+                for _ in 0..rng.random_range(1..=8usize) {
+                    let t = match rng.random_range(0..4u32) {
+                        // A duplicate of an earlier terminal (the source
+                        // included).
+                        0 => terminals[rng.random_range(0..terminals.len())],
+                        // A sink in line with the source, on or beside
+                        // the path to a farther one.
+                        1 => (terminals[0].0, rng.random_range(0..h)),
+                        _ => tile(rng),
+                    };
+                    terminals.push(t);
+                }
+                let budget = if rng.random_bool(0.3) {
+                    rng.random_range(1..=(w * h * terminals.len()) as u64)
+                } else {
+                    u64::MAX
+                };
+                let start = rng.random_range(0..50u64);
+                let (mut fast_spent, mut slow_spent) = (start, start);
+                let cost = TileCost {
+                    usage: &usage,
+                    history: &history,
+                    capacity,
+                    round,
+                };
+                let fast = search.route_net(&terminals, cost, budget, &mut fast_spent);
+                let slow = route_net_reference(
+                    &terminals,
+                    w,
+                    h,
+                    &usage,
+                    &history,
+                    capacity,
+                    round,
+                    budget,
+                    &mut slow_spent,
+                );
+                assert_eq!(fast, slow, "{w}x{h} grid, terminals {terminals:?}");
+                assert_eq!(fast_spent, slow_spent, "expansion counts differ");
+            }
+        });
     }
 }
