@@ -15,7 +15,7 @@ use emb_fsm::flow::{ff_flow, FlowConfig, Stimulus};
 use fpga_fabric::place::PlaceOptions;
 use logic_synth::synth::SynthOptions;
 use paper_bench::runner::{run, RunnerOptions};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// The table workload: place-dominated MCNC machines of varied size.
@@ -31,12 +31,12 @@ fn workspace_root() -> PathBuf {
 /// One harness pass over all items with the given worker count; returns
 /// its wall-clock. Rows go through the real runner (checkpointing and
 /// all) so the measurement covers the machinery the table bins use.
-fn pass(label: &str, threads: usize, scratch: &PathBuf) -> Duration {
+fn pass(label: &str, threads: usize, scratch: &Path) -> Duration {
     let items: Vec<String> = ITEMS.iter().map(ToString::to_string).collect();
     let opts = RunnerOptions {
         label: format!("bench_harness_{label}"),
         max_attempts: 1,
-        checkpoint_dir: scratch.clone(),
+        checkpoint_dir: scratch.to_path_buf(),
         threads: Some(threads),
         backend: None,
         keep_failed: None,

@@ -58,7 +58,7 @@ fn main() {
 /// bytes that a few of them overflow a tiny budget.
 fn synthetic_placement(device: &Device) -> Placement {
     Placement {
-        device: device.clone(),
+        device: *device,
         clb_loc: (0..30).map(|i| (i % 8, i / 8)).collect(),
         bram_loc: vec![(0, 9)],
         iob_loc: (0..6).map(|i| (i, 10)).collect(),

@@ -39,7 +39,7 @@ use paper_bench::corpus::{run_item_with_backend, Outcome};
 use paper_bench::fabric::{request, request_with_retry, serve, worker_invocation_label, DaemonOptions};
 use paper_bench::runner::{run, Backend, RunnerOptions};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 fn workspace_root() -> PathBuf {
@@ -87,12 +87,12 @@ fn pass(
     backend: Backend,
     map_backend: Option<MapBackend>,
     items: &[String],
-    scratch: &PathBuf,
+    scratch: &Path,
 ) -> (Vec<Vec<String>>, Duration, usize) {
     let opts = RunnerOptions {
         label: format!("corpus_{label}"),
         max_attempts: 2,
-        checkpoint_dir: scratch.clone(),
+        checkpoint_dir: scratch.to_path_buf(),
         threads: None,
         backend: Some(backend),
         keep_failed: Some(false),
@@ -204,7 +204,7 @@ struct DaemonStats {
 /// field — and count ok / warm responses. The response rows were all
 /// computed (and cached) by the earlier passes, so a healthy daemon
 /// answers every request warm.
-fn daemon_pass(items_one_per_tier: &[String], scratch: &PathBuf) -> DaemonStats {
+fn daemon_pass(items_one_per_tier: &[String], scratch: &Path) -> DaemonStats {
     let socket = scratch.join("corpus_stress.sock");
     let opts = DaemonOptions::new(&socket);
     let handle = {

@@ -5,7 +5,7 @@
 //! an in-process [`paper_bench::fabric::serve`] listener.
 
 use paper_bench::fabric::{request, request_with_retry, serve, DaemonOptions};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// A short socket path (Unix sockets cap at ~108 bytes).
@@ -14,7 +14,7 @@ fn socket_path(tag: &str) -> PathBuf {
 }
 
 /// Blocks until the daemon answers ping (it binds on another thread).
-fn await_ready(socket: &PathBuf) {
+fn await_ready(socket: &Path) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         if let Ok(r) = request(socket, "{\"cmd\":\"ping\"}") {

@@ -9,13 +9,11 @@
 //!
 //! [`BlifModel`]: logic_synth::blif::BlifModel
 
-use crate::flow::{
-    ClockControlStats, FlowConfig, FlowError, FlowErrorKind, FlowReport, FlowStage, ImplKind,
-    Stimulus,
-};
+use crate::flow::{FlowConfig, FlowError, FlowErrorKind, FlowReport, FlowStage, Stimulus};
 use fpga_fabric::netlist::{Cell, NetId, Netlist};
 use logic_synth::blif::BlifModel;
 use logic_synth::decompose::decompose2;
+use logic_synth::synth::SynthError;
 use logic_synth::techmap::{map_luts, MapOptions};
 
 /// Converts a BLIF model into a physical netlist: the combinational
@@ -80,18 +78,11 @@ pub fn implement_blif(
     let netlist = netlist_from_blif(model, MapOptions::default()).map_err(|e| {
         FlowError::new(
             model.name.clone(),
-            FlowStage::ClockControl,
-            FlowErrorKind::ClockControl(e),
+            FlowStage::Synth,
+            FlowErrorKind::Synth(SynthError::Map(e)),
         )
     })?;
-    crate::flow::implement_external(
-        netlist,
-        ImplKind::Ff,
-        None::<ClockControlStats>,
-        &Stimulus::Replay(stimulus_vectors.to_vec()),
-        model.inputs.len(),
-        cfg,
-    )
+    crate::flow::implement_external(netlist, &Stimulus::Replay(stimulus_vectors.to_vec()), cfg)
 }
 
 #[cfg(test)]

@@ -274,9 +274,9 @@ impl KeyWriter {
 fn stg_bytes(stg: &Stg) -> Vec<u8> {
     use std::fmt::Write as _;
     let mut s = String::new();
-    let _ = write!(
+    let _ = writeln!(
         s,
-        "stg {} {} {} {} {}\n",
+        "stg {} {} {} {} {}",
         esc(stg.name()),
         stg.num_inputs(),
         stg.num_outputs(),

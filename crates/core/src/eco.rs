@@ -207,7 +207,7 @@ impl EcoRewrite {
         for (old_idx, (_, new_init)) in old_bram_ids.iter().zip(new_inits) {
             netlist
                 .replace_bram_init(*old_idx, new_init)
-                .map_err(|e| EcoError::NetlistMismatch(e))?;
+                .map_err(EcoError::NetlistMismatch)?;
         }
         Ok(())
     }

@@ -7,24 +7,33 @@
 //! estimate power at each requested clock frequency plus the critical
 //! path. The [`FlowReport`] rows are what the experiment harness prints
 //! as the paper's tables.
+//!
+//! The flows differ only in configuration. Each runs one cached
+//! front-end recipe (`frontend`: its cache key, a build closure, and the
+//! proof its implementation kind calls for) and one device-ladder driver
+//! (`physical`: pack, then per device a full, ECO or overlay-base
+//! placement and routing, then timing, simulation and power).
 
 use crate::baseline::ff_netlist;
 use crate::cache::{self, Frontend};
-use crate::clock_control::{attach_emb_clock_control, attach_ff_clock_gating};
+use crate::clock_control::{attach_emb_clock_control, attach_ff_clock_gating, ClockControl};
 use crate::map::{map_fsm_into_embs, EmbFsm, EmbOptions};
 use crate::overlay::{overlay_fsm, OverlayClass, OverlayError};
-use crate::verify::{verify_against_stg, verify_rewrite, OutputTiming, VerificationMethod, VerifyError};
+use crate::verify::{
+    verify_against_stg, verify_rewrite, OutputTiming, VerificationMethod, VerifyError,
+};
 use fpga_fabric::device::Device;
 use fpga_fabric::netlist::Netlist;
 use fpga_fabric::pack::{pack, pack_partitioned, AreaReport, PackedDesign};
 use fpga_fabric::place::{
-    place, place_incremental, verify_eco_placement, PinnedEntities, PlaceError, PlaceOptions,
+    place, place_incremental, verify_eco_placement, BudgetOutcome, PinnedEntities, PlaceError,
+    PlaceOptions, Placement,
 };
-use fpga_fabric::route::{route, RouteError, RouteOptions};
+use fpga_fabric::route::{route, RouteError, RouteOptions, RoutedDesign};
 use fpga_fabric::timing::{analyze, DelayModel, TimingReport};
 use fsm_model::simulate::{idle_fraction, trace};
 use fsm_model::stg::Stg;
-use logic_synth::synth::{synthesize, SynthError, SynthOptions};
+use logic_synth::synth::{synthesize, SynthBudget, SynthError, SynthOptions, SynthesizedFsm};
 use netsim::kernel::BatchSimulator;
 use netsim::stimulus as netstim;
 use powermodel::{estimate, PowerParams, PowerReport};
@@ -605,6 +614,177 @@ fn prepared(stg: &Stg, cfg: &FlowConfig) -> Result<Stg, FlowError> {
     }
 }
 
+/// Charges one public entry point with the flow-cache traffic it caused.
+/// The fallbacks run both attempts inside one call, so their reports
+/// span both.
+fn accounted(run: impl FnOnce() -> Result<FlowReport, FlowError>) -> Result<FlowReport, FlowError> {
+    let entry = cache::stats_snapshot();
+    let mut report = run()?;
+    report.cache = cache::stats_snapshot().since(entry);
+    Ok(report)
+}
+
+/// Runs `f`, adding its wall-clock milliseconds to `bucket`.
+fn timed<T>(bucket: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *bucket += t.elapsed().as_secs_f64() * 1e3;
+    out
+}
+
+/// Runs `attempt`; on a capacity failure runs `fallback` instead and
+/// records the downgrade `downgrade` makes of the failure's display.
+/// Correctness failures propagate.
+fn on_capacity(
+    attempt: Result<FlowReport, FlowError>,
+    fallback: impl FnOnce() -> Result<FlowReport, FlowError>,
+    downgrade: impl FnOnce(String) -> Downgrade,
+) -> Result<FlowReport, FlowError> {
+    match attempt {
+        Err(e) if e.is_capacity() => {
+            let reason = e.to_string();
+            let mut report = fallback()?;
+            report.downgrades.push(downgrade(reason));
+            Ok(report)
+        }
+        other => other,
+    }
+}
+
+/// A netlist on its way to the device, with what its report carries
+/// over from the front-end (verified, unless it came from outside).
+struct Design {
+    name: String,
+    kind: ImplKind,
+    netlist: Netlist,
+    clock_control: Option<ClockControlStats>,
+    downgrades: Vec<Downgrade>,
+    stage: StageTimings,
+}
+
+/// The front-end recipe every flow shares. The netlist is looked up under
+/// `key`; on a miss `build` constructs it (timed as `synth`), it is proven
+/// against the *original* `stg` (timed as `verify`), and the record is
+/// stored. `kind` fixes the proof — FF netlists run lockstep with
+/// combinational outputs; EMB netlists take the [`verify_rewrite`] ladder,
+/// whose sampled outcome the record keeps — and whether a hit must carry
+/// clock-control stats (a gated record without them is a miss). A hit and
+/// a miss yield the same [`Design`]: the record's budget overrun and
+/// sampled proof replay as downgrades.
+fn frontend(
+    stg: &Stg,
+    cfg: &FlowConfig,
+    kind: ImplKind,
+    key: &cache::Key,
+    build: impl FnOnce() -> Result<Frontend, FlowError>,
+) -> Result<Design, FlowError> {
+    let gated = matches!(kind, ImplKind::FfClockGated | ImplKind::EmbClockControlled);
+    let mut stage = StageTimings::default();
+    let fe = match cache::load_frontend(key) {
+        Some(fe) if !gated || fe.clock_control.is_some() => fe,
+        _ => {
+            let mut fe = timed(&mut stage.synth_ms, build)?;
+            fe.verify_sampled_inputs = timed(&mut stage.verify_ms, || match kind {
+                ImplKind::Ff | ImplKind::FfClockGated => verify_against_stg(
+                    &fe.netlist,
+                    stg,
+                    OutputTiming::Combinational,
+                    cfg.verify_cycles,
+                    cfg.seed,
+                )
+                .map(|()| None),
+                _ => verify_rewrite(
+                    &fe.netlist,
+                    stg,
+                    OutputTiming::Registered,
+                    cfg.exhaustive_verify_max_inputs,
+                    cfg.verify_cycles,
+                    cfg.seed,
+                )
+                .map(|m| {
+                    matches!(m, VerificationMethod::Sampled { .. }).then_some(stg.num_inputs())
+                }),
+            })
+            .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
+            cache::store_frontend(
+                key,
+                &fe.netlist,
+                fe.clock_control,
+                fe.synth_skipped_functions,
+                fe.verify_sampled_inputs,
+            );
+            fe
+        }
+    };
+    Ok(Design {
+        name: stg.name().to_string(),
+        kind,
+        downgrades: fe
+            .synth_skipped_functions
+            .map(|skipped_functions| Downgrade::SynthBudgetExhausted { skipped_functions })
+            .into_iter()
+            .chain(
+                fe.verify_sampled_inputs
+                    .map(|inputs| Downgrade::VerifySampled { inputs }),
+            )
+            .collect(),
+        netlist: fe.netlist,
+        clock_control: fe.clock_control,
+        stage,
+    })
+}
+
+/// A freshly built front-end record, before its proof: the synthesis
+/// budget overrun and the clock-control overhead, where there are any.
+fn built(
+    netlist: Netlist,
+    synth: Option<&SynthesizedFsm>,
+    control: Option<&ClockControl>,
+) -> Frontend {
+    Frontend {
+        netlist,
+        clock_control: control.map(|c| ClockControlStats {
+            luts: c.num_luts(),
+            slices: c.num_slices(),
+            idle_cubes: c.idle_cubes,
+        }),
+        synth_skipped_functions: synth.and_then(|s| match s.budget {
+            SynthBudget::Completed => None,
+            SynthBudget::Exhausted {
+                skipped_functions, ..
+            } => Some(skipped_functions),
+        }),
+        verify_sampled_inputs: None,
+    }
+}
+
+/// Synthesizes the (optionally minimized) machine for the FF flows.
+fn synthesized(
+    stg: &Stg,
+    cfg: &FlowConfig,
+    synth_opts: SynthOptions,
+) -> Result<(Stg, SynthesizedFsm), FlowError> {
+    let impl_stg = prepared(stg, cfg)?;
+    let synth = synthesize(&impl_stg, synth_opts)
+        .map_err(|e| FlowError::new(stg.name(), FlowStage::Synth, FlowErrorKind::Synth(e)))?;
+    Ok((impl_stg, synth))
+}
+
+/// Maps the (optionally minimized) machine into BRAMs for the EMB flows.
+fn mapped(stg: &Stg, cfg: &FlowConfig, emb_opts: &EmbOptions) -> Result<EmbFsm, FlowError> {
+    map_fsm_into_embs(&prepared(stg, cfg)?, emb_opts)
+        .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Map(e)))
+}
+
+/// The error for a failed clock-control attachment.
+fn clock_control_error(stg: &Stg, e: logic_synth::techmap::MapError) -> FlowError {
+    FlowError::new(
+        stg.name(),
+        FlowStage::ClockControl,
+        FlowErrorKind::ClockControl(e),
+    )
+}
+
 /// Runs the conventional FF/LUT flow (Fig. 1a / Fig. 6 left path).
 ///
 /// # Errors
@@ -616,96 +796,14 @@ pub fn ff_flow(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let mut stage = StageTimings::default();
-    let key = cache::ff_frontend_key("ff", stg, synth_opts, cfg.minimize_states);
-    let (netlist, downgrades) = match cache::load_frontend(&key) {
-        Some(fe) => (fe.netlist, skipped_downgrades(fe.synth_skipped_functions)),
-        None => {
-            let t = Instant::now();
-            let impl_stg = prepared(stg, cfg)?;
-            let synth = synthesize(&impl_stg, synth_opts).map_err(|e| {
-                FlowError::new(stg.name(), FlowStage::Synth, FlowErrorKind::Synth(e))
-            })?;
-            let downgrades = synth_downgrades(&synth);
-            let (netlist, _) = ff_netlist(&synth, false);
-            stage.synth_ms = ms_since(t);
-            let t = Instant::now();
-            verify_against_stg(
-                &netlist,
-                stg,
-                OutputTiming::Combinational,
-                cfg.verify_cycles,
-                cfg.seed,
-            )
-            .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-            stage.verify_ms = ms_since(t);
-            cache::store_frontend(&key, &netlist, None, skipped_of(&downgrades), None);
-            (netlist, downgrades)
-        }
-    };
-    let mut report = implement(
-        stg,
-        netlist,
-        ImplKind::Ff,
-        None,
-        stimulus,
-        cfg,
-        downgrades,
-        None,
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
-}
-
-/// Milliseconds elapsed since `t`.
-fn ms_since(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
-/// Downgrades to record for a synthesized machine (budget overruns).
-fn synth_downgrades(synth: &logic_synth::synth::SynthesizedFsm) -> Vec<Downgrade> {
-    match synth.budget {
-        logic_synth::synth::SynthBudget::Completed => Vec::new(),
-        logic_synth::synth::SynthBudget::Exhausted {
-            skipped_functions, ..
-        } => {
-            vec![Downgrade::SynthBudgetExhausted { skipped_functions }]
-        }
-    }
-}
-
-/// The `SynthBudgetExhausted` payload, if present (cache record material).
-fn skipped_of(downgrades: &[Downgrade]) -> Option<usize> {
-    downgrades.iter().find_map(|d| match d {
-        Downgrade::SynthBudgetExhausted { skipped_functions } => Some(*skipped_functions),
-        _ => None,
+    accounted(|| {
+        let key = cache::ff_frontend_key("ff", stg, synth_opts, cfg.minimize_states);
+        let design = frontend(stg, cfg, ImplKind::Ff, &key, || {
+            let (_, synth) = synthesized(stg, cfg, synth_opts)?;
+            Ok(built(ff_netlist(&synth, false).0, Some(&synth), None))
+        })?;
+        physical(design, Some(stg), stimulus, cfg, Resolve::Full)
     })
-}
-
-/// Rebuilds the synth-budget downgrade list from a cached front-end.
-fn skipped_downgrades(skipped: Option<usize>) -> Vec<Downgrade> {
-    skipped
-        .map(|skipped_functions| Downgrade::SynthBudgetExhausted { skipped_functions })
-        .into_iter()
-        .collect()
-}
-
-/// The `VerifySampled` cache payload for a verification outcome.
-fn sampled_of(stg: &Stg, method: &VerificationMethod) -> Option<usize> {
-    match method {
-        VerificationMethod::Exhaustive(_) => None,
-        VerificationMethod::Sampled { .. } => Some(stg.num_inputs()),
-    }
-}
-
-/// Rebuilds the sampled-verification downgrade list from its cache payload.
-fn sampled_downgrades(sampled: Option<usize>) -> Vec<Downgrade> {
-    sampled
-        .map(|inputs| Downgrade::VerifySampled { inputs })
-        .into_iter()
-        .collect()
 }
 
 /// Runs the FF flow with clock-enable gating on the state register.
@@ -719,64 +817,16 @@ pub fn ff_clock_gated_flow(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let mut stage = StageTimings::default();
-    let key = cache::ff_frontend_key("ffg", stg, synth_opts, cfg.minimize_states);
-    let (netlist, stats, downgrades) = match cache::load_frontend(&key) {
-        Some(Frontend {
-            netlist,
-            clock_control: Some(stats),
-            synth_skipped_functions,
-            ..
-        }) => (netlist, stats, skipped_downgrades(synth_skipped_functions)),
-        _ => {
-            let t = Instant::now();
-            let impl_stg = prepared(stg, cfg)?;
-            let synth = synthesize(&impl_stg, synth_opts).map_err(|e| {
-                FlowError::new(stg.name(), FlowStage::Synth, FlowErrorKind::Synth(e))
-            })?;
-            let downgrades = synth_downgrades(&synth);
+    accounted(|| {
+        let key = cache::ff_frontend_key("ffg", stg, synth_opts, cfg.minimize_states);
+        let design = frontend(stg, cfg, ImplKind::FfClockGated, &key, || {
+            let (impl_stg, synth) = synthesized(stg, cfg, synth_opts)?;
             let (netlist, control) = attach_ff_clock_gating(&synth, &impl_stg, synth_opts.map)
-                .map_err(|e| {
-                    FlowError::new(
-                        stg.name(),
-                        FlowStage::ClockControl,
-                        FlowErrorKind::ClockControl(e),
-                    )
-                })?;
-            stage.synth_ms = ms_since(t);
-            let t = Instant::now();
-            verify_against_stg(
-                &netlist,
-                stg,
-                OutputTiming::Combinational,
-                cfg.verify_cycles,
-                cfg.seed,
-            )
-            .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-            stage.verify_ms = ms_since(t);
-            let stats = ClockControlStats {
-                luts: control.num_luts(),
-                slices: control.num_slices(),
-                idle_cubes: control.idle_cubes,
-            };
-            cache::store_frontend(&key, &netlist, Some(stats), skipped_of(&downgrades), None);
-            (netlist, stats, downgrades)
-        }
-    };
-    let mut report = implement(
-        stg,
-        netlist,
-        ImplKind::FfClockGated,
-        Some(stats),
-        stimulus,
-        cfg,
-        downgrades,
-        None,
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
+                .map_err(|e| clock_control_error(stg, e))?;
+            Ok(built(netlist, Some(&synth), Some(&control)))
+        })?;
+        physical(design, Some(stg), stimulus, cfg, Resolve::Full)
+    })
 }
 
 /// Runs the EMB flow (Fig. 1b) on the backend selected by
@@ -795,50 +845,34 @@ pub fn emb_flow(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    match cfg.backend {
-        MapBackend::Direct => emb_direct_flow(stg, emb_opts, stimulus, cfg),
+    let direct = || {
+        physical(
+            emb_frontend(stg, emb_opts, cfg)?,
+            Some(stg),
+            stimulus,
+            cfg,
+            Resolve::Full,
+        )
+    };
+    accounted(|| match cfg.backend {
+        MapBackend::Direct => direct(),
         MapBackend::Overlay => emb_overlay_flow(stg, stimulus, cfg),
-        MapBackend::Auto => {
-            let entry = cache::stats_snapshot();
-            match emb_overlay_flow(stg, stimulus, cfg) {
-                Ok(report) => Ok(report),
-                Err(e) if e.is_capacity() => {
-                    let reason = e.to_string();
-                    let mut report = emb_direct_flow(stg, emb_opts, stimulus, cfg)?;
-                    report.downgrades.push(Downgrade::OverlayCapacity { reason });
-                    // Span both attempts: the overlay misses belong to
-                    // this run too.
-                    report.cache = cache::stats_snapshot().since(entry);
-                    Ok(report)
-                }
-                Err(e) => Err(e),
-            }
-        }
-    }
+        MapBackend::Auto => on_capacity(emb_overlay_flow(stg, stimulus, cfg), direct, |reason| {
+            Downgrade::OverlayCapacity { reason }
+        }),
+    })
 }
 
-/// The direct EMB backend: per-FSM mapping and full place & route.
-fn emb_direct_flow(
-    stg: &Stg,
-    emb_opts: &EmbOptions,
-    stimulus: &Stimulus,
-    cfg: &FlowConfig,
-) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let (netlist, downgrades, stage) = emb_frontend(stg, emb_opts, cfg)?;
-    let mut report = implement(
-        stg,
-        netlist,
-        ImplKind::Emb,
-        None,
-        stimulus,
-        cfg,
-        downgrades,
-        None,
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
+/// The plain-EMB front-end: maps the machine into BRAMs and proves the
+/// rewrite through the verification ladder (exhaustive product walk up to
+/// [`FlowConfig::exhaustive_verify_max_inputs`] inputs, sampled lockstep
+/// beyond). Cached under the `"emb"` key, so [`emb_flow`] and the
+/// clock-controlled flow's ECO base resolve to the identical netlist.
+fn emb_frontend(stg: &Stg, emb_opts: &EmbOptions, cfg: &FlowConfig) -> Result<Design, FlowError> {
+    let key = cache::emb_frontend_key("emb", stg, emb_opts, cfg.minimize_states);
+    frontend(stg, cfg, ImplKind::Emb, &key, || {
+        Ok(built(mapped(stg, cfg, emb_opts)?.to_netlist(), None, None))
+    })
 }
 
 /// Runs the EMB flow on the overlay backend: the machine is compiled
@@ -847,6 +881,11 @@ fn emb_direct_flow(
 /// pre-routed base supplies the physical design. The base is built (and
 /// cached) the first time any machine of the class is compiled; after
 /// that, per-FSM turnaround is O(memory-init), not O(place & route).
+///
+/// The class is planned before the front-end lookup, so a machine past
+/// the ladder fails without cache traffic. Planning is pure arithmetic on
+/// the port/state counts, so a cache hit re-plans it for nothing and the
+/// cached record stays netlist-only.
 ///
 /// # Errors
 ///
@@ -857,110 +896,31 @@ pub fn emb_overlay_flow(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let (netlist, class, downgrades, stage) = overlay_frontend(stg, cfg)?;
-    let (vectors, idle) = oracle_vectors(stg, stimulus, cfg);
-    let mut report = overlay_physical(
-        stg.name(),
-        netlist,
-        class,
-        &vectors,
-        idle,
-        cfg,
-        downgrades,
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
-}
-
-/// The shared plain-EMB front-end: maps the machine into BRAMs and proves
-/// the rewrite through the verification ladder (exhaustive product walk up
-/// to [`FlowConfig::exhaustive_verify_max_inputs`] inputs, sampled lockstep
-/// beyond). Cached under the `"emb"` key, so [`emb_flow`] and the
-/// clock-controlled flow's ECO base resolve to the identical netlist.
-fn emb_frontend(
-    stg: &Stg,
-    emb_opts: &EmbOptions,
-    cfg: &FlowConfig,
-) -> Result<(Netlist, Vec<Downgrade>, StageTimings), FlowError> {
-    let mut stage = StageTimings::default();
-    let key = cache::emb_frontend_key("emb", stg, emb_opts, cfg.minimize_states);
-    if let Some(fe) = cache::load_frontend(&key) {
-        return Ok((
-            fe.netlist,
-            sampled_downgrades(fe.verify_sampled_inputs),
-            stage,
-        ));
-    }
-    let t = Instant::now();
-    let impl_stg = prepared(stg, cfg)?;
-    let emb = map_fsm_into_embs(&impl_stg, emb_opts)
-        .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Map(e)))?;
-    let netlist = emb.to_netlist();
-    stage.synth_ms = ms_since(t);
-    let t = Instant::now();
-    let method = verify_rewrite(
-        &netlist,
-        stg,
-        OutputTiming::Registered,
-        cfg.exhaustive_verify_max_inputs,
-        cfg.verify_cycles,
-        cfg.seed,
-    )
-    .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-    stage.verify_ms = ms_since(t);
-    let sampled = sampled_of(stg, &method);
-    cache::store_frontend(&key, &netlist, None, None, sampled);
-    Ok((netlist, sampled_downgrades(sampled), stage))
-}
-
-/// The overlay front-end: plans the machine's overlay class, builds the
-/// padded ROM image and the overlay netlist, and proves the rewrite
-/// through the same `verify_rewrite` ladder as the direct backend.
-/// Cached under the `"ovl"` key. The class is re-planned on a cache hit
-/// — planning is pure arithmetic on the port/state counts, so it costs
-/// nothing and keeps the cached record netlist-only.
-fn overlay_frontend(
-    stg: &Stg,
-    cfg: &FlowConfig,
-) -> Result<(Netlist, OverlayClass, Vec<Downgrade>, StageTimings), FlowError> {
-    let mut stage = StageTimings::default();
-    let impl_stg = prepared(stg, cfg)?;
-    let class = OverlayClass::plan(
-        impl_stg.num_inputs(),
-        impl_stg.num_states(),
-        impl_stg.num_outputs(),
-    )
-    .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Overlay(e)))?;
-    let key = cache::overlay_frontend_key(stg, cfg.minimize_states);
-    if let Some(fe) = cache::load_frontend(&key) {
-        return Ok((
-            fe.netlist,
-            class,
-            sampled_downgrades(fe.verify_sampled_inputs),
-            stage,
-        ));
-    }
-    let t = Instant::now();
-    let ovl = overlay_fsm(&impl_stg)
-        .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Overlay(e)))?;
-    let netlist = ovl.fsm_netlist();
-    stage.synth_ms = ms_since(t);
-    let t = Instant::now();
-    let method = verify_rewrite(
-        &netlist,
-        stg,
-        OutputTiming::Registered,
-        cfg.exhaustive_verify_max_inputs,
-        cfg.verify_cycles,
-        cfg.seed,
-    )
-    .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-    stage.verify_ms = ms_since(t);
-    let sampled = sampled_of(stg, &method);
-    cache::store_frontend(&key, &netlist, None, None, sampled);
-    Ok((netlist, class, sampled_downgrades(sampled), stage))
+    accounted(|| {
+        let overlay_error =
+            |e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Overlay(e));
+        let impl_stg = prepared(stg, cfg)?;
+        let class = OverlayClass::plan(
+            impl_stg.num_inputs(),
+            impl_stg.num_states(),
+            impl_stg.num_outputs(),
+        )
+        .map_err(overlay_error)?;
+        let key = cache::overlay_frontend_key(stg, cfg.minimize_states);
+        let design = frontend(stg, cfg, ImplKind::EmbOverlay, &key, || {
+            let ovl = overlay_fsm(&impl_stg).map_err(overlay_error)?;
+            Ok(built(ovl.fsm_netlist(), None, None))
+        })?;
+        let mut base = design.netlist.with_zeroed_bram_init();
+        base.name = class.label();
+        physical(
+            design,
+            Some(stg),
+            stimulus,
+            cfg,
+            Resolve::Overlay { class, base },
+        )
+    })
 }
 
 /// Runs the EMB flow with the full degradation ladder: if mapping (or
@@ -981,19 +941,13 @@ pub fn emb_flow_with_fallback(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    match emb_flow(stg, emb_opts, stimulus, cfg) {
-        Ok(report) => Ok(report),
-        Err(e) if e.is_capacity() => {
-            let reason = e.to_string();
-            let mut report = ff_flow(stg, synth_opts, stimulus, cfg)?;
-            report.downgrades.push(Downgrade::EmbToFf { reason });
-            // Span both attempts: the EMB misses belong to this run too.
-            report.cache = cache::stats_snapshot().since(entry);
-            Ok(report)
-        }
-        Err(e) => Err(e),
-    }
+    accounted(|| {
+        on_capacity(
+            emb_flow(stg, emb_opts, stimulus, cfg),
+            || ff_flow(stg, synth_opts, stimulus, cfg),
+            |reason| Downgrade::EmbToFf { reason },
+        )
+    })
 }
 
 /// Runs the EMB flow with Sec. 6 clock control.
@@ -1007,514 +961,316 @@ pub fn emb_clock_controlled_flow(
     stimulus: &Stimulus,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let entry = cache::stats_snapshot();
-    let mut stage = StageTimings::default();
-    let key = cache::emb_frontend_key("embcc", stg, emb_opts, cfg.minimize_states);
-    let (netlist, stats, mut downgrades) = match cache::load_frontend(&key) {
-        Some(Frontend {
-            netlist,
-            clock_control: Some(stats),
-            verify_sampled_inputs,
-            ..
-        }) => (netlist, stats, sampled_downgrades(verify_sampled_inputs)),
-        _ => {
-            let t = Instant::now();
-            let impl_stg = prepared(stg, cfg)?;
-            let emb = map_fsm_into_embs(&impl_stg, emb_opts)
-                .map_err(|e| FlowError::new(stg.name(), FlowStage::Map, FlowErrorKind::Map(e)))?;
-            let (netlist, control) =
-                attach_emb_clock_control(&emb, emb_opts.lut_map).map_err(|e| {
-                    FlowError::new(
-                        stg.name(),
-                        FlowStage::ClockControl,
-                        FlowErrorKind::ClockControl(e),
-                    )
-                })?;
-            stage.synth_ms = ms_since(t);
-            let t = Instant::now();
-            let method = verify_rewrite(
-                &netlist,
-                stg,
-                OutputTiming::Registered,
-                cfg.exhaustive_verify_max_inputs,
-                cfg.verify_cycles,
-                cfg.seed,
-            )
-            .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-            stage.verify_ms = ms_since(t);
-            let stats = ClockControlStats {
-                luts: control.num_luts(),
-                slices: control.num_slices(),
-                idle_cubes: control.idle_cubes,
-            };
-            let sampled = sampled_of(stg, &method);
-            cache::store_frontend(&key, &netlist, Some(stats), None, sampled);
-            (netlist, stats, sampled_downgrades(sampled))
-        }
-    };
-    // The ECO base: the plain design this clock-controlled netlist extends.
-    // Resolving it can only fail if the plain mapping fails, in which case
-    // the gated flow still completes with a full placement.
-    let eco_base = if cfg.eco_place {
-        match emb_frontend(stg, emb_opts, cfg) {
-            Ok((plain, _, _)) => Some(plain),
-            Err(e) => {
-                downgrades.push(Downgrade::EcoFallback {
+    accounted(|| {
+        let key = cache::emb_frontend_key("embcc", stg, emb_opts, cfg.minimize_states);
+        let mut design = frontend(stg, cfg, ImplKind::EmbClockControlled, &key, || {
+            let emb = mapped(stg, cfg, emb_opts)?;
+            let (netlist, control) = attach_emb_clock_control(&emb, emb_opts.lut_map)
+                .map_err(|e| clock_control_error(stg, e))?;
+            Ok(built(netlist, None, Some(&control)))
+        })?;
+        // The ECO base: the plain design this clock-controlled netlist
+        // extends, its front-end time charged to this run. Resolving it can
+        // only fail if the plain mapping fails, in which case the gated
+        // flow still completes with a full placement.
+        let resolve = match cfg.eco_place.then(|| emb_frontend(stg, emb_opts, cfg)) {
+            Some(Ok(plain)) => {
+                design.stage.synth_ms += plain.stage.synth_ms;
+                design.stage.verify_ms += plain.stage.verify_ms;
+                Resolve::Eco(plain.netlist)
+            }
+            Some(Err(e)) => {
+                design.downgrades.push(Downgrade::EcoFallback {
                     reason: e.to_string(),
                 });
-                None
+                Resolve::Full
             }
-        }
-    } else {
-        None
-    };
-    let mut report = implement(
-        stg,
-        netlist,
-        ImplKind::EmbClockControlled,
-        Some(stats),
-        stimulus,
-        cfg,
-        downgrades,
-        eco_base.as_ref(),
-        stage,
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
+            None => Resolve::Full,
+        };
+        physical(design, Some(stg), stimulus, cfg, resolve)
+    })
 }
 
-/// Maps an already-built netlist onto the device, simulates, and reports.
-#[allow(clippy::too_many_arguments)]
-fn implement(
-    stg: &Stg,
-    netlist: Netlist,
-    kind: ImplKind,
-    clock_control: Option<ClockControlStats>,
-    stimulus: &Stimulus,
-    cfg: &FlowConfig,
-    downgrades: Vec<Downgrade>,
-    eco_base: Option<&Netlist>,
-    stage: StageTimings,
-) -> Result<FlowReport, FlowError> {
-    let (vectors, idle) = oracle_vectors(stg, stimulus, cfg);
-    physical(
-        stg.name(),
-        netlist,
-        kind,
-        clock_control,
-        &vectors,
-        idle,
-        cfg,
-        downgrades,
-        eco_base,
-        stage,
-    )
-}
-
-/// The stimulus vectors plus the idle fraction the oracle achieves on
-/// them.
-fn oracle_vectors(stg: &Stg, stimulus: &Stimulus, cfg: &FlowConfig) -> (Vec<Vec<bool>>, f64) {
-    let vectors: Vec<Vec<bool>> = match stimulus {
-        Stimulus::Random => netstim::random(stg.num_inputs(), cfg.cycles, cfg.seed),
-        Stimulus::IdleBiased(p) => crate::stimulus::idle_biased(stg, cfg.cycles, *p, cfg.seed),
-        Stimulus::Replay(v) => v.clone(),
-    };
-    let oracle_trace = trace(stg, vectors.clone());
-    let idle = idle_fraction(stg, &oracle_trace);
-    (vectors, idle)
-}
-
-/// Implements a netlist that has no STG oracle (external BLIF input):
-/// replayed stimulus only, idle fraction reported as 0.
+/// Implements a netlist that has no STG oracle (external BLIF input) as
+/// an FF design: idle fraction reported as 0, no idle-biased stimulus.
 ///
 /// # Errors
 ///
 /// See [`FlowError`].
 pub(crate) fn implement_external(
     netlist: Netlist,
-    kind: ImplKind,
-    clock_control: Option<ClockControlStats>,
     stimulus: &Stimulus,
-    num_inputs: usize,
     cfg: &FlowConfig,
 ) -> Result<FlowReport, FlowError> {
-    let vectors: Vec<Vec<bool>> = match stimulus {
-        Stimulus::Replay(v) => v.clone(),
-        Stimulus::Random => netstim::random(num_inputs, cfg.cycles, cfg.seed),
-        Stimulus::IdleBiased(_) => {
-            return Err(FlowError::new(
-                netlist.name.clone(),
-                FlowStage::Simulate,
-                FlowErrorKind::NeedsOracle,
-            ))
-        }
-    };
-    let name = netlist.name.clone();
-    let entry = cache::stats_snapshot();
-    let mut report = physical(
-        &name,
+    let design = Design {
+        name: netlist.name.clone(),
+        kind: ImplKind::Ff,
         netlist,
-        kind,
-        clock_control,
-        &vectors,
-        0.0,
-        cfg,
-        Vec::new(),
-        None,
-        StageTimings::default(),
-    )?;
-    report.cache = cache::stats_snapshot().since(entry);
-    Ok(report)
+        clock_control: None,
+        downgrades: Vec::new(),
+        stage: StageTimings::default(),
+    };
+    accounted(|| physical(design, None, stimulus, cfg, Resolve::Full))
+}
+
+/// The stimulus vectors plus the idle fraction the oracle achieves on
+/// them. Without an oracle (external netlists) the idle fraction is 0 and
+/// idle-biased stimulus is unavailable (`None`).
+fn stimulus_vectors(
+    stimulus: &Stimulus,
+    oracle: Option<&Stg>,
+    netlist: &Netlist,
+    cfg: &FlowConfig,
+) -> Option<(Vec<Vec<bool>>, f64)> {
+    let inputs = oracle.map_or(netlist.inputs().len(), Stg::num_inputs);
+    let vectors = match stimulus {
+        Stimulus::Random => netstim::random(inputs, cfg.cycles, cfg.seed),
+        Stimulus::IdleBiased(p) => crate::stimulus::idle_biased(oracle?, cfg.cycles, *p, cfg.seed),
+        Stimulus::Replay(v) => v.clone(),
+    };
+    let idle = oracle.map_or(0.0, |stg| idle_fraction(stg, &trace(stg, vectors.clone())));
+    Some((vectors, idle))
+}
+
+/// How the physical driver resolves placement and routing on each ladder
+/// device — the one part of the physical half that differs by flow.
+enum Resolve {
+    /// Full placement (cached per netlist and device), then routing.
+    Full,
+    /// ECO first: pin every entity of this plain base netlist at its
+    /// placement's coordinates and place only the enable-cone delta. Any
+    /// failure falls through to the full placement on the same device and
+    /// is recorded as [`Downgrade::EcoFallback`] unless a later device
+    /// succeeds incrementally.
+    Eco(Netlist),
+    /// Reuse the overlay class base's stored placement and routing,
+    /// building and caching them on first use. The FSM netlist shares the
+    /// base's structure cell for cell and net for net — only the BRAM init
+    /// images differ, and neither placement nor routing reads those — so
+    /// the stored result is exact. Budget and upsize downgrades replay
+    /// from the stored artifact: the placement carries its own budget
+    /// outcome, and the device is part of the key.
+    Overlay {
+        /// The machine's overlay class.
+        class: OverlayClass,
+        /// The class base: the netlist with its BRAM images zeroed, named
+        /// for the class.
+        base: Netlist,
+    },
 }
 
 /// One device's worth of physical implementation evidence: what was
-/// packed and placed, how the placer's budget fared, and (when the ECO
-/// path produced it) the incremental-placement report.
+/// packed and placed, how the placer's budget fared, and the ECO or
+/// overlay evidence when that path produced it.
 struct Implemented {
     device: Device,
     packed: PackedDesign,
-    place_budget: fpga_fabric::place::BudgetOutcome,
-    routed: fpga_fabric::route::RoutedDesign,
+    place_budget: BudgetOutcome,
+    routed: RoutedDesign,
     coord_digest: String,
     place_fmax_est_mhz: f64,
     eco: Option<EcoReport>,
+    overlay: Option<OverlayReport>,
 }
 
-/// The placer's pre-route fmax estimate (MHz) for a finished placement,
-/// `NaN` when the kernel cannot be built for the netlist.
-fn place_fmax_estimate(
-    netlist: &Netlist,
-    packed: &PackedDesign,
-    placement: &fpga_fabric::place::Placement,
-    delay: &DelayModel,
-) -> f64 {
-    fpga_fabric::sta::estimate_critical_ns(netlist, packed, placement, delay)
-        .map_or(f64::NAN, |ns| 1000.0 / ns.max(f64::MIN_POSITIVE))
-}
-
-/// Attempts the ECO path on one device: reuse (or compute and cache) the
-/// base netlist's placement, pack the gated netlist as base + delta, pin
-/// every base entity, place only the delta, and route. Any failure is
-/// returned as a display string for the [`Downgrade::EcoFallback`] record.
-fn try_eco(
-    netlist: &Netlist,
-    netlist_bytes: &[u8],
-    base: &Netlist,
-    device: Device,
-    cfg: &FlowConfig,
-) -> Result<(PackedDesign, fpga_fabric::place::EcoPlacement, EcoReport), String> {
-    let base_packed = pack(base);
-    let base_bytes = cache::encode_netlist(base);
-    let popts = cfg.place_opts();
-    let bkey = cache::place_key(&base_bytes, &device, popts);
-    let (base_placement, base_hit) = match cache::load_placement(&bkey) {
-        Some(p) => (p, true),
-        None => {
-            let p = place(base, &base_packed, device, popts)
-                .map_err(|e| format!("base placement: {e}"))?;
-            cache::store_placement(&bkey, &p);
-            (p, false)
-        }
-    };
-    let packed = pack_partitioned(netlist, &base_packed, base.cells().len())
-        .map_err(|e| format!("partitioned pack: {e}"))?;
-    let pins = PinnedEntities::pin_base(&base_placement, &packed);
-    let base_digest = cache::coords_digest(
-        &base_placement.clb_loc,
-        &base_placement.bram_loc,
-        &base_placement.iob_loc,
-    );
-    let ekey = cache::eco_place_key(netlist_bytes, &device, popts, &base_digest);
-    let eco = match cache::load_eco_placement(&ekey) {
-        // A cached ECO placement must still honour today's pin map (the
-        // key makes collisions unlikely; the check makes them harmless).
-        Some(e)
-            if e.placement.device.name == device.name
-                && verify_eco_placement(&e.placement, &pins).is_ok() =>
-        {
-            e
-        }
-        _ => {
-            let e = place_incremental(netlist, &packed, device, popts, &pins)
-                .map_err(|e| format!("eco placement: {e}"))?;
-            cache::store_eco_placement(&ekey, &e);
-            e
-        }
-    };
-    let report = EcoReport {
-        pinned_entities: eco.pinned_entities,
-        delta_entities: eco.delta_entities,
-        delta_hpwl: eco.delta_hpwl,
-        base_reuse_cache_hit: base_hit,
-        base_coord_digest: base_digest,
-    };
-    Ok((packed, eco, report))
-}
-
-/// The physical half of a flow: pack, place, route, simulate, estimate.
-#[allow(clippy::too_many_arguments)]
-fn physical(
-    name: &str,
-    netlist: Netlist,
-    kind: ImplKind,
-    clock_control: Option<ClockControlStats>,
-    vectors: &[Vec<bool>],
-    idle: f64,
-    cfg: &FlowConfig,
-    mut downgrades: Vec<Downgrade>,
-    eco_base: Option<&Netlist>,
-    mut stage: StageTimings,
-) -> Result<FlowReport, FlowError> {
-    netlist
-        .validate()
-        .map_err(|e| FlowError::new(name, FlowStage::Pack, FlowErrorKind::Netlist(e)))?;
-    let packed = pack(&netlist);
-    let mut implemented: Option<Implemented> = None;
-    let mut last_err = None;
-    let mut eco_failure: Option<String> = None;
-    let netlist_bytes = cache::encode_netlist(&netlist);
-    'devices: for &device in &device_ladder(cfg) {
-        // ECO first: pin the base at the plain design's coordinates and
-        // place only the delta. Any failure falls through to the full
-        // placement on the same device.
-        if let Some(base) = eco_base {
-            let t = Instant::now();
-            match try_eco(&netlist, &netlist_bytes, base, device, cfg) {
-                Ok((eco_packed, eco, report)) => {
-                    stage.place_ms += ms_since(t);
-                    let t = Instant::now();
-                    match route(&netlist, &eco_packed, &eco.placement, cfg.route) {
-                        Ok(routed) => {
-                            stage.route_ms += ms_since(t);
-                            implemented = Some(Implemented {
-                                device,
-                                coord_digest: cache::coords_digest(
-                                    &eco.placement.clb_loc,
-                                    &eco.placement.bram_loc,
-                                    &eco.placement.iob_loc,
-                                ),
-                                place_fmax_est_mhz: place_fmax_estimate(
-                                    &netlist,
-                                    &eco_packed,
-                                    &eco.placement,
-                                    &cfg.delay,
-                                ),
-                                packed: eco_packed,
-                                place_budget: eco.placement.budget,
-                                routed,
-                                eco: Some(report),
-                            });
-                            break 'devices;
-                        }
-                        Err(e) => {
-                            stage.route_ms += ms_since(t);
-                            eco_failure = Some(format!("routing: {e}"));
-                        }
-                    }
-                }
-                Err(reason) => {
-                    stage.place_ms += ms_since(t);
-                    eco_failure = Some(reason);
-                }
-            }
-        }
-        let t = Instant::now();
-        let pkey = cache::place_key(&netlist_bytes, &device, cfg.place_opts());
-        let placement = match cache::load_placement(&pkey) {
-            Some(p) => p,
-            None => match place(&netlist, &packed, device, cfg.place_opts()) {
-                Ok(p) => {
-                    cache::store_placement(&pkey, &p);
-                    p
-                }
-                Err(e) => {
-                    stage.place_ms += ms_since(t);
-                    last_err = Some(FlowError::new(
-                        name,
-                        FlowStage::Place,
-                        FlowErrorKind::Place(e),
-                    ));
-                    continue;
-                }
-            },
-        };
-        stage.place_ms += ms_since(t);
-        let t = Instant::now();
-        match route(&netlist, &packed, &placement, cfg.route) {
-            Ok(routed) => {
-                stage.route_ms += ms_since(t);
-                implemented = Some(Implemented {
-                    device,
-                    packed: packed.clone(),
-                    place_budget: placement.budget,
-                    coord_digest: cache::coords_digest(
-                        &placement.clb_loc,
-                        &placement.bram_loc,
-                        &placement.iob_loc,
-                    ),
-                    place_fmax_est_mhz: place_fmax_estimate(
-                        &netlist,
-                        &packed,
-                        &placement,
-                        &cfg.delay,
-                    ),
-                    routed,
-                    eco: None,
-                });
-                break;
-            }
-            Err(e) => {
-                stage.route_ms += ms_since(t);
-                last_err = Some(FlowError::new(
-                    name,
-                    FlowStage::Route,
-                    FlowErrorKind::Route(e),
-                ));
-            }
+impl Implemented {
+    /// The evidence for `netlist` placed at `placement` and routed on
+    /// `device`, with the placer's pre-route fmax estimate (`NaN` when its
+    /// kernel cannot be built for the netlist).
+    fn new(
+        netlist: &Netlist,
+        device: Device,
+        packed: PackedDesign,
+        placement: &Placement,
+        routed: RoutedDesign,
+        delay: &DelayModel,
+    ) -> Self {
+        Implemented {
+            device,
+            place_budget: placement.budget,
+            coord_digest: placement_digest(placement),
+            place_fmax_est_mhz: fpga_fabric::sta::estimate_critical_ns(
+                netlist, &packed, placement, delay,
+            )
+            .map_or(f64::NAN, |ns| 1000.0 / ns.max(f64::MIN_POSITIVE)),
+            packed,
+            routed,
+            eco: None,
+            overlay: None,
         }
     }
-    let Some(imp) = implemented else {
-        return Err(last_err.unwrap_or_else(|| no_device_fits(name)));
-    };
-    // An ECO failure is only a downgrade if the flow did NOT end up on the
-    // ECO path (a later device may have succeeded incrementally).
-    if imp.eco.is_none() {
-        if let Some(reason) = eco_failure {
-            downgrades.push(Downgrade::EcoFallback { reason });
-        }
-    }
-    finish_report(
-        name,
-        &netlist,
-        kind,
-        clock_control,
-        vectors,
-        idle,
-        cfg,
-        downgrades,
-        imp,
-        stage,
-        None,
-    )
 }
 
-/// The physical half of the overlay flow: resolve (or build and cache)
-/// the class base's placement + routing on the device ladder, then reuse
-/// them verbatim for this machine. The FSM netlist shares the base's
-/// structure cell for cell and net for net — only the BRAM init images
-/// differ, and neither placement nor routing reads those — so the stored
-/// physical result is exact, not approximate. Budget and upsize
-/// downgrades replay deterministically from the stored artifact: the
-/// placement carries its own budget outcome, and the device is part of
-/// the key.
-#[allow(clippy::too_many_arguments)]
-fn overlay_physical(
-    name: &str,
-    netlist: Netlist,
-    class: OverlayClass,
-    vectors: &[Vec<bool>],
-    idle: f64,
-    cfg: &FlowConfig,
-    downgrades: Vec<Downgrade>,
-    mut stage: StageTimings,
-) -> Result<FlowReport, FlowError> {
-    netlist
-        .validate()
-        .map_err(|e| FlowError::new(name, FlowStage::Pack, FlowErrorKind::Netlist(e)))?;
-    let mut base = netlist.with_zeroed_bram_init();
-    base.name = class.label();
-    let base_bytes = cache::encode_netlist(&base);
-    let packed = pack(&netlist);
-    let mut implemented: Option<Implemented> = None;
-    let mut last_err = None;
-    let mut base_hit = false;
-    for &device in &device_ladder(cfg) {
-        let bkey = cache::overlay_base_key(&base_bytes, &device, cfg.place_opts(), cfg.route);
-        let t = Instant::now();
-        let (ovl_base, hit) = match cache::load_overlay_base(&bkey) {
-            Some(b) => {
-                stage.place_ms += ms_since(t);
-                (b, true)
+/// Digest over a placement's CLB, BRAM and IOB site lists.
+fn placement_digest(p: &Placement) -> String {
+    cache::coords_digest(&p.clb_loc, &p.bram_loc, &p.iob_loc)
+}
+
+/// What every device attempt of one design shares.
+struct Target<'a> {
+    name: &'a str,
+    netlist: &'a Netlist,
+    packed: PackedDesign,
+    /// The bytes the physical artifacts are keyed by: the netlist's own,
+    /// or the class base's on the overlay.
+    key_bytes: Vec<u8>,
+    cfg: &'a FlowConfig,
+}
+
+impl Target<'_> {
+    fn place_error(&self, e: PlaceError) -> FlowError {
+        FlowError::new(self.name, FlowStage::Place, FlowErrorKind::Place(e))
+    }
+
+    fn route_error(&self, e: RouteError) -> FlowError {
+        FlowError::new(self.name, FlowStage::Route, FlowErrorKind::Route(e))
+    }
+
+    /// Full placement (loaded, or computed and cached) and routing.
+    fn full(&self, device: Device, stage: &mut StageTimings) -> Result<Implemented, FlowError> {
+        let popts = self.cfg.place_opts();
+        let placement = timed(&mut stage.place_ms, || {
+            let key = cache::place_key(&self.key_bytes, &device, popts);
+            if let Some(p) = cache::load_placement(&key) {
+                return Ok(p);
             }
+            let p = place(self.netlist, &self.packed, device, popts)?;
+            cache::store_placement(&key, &p);
+            Ok(p)
+        })
+        .map_err(|e| self.place_error(e))?;
+        let routed = timed(&mut stage.route_ms, || {
+            route(self.netlist, &self.packed, &placement, self.cfg.route)
+        })
+        .map_err(|e| self.route_error(e))?;
+        Ok(Implemented::new(
+            self.netlist,
+            device,
+            self.packed.clone(),
+            &placement,
+            routed,
+            &self.cfg.delay,
+        ))
+    }
+
+    /// The ECO attempt: reuse (or compute and cache) the base netlist's
+    /// placement, pack this netlist as base + delta, pin every base
+    /// entity, place only the delta, and route. A failure comes back as
+    /// the display string for the [`Downgrade::EcoFallback`] record.
+    fn eco(
+        &self,
+        base: &Netlist,
+        device: Device,
+        stage: &mut StageTimings,
+    ) -> Result<Implemented, String> {
+        let popts = self.cfg.place_opts();
+        let (packed, eco, report) = timed(&mut stage.place_ms, || {
+            let base_packed = pack(base);
+            let bkey = cache::place_key(&cache::encode_netlist(base), &device, popts);
+            let (base_placement, base_reuse_cache_hit) = match cache::load_placement(&bkey) {
+                Some(p) => (p, true),
+                None => {
+                    let p = place(base, &base_packed, device, popts)
+                        .map_err(|e| format!("base placement: {e}"))?;
+                    cache::store_placement(&bkey, &p);
+                    (p, false)
+                }
+            };
+            let packed = pack_partitioned(self.netlist, &base_packed, base.cells().len())
+                .map_err(|e| format!("partitioned pack: {e}"))?;
+            let pins = PinnedEntities::pin_base(&base_placement, &packed);
+            let base_coord_digest = placement_digest(&base_placement);
+            let ekey = cache::eco_place_key(&self.key_bytes, &device, popts, &base_coord_digest);
+            let eco = match cache::load_eco_placement(&ekey) {
+                // A cached ECO placement must still honour today's pin map
+                // (the key makes collisions unlikely; the check makes them
+                // harmless).
+                Some(e)
+                    if e.placement.device.name == device.name
+                        && verify_eco_placement(&e.placement, &pins).is_ok() =>
+                {
+                    e
+                }
+                _ => {
+                    let e = place_incremental(self.netlist, &packed, device, popts, &pins)
+                        .map_err(|e| format!("eco placement: {e}"))?;
+                    cache::store_eco_placement(&ekey, &e);
+                    e
+                }
+            };
+            let report = EcoReport {
+                pinned_entities: eco.pinned_entities,
+                delta_entities: eco.delta_entities,
+                delta_hpwl: eco.delta_hpwl,
+                base_reuse_cache_hit,
+                base_coord_digest,
+            };
+            Ok::<_, String>((packed, eco, report))
+        })?;
+        let routed = timed(&mut stage.route_ms, || {
+            route(self.netlist, &packed, &eco.placement, self.cfg.route)
+        })
+        .map_err(|e| format!("routing: {e}"))?;
+        let mut imp = Implemented::new(
+            self.netlist,
+            device,
+            packed,
+            &eco.placement,
+            routed,
+            &self.cfg.delay,
+        );
+        imp.eco = Some(report);
+        Ok(imp)
+    }
+
+    /// The overlay attempt: load the class base's placement and routing
+    /// (or build and store them) and reuse them verbatim for this netlist.
+    fn overlay(
+        &self,
+        class: &OverlayClass,
+        base: &Netlist,
+        device: Device,
+        stage: &mut StageTimings,
+    ) -> Result<Implemented, FlowError> {
+        let popts = self.cfg.place_opts();
+        let bkey = cache::overlay_base_key(&self.key_bytes, &device, popts, self.cfg.route);
+        let stored = timed(&mut stage.place_ms, || cache::load_overlay_base(&bkey));
+        let base_cache_hit = stored.is_some();
+        let ovl_base = match stored {
+            Some(b) => b,
             None => {
-                let base_packed = pack(&base);
-                let placement = match place(&base, &base_packed, device, cfg.place_opts()) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        stage.place_ms += ms_since(t);
-                        last_err = Some(FlowError::new(
-                            name,
-                            FlowStage::Place,
-                            FlowErrorKind::Place(e),
-                        ));
-                        continue;
-                    }
-                };
-                stage.place_ms += ms_since(t);
-                let t = Instant::now();
-                let routed = match route(&base, &base_packed, &placement, cfg.route) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        stage.route_ms += ms_since(t);
-                        last_err = Some(FlowError::new(
-                            name,
-                            FlowStage::Route,
-                            FlowErrorKind::Route(e),
-                        ));
-                        continue;
-                    }
-                };
-                stage.route_ms += ms_since(t);
+                let base_packed = pack(base);
+                let placement = timed(&mut stage.place_ms, || {
+                    place(base, &base_packed, device, popts)
+                })
+                .map_err(|e| self.place_error(e))?;
+                let routed = timed(&mut stage.route_ms, || {
+                    route(base, &base_packed, &placement, self.cfg.route)
+                })
+                .map_err(|e| self.route_error(e))?;
                 let b = cache::OverlayBase { placement, routed };
                 cache::store_overlay_base(&bkey, &b);
-                (b, false)
+                b
             }
         };
-        base_hit = hit;
-        implemented = Some(Implemented {
+        let mut imp = Implemented::new(
+            self.netlist,
             device,
-            coord_digest: cache::coords_digest(
-                &ovl_base.placement.clb_loc,
-                &ovl_base.placement.bram_loc,
-                &ovl_base.placement.iob_loc,
-            ),
-            place_fmax_est_mhz: place_fmax_estimate(
-                &netlist,
-                &packed,
-                &ovl_base.placement,
-                &cfg.delay,
-            ),
-            packed: packed.clone(),
-            place_budget: ovl_base.placement.budget,
-            routed: ovl_base.routed,
-            eco: None,
+            self.packed.clone(),
+            &ovl_base.placement,
+            ovl_base.routed,
+            &self.cfg.delay,
+        );
+        imp.overlay = Some(OverlayReport {
+            base_cache_hit,
+            class: class.label(),
+            addr_bits: class.addr_bits(),
+            state_bits: class.state_bits,
+            data_bits: class.data_width(),
+            banks: class.banks,
         });
-        break;
+        Ok(imp)
     }
-    let Some(imp) = implemented else {
-        return Err(last_err.unwrap_or_else(|| no_device_fits(name)));
-    };
-    let overlay = OverlayReport {
-        base_cache_hit: base_hit,
-        class: class.label(),
-        addr_bits: class.addr_bits(),
-        state_bits: class.state_bits,
-        data_bits: class.data_width(),
-        banks: class.banks,
-    };
-    finish_report(
-        name,
-        &netlist,
-        ImplKind::EmbOverlay,
-        None,
-        vectors,
-        idle,
-        cfg,
-        downgrades,
-        imp,
-        stage,
-        Some(overlay),
-    )
 }
 
 /// The devices a flow may implement on: the configured device, then —
@@ -1532,91 +1288,116 @@ fn device_ladder(cfg: &FlowConfig) -> Vec<Device> {
     }
 }
 
-/// The error reported when every ladder device was exhausted without a
-/// stage-specific failure to blame.
-fn no_device_fits(name: &str) -> FlowError {
-    FlowError::new(
-        name,
-        FlowStage::Place,
-        FlowErrorKind::Place(PlaceError::DoesNotFit {
-            what: "devices",
-            need: 1,
-            have: 0,
-        }),
-    )
-}
-
-/// The shared tail of every physical flow: records the device-upsize and
-/// place-budget downgrades, analyzes timing, simulates the stimulus for
-/// switching activity, estimates power, and assembles the report.
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    name: &str,
-    netlist: &Netlist,
-    kind: ImplKind,
-    clock_control: Option<ClockControlStats>,
-    vectors: &[Vec<bool>],
-    idle: f64,
+/// The physical driver every flow shares: validate and pack the design,
+/// walk the device ladder resolving each device as `resolve` says until
+/// one succeeds, record the upsize and place-budget downgrades, analyze
+/// timing, simulate the stimulus for switching activity, estimate power,
+/// and assemble the report.
+fn physical(
+    design: Design,
+    oracle: Option<&Stg>,
+    stimulus: &Stimulus,
     cfg: &FlowConfig,
-    mut downgrades: Vec<Downgrade>,
-    imp: Implemented,
-    stage: StageTimings,
-    overlay: Option<OverlayReport>,
+    resolve: Resolve,
 ) -> Result<FlowReport, FlowError> {
-    let Implemented {
-        device,
-        packed,
-        place_budget,
-        routed,
-        coord_digest,
-        place_fmax_est_mhz,
-        eco,
-    } = imp;
-    if device.name != cfg.device.name {
+    let Design {
+        name,
+        kind,
+        netlist,
+        clock_control,
+        mut downgrades,
+        mut stage,
+    } = design;
+    let fail = |stage, kind| FlowError::new(name.as_str(), stage, kind);
+    let (vectors, idle) = stimulus_vectors(stimulus, oracle, &netlist, cfg)
+        .ok_or_else(|| fail(FlowStage::Simulate, FlowErrorKind::NeedsOracle))?;
+    netlist
+        .validate()
+        .map_err(|e| fail(FlowStage::Pack, FlowErrorKind::Netlist(e)))?;
+    let target = Target {
+        name: &name,
+        netlist: &netlist,
+        packed: pack(&netlist),
+        key_bytes: cache::encode_netlist(match &resolve {
+            Resolve::Overlay { base, .. } => base,
+            _ => &netlist,
+        }),
+        cfg,
+    };
+    let mut last_err = None;
+    let mut eco_failure = None;
+    let implemented = device_ladder(cfg).into_iter().find_map(|device| {
+        let attempt = match &resolve {
+            Resolve::Full => target.full(device, &mut stage),
+            Resolve::Eco(base) => target.eco(base, device, &mut stage).or_else(|reason| {
+                eco_failure = Some(reason);
+                target.full(device, &mut stage)
+            }),
+            Resolve::Overlay { class, base } => target.overlay(class, base, device, &mut stage),
+        };
+        attempt.map_err(|e| last_err = Some(e)).ok()
+    });
+    let Some(imp) = implemented else {
+        return Err(last_err.unwrap_or_else(|| {
+            fail(
+                FlowStage::Place,
+                FlowErrorKind::Place(PlaceError::DoesNotFit {
+                    what: "devices",
+                    need: 1,
+                    have: 0,
+                }),
+            )
+        }));
+    };
+    // An ECO failure is only a downgrade if the flow did NOT end up on the
+    // ECO path (a later device may have succeeded incrementally).
+    if imp.eco.is_none() {
+        downgrades.extend(eco_failure.map(|reason| Downgrade::EcoFallback { reason }));
+    }
+    if imp.device.name != cfg.device.name {
         downgrades.push(Downgrade::DeviceUpsized {
             from: cfg.device.name,
-            to: device.name,
+            to: imp.device.name,
         });
     }
-    if let fpga_fabric::place::BudgetOutcome::Exhausted { spent } = place_budget {
+    if let BudgetOutcome::Exhausted { spent } = imp.place_budget {
         downgrades.push(Downgrade::PlaceBudgetExhausted { spent });
     }
-    let timing = analyze(netlist, &routed, &cfg.delay);
+    let timing = analyze(&netlist, &imp.routed, &cfg.delay);
 
     // Activity recording runs on the bit-parallel kernel in single-lane
     // mode: the stimulus is one sequential stream, so only one lane
     // carries it, but toggle counting still goes through the word-wide
     // XOR/popcount path and is bit-identical to the scalar engine.
-    let mut sim = BatchSimulator::new(netlist)
-        .map_err(|e| FlowError::new(name, FlowStage::Simulate, FlowErrorKind::Netlist(e)))?;
-    sim.run_sequential(vectors);
-    let activity = sim.activity();
+    let mut sim = BatchSimulator::new(&netlist)
+        .map_err(|e| fail(FlowStage::Simulate, FlowErrorKind::Netlist(e)))?;
+    sim.run_sequential(&vectors);
     let power: Vec<PowerReport> = cfg
         .freqs_mhz
         .iter()
         .map(|&f| {
-            estimate(netlist, &routed, activity, f, &cfg.power)
-                .map_err(|e| FlowError::new(name, FlowStage::Simulate, FlowErrorKind::Power(e)))
+            estimate(&netlist, &imp.routed, sim.activity(), f, &cfg.power)
+                .map_err(|e| fail(FlowStage::Simulate, FlowErrorKind::Power(e)))
         })
         .collect::<Result<_, _>>()?;
 
     Ok(FlowReport {
-        name: name.to_string(),
+        area: imp.packed.area(&netlist),
+        name,
         kind,
-        area: packed.area(netlist),
         power,
         timing,
         idle_fraction: idle,
         clock_control,
-        total_wirelength: routed.total_wirelength,
-        device,
+        total_wirelength: imp.routed.total_wirelength,
+        device: imp.device,
         downgrades,
         cache: cache::CacheStats::default(),
-        coord_digest,
-        place_fmax_est_mhz,
-        eco,
+        coord_digest: imp.coord_digest,
+        place_fmax_est_mhz: imp.place_fmax_est_mhz,
+        eco: imp.eco,
         stage_ms: stage,
-        overlay,
+        overlay: imp.overlay,
     })
 }
 

@@ -880,7 +880,7 @@ impl TimingCtx {
         }
         self.kernel.flush();
         self.refreshes += 1;
-        if self.retime_interval > 0 && self.refreshes % self.retime_interval == 0 {
+        if self.retime_interval > 0 && self.refreshes.is_multiple_of(self.retime_interval) {
             let matched = self.kernel.full_retime();
             debug_assert!(
                 matched,

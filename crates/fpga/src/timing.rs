@@ -75,7 +75,6 @@ pub fn analyze(netlist: &Netlist, routed: &RoutedDesign, model: &DelayModel) -> 
     let order = netlist
         .validate()
         .expect("timing analysis requires a valid netlist");
-    let driver = netlist.driver_map();
 
     let net_delay =
         |net: NetId| -> f64 { model.net_base + model.net_per_hop * routed.wirelength(net) as f64 };
@@ -170,7 +169,6 @@ pub fn analyze(netlist: &Netlist, routed: &RoutedDesign, model: &DelayModel) -> 
     }
     critical_nets.reverse();
 
-    let _ = driver; // driver map retained for future hold analysis
     let critical_path_ns = critical.max(f64::MIN_POSITIVE);
     TimingReport {
         critical_path_ns,

@@ -281,7 +281,7 @@ pub fn generate(spec: &StgSpec) -> Result<Stg, GenerateError> {
     let capacity = 1usize << support_size.min(20);
     let mut child_count = vec![0usize; n];
     let mut tree_parent = vec![0usize; n];
-    for k in 1..n {
+    for (k, parent) in tree_parent.iter_mut().enumerate().skip(1) {
         let available: Vec<usize> = (0..k).filter(|&p| child_count[p] < capacity).collect();
         if available.is_empty() {
             return Err(GenerateError::FanoutUnhostable {
@@ -291,7 +291,7 @@ pub fn generate(spec: &StgSpec) -> Result<Stg, GenerateError> {
         }
         let p = available[rng.random_range(0..available.len())];
         child_count[p] += 1;
-        tree_parent[k] = p;
+        *parent = p;
     }
 
     // For each state, split its support subspace into disjoint cubes.
@@ -563,7 +563,7 @@ mod tests {
         };
         let stg = generate(&spec).expect("generates");
         let t = stats(&stg).transitions;
-        assert!(t <= 2 * 6 - 1, "got {t} transitions, tree bound is 11");
+        assert!(t < 2 * 6, "got {t} transitions, tree bound is 11");
         // With an idle line: one extra quiescent self-loop per state.
         let idle = StgSpec {
             idle_line: Some(0),
@@ -571,7 +571,7 @@ mod tests {
         };
         let stg = generate(&idle).expect("generates");
         let t = stats(&stg).transitions;
-        assert!(t <= 3 * 6 - 1, "got {t} transitions with idle loops");
+        assert!(t < 3 * 6, "got {t} transitions with idle loops");
     }
 
     #[test]

@@ -966,7 +966,7 @@ mod tests {
         assert!(!b.lane_value(d, 9), "read-first on collision");
         assert!(!b.lane_value(d, 0), "lane 0 unaffected");
         // Next cycle lane 9 sees its own write; other lanes still 0.
-        b.clock_words(&vec![0u64; 20]);
+        b.clock_words(&[0u64; 20]);
         assert!(b.lane_value(d, 9));
         assert!(!b.lane_value(d, 0));
     }

@@ -9,6 +9,8 @@
 #
 # Beyond build+test, the robustness gates run (ISSUE 2 / 3 / 4 / 5):
 #
+#  * clippy — `cargo clippy --workspace --all-targets` must report no
+#    warnings (`-D warnings`);
 #  * exactness — the placer's oracle tests (O(1) quench vs the rescan
 #    reference, proposals vs materialized candidate lists), the keyb/sand
 #    placement pins, the STA differential and the placement-quality gate,
@@ -96,6 +98,10 @@ command -v cargo >/dev/null 2>&1 || fail "cargo not found on PATH"
 echo "== cargo build --release --offline" >&2
 cargo build --release --offline --workspace \
     || fail "release build failed (a registry-access error here means a Cargo.toml reintroduced an external dependency)"
+
+echo "== cargo clippy --offline --workspace --all-targets -- -D warnings" >&2
+cargo clippy --offline --workspace --all-targets -- -D warnings \
+    || fail "clippy reported warnings"
 
 echo "== cargo test -q --offline" >&2
 cargo test -q --offline --workspace "$@" \

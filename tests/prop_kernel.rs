@@ -176,10 +176,10 @@ fn kernel_lanes_match_scalar_engines_cycle_for_cycle() {
             .collect();
 
         for cycle in 0..cycles {
-            let rows: Vec<Vec<bool>> = (0..LANES).map(|l| streams[l][cycle].clone()).collect();
+            let rows: Vec<Vec<bool>> = streams.iter().map(|s| s[cycle].clone()).collect();
             batch.clock_words(&pack_rows(&rows, width));
             for (lane, scalar) in scalars.iter_mut().enumerate() {
-                let outs = scalar.clock(&streams[lane][cycle]);
+                let outs = scalar.clock(&rows[lane]);
                 assert_eq!(
                     outs,
                     batch.lane_outputs(lane),
