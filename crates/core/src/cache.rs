@@ -57,7 +57,7 @@
 
 use crate::flow::ClockControlStats;
 use fpga_fabric::device::{BramShape, Device};
-use fpga_fabric::netlist::{BramWrite, Cell, NetId, Netlist};
+use fpga_fabric::netlist::{Cell, NetId, Netlist};
 use fpga_fabric::place::{BudgetOutcome, EcoPlacement, PlaceOptions, Placement};
 use fpga_fabric::route::{NetRoute, RouteOptions, RoutedDesign};
 use fsm_model::stg::Stg;
@@ -719,7 +719,6 @@ pub fn encode_netlist(n: &Netlist) -> Vec<u8> {
                 en,
                 init,
                 output_init,
-                write,
             } => {
                 let en = en.map_or_else(|| "-".to_string(), |c| c.0.to_string());
                 let _ = write!(
@@ -739,17 +738,6 @@ pub fn encode_netlist(n: &Netlist) -> Vec<u8> {
                 let _ = write!(s, " m{}", init.len());
                 for word in init {
                     let _ = write!(s, " {word:x}");
-                }
-                if let Some(w) = write {
-                    let _ = write!(s, " W{}", w.addr.len());
-                    for a in &w.addr {
-                        let _ = write!(s, " {}", a.0);
-                    }
-                    let _ = write!(s, " D{}", w.data.len());
-                    for d in &w.data {
-                        let _ = write!(s, " {}", d.0);
-                    }
-                    let _ = write!(s, " {}", w.we.0);
                 }
                 s.push('\n');
             }
@@ -804,14 +792,17 @@ pub fn decode_netlist(bytes: &[u8]) -> Option<Netlist> {
                     "-" => None,
                     v => Some(NetId(v.parse().ok()?)),
                 };
-                let init = it.next()? == "1";
+                let init = bit(it.next()?)?;
+                if it.next().is_some() {
+                    return None;
+                }
                 n.add_cell(Cell::Ff { d, q, ce, init });
             }
             "C" => {
                 let (output, value) = rest.split_once(' ')?;
                 n.add_cell(Cell::Const {
                     output: NetId(output.parse().ok()?),
-                    value: value == "1",
+                    value: bit(value)?,
                 });
             }
             "B" => {
@@ -838,25 +829,11 @@ pub fn decode_netlist(bytes: &[u8]) -> Option<Netlist> {
                 let init = (0..nm)
                     .map(|_| it.next().and_then(|t| u64::from_str_radix(t, 16).ok()))
                     .collect::<Option<Vec<_>>>()?;
-                let write = match it.next() {
-                    None => None,
-                    Some(wa) => {
-                        let nwa: usize = wa.strip_prefix('W')?.parse().ok()?;
-                        let waddr = (0..nwa)
-                            .map(|_| it.next().and_then(|t| t.parse().ok()).map(NetId))
-                            .collect::<Option<Vec<_>>>()?;
-                        let nwd: usize = it.next()?.strip_prefix('D')?.parse().ok()?;
-                        let wdata = (0..nwd)
-                            .map(|_| it.next().and_then(|t| t.parse().ok()).map(NetId))
-                            .collect::<Option<Vec<_>>>()?;
-                        let we = NetId(it.next()?.parse().ok()?);
-                        Some(BramWrite {
-                            addr: waddr,
-                            data: wdata,
-                            we,
-                        })
-                    }
-                };
+                // Any token after the memory words makes the record
+                // malformed: decoding the prefix would be another netlist.
+                if it.next().is_some() {
+                    return None;
+                }
                 n.add_cell(Cell::Bram {
                     shape,
                     addr,
@@ -864,13 +841,21 @@ pub fn decode_netlist(bytes: &[u8]) -> Option<Netlist> {
                     en,
                     init,
                     output_init,
-                    write,
                 });
             }
             _ => return None,
         }
     }
     (expect_net == num_nets).then_some(n)
+}
+
+/// A `0`/`1` field of a netlist record.
+fn bit(token: &str) -> Option<bool> {
+    match token {
+        "0" => Some(false),
+        "1" => Some(true),
+        _ => None,
+    }
 }
 
 // --- front-end artifacts ----------------------------------------------
@@ -1239,6 +1224,32 @@ mod tests {
         assert_eq!(n.outputs(), back.outputs());
         // Encoding is stable: same netlist, same bytes, same key.
         assert_eq!(bytes, encode_netlist(&back));
+    }
+
+    #[test]
+    fn trailing_tokens_are_a_miss() {
+        let stg = sequence_detector_0101();
+        let emb = crate::map::map_fsm_into_embs(&stg, &crate::map::EmbOptions::default()).unwrap();
+        let text = String::from_utf8(encode_netlist(&emb.to_netlist())).unwrap();
+        assert!(decode_netlist(text.as_bytes()).is_some());
+        let patched = |tag: &str, tail: &str| -> String {
+            let mut out = String::new();
+            for line in text.lines() {
+                out.push_str(line);
+                if line.starts_with(tag) {
+                    out.push_str(tail);
+                }
+                out.push('\n');
+            }
+            assert_ne!(out, text, "the netlist has a {tag:?} line");
+            out
+        };
+        // The older write-port tail after a BRAM's memory words: nine
+        // write address nets, one data net, then the write enable.
+        let write_port = format!(" W9{} D1 0 0", " 0".repeat(9));
+        assert!(decode_netlist(patched("B ", &write_port).as_bytes()).is_none());
+        // The ground constant that pads the BRAM's unused address pins.
+        assert!(decode_netlist(patched("C ", " 0").as_bytes()).is_none());
     }
 
     #[test]

@@ -26,8 +26,6 @@
 //! * [`eco`] — content rewrites without re-place-and-route;
 //! * [`overlay`] — pre-placed, pre-routed overlay bases shared by whole
 //!   classes of machines; per-FSM compile is a memory-content update;
-//! * [`reconfig`] — the same rewrites performed *live* through the
-//!   BRAM's second (write) port while the machine runs;
 //! * [`flow`] — end-to-end implement/simulate/estimate pipelines
 //!   (Fig. 6) producing the rows of the paper's tables;
 //! * [`vhdl`] — structural VHDL export with UNISIM primitives and
@@ -65,7 +63,6 @@ pub mod flow;
 pub mod map;
 pub mod netlist_build;
 pub mod overlay;
-pub mod reconfig;
 pub mod stimulus;
 pub mod verify;
 pub mod vhdl;

@@ -475,23 +475,8 @@ impl EmbFsm {
     /// net. Returns the netlist and, when requested, the net that must be
     /// driven by enable logic (all BRAM `EN` pins are tied to it).
     #[must_use]
-    pub fn to_netlist_with_enable(&self, with_enable: bool) -> (Netlist, Option<NetId>) {
-        let (n, en, _) = self.build_netlist(with_enable, false);
-        (n, en)
-    }
-
-    /// Full-control netlist builder: optionally reserves the enable net
-    /// and/or adds a top-level write port (`w_addr_*`, `w_data_*`, `w_en`)
-    /// on every BRAM for run-time content updates (single-bank mappings
-    /// only; see [`crate::reconfig`]). Returns the netlist, the enable net
-    /// and the write-port presence flag.
-    #[must_use]
     #[allow(clippy::needless_range_loop)] // bank/bit/address indexing reads clearest
-    pub fn build_netlist(
-        &self,
-        with_enable: bool,
-        with_write_port: bool,
-    ) -> (Netlist, Option<NetId>, bool) {
+    pub fn to_netlist_with_enable(&self, with_enable: bool) -> (Netlist, Option<NetId>) {
         let stg = &self.stg;
         let s = self.num_state_bits();
         let num_inputs = stg.num_inputs();
@@ -545,28 +530,6 @@ impl EmbFsm {
             None
         };
 
-        // Optional run-time write port (single-bank mappings only — a
-        // banked write would additionally need bank-select decode).
-        let write_port = if with_write_port && self.banks == 1 {
-            let waddr: Vec<NetId> = (0..self.logical_addr_bits())
-                .map(|b| n.add_net(format!("w_addr_{b}")))
-                .collect();
-            let wdata: Vec<NetId> = (0..self.data_width)
-                .map(|b| n.add_net(format!("w_data_{b}")))
-                .collect();
-            let we = n.add_net("w_en");
-            for (b, net) in waddr.iter().enumerate() {
-                n.add_input(format!("w_addr_{b}"), *net);
-            }
-            for (b, net) in wdata.iter().enumerate() {
-                n.add_input(format!("w_data_{b}"), *net);
-            }
-            n.add_input("w_en", we);
-            Some((waddr, wdata, we))
-        } else {
-            None
-        };
-
         // Ground net for unused address pins.
         let mut ground: Option<NetId> = None;
         let mut ground_net = |n: &mut Netlist| -> NetId {
@@ -616,17 +579,6 @@ impl EmbFsm {
                     let word = self.rom[bank_base + a];
                     init[a] = (word >> lo_bit) & mask_bits(hi_bit - lo_bit);
                 }
-                let write = write_port.as_ref().map(|(waddr, wdata, we)| {
-                    let mut w_addr = waddr.clone();
-                    while w_addr.len() < self.shape.addr_bits {
-                        w_addr.push(ground_net(&mut n));
-                    }
-                    fpga_fabric::netlist::BramWrite {
-                        addr: w_addr,
-                        data: wdata[lo_bit..hi_bit].to_vec(),
-                        we: *we,
-                    }
-                });
                 n.add_cell(Cell::Bram {
                     shape: self.shape,
                     addr,
@@ -634,7 +586,6 @@ impl EmbFsm {
                     en: en_net,
                     init,
                     output_init: 0,
-                    write,
                 });
             }
         }
@@ -708,7 +659,7 @@ impl EmbFsm {
                 }
             }
         }
-        (n, en_net, write_port.is_some())
+        (n, en_net)
     }
 }
 

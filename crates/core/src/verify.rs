@@ -1,10 +1,23 @@
-//! Lockstep equivalence checking against the STG oracle.
+//! Equivalence checking against the STG oracle.
 //!
-//! Every hardware artifact this crate produces — the FF baseline, the EMB
-//! mapping in all its variants, the clock-controlled versions, ECO
-//! rewrites — is verified by simulating it next to
-//! [`fsm_model::simulate::StgSimulator`] over a deterministic random
-//! stimulus and comparing the FSM outputs cycle by cycle.
+//! Every hardware artifact this crate produces is checked against its
+//! machine's STG, on one of two rungs:
+//!
+//! * [`verify_against_stg`] — lockstep simulation next to
+//!   [`fsm_model::simulate::StgSimulator`] over a deterministic random
+//!   stimulus, comparing the FSM outputs cycle by cycle. The flow checks
+//!   the FF baseline and its clock-gated variant this way;
+//! * [`verify_rewrite`] — the ladder for EMB mappings in all their
+//!   variants, clock-controlled EMB netlists and overlay instances: the
+//!   exhaustive product-walk proof [`verify_exhaustive`] whenever the
+//!   input count can be enumerated, and the sampled lockstep rung (a
+//!   typed downgrade) above that.
+//!
+//! [`netlists_equivalent`] decides equivalence of two netlists by the
+//! same product walk. Both walks run on the bit-parallel kernel; the
+//! scalar walks ([`verify_exhaustive_scalar`],
+//! [`netlists_equivalent_scalar`]) are kept only as their
+//! differential-testing oracles and benchmark baseline.
 
 use fpga_fabric::netlist::{NetId, Netlist, NetlistError};
 use fsm_model::simulate::StgSimulator;
@@ -556,9 +569,8 @@ impl BitOracle {
 /// the report counts and the first-divergence witness are identical to
 /// [`verify_exhaustive_scalar`]. The oracle side is bit-sliced too: the
 /// STG is stepped for a whole node's lanes with word operations, and
-/// outputs are compared word-wise. Netlists with BRAM write ports fall
-/// back to the scalar walk (their memory contents are architectural state
-/// beyond the sequential nets, so the lane snapshot would under-key).
+/// outputs are compared word-wise. Every BRAM is a ROM, so the
+/// sequential nets are the whole implementation state.
 ///
 /// # Errors
 ///
@@ -572,9 +584,6 @@ pub fn verify_exhaustive(
 ) -> Result<ExhaustiveReport, VerifyError> {
     check_exhaustive_bounds(netlist, stg, max_inputs)?;
     let mut sim = BatchSimulator::new(netlist)?;
-    if sim.has_write_ports() {
-        return scalar_exhaustive_walk(netlist, stg, timing);
-    }
     sim.set_active(0);
 
     let num_inputs = stg.num_inputs();
@@ -686,9 +695,7 @@ fn check_exhaustive_bounds(
 
 /// The scalar (one edge per clock) exhaustive product walk — the original
 /// implementation, retained as the differential-testing oracle for the
-/// bit-parallel walk and as the benchmark baseline. [`verify_exhaustive`]
-/// also routes here for netlists with BRAM write ports, whose memory
-/// contents the batched sequential-net snapshot cannot key.
+/// bit-parallel walk and as the benchmark baseline.
 ///
 /// # Errors
 ///
@@ -701,14 +708,6 @@ pub fn verify_exhaustive_scalar(
     max_inputs: usize,
 ) -> Result<ExhaustiveReport, VerifyError> {
     check_exhaustive_bounds(netlist, stg, max_inputs)?;
-    scalar_exhaustive_walk(netlist, stg, timing)
-}
-
-fn scalar_exhaustive_walk(
-    netlist: &Netlist,
-    stg: &Stg,
-    timing: OutputTiming,
-) -> Result<ExhaustiveReport, VerifyError> {
     let base = Simulator::new(netlist)?;
 
     // Joint state key: oracle (state, latched outputs) + implementation
@@ -856,8 +855,7 @@ pub fn verify_rewrite(
 ///
 /// Like [`verify_exhaustive`], the walk runs on the bit-parallel kernel
 /// and the same batch-aligned walk — two lockstep [`BatchSimulator`]s
-/// expand 64 joint edges per clock — and falls back to the scalar
-/// pairwise walk when either netlist has BRAM write ports.
+/// expand 64 joint edges per clock.
 ///
 /// # Errors
 ///
@@ -871,9 +869,6 @@ pub fn netlists_equivalent(
     let num_inputs = check_pair_bounds(a, b, max_inputs)?;
     let mut sa = BatchSimulator::new(a)?;
     let mut sb = BatchSimulator::new(b)?;
-    if sa.has_write_ports() || sb.has_write_ports() {
-        return netlists_equivalent_scalar_walk(a, b, num_inputs);
-    }
     sa.set_active(0);
     sb.set_active(0);
     let out_pairs: Vec<(NetId, NetId)> = a
@@ -929,8 +924,7 @@ fn check_pair_bounds(a: &Netlist, b: &Netlist, max_inputs: usize) -> Result<usiz
 }
 
 /// The scalar (one edge per clock) pairwise product walk — the
-/// differential-testing oracle of [`netlists_equivalent`], which also
-/// routes here for netlists with BRAM write ports.
+/// differential-testing oracle of [`netlists_equivalent`].
 ///
 /// # Errors
 ///
@@ -941,14 +935,6 @@ pub fn netlists_equivalent_scalar(
     max_inputs: usize,
 ) -> Result<bool, VerifyError> {
     let num_inputs = check_pair_bounds(a, b, max_inputs)?;
-    netlists_equivalent_scalar_walk(a, b, num_inputs)
-}
-
-fn netlists_equivalent_scalar_walk(
-    a: &Netlist,
-    b: &Netlist,
-    num_inputs: usize,
-) -> Result<bool, VerifyError> {
     let snapshot = |n: &Netlist, sim: &Simulator<'_>| -> Vec<bool> {
         let mut v = Vec::new();
         for cell in n.cells() {

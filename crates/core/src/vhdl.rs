@@ -113,7 +113,6 @@ pub fn render(netlist: &Netlist) -> String {
                 en,
                 init,
                 output_init,
-                write,
             } => {
                 let _ = writeln!(out, "  u{i} : {}", bram_component(*shape));
                 let mut generics: Vec<String> = vec![format!("INIT => X\"{output_init:X}\"")];
@@ -136,19 +135,7 @@ pub fn render(netlist: &Netlist) -> String {
                 for (b, n) in dout.iter().enumerate() {
                     pins.push(format!("DO({b}) => {}", sig.of(*n)));
                 }
-                match write {
-                    Some(w) => {
-                        pins.retain(|p| p != "WE => '0'");
-                        pins.push(format!("WE => {}", sig.of(w.we)));
-                        for (b, wn) in w.addr.iter().enumerate() {
-                            pins.push(format!("ADDRB({b}) => {}", sig.of(*wn)));
-                        }
-                        for (b, wn) in w.data.iter().enumerate() {
-                            pins.push(format!("DI({b}) => {}", sig.of(*wn)));
-                        }
-                    }
-                    None => pins.push("DI => (others => '0')".to_string()),
-                }
+                pins.push("DI => (others => '0')".to_string());
                 let _ = writeln!(out, "    port map ({});", pins.join(", "));
             }
             Cell::Const { output, value } => {

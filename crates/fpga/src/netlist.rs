@@ -34,19 +34,6 @@ impl CellId {
     }
 }
 
-/// The optional write port of a block RAM (the second port of the
-/// dual-port Virtex-II BRAM, used here to rewrite FSM contents at run
-/// time — the paper's ECO story without reconfiguration).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BramWrite {
-    /// Write-address nets, LSB first (`shape.addr_bits` of them).
-    pub addr: Vec<NetId>,
-    /// Write-data nets, LSB first (up to `shape.data_bits`).
-    pub data: Vec<NetId>,
-    /// Write enable.
-    pub we: NetId,
-}
-
 /// A mapped cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
@@ -88,8 +75,6 @@ pub enum Cell {
         /// Output-latch value after configuration/reset (the paper relies
         /// on cleared latches addressing word 0).
         output_init: u64,
-        /// Optional write port (read port is read-first on collisions).
-        write: Option<BramWrite>,
     },
     /// A constant driver.
     Const {
@@ -122,16 +107,9 @@ impl Cell {
                 v.extend(ce.iter().copied());
                 v
             }
-            Cell::Bram {
-                addr, en, write, ..
-            } => {
+            Cell::Bram { addr, en, .. } => {
                 let mut v = addr.clone();
                 v.extend(en.iter().copied());
-                if let Some(w) = write {
-                    v.extend(w.addr.iter().copied());
-                    v.extend(w.data.iter().copied());
-                    v.push(w.we);
-                }
                 v
             }
         }
@@ -414,29 +392,8 @@ impl Netlist {
                     addr,
                     dout,
                     init,
-                    write,
                     ..
                 } => {
-                    if let Some(w) = write {
-                        if w.addr.len() != shape.addr_bits {
-                            return Err(NetlistError::Malformed {
-                                cell: id,
-                                reason: format!(
-                                    "{} write-address pins for shape {shape}",
-                                    w.addr.len()
-                                ),
-                            });
-                        }
-                        if w.data.len() > shape.data_bits {
-                            return Err(NetlistError::Malformed {
-                                cell: id,
-                                reason: format!(
-                                    "{} write-data pins for shape {shape}",
-                                    w.data.len()
-                                ),
-                            });
-                        }
-                    }
                     if addr.len() != shape.addr_bits {
                         return Err(NetlistError::Malformed {
                             cell: id,
@@ -719,7 +676,6 @@ mod tests {
             en: None,
             init: vec![0; 512],
             output_init: 0,
-            write: None,
         });
         assert!(n.validate().is_ok());
 
@@ -738,7 +694,6 @@ mod tests {
             en: None,
             init: vec![0; 100],
             output_init: 0,
-            write: None,
         });
         assert!(matches!(
             bad.validate(),
@@ -766,7 +721,6 @@ mod tests {
             en: None,
             init: (0..512).map(|w| w as u64 * 3 + 1).collect(),
             output_init: 0,
-            write: None,
         });
         let z = n.with_zeroed_bram_init();
         assert!(z.validate().is_ok());

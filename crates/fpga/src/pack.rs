@@ -697,7 +697,6 @@ mod tests {
             en: None,
             init: vec![0; 512],
             output_init: 0,
-            write: None,
         });
         let p = pack(&n);
         assert_eq!(p.brams.len(), 1);

@@ -1,5 +1,5 @@
 //! The levelized evaluation schedule shared by the simulation engines and
-//! the incremental static-timing kernel.
+//! the static-timing kernel.
 //!
 //! `netsim`'s scalar and bit-parallel engines evaluate a netlist the same
 //! way: combinational cells in one fixed topological order, then the
@@ -8,9 +8,11 @@
 //! arrival/required propagation. This module computes that schedule once
 //! per netlist so the consumers cannot drift apart structurally — the
 //! evaluation *order*, the set of sequential cells, and the definition of
-//! the architectural state (the sequential nets) all come from here. It
-//! lives in `fpga_fabric` (the netlist's home crate) and is re-exported as
-//! `netsim::schedule` for the simulation engines.
+//! the architectural state all come from here. Every BRAM is a ROM, so
+//! the architectural state is exactly the sequential nets (FF `q` and
+//! BRAM `dout`). The module lives in `fpga_fabric` (the netlist's home
+//! crate) and is re-exported as `netsim::schedule` for the simulation
+//! engines.
 
 use crate::netlist::{Cell, CellId, NetId, Netlist, NetlistError};
 
@@ -26,12 +28,9 @@ pub struct Schedule {
     pub brams: Vec<CellId>,
     /// The architectural state nets: every FF `q` and BRAM `dout` net, in
     /// netlist cell order. Restoring these values fully determines the
-    /// machine state of a write-port-free design — combinational nets are
-    /// recomputed from them (and the primary inputs) by the next settle.
+    /// machine state — combinational nets are recomputed from them (and
+    /// the primary inputs) by the next settle.
     pub seq_nets: Vec<NetId>,
-    /// True when any BRAM has a write port (its memory contents are then
-    /// part of the architectural state too, beyond [`Self::seq_nets`]).
-    pub has_write_ports: bool,
 }
 
 impl Schedule {
@@ -45,17 +44,15 @@ impl Schedule {
         let mut ffs = Vec::new();
         let mut brams = Vec::new();
         let mut seq_nets = Vec::new();
-        let mut has_write_ports = false;
         for (i, cell) in netlist.cells().iter().enumerate() {
             match cell {
                 Cell::Ff { q, .. } => {
                     ffs.push(CellId(i as u32));
                     seq_nets.push(*q);
                 }
-                Cell::Bram { dout, write, .. } => {
+                Cell::Bram { dout, .. } => {
                     brams.push(CellId(i as u32));
                     seq_nets.extend(dout.iter().copied());
-                    has_write_ports |= write.is_some();
                 }
                 _ => {}
             }
@@ -65,20 +62,7 @@ impl Schedule {
             ffs,
             brams,
             seq_nets,
-            has_write_ports,
         })
-    }
-}
-
-/// The write-port data mask for a BRAM write of `data_len` wired bits —
-/// bits beyond the wired width are preserved on a write. Shared by both
-/// engines so the collision semantics stay identical.
-#[must_use]
-pub fn write_data_mask(data_len: usize) -> u64 {
-    if data_len >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << data_len) - 1
     }
 }
 
@@ -116,19 +100,10 @@ mod tests {
             en: None,
             init: vec![0; 512],
             output_init: 0,
-            write: None,
         });
         let s = Schedule::build(&n).unwrap();
         assert_eq!(s.ffs.len(), 1);
         assert_eq!(s.brams.len(), 1);
         assert_eq!(s.seq_nets, vec![q, o]);
-        assert!(!s.has_write_ports);
-    }
-
-    #[test]
-    fn write_mask_widths() {
-        assert_eq!(write_data_mask(1), 0b1);
-        assert_eq!(write_data_mask(8), 0xFF);
-        assert_eq!(write_data_mask(64), u64::MAX);
     }
 }

@@ -1,23 +1,21 @@
-//! Incremental static-timing kernel for the placer.
+//! The static-timing kernel: the one STA engine of the flow.
 //!
-//! [`crate::timing::analyze`] runs once, post-route, over routed
-//! wirelengths. The annealer needs the same quantities *millions of times*
-//! while nets are still bounding boxes, and each move disturbs only a
-//! handful of nets — so this module keeps per-net arrival and downstream
-//! times live under wire-delay edits, NetBox-cache style: a
-//! [`TimingKernel::set_wire_delay`] call dirties only the disturbed
-//! fan-out (forward) and fan-in (backward) cones, and
+//! The model: launch edges at input pads, FF clk→q, BRAM clk→out and
+//! constants (at 0); LUT propagation (worst input + LUT delay); capture
+//! endpoints at FF d/ce + setup, BRAM addr/en + setup and output pads.
+//! Each net adds the wire delay the caller set for it.
+//!
+//! Two callers drive it. [`crate::timing::analyze`] builds a kernel once,
+//! post-route, with every wire delay at `net_base + net_per_hop · routed
+//! wirelength`, and reads the critical path from one full re-time. The
+//! annealer needs the same quantities *millions of times* while nets are
+//! still bounding boxes (`net_base + net_per_hop · hpwl`), and each move
+//! disturbs only a handful of nets — so the kernel also keeps per-net
+//! arrival and downstream times live under wire-delay edits,
+//! NetBox-cache style: a [`TimingKernel::set_wire_delay`] call dirties
+//! only the disturbed fan-out (forward) and fan-in (backward) cones, and
 //! [`TimingKernel::flush`] re-propagates just those, stopping as soon as a
 //! recomputed value is bit-identical to the stored one.
-//!
-//! The delay semantics mirror `analyze` exactly — same launch edges
-//! (pad, FF clk→q, BRAM clk→out, constants at 0), same LUT propagation,
-//! same capture endpoints (FF d/ce + setup, BRAM addr/en + setup, output
-//! pads; BRAM *write*-port pins are not endpoints, matching `analyze`) —
-//! except that the wire delay of each net is whatever the caller last set
-//! (the placer uses `net_base + net_per_hop · hpwl`; the differential
-//! tests use routed wirelengths, under which the kernel reproduces
-//! `analyze` exactly).
 //!
 //! The committed invariant: after a `flush`, the incremental state is
 //! **bit-identical** to a from-scratch recompute. [`TimingKernel::full_retime`]
@@ -47,7 +45,7 @@ enum Launch {
     Const,
     /// LUT output; the index points into the kernel's LUT table.
     Lut(u32),
-    /// No driver and not an input (arrival 0, like `analyze`'s default).
+    /// No driver and not an input (arrival 0).
     Undriven,
 }
 
@@ -90,7 +88,7 @@ pub struct TimingKernel {
     /// Longest remaining delay from a net's sinks to any endpoint;
     /// `f64::NEG_INFINITY` for nets with no timing sinks.
     downstream: Vec<f64>,
-    /// Worst endpoint arrival (`0.0` floor, like `analyze`).
+    /// Worst endpoint arrival (`0.0` floor).
     dmax: f64,
     /// Nets whose arrival must be recomputed, ordered by ascending rank.
     dirty_fwd: BTreeSet<(u32, u32)>,
@@ -108,6 +106,20 @@ impl TimingKernel {
     ///
     /// Propagates [`NetlistError`] from validation (via [`Schedule::build`]).
     pub fn new(netlist: &Netlist, model: &DelayModel) -> Result<Self, NetlistError> {
+        Self::with_wire_delays(netlist, model, |_| model.net_base)
+    }
+
+    /// Builds the kernel with `wire(net)` as each net's wire delay, timed
+    /// by one full re-time.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`NetlistError`] from validation (via [`Schedule::build`]).
+    pub(crate) fn with_wire_delays(
+        netlist: &Netlist,
+        model: &DelayModel,
+        wire: impl Fn(NetId) -> f64,
+    ) -> Result<Self, NetlistError> {
         let schedule = Schedule::build(netlist)?;
         let n = netlist.num_nets();
 
@@ -158,8 +170,6 @@ impl TimingKernel {
                         endpoints.push((*en, model.bram_setup));
                         sinks[en.index()].push(Sink::Setup(model.bram_setup));
                     }
-                    // Write-port pins are sampled state updates, not capture
-                    // endpoints, exactly as in `analyze`.
                 }
                 Cell::Const { output, .. } => {
                     launch[output.index()] = Launch::Const;
@@ -180,7 +190,7 @@ impl TimingKernel {
             lut_inputs,
             lut_output,
             endpoints,
-            wire: vec![model.net_base; n],
+            wire: (0..n).map(|i| wire(NetId(i as u32))).collect(),
             arrival: vec![0.0; n],
             downstream: vec![f64::NEG_INFINITY; n],
             dmax: 0.0,
@@ -302,7 +312,7 @@ impl TimingKernel {
     }
 
     /// Critical path in ns — the worst endpoint arrival, floored at
-    /// `f64::MIN_POSITIVE` exactly like [`crate::timing::analyze`].
+    /// `f64::MIN_POSITIVE`.
     #[must_use]
     pub fn critical_ns(&self) -> f64 {
         self.dmax.max(f64::MIN_POSITIVE)
@@ -447,9 +457,8 @@ mod tests {
         n
     }
 
-    /// With wire delays taken from the routed design, the kernel must
-    /// reproduce `analyze`'s critical path exactly — same formulas, same
-    /// operands.
+    /// With wire delays taken from the routed design, incremental edits
+    /// must reproduce `analyze`'s full re-time exactly.
     #[test]
     fn kernel_reproduces_analyze_on_routed_wirelengths() {
         for netlist in [chain(1), chain(6), bram_design()] {
@@ -501,7 +510,6 @@ mod tests {
             en: Some(en),
             init: vec![0b0101; 16],
             output_init: 0,
-            write: None,
         });
         for (i, a) in addr.iter().enumerate() {
             n.add_cell(Cell::Lut {

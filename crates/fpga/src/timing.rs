@@ -13,10 +13,14 @@
 //!   Sec. 4), while the FF FSM's path grows with its LUT depth;
 //! * clock-control logic sits in front of the enable pin and *slows the
 //!   design* proportionally to its own depth (Sec. 6).
+//!
+//! [`analyze`] is one full re-time of [`crate::sta::TimingKernel`] over
+//! routed wirelengths — the same engine the timing-driven placer runs
+//! incrementally over placed bounding boxes.
 
-use crate::netlist::{Cell, CellId, NetId, Netlist};
+use crate::netlist::Netlist;
 use crate::route::RoutedDesign;
-use std::collections::HashMap;
+use crate::sta::TimingKernel;
 
 /// Delay parameters in nanoseconds (Virtex-II -6 speed-grade flavour).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,138 +65,32 @@ pub struct TimingReport {
     pub critical_path_ns: f64,
     /// Maximum clock frequency in MHz.
     pub fmax_mhz: f64,
-    /// Nets on the critical path (driver-ordered), for reporting.
-    pub critical_nets: Vec<NetId>,
 }
 
-/// Analyzes a validated, routed design.
+/// Analyzes a validated, routed design: one full re-time of the
+/// [`TimingKernel`] with each net's wire delay at `net_base +
+/// net_per_hop · routed wirelength`.
 ///
 /// # Panics
 ///
 /// Panics if the netlist fails validation (callers validate first).
 #[must_use]
 pub fn analyze(netlist: &Netlist, routed: &RoutedDesign, model: &DelayModel) -> TimingReport {
-    let order = netlist
-        .validate()
-        .expect("timing analysis requires a valid netlist");
-
-    let net_delay =
-        |net: NetId| -> f64 { model.net_base + model.net_per_hop * routed.wirelength(net) as f64 };
-
-    // Arrival time at each net, plus the predecessor net for path recovery.
-    let mut arrival: HashMap<NetId, f64> = HashMap::new();
-    let mut pred: HashMap<NetId, NetId> = HashMap::new();
-
-    // Launch points: top inputs (pad), FF outputs, BRAM outputs.
-    for (_, net) in netlist.inputs() {
-        arrival.insert(*net, model.pad + net_delay(*net));
-    }
-    for cell in netlist.cells() {
-        match cell {
-            Cell::Ff { q, .. } => {
-                arrival.insert(*q, model.ff_clk_to_q + net_delay(*q));
-            }
-            Cell::Bram { dout, .. } => {
-                for d in dout {
-                    arrival.insert(*d, model.bram_clk_to_out + net_delay(*d));
-                }
-            }
-            Cell::Const { output, .. } => {
-                arrival.insert(*output, 0.0);
-            }
-            Cell::Lut { .. } => {}
-        }
-    }
-
-    // Propagate through combinational cells in topological order.
-    for id in &order {
-        if let Cell::Lut { inputs, output, .. } = netlist.cell(*id) {
-            let mut worst = 0.0f64;
-            let mut worst_net = None;
-            for i in inputs {
-                let a = arrival.get(i).copied().unwrap_or(0.0);
-                if a >= worst {
-                    worst = a;
-                    worst_net = Some(*i);
-                }
-            }
-            arrival.insert(*output, worst + model.lut + net_delay(*output));
-            if let Some(wn) = worst_net {
-                pred.insert(*output, wn);
-            }
-        }
-    }
-
-    // Required points: FF D/CE (setup), BRAM addr/en (setup), top outputs
-    // (pad).
-    let mut critical = 0.0f64;
-    let mut critical_end: Option<NetId> = None;
-    let consider = |net: NetId, extra: f64, critical: &mut f64, end: &mut Option<NetId>| {
-        let a = arrival.get(&net).copied().unwrap_or(0.0) + extra;
-        if a > *critical {
-            *critical = a;
-            *end = Some(net);
-        }
-    };
-    for cell in netlist.cells() {
-        match cell {
-            Cell::Ff { d, ce, .. } => {
-                consider(*d, model.ff_setup, &mut critical, &mut critical_end);
-                if let Some(ce) = ce {
-                    consider(*ce, model.ff_setup, &mut critical, &mut critical_end);
-                }
-            }
-            Cell::Bram { addr, en, .. } => {
-                for a in addr {
-                    consider(*a, model.bram_setup, &mut critical, &mut critical_end);
-                }
-                if let Some(en) = en {
-                    consider(*en, model.bram_setup, &mut critical, &mut critical_end);
-                }
-            }
-            _ => {}
-        }
-    }
-    for (_, net) in netlist.outputs() {
-        consider(*net, model.pad, &mut critical, &mut critical_end);
-    }
-
-    // Recover the critical net chain.
-    let mut critical_nets = Vec::new();
-    let mut cur = critical_end;
-    while let Some(net) = cur {
-        critical_nets.push(net);
-        cur = pred.get(&net).copied();
-        if critical_nets.len() > netlist.num_nets() {
-            break; // defensive: cannot cycle in a valid design
-        }
-    }
-    critical_nets.reverse();
-
-    let critical_path_ns = critical.max(f64::MIN_POSITIVE);
+    let kernel = TimingKernel::with_wire_delays(netlist, model, |net| {
+        model.net_base + model.net_per_hop * routed.wirelength(net) as f64
+    })
+    .expect("timing analysis requires a valid netlist");
     TimingReport {
-        critical_path_ns,
-        fmax_mhz: 1000.0 / critical_path_ns,
-        critical_nets,
+        critical_path_ns: kernel.critical_ns(),
+        fmax_mhz: kernel.fmax_mhz(),
     }
-}
-
-/// The set of sequential cells (used by reports).
-#[must_use]
-pub fn sequential_cells(netlist: &Netlist) -> Vec<CellId> {
-    netlist
-        .cells()
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.is_sequential())
-        .map(|(i, _)| CellId(i as u32))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::{BramShape, Device};
+    use crate::netlist::{Cell, NetId};
     use crate::pack::pack;
     use crate::place::{place, PlaceOptions};
     use crate::route::{route, RouteOptions};
@@ -269,7 +167,6 @@ mod tests {
                 en: None,
                 init: vec![0; shape.depth()],
                 output_init: 0,
-                write: None,
             });
             n.add_output("d0", dout[0]);
             n
@@ -284,13 +181,6 @@ mod tests {
         // noise (no LUT levels added).
         let ratio = large.critical_path_ns / small.critical_path_ns;
         assert!(ratio < 1.5, "BRAM loop timing should be ~flat, got {ratio}");
-    }
-
-    #[test]
-    fn critical_path_nets_are_recovered() {
-        let rep = analyze_netlist(&lut_chain(5));
-        assert!(!rep.critical_nets.is_empty());
-        assert!(rep.critical_nets.len() >= 5, "chain should dominate");
     }
 
     #[test]

@@ -250,10 +250,7 @@ pub fn estimate(
             let c_access = params.c_bram_access_base
                 + params.c_bram_per_row * rows
                 + params.c_bram_per_bit * dout.len() as f64;
-            // Writes through the second port cost an access each, too.
-            let duty =
-                activity.bram_enable_fraction(bram_idx) + activity.bram_write_fraction(bram_idx);
-            bram_uw += half_v2_f * duty * c_access;
+            bram_uw += half_v2_f * activity.bram_enable_fraction(bram_idx) * c_access;
             bram_idx += 1;
         }
     }
@@ -367,7 +364,6 @@ mod tests {
             en,
             init,
             output_init: 0,
-            write: None,
         });
         n.add_output("o", dout[2]);
         n
@@ -526,7 +522,6 @@ mod tests {
             en: None,
             init: vec![1; 512],
             output_init: 0,
-            write: None,
         });
         n.add_output("o", dout[0]);
         let (r2, a2) = flow(&n, 300);

@@ -15,7 +15,7 @@
 //! transitions of both settle phases — the transition count a zero-delay
 //! VCD would contain.
 
-use crate::schedule::{write_data_mask, Schedule};
+use crate::schedule::Schedule;
 use fpga_fabric::netlist::{Cell, NetId, Netlist, NetlistError};
 
 /// Per-net switching-activity record.
@@ -30,9 +30,6 @@ pub struct Activity {
     pub bram_active_cycles: Vec<u64>,
     /// Cycles in which each FF had its clock-enable asserted (cell order).
     pub ff_active_cycles: Vec<u64>,
-    /// Cycles in which each BRAM's write port performed a write (cell
-    /// order; always 0 for BRAMs without a write port).
-    pub bram_write_cycles: Vec<u64>,
 }
 
 impl Activity {
@@ -56,16 +53,6 @@ impl Activity {
         }
     }
 
-    /// Fraction of cycles the `i`-th BRAM performed a write.
-    #[must_use]
-    pub fn bram_write_fraction(&self, i: usize) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.bram_write_cycles[i] as f64 / self.cycles as f64
-        }
-    }
-
     /// Fraction of cycles the `i`-th FF was enabled.
     #[must_use]
     pub fn ff_enable_fraction(&self, i: usize) -> f64 {
@@ -86,9 +73,6 @@ pub struct Simulator<'a> {
     sched: Schedule,
     /// Settled net values.
     values: Vec<bool>,
-    /// Per-simulator memory images (BRAMs are writable at run time
-    /// through their optional second port).
-    bram_mem: Vec<Vec<u64>>,
     activity: Activity,
     pre_edge_outputs: Vec<bool>,
 }
@@ -105,14 +89,6 @@ impl<'a> Simulator<'a> {
     /// Propagates [`NetlistError`] from validation.
     pub fn new(netlist: &'a Netlist) -> Result<Self, NetlistError> {
         let sched = Schedule::build(netlist)?;
-        let bram_mem: Vec<Vec<u64>> = sched
-            .brams
-            .iter()
-            .map(|id| match netlist.cell(*id) {
-                Cell::Bram { init, .. } => init.clone(),
-                _ => unreachable!("bram list holds BRAMs"),
-            })
-            .collect();
         let mut sim = Simulator {
             netlist,
             values: vec![false; netlist.num_nets()],
@@ -121,10 +97,8 @@ impl<'a> Simulator<'a> {
                 cycles: 0,
                 bram_active_cycles: vec![0; sched.brams.len()],
                 ff_active_cycles: vec![0; sched.ffs.len()],
-                bram_write_cycles: vec![0; sched.brams.len()],
             },
             sched,
-            bram_mem,
             pre_edge_outputs: Vec::new(),
         };
         sim.apply_reset_state();
@@ -150,14 +124,8 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Resets the machine state (FF/BRAM latches), restores the original
-    /// memory images, and clears activity.
+    /// Resets the machine state (FF/BRAM latches) and clears activity.
     pub fn reset(&mut self) {
-        for (k, id) in self.sched.brams.iter().enumerate() {
-            if let Cell::Bram { init, .. } = self.netlist.cell(*id) {
-                self.bram_mem[k] = init.clone();
-            }
-        }
         self.values = vec![false; self.netlist.num_nets()];
         self.apply_reset_state();
         self.settle();
@@ -166,7 +134,6 @@ impl<'a> Simulator<'a> {
             cycles: 0,
             bram_active_cycles: vec![0; self.sched.brams.len()],
             ff_active_cycles: vec![0; self.sched.ffs.len()],
-            bram_write_cycles: vec![0; self.sched.brams.len()],
         };
     }
 
@@ -267,12 +234,8 @@ impl<'a> Simulator<'a> {
             }
         }
         let mut bram_next: Vec<Option<u64>> = Vec::with_capacity(self.sched.brams.len());
-        let mut bram_writes: Vec<Option<(usize, u64, u64)>> = Vec::with_capacity(self.sched.brams.len());
         for (k, id) in self.sched.brams.iter().enumerate() {
-            if let Cell::Bram {
-                addr, en, write, ..
-            } = self.netlist.cell(*id)
-            {
+            if let Cell::Bram { addr, en, init, .. } = self.netlist.cell(*id) {
                 let enabled = en.is_none_or(|e| at_edge[e.index()]);
                 if enabled {
                     self.activity.bram_active_cycles[k] += 1;
@@ -282,38 +245,10 @@ impl<'a> Simulator<'a> {
                             a |= 1 << bit;
                         }
                     }
-                    // Read-first: the read samples the pre-write contents.
-                    bram_next.push(Some(self.bram_mem[k][a]));
+                    bram_next.push(Some(init[a]));
                 } else {
                     bram_next.push(None);
                 }
-                // The write port operates independently of the read enable.
-                let w = write.as_ref().and_then(|w| {
-                    if !at_edge[w.we.index()] {
-                        return None;
-                    }
-                    let mut a = 0usize;
-                    for (bit, net) in w.addr.iter().enumerate() {
-                        if at_edge[net.index()] {
-                            a |= 1 << bit;
-                        }
-                    }
-                    let mut word = 0u64;
-                    for (bit, net) in w.data.iter().enumerate() {
-                        if at_edge[net.index()] {
-                            word |= 1 << bit;
-                        }
-                    }
-                    Some((a, word, write_data_mask(w.data.len())))
-                });
-                bram_writes.push(w);
-            }
-        }
-        for (k, w) in bram_writes.iter().enumerate() {
-            if let Some((a, word, mask)) = w {
-                let old = self.bram_mem[k][*a];
-                self.bram_mem[k][*a] = (old & !mask) | (word & mask);
-                self.activity.bram_write_cycles[k] += 1;
             }
         }
 
@@ -466,7 +401,6 @@ mod tests {
             en: None,
             init,
             output_init: 0,
-            write: None,
         });
         let mut sim = Simulator::new(&n).unwrap();
         // Address 5 settles before the edge; the synchronous read latches
@@ -504,7 +438,6 @@ mod tests {
             en: Some(en),
             init,
             output_init: 0,
-            write: None,
         });
         let mut sim = Simulator::new(&n).unwrap();
         // en low: output stays at output_init despite the address.
@@ -558,64 +491,6 @@ mod tests {
         assert_eq!(sim.activity().cycles, 0);
         let out = sim.clock(&[true]);
         assert_eq!(out, vec![true, false]);
-    }
-
-    #[test]
-    fn write_port_updates_memory_and_counts() {
-        use fpga_fabric::netlist::BramWrite;
-        let shape = BramShape {
-            addr_bits: 9,
-            data_bits: 36,
-        };
-        let mut n = Netlist::new("rw");
-        let raddr: Vec<_> = (0..9).map(|i| n.add_net(format!("ra{i}"))).collect();
-        let waddr: Vec<_> = (0..9).map(|i| n.add_net(format!("wa{i}"))).collect();
-        let wdata = n.add_net("wd");
-        let we = n.add_net("we");
-        let d = n.add_net("d0");
-        for (i, net) in raddr.iter().enumerate() {
-            n.add_input(format!("ra{i}"), *net);
-        }
-        for (i, net) in waddr.iter().enumerate() {
-            n.add_input(format!("wa{i}"), *net);
-        }
-        n.add_input("wd", wdata);
-        n.add_input("we", we);
-        n.add_output("d0", d);
-        n.add_cell(Cell::Bram {
-            shape,
-            addr: raddr,
-            dout: vec![d],
-            en: None,
-            init: vec![0; 512],
-            output_init: 0,
-            write: Some(BramWrite {
-                addr: waddr,
-                data: vec![wdata],
-                we,
-            }),
-        });
-        let mut sim = Simulator::new(&n).unwrap();
-        // Cycle 1: write 1 to address 3 while reading address 3 -> the
-        // read is read-first and still returns 0.
-        let mut inp = vec![false; 20];
-        inp[0] = true; // ra0
-        inp[1] = true; // ra1 -> read addr 3
-        inp[9] = true; // wa0
-        inp[10] = true; // wa1 -> write addr 3
-        inp[18] = true; // wd = 1
-        inp[19] = true; // we
-        sim.clock(&inp);
-        assert_eq!(sim.outputs(), vec![false], "read-first on collision");
-        // Cycle 2: read address 3 again without writing -> sees the 1.
-        inp[19] = false;
-        sim.clock(&inp);
-        assert_eq!(sim.outputs(), vec![true]);
-        assert_eq!(sim.activity().bram_write_cycles[0], 1);
-        // Reset restores the original zeros.
-        sim.reset();
-        sim.clock(&inp);
-        assert_eq!(sim.outputs(), vec![false]);
     }
 
     #[test]

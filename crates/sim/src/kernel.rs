@@ -18,7 +18,7 @@
 //! it lane for lane — the scalar engine remains the differential-testing
 //! oracle (see the workspace's kernel property suite).
 //!
-//! Lanes can diverge in three ways beyond their inputs, which is what the
+//! Lanes can diverge in two ways beyond their inputs, which is what the
 //! batched consumers build on:
 //!
 //! * per-lane architectural state ([`BatchSimulator::set_seq_words`] /
@@ -28,12 +28,13 @@
 //! * per-lane LUT truth tables ([`BatchSimulator::flip_lane_truth`]) and
 //!   BRAM contents ([`BatchSimulator::flip_lane_bram_init`]) — the fault
 //!   campaign runs 64 seeded single-fault variants of one design per
-//!   batch;
-//! * per-lane BRAM memory images evolve independently once a write port
-//!   fires (copy-on-write from the shared ROM image).
+//!   batch.
+//!
+//! Every BRAM is a ROM: no clock changes a memory image, so the
+//! sequential-net words are the whole architectural state of a lane.
 
 use crate::engine::Activity;
-use crate::schedule::{write_data_mask, Schedule};
+use crate::schedule::Schedule;
 use fpga_fabric::netlist::{Cell, NetId, Netlist, NetlistError};
 
 /// Number of independent simulations carried per net word.
@@ -54,10 +55,11 @@ enum CombOp {
     Const { output: NetId, word: u64 },
 }
 
-/// One BRAM's memory, shared across lanes until a lane diverges.
+/// One BRAM's memory, shared across lanes until a fault flips a bit in
+/// one lane's copy.
 #[derive(Debug, Clone)]
 enum BramMem {
-    /// All lanes read the same image (`depth` words) — the ROM case.
+    /// All lanes read the same image (`depth` words).
     Shared(Vec<u64>),
     /// Lane-major per-lane images (`LANES * depth` words, lane `l`'s word
     /// for address `a` at `l * depth + a`).
@@ -68,7 +70,11 @@ impl BramMem {
     /// ORs each lane's word at `addrs[lane]`, cut to `width` bits and
     /// shifted up by `shift`, into `rows[lane]`.
     fn gather(&self, addrs: &[u64; LANES], width: usize, shift: usize, rows: &mut [u64; LANES]) {
-        let mask = write_data_mask(width);
+        let mask = if width >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << width) - 1
+        };
         match self {
             BramMem::Shared(image) => {
                 for (row, a) in rows.iter_mut().zip(addrs) {
@@ -244,7 +250,6 @@ impl<'a> BatchSimulator<'a> {
                 cycles: 0,
                 bram_active_cycles: vec![0; sched.brams.len()],
                 ff_active_cycles: vec![0; sched.ffs.len()],
-                bram_write_cycles: vec![0; sched.brams.len()],
             },
             sched,
             ops,
@@ -270,13 +275,6 @@ impl<'a> BatchSimulator<'a> {
     #[must_use]
     pub fn seq_nets(&self) -> &[NetId] {
         &self.sched.seq_nets
-    }
-
-    /// True when any BRAM has a write port: lane state then includes
-    /// memory contents that [`Self::seq_words`] does not capture.
-    #[must_use]
-    pub fn has_write_ports(&self) -> bool {
-        self.sched.has_write_ports
     }
 
     /// Selects which lanes accumulate [`Activity`] counts. With `0` no
@@ -312,11 +310,10 @@ impl<'a> BatchSimulator<'a> {
     }
 
     /// Resets every lane to the architectural reset state, restores the
-    /// original memory images (dropping per-lane divergence), and clears
-    /// the activity record — the batch analogue of
+    /// original memory images (dropping per-lane BRAM bit flips), and
+    /// clears the activity record — the batch analogue of
     /// [`crate::engine::Simulator::reset`]. Per-lane truth-table edits are
-    /// **not** undone (they model a different netlist, not run-time
-    /// state).
+    /// **not** undone.
     pub fn reset(&mut self) {
         for (k, id) in self.sched.brams.iter().enumerate() {
             if let Cell::Bram { init, .. } = self.netlist.cell(*id) {
@@ -330,7 +327,6 @@ impl<'a> BatchSimulator<'a> {
             cycles: 0,
             bram_active_cycles: vec![0; self.sched.brams.len()],
             ff_active_cycles: vec![0; self.sched.ffs.len()],
-            bram_write_cycles: vec![0; self.sched.brams.len()],
         };
         self.pre_edge_words.clear();
     }
@@ -530,10 +526,9 @@ impl<'a> BatchSimulator<'a> {
     ///
     /// The two-phase semantics mirror the scalar engine exactly: apply
     /// inputs, settle, count toggles against the pre-input values; sample
-    /// FF `d`/`ce` and BRAM `addr`/`en`/write pins from that at-edge
-    /// state; update the sequential outputs (read-first on write
-    /// collisions); settle again and count toggles against the at-edge
-    /// values. Activity is masked to the active lanes.
+    /// FF `d`/`ce` and BRAM `addr`/`en` pins from that at-edge state;
+    /// update the sequential outputs; settle again and count toggles
+    /// against the at-edge values. Activity is masked to the active lanes.
     ///
     /// # Panics
     ///
@@ -578,12 +573,11 @@ impl<'a> BatchSimulator<'a> {
                 self.words[q.index()] = (qw & !en) | (dw & en);
             }
         }
-        // BRAM read ports, read-first: every read sees the pre-write
-        // memory. Per address group, one transposition turns the address
-        // words into per-lane addresses; per pack, the members' words are
-        // gathered side by side into lane rows and one transposition turns
-        // those back into dout lane words, merged under each BRAM's enable
-        // (disabled lanes hold their latches).
+        // BRAM read ports. Per address group, one transposition turns the
+        // address words into per-lane addresses; per pack, the members'
+        // words are gathered side by side into lane rows and one
+        // transposition turns those back into dout lane words, merged under
+        // each BRAM's enable (disabled lanes hold their latches).
         for group in &self.read_groups {
             let mut addrs = [0u64; LANES];
             for (row, net) in addrs.iter_mut().zip(&group.addr) {
@@ -607,47 +601,12 @@ impl<'a> BatchSimulator<'a> {
                 }
             }
         }
-        for (k, id) in self.sched.brams.iter().enumerate() {
-            if let Cell::Bram {
-                en, init, write, ..
-            } = netlist.cell(*id)
-            {
-                if counting {
+        if counting {
+            for (k, id) in self.sched.brams.iter().enumerate() {
+                if let Cell::Bram { en, .. } = netlist.cell(*id) {
                     let en_word = en.map_or(u64::MAX, |e| self.scratch_at_edge[e.index()]);
                     self.activity.bram_active_cycles[k] +=
                         u64::from((en_word & self.active).count_ones());
-                }
-                // The write port operates independently of the read
-                // enable. Any write diverges the lanes' memories.
-                if let Some(w) = write {
-                    let we_word = self.scratch_at_edge[w.we.index()];
-                    if we_word != 0 {
-                        let depth = init.len();
-                        self.mem[k].make_per_lane(depth);
-                        let mask = write_data_mask(w.data.len());
-                        let mut lanes = we_word;
-                        while lanes != 0 {
-                            let lane = lanes.trailing_zeros() as usize;
-                            lanes &= lanes - 1;
-                            let mut a = 0usize;
-                            for (bit, net) in w.addr.iter().enumerate() {
-                                a |= ((self.scratch_at_edge[net.index()] >> lane & 1) as usize)
-                                    << bit;
-                            }
-                            let mut data = 0u64;
-                            for (bit, net) in w.data.iter().enumerate() {
-                                data |= (self.scratch_at_edge[net.index()] >> lane & 1) << bit;
-                            }
-                            if let BramMem::PerLane(image) = &mut self.mem[k] {
-                                let old = image[lane * depth + a];
-                                image[lane * depth + a] = (old & !mask) | (data & mask);
-                            }
-                        }
-                    }
-                    if counting {
-                        self.activity.bram_write_cycles[k] +=
-                            u64::from((we_word & self.active).count_ones());
-                    }
                 }
             }
         }
@@ -767,7 +726,7 @@ mod tests {
     use crate::engine::Simulator;
     use crate::stimulus;
     use fpga_fabric::device::BramShape;
-    use fpga_fabric::netlist::{BramWrite, Cell};
+    use fpga_fabric::netlist::Cell;
 
     /// 2-bit binary counter with enable (LUT-based), as in the scalar
     /// engine's tests.
@@ -921,54 +880,40 @@ mod tests {
     }
 
     #[test]
-    fn per_lane_bram_fault_and_write_port() {
+    fn per_lane_bram_fault_diverges_one_lane() {
         let shape = BramShape {
             addr_bits: 9,
             data_bits: 36,
         };
-        let mut n = Netlist::new("rw");
-        let raddr: Vec<_> = (0..9).map(|i| n.add_net(format!("ra{i}"))).collect();
-        let waddr: Vec<_> = (0..9).map(|i| n.add_net(format!("wa{i}"))).collect();
-        let wdata = n.add_net("wd");
-        let we = n.add_net("we");
+        let mut n = Netlist::new("rom");
+        let addr: Vec<_> = (0..9).map(|i| n.add_net(format!("a{i}"))).collect();
         let d = n.add_net("d0");
-        for (i, net) in raddr.iter().enumerate() {
-            n.add_input(format!("ra{i}"), *net);
+        for (i, net) in addr.iter().enumerate() {
+            n.add_input(format!("a{i}"), *net);
         }
-        for (i, net) in waddr.iter().enumerate() {
-            n.add_input(format!("wa{i}"), *net);
-        }
-        n.add_input("wd", wdata);
-        n.add_input("we", we);
         n.add_output("d0", d);
         n.add_cell(Cell::Bram {
             shape,
-            addr: raddr,
+            addr,
             dout: vec![d],
             en: None,
             init: vec![0; 512],
             output_init: 0,
-            write: Some(BramWrite {
-                addr: waddr,
-                data: vec![wdata],
-                we,
-            }),
         });
         let mut b = BatchSimulator::new(&n).unwrap();
         // Lane 5's ROM gets a pre-flipped bit at word 0.
         b.flip_lane_bram_init(0, 5, 0, 0).unwrap();
-        // Lane 9 writes 1 to word 0 this cycle (read-first: sees 0 now).
-        let mut words = vec![0u64; 20];
-        words[18] = 1 << 9; // wd
-        words[19] = 1 << 9; // we
-        b.clock_words(&words);
+        b.clock_words(&[0u64; 9]);
         assert!(b.lane_value(d, 5), "lane 5 reads its flipped ROM bit");
-        assert!(!b.lane_value(d, 9), "read-first on collision");
         assert!(!b.lane_value(d, 0), "lane 0 unaffected");
-        // Next cycle lane 9 sees its own write; other lanes still 0.
-        b.clock_words(&[0u64; 20]);
-        assert!(b.lane_value(d, 9));
-        assert!(!b.lane_value(d, 0));
+        assert!(
+            b.flip_lane_bram_init(0, 5, 512, 0).is_err(),
+            "word out of range"
+        );
+        // Reset restores the shared image.
+        b.reset();
+        b.clock_words(&[0u64; 9]);
+        assert!(!b.lane_value(d, 5));
     }
 
     #[test]

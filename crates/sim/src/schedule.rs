@@ -7,4 +7,4 @@
 //! under the historical `netsim::schedule` path; both simulation engines
 //! and all external callers keep compiling unchanged.
 
-pub use fpga_fabric::schedule::{write_data_mask, Schedule};
+pub use fpga_fabric::schedule::Schedule;

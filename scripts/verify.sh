@@ -9,6 +9,8 @@
 #
 # Beyond build+test, the robustness gates run (ISSUE 2 / 3 / 4 / 5):
 #
+#  * benchmark build — the perfbench package (its own workspace) must
+#    build against the workspace crates;
 #  * clippy — `cargo clippy --workspace --all-targets` must report no
 #    warnings (`-D warnings`);
 #  * exactness — the placer's oracle tests (O(1) quench vs the rescan
@@ -99,6 +101,13 @@ echo "== cargo build --release --offline" >&2
 cargo build --release --offline --workspace \
     || fail "release build failed (a registry-access error here means a Cargo.toml reintroduced an external dependency)"
 
+# The benchmark package declares its own [workspace], so neither the
+# workspace build above nor clippy compiles it; build it here so a library
+# change that breaks it fails now, not in the benchmark run.
+echo "== cargo build --release --offline --manifest-path perfbench/Cargo.toml" >&2
+cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+    || fail "benchmark package (perfbench) failed to build against the workspace crates"
+
 echo "== cargo clippy --offline --workspace --all-targets -- -D warnings" >&2
 cargo clippy --offline --workspace --all-targets -- -D warnings \
     || fail "clippy reported warnings"
@@ -115,7 +124,7 @@ cargo test -q --offline --workspace "$@" \
 # quench and site-index proposals against the historical scan
 # (fpga-fabric place::tests), the dense-grid router search against the
 # historical hash-map search (route::tests), the keyb/sand placement
-# and route pins (tests/place_exact.rs), the kernel-vs-analyze STA
+# and route pins (tests/place_exact.rs), the STA (kernel and analyze vs a reference walk)
 # differential and the placement-quality gate. The word-parallel
 # exhaustive verifier gets
 # the same treatment: tests/walk_exact.rs compares it with the scalar

@@ -1,7 +1,7 @@
 //! Property-based differential tests for the bit-parallel simulation
 //! kernel: on randomly generated netlists (LUT DAGs, enabled FFs, up to
-//! three BRAMs with and without enables and write ports, some sharing one
-//! read-address vector), every lane of
+//! three BRAMs with and without enables, some sharing one read-address
+//! vector, some with no wired data output), every lane of
 //! [`romfsm::sim::kernel::BatchSimulator`] must agree with an independent
 //! scalar [`romfsm::sim::engine::Simulator`] cycle for cycle — net
 //! values, outputs, and every `Activity` counter — and the row/word
@@ -12,15 +12,15 @@
 //! `SEED=<seed> cargo test --test prop_kernel`.
 
 use romfsm::fpga::device::BramShape;
-use romfsm::fpga::netlist::{BramWrite, Cell, NetId, Netlist};
+use romfsm::fpga::netlist::{Cell, NetId, Netlist};
 use romfsm::sim::engine::Simulator;
 use romfsm::sim::kernel::{pack_rows, unpack_rows, BatchSimulator, LANES};
 use xrand::proptest_lite::run_cases;
 use xrand::SmallRng;
 
 /// A random valid netlist: primary inputs feeding an acyclic LUT DAG,
-/// optional enabled FFs, up to three BRAMs (read-only or with a write
-/// port, with or without an enable; later BRAMs often reuse an earlier
+/// optional enabled FFs, up to three BRAMs (with or without an enable,
+/// sometimes with no wired data output; later BRAMs often reuse an earlier
 /// BRAM's read-address vector, so the kernel's shared per-address-group
 /// gather is exercised; wide words make a group's data bits overflow one
 /// 64-bit pack), and an optional constant driver. Every structural
@@ -49,7 +49,7 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
         .map(|b| {
             // Mostly narrow words; sometimes wide ones (two or three wide
             // BRAMs on one address vector exceed one 64-bit pack), and
-            // sometimes none at all (a write-only BRAM has no read port).
+            // sometimes none at all (a BRAM whose outputs are unused).
             let w = match rng.random_range(0u32..8) {
                 0 => 0,
                 1 | 2 => rng.random_range(20usize..=36),
@@ -123,11 +123,6 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
         let init: Vec<u64> = (0..depth)
             .map(|_| rng.random_range(0..1u64 << data_bits))
             .collect();
-        let write = rng.random_bool(0.3).then(|| BramWrite {
-            addr: pick(rng, &pool, addr_bits),
-            data: pick(rng, &pool, data_bits),
-            we: pool[rng.random_range(0..pool.len())],
-        });
         n.add_cell(Cell::Bram {
             shape: BramShape {
                 addr_bits,
@@ -138,7 +133,6 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
             en,
             init,
             output_init: rng.random_range(0..1u64 << data_bits),
-            write,
         });
     }
     for i in 0..rng.random_range(1usize..=3) {
@@ -217,16 +211,12 @@ fn kernel_lanes_match_scalar_engines_cycle_for_cycle() {
             let summed: u64 = scalars.iter().map(|s| s.activity().ff_active_cycles[k]).sum();
             assert_eq!(act.ff_active_cycles[k], summed, "ff_active_cycles[{k}]");
         }
-        for k in 0..act.bram_write_cycles.len() {
-            let summed: u64 = scalars.iter().map(|s| s.activity().bram_write_cycles[k]).sum();
-            assert_eq!(act.bram_write_cycles[k], summed, "bram_write_cycles[{k}]");
-        }
     });
 }
 
 /// `run_sequential` (the power-flow path) is bit-identical to the scalar
 /// engine's `run`: same values and the same `Activity` record, field for
-/// field — toggles, cycles, BRAM enable/write counts, FF enable counts.
+/// field — toggles, cycles, BRAM enable counts, FF enable counts.
 #[test]
 fn run_sequential_matches_scalar_activity_exactly() {
     run_cases(32, |rng| {
@@ -255,7 +245,6 @@ fn run_sequential_matches_scalar_activity_exactly() {
         assert_eq!(a.cycles, b.cycles, "cycles");
         assert_eq!(a.bram_active_cycles, b.bram_active_cycles, "bram enables");
         assert_eq!(a.ff_active_cycles, b.ff_active_cycles, "ff enables");
-        assert_eq!(a.bram_write_cycles, b.bram_write_cycles, "bram writes");
     });
 }
 
@@ -286,7 +275,6 @@ fn inactive_kernel_matches_values_with_zero_activity() {
         assert!(act.toggles.iter().all(|&t| t == 0), "toggles");
         assert!(act.bram_active_cycles.iter().all(|&c| c == 0), "bram enables");
         assert!(act.ff_active_cycles.iter().all(|&c| c == 0), "ff enables");
-        assert!(act.bram_write_cycles.iter().all(|&c| c == 0), "bram writes");
         assert_eq!(counted.activity().cycles, (LANES * cycles) as u64);
     });
 }

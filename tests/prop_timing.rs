@@ -1,6 +1,7 @@
 //! Property-based differential tests for the incremental static-timing
 //! kernel: on randomly generated netlists (LUT DAGs, enabled FFs, BRAMs
-//! with and without write ports), an arbitrary seeded sequence of wire-
+//! with and without enables or wired outputs, some sharing one read-address
+//! vector), an arbitrary seeded sequence of wire-
 //! delay edits applied incrementally must leave
 //! [`romfsm::fpga::sta::TimingKernel`] bit-identical — arrival,
 //! downstream/required, slack, criticality, and the critical path — to a
@@ -12,16 +13,18 @@
 //! `SEED=<seed> cargo test --test prop_timing`.
 
 use romfsm::fpga::device::BramShape;
-use romfsm::fpga::netlist::{BramWrite, Cell, NetId, Netlist};
+use romfsm::fpga::netlist::{Cell, NetId, Netlist};
 use romfsm::fpga::sta::TimingKernel;
 use romfsm::fpga::timing::DelayModel;
 use xrand::proptest_lite::run_cases;
 use xrand::SmallRng;
 
 /// A random valid netlist: primary inputs feeding an acyclic LUT DAG,
-/// optional enabled FFs, an optional BRAM (read-only or with a write
-/// port), and an optional constant driver — every launch and endpoint
-/// kind the timing model distinguishes shows up with fair probability.
+/// optional enabled FFs, up to two BRAMs (with or without an enable,
+/// sometimes with no wired data output — a pure timing endpoint — and the
+/// second often on the first's read-address vector), and an optional
+/// constant driver — every launch and endpoint kind the timing model
+/// distinguishes shows up with fair probability.
 fn arb_netlist(rng: &mut SmallRng) -> Netlist {
     let mut n = Netlist::new("prop");
     let num_inputs = rng.random_range(1usize..=4);
@@ -36,14 +39,20 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
     let num_ffs = rng.random_range(0usize..=3);
     let ff_q: Vec<NetId> = (0..num_ffs).map(|i| n.add_net(format!("q{i}"))).collect();
     pool.extend(&ff_q);
-    let with_bram = rng.random_bool(0.6);
-    let bram_dout: Vec<NetId> = if with_bram {
-        let w = rng.random_range(1usize..=2);
-        (0..w).map(|i| n.add_net(format!("bd{i}"))).collect()
+    let num_brams = if rng.random_bool(0.6) {
+        rng.random_range(1usize..=2)
     } else {
-        Vec::new()
+        0
     };
-    pool.extend(&bram_dout);
+    let bram_douts: Vec<Vec<NetId>> = (0..num_brams)
+        .map(|b| {
+            let w = rng.random_range(0usize..=2);
+            (0..w).map(|i| n.add_net(format!("bd{b}_{i}"))).collect()
+        })
+        .collect();
+    for dout in &bram_douts {
+        pool.extend(dout);
+    }
     if rng.random_bool(0.3) {
         let c = n.add_net("c0");
         n.add_cell(Cell::Const {
@@ -80,38 +89,37 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
             init: rng.random(),
         });
     }
-    if with_bram {
-        let addr_bits = rng.random_range(2usize..=4);
-        let depth = 1usize << addr_bits;
-        let data_bits = bram_dout.len();
-        let pick = |rng: &mut SmallRng, pool: &[NetId], count: usize| -> Vec<NetId> {
-            (0..count)
-                .map(|_| pool[rng.random_range(0..pool.len())])
-                .collect()
+    let mut last_addr: Option<Vec<NetId>> = None;
+    for dout in bram_douts {
+        let addr = match last_addr.take() {
+            Some(shared) if rng.random_bool(0.6) => shared,
+            _ => {
+                let addr_bits = rng.random_range(2usize..=4);
+                (0..addr_bits)
+                    .map(|_| pool[rng.random_range(0..pool.len())])
+                    .collect()
+            }
         };
-        let addr = pick(rng, &pool, addr_bits);
+        last_addr = Some(addr.clone());
+        let addr_bits = addr.len();
+        let depth = 1usize << addr_bits;
+        let data_bits = dout.len().max(1);
         let en = rng
             .random_bool(0.5)
             .then(|| pool[rng.random_range(0..pool.len())]);
         let init: Vec<u64> = (0..depth)
             .map(|_| rng.random_range(0..1u64 << data_bits))
             .collect();
-        let write = rng.random_bool(0.4).then(|| BramWrite {
-            addr: pick(rng, &pool, addr_bits),
-            data: pick(rng, &pool, data_bits),
-            we: pool[rng.random_range(0..pool.len())],
-        });
         n.add_cell(Cell::Bram {
             shape: BramShape {
                 addr_bits,
                 data_bits,
             },
             addr,
-            dout: bram_dout,
+            dout,
             en,
             init,
             output_init: rng.random_range(0..1u64 << data_bits),
-            write,
         });
     }
     for i in 0..rng.random_range(1usize..=3) {
