@@ -91,7 +91,11 @@ fn bench_place_route(h: &mut Harness) {
         )
         .expect("places")
     });
-    h.record_ratio("place_sa_wl_over_timing/keyb", "place_sa_wl/keyb", "place_sa/keyb");
+    h.record_ratio(
+        "place_sa_wl_over_timing/keyb",
+        "place_sa_wl/keyb",
+        "place_sa/keyb",
+    );
     let placement = place(&netlist, &packed, device, PlaceOptions::default()).expect("places");
     h.bench("route/keyb", || {
         route(
@@ -111,8 +115,7 @@ fn bench_timing_kernel(h: &mut Harness) {
     // issues between moves.
     let netlist = keyb_ff_netlist();
     let model = fpga_fabric::timing::DelayModel::default();
-    let mut kernel =
-        fpga_fabric::sta::TimingKernel::new(&netlist, &model).expect("kernel builds");
+    let mut kernel = fpga_fabric::sta::TimingKernel::new(&netlist, &model).expect("kernel builds");
     let nets = kernel.num_nets();
     let mut step = 0u64;
     h.bench("place_timing_kernel/keyb", || {
@@ -120,10 +123,7 @@ fn bench_timing_kernel(h: &mut Harness) {
         for k in 0..8u64 {
             let i = ((step.wrapping_mul(31).wrapping_add(k * 7)) % nets as u64) as usize;
             let bump = 0.01 * ((step + k) % 5) as f64;
-            kernel.set_wire_delay(
-                fpga_fabric::netlist::NetId(i as u32),
-                model.net_base + bump,
-            );
+            kernel.set_wire_delay(fpga_fabric::netlist::NetId(i as u32), model.net_base + bump);
         }
         kernel.flush();
         step = step.wrapping_add(1);
@@ -151,24 +151,14 @@ fn bench_verify(h: &mut Harness) {
     // scalar walk on the same netlist: the ratio is the kernel's whole
     // reason to exist, so both are recorded and verify.sh gates on it.
     h.bench("verify_exhaustive/keyb", || {
-        verify_exhaustive(
-            black_box(&netlist),
-            &stg,
-            OutputTiming::Combinational,
-            16,
-        )
-        .expect("keyb is exhaustively equivalent")
-        .edges_checked
+        verify_exhaustive(black_box(&netlist), &stg, OutputTiming::Combinational, 16)
+            .expect("keyb is exhaustively equivalent")
+            .edges_checked
     });
     h.bench("verify_exhaustive_scalar/keyb", || {
-        verify_exhaustive_scalar(
-            black_box(&netlist),
-            &stg,
-            OutputTiming::Combinational,
-            16,
-        )
-        .expect("keyb is exhaustively equivalent")
-        .edges_checked
+        verify_exhaustive_scalar(black_box(&netlist), &stg, OutputTiming::Combinational, 16)
+            .expect("keyb is exhaustively equivalent")
+            .edges_checked
     });
 }
 

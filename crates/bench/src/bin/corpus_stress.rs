@@ -36,7 +36,9 @@
 
 use emb_fsm::MapBackend;
 use paper_bench::corpus::{run_item_with_backend, Outcome};
-use paper_bench::fabric::{request, request_with_retry, serve, worker_invocation_label, DaemonOptions};
+use paper_bench::fabric::{
+    request, request_with_retry, serve, worker_invocation_label, DaemonOptions,
+};
 use paper_bench::runner::{run, Backend, RunnerOptions};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -69,7 +71,10 @@ fn tiers() -> Vec<&'static str> {
                 match all.iter().find(|t| **t == name) {
                     Some(t) => out.push(*t),
                     None => {
-                        eprintln!("corpus_stress: unknown tier '{name}' in CORPUS_TIERS (known: {})", all.join(", "));
+                        eprintln!(
+                            "corpus_stress: unknown tier '{name}' in CORPUS_TIERS (known: {})",
+                            all.join(", ")
+                        );
                         std::process::exit(2);
                     }
                 }
@@ -107,7 +112,9 @@ fn pass(
 /// The deterministic prefix of every row — the trailing stage-timing
 /// column is measurement, not outcome, and differs run to run.
 fn stripped(rows: &[Vec<String>]) -> Vec<&[String]> {
-    rows.iter().map(|r| Outcome::deterministic_columns(r)).collect()
+    rows.iter()
+        .map(|r| Outcome::deterministic_columns(r))
+        .collect()
 }
 
 /// Empties both cache layers (the disk directory stays, its contents go).
@@ -129,7 +136,10 @@ fn tier_sections<'a>(
     downs_hit: &mut BTreeMap<String, usize>,
 ) {
     for tier in tiers {
-        let tier_rows: Vec<&Vec<String>> = rows.iter().filter(|r| r.get(1).map(String::as_str) == Some(*tier)).collect();
+        let tier_rows: Vec<&Vec<String>> = rows
+            .iter()
+            .filter(|r| r.get(1).map(String::as_str) == Some(*tier))
+            .collect();
         let mut status: BTreeMap<&str, usize> = BTreeMap::new();
         let mut rung: BTreeMap<&str, usize> = BTreeMap::new();
         let mut down: BTreeMap<String, usize> = BTreeMap::new();
@@ -306,11 +316,19 @@ fn main() {
     // `auto` — overlay where the capacity ladder fits, typed
     // `overlay-capacity` fallback to direct where it does not. Runs
     // after the worker guard so `--worker` re-invocations never see it.
-    let (overlay_rows, overlay_auto, overlay_fail) =
-        pass("overlay_auto", Backend::Sequential, Some(MapBackend::Auto), &items, &scratch);
+    let (overlay_rows, overlay_auto, overlay_fail) = pass(
+        "overlay_auto",
+        Backend::Sequential,
+        Some(MapBackend::Auto),
+        &items,
+        &scratch,
+    );
 
     let failures = serial_fail + par_cold_fail + par_warm_fail + proc_fail + overlay_fail;
-    assert_eq!(failures, 0, "corpus_stress: {failures} coordinator failure(s)");
+    assert_eq!(
+        failures, 0,
+        "corpus_stress: {failures} coordinator failure(s)"
+    );
     assert_eq!(
         stripped(&serial_rows),
         stripped(&par_cold_rows),
@@ -336,7 +354,11 @@ fn main() {
     let daemon = daemon_pass(&one_per_tier, &scratch);
     println!("== daemon ==");
     println!("daemon ok: {}/{}", daemon.ok, one_per_tier.len());
-    println!("daemon overlay ok: {}/{}", daemon.overlay_ok, one_per_tier.len());
+    println!(
+        "daemon overlay ok: {}/{}",
+        daemon.overlay_ok,
+        one_per_tier.len()
+    );
     assert_eq!(daemon.ok, one_per_tier.len(), "daemon rejected corpus load");
     assert_eq!(
         daemon.overlay_ok,

@@ -46,7 +46,11 @@ fn generated_row(item: &str, seed: u64) -> Vec<String> {
     let stg = fsm_model::generate::generate(&spec).expect("default-shaped spec generates");
     let mut rng = xrand::SmallRng::seed_from_u64(seed ^ 0xc0ffee);
     let stimulus: Vec<Vec<bool>> = (0..64)
-        .map(|_| (0..stg.num_inputs()).map(|_| rng.random_bool(0.5)).collect())
+        .map(|_| {
+            (0..stg.num_inputs())
+                .map(|_| rng.random_bool(0.5))
+                .collect()
+        })
         .collect();
     let trace = fsm_model::simulate::trace(&stg, stimulus);
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325;

@@ -33,36 +33,44 @@ fn main() {
         "saving@100",
     ]);
     let items: Vec<String> = suite_names().iter().map(ToString::to_string).collect();
-    let out = run(&RunnerOptions::new("table2"), &items, 10, |name, attempt| {
-        let stg = fsm_model::benchmarks::by_name(name)
-            .ok_or_else(|| format!("unknown benchmark {name}"))?;
-        let mut cfg = paper_config();
-        cfg.seed += u64::from(attempt);
-        let (ff, emb) = try_compare(&stg, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
-        // The same EMB flow placed wirelength-only: the fmax baseline the
-        // timing-driven placement is compared against.
-        let mut cfg_wl = cfg.clone();
-        cfg_wl.place.timing_weight = 0.0;
-        let emb_wl = emb_fsm::flow::emb_flow(&stg, &EmbOptions::default(), &Stimulus::Random, &cfg_wl)
-            .map_err(|e| e.to_string())?;
-        let p = |r: &emb_fsm::flow::FlowReport, f: f64| {
-            r.power_at(f)
-                .map_or(f64::NAN, powermodel::PowerReport::total_mw)
-        };
-        let df = 100.0 * (emb.timing.fmax_mhz - emb_wl.timing.fmax_mhz) / emb_wl.timing.fmax_mhz;
-        Ok(vec![vec![
-            name.to_string(),
-            mw(p(&ff, 50.0)),
-            mw(p(&ff, 85.0)),
-            mw(p(&ff, 100.0)),
-            mw(p(&emb, 50.0)),
-            mw(p(&emb, 85.0)),
-            mw(p(&emb, 100.0)),
-            format!("{:.1}", emb.timing.fmax_mhz),
-            format!("{df:+.1}%"),
-            pct(saving(p(&ff, 100.0), p(&emb, 100.0))),
-        ]])
-    });
+    let out = run(
+        &RunnerOptions::new("table2"),
+        &items,
+        10,
+        |name, attempt| {
+            let stg = fsm_model::benchmarks::by_name(name)
+                .ok_or_else(|| format!("unknown benchmark {name}"))?;
+            let mut cfg = paper_config();
+            cfg.seed += u64::from(attempt);
+            let (ff, emb) =
+                try_compare(&stg, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
+            // The same EMB flow placed wirelength-only: the fmax baseline the
+            // timing-driven placement is compared against.
+            let mut cfg_wl = cfg.clone();
+            cfg_wl.place.timing_weight = 0.0;
+            let emb_wl =
+                emb_fsm::flow::emb_flow(&stg, &EmbOptions::default(), &Stimulus::Random, &cfg_wl)
+                    .map_err(|e| e.to_string())?;
+            let p = |r: &emb_fsm::flow::FlowReport, f: f64| {
+                r.power_at(f)
+                    .map_or(f64::NAN, powermodel::PowerReport::total_mw)
+            };
+            let df =
+                100.0 * (emb.timing.fmax_mhz - emb_wl.timing.fmax_mhz) / emb_wl.timing.fmax_mhz;
+            Ok(vec![vec![
+                name.to_string(),
+                mw(p(&ff, 50.0)),
+                mw(p(&ff, 85.0)),
+                mw(p(&ff, 100.0)),
+                mw(p(&emb, 50.0)),
+                mw(p(&emb, 85.0)),
+                mw(p(&emb, 100.0)),
+                format!("{:.1}", emb.timing.fmax_mhz),
+                format!("{df:+.1}%"),
+                pct(saving(p(&ff, 100.0), p(&emb, 100.0))),
+            ]])
+        },
+    );
     for row in out.rows {
         table.row(row);
     }

@@ -195,7 +195,10 @@ fn main() {
                 row.reject = e.to_string();
             }
             Err(e) => {
-                eprintln!("table_overlay: {} failed overlay verification: {e}", it.name);
+                eprintln!(
+                    "table_overlay: {} failed overlay verification: {e}",
+                    it.name
+                );
                 verify_failures += 1;
             }
         }
@@ -219,14 +222,23 @@ fn main() {
     for (it, _row) in items.iter().zip(rows.iter()).filter(|(_, r)| r.fit) {
         let rep = emb_fsm::flow::emb_overlay_flow(&it.stg, &stimulus, &cfg)
             .unwrap_or_else(|e| panic!("{}: second overlay flow failed: {e}", it.name));
-        if !rep.overlay.as_ref().expect("overlay report present").base_cache_hit {
+        if !rep
+            .overlay
+            .as_ref()
+            .expect("overlay report present")
+            .base_cache_hit
+        {
             second_run_base_misses += 1;
         }
     }
 
     let _ = std::fs::remove_dir_all(&scratch);
 
-    let mut classes: Vec<&str> = rows.iter().filter(|r| r.fit).map(|r| r.class.as_str()).collect();
+    let mut classes: Vec<&str> = rows
+        .iter()
+        .filter(|r| r.fit)
+        .map(|r| r.class.as_str())
+        .collect();
     classes.sort_unstable();
     classes.dedup();
 
@@ -243,8 +255,16 @@ fn main() {
     };
 
     let mut table = TextTable::new(vec![
-        "Benchmark", "src", "class", "direct ms", "overlay ms", "speedup",
-        "direct mW", "ovl mW", "slices d/o", "BRAMs d/o",
+        "Benchmark",
+        "src",
+        "class",
+        "direct ms",
+        "overlay ms",
+        "speedup",
+        "direct mW",
+        "ovl mW",
+        "slices d/o",
+        "BRAMs d/o",
     ]);
     for r in &rows {
         if r.fit {
@@ -319,12 +339,19 @@ fn main() {
                  \"direct_mw_50\": {:.3}, \"overlay_mw_50\": {:.3}, \
                  \"direct_slices\": {}, \"overlay_slices\": {}, \
                  \"direct_brams\": {}, \"overlay_brams\": {}}}{sep}\n",
-                r.name, r.source, r.class, r.banks,
-                r.direct_ms, r.overlay_ms,
+                r.name,
+                r.source,
+                r.class,
+                r.banks,
+                r.direct_ms,
+                r.overlay_ms,
                 floor(r.direct_ms) / floor(r.overlay_ms),
-                r.direct_mw, r.overlay_mw,
-                r.direct_slices, r.overlay_slices,
-                r.direct_brams, r.overlay_brams,
+                r.direct_mw,
+                r.overlay_mw,
+                r.direct_slices,
+                r.overlay_slices,
+                r.direct_brams,
+                r.overlay_brams,
             ));
         } else {
             item_json.push_str(&format!(
@@ -332,9 +359,13 @@ fn main() {
                  \"reject\": \"{}\", \"direct_compile_ms\": {:.2}, \
                  \"direct_mw_50\": {:.3}, \"direct_slices\": {}, \
                  \"direct_brams\": {}}}{sep}\n",
-                r.name, r.source,
+                r.name,
+                r.source,
                 r.reject.replace('"', "'"),
-                r.direct_ms, r.direct_mw, r.direct_slices, r.direct_brams,
+                r.direct_ms,
+                r.direct_mw,
+                r.direct_slices,
+                r.direct_brams,
             ));
         }
     }

@@ -531,8 +531,12 @@ impl<'a> SlotSupervisor<'a> {
                 strikes: self.strikes,
             });
         } else {
-            let backoff_ms =
-                backoff_with_jitter(self.tuning.backoff_base_ms, self.strikes, self.label, self.slot);
+            let backoff_ms = backoff_with_jitter(
+                self.tuning.backoff_base_ms,
+                self.strikes,
+                self.label,
+                self.slot,
+            );
             self.record(FabricEvent::Respawn {
                 slot: self.slot,
                 strike: self.strikes,
@@ -675,7 +679,10 @@ where
     });
     slots
         .into_iter()
-        .map(|s| s.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner))
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        })
         .collect()
 }
 
@@ -850,7 +857,9 @@ fn handle_map(bench: &str, backend: Option<emb_fsm::MapBackend>) -> String {
         }
         return error_response(
             "unknown-bench",
-            &format!("no benchmark named '{bench}' (see fsm_model::benchmarks or fsm_model::corpus)"),
+            &format!(
+                "no benchmark named '{bench}' (see fsm_model::benchmarks or fsm_model::corpus)"
+            ),
         );
     };
     let started = Instant::now();
@@ -1260,7 +1269,10 @@ mod tests {
         ));
         assert!(matches!(
             parse_request("{\"backend\":\"overlay\",\"bench\":\"dk17\"}"),
-            Request::Map { backend: Some(emb_fsm::MapBackend::Overlay), .. }
+            Request::Map {
+                backend: Some(emb_fsm::MapBackend::Overlay),
+                ..
+            }
         ));
         assert!(matches!(parse_request("{\"cmd\":\"ping\"}"), Request::Ping));
         assert!(matches!(
@@ -1314,7 +1326,10 @@ mod tests {
         let a = backoff_with_jitter(50, 1, "table1", 0);
         let b = backoff_with_jitter(50, 1, "table1", 0);
         assert_eq!(a, b, "same (label, slot, strike) must back off identically");
-        assert!((50..=75).contains(&a), "strike 1: base + up to half jitter, got {a}");
+        assert!(
+            (50..=75).contains(&a),
+            "strike 1: base + up to half jitter, got {a}"
+        );
         let c = backoff_with_jitter(50, 1, "table1", 1);
         let d = backoff_with_jitter(50, 2, "table1", 0);
         assert!((100..=150).contains(&d), "strike 2 doubles, got {d}");
@@ -1340,7 +1355,10 @@ mod tests {
                 backoff_ms: 60,
             },
             FabricEvent::HandshakeTimeout { slot: 1 },
-            FabricEvent::Quarantine { slot: 1, strikes: 3 },
+            FabricEvent::Quarantine {
+                slot: 1,
+                strikes: 3,
+            },
         ]);
         assert_eq!(health.timeouts, 2);
         assert_eq!(health.respawns, 1);

@@ -233,7 +233,11 @@ mod tests {
         for i in 0..200 {
             let item = format!("case-{i:03}");
             let a = plan.fault_for(&item);
-            assert_eq!(a, plan.fault_for(&item), "same (seed, item) must redraw identically");
+            assert_eq!(
+                a,
+                plan.fault_for(&item),
+                "same (seed, item) must redraw identically"
+            );
             seen.insert(a.to_string());
         }
         assert_eq!(
@@ -273,10 +277,7 @@ mod tests {
             let mut sink: Vec<u8> = Vec::new();
             plan.deliver(&mut sink, line, &item).unwrap();
             let text = String::from_utf8_lossy(&sink);
-            let last = text
-                .lines()
-                .last()
-                .unwrap_or_default();
+            let last = text.lines().last().unwrap_or_default();
             assert_eq!(last, line, "fault {fault} corrupted the final line");
             assert!(sink.ends_with(b"\n"), "fault {fault} dropped the newline");
         }
@@ -306,6 +307,9 @@ mod tests {
             .iter()
             .filter(|n| plan.fault_for(n) == WireFault::Hang)
             .count();
-        assert!(hangs <= 2, "seed 5 hangs {hangs} of 9 benchmarks; pick another gate seed");
+        assert!(
+            hangs <= 2,
+            "seed 5 hangs {hangs} of 9 benchmarks; pick another gate seed"
+        );
     }
 }

@@ -928,9 +928,14 @@ mod tests {
             },
         )
         .unwrap();
-        let out = run(&opts, &items, 2, |_, _| -> Result<Vec<Vec<String>>, String> {
-            panic!("keep_failed must not recompute");
-        });
+        let out = run(
+            &opts,
+            &items,
+            2,
+            |_, _| -> Result<Vec<Vec<String>>, String> {
+                panic!("keep_failed must not recompute");
+            },
+        );
         assert_eq!(out.resumed, 1);
         assert_eq!(out.failures.len(), 1);
         assert!(out.rows[0][1].contains("FAILED: recorded"));

@@ -153,8 +153,10 @@ impl Harness {
     /// out via `BENCH_FILTER`, or never run).
     pub fn record_ratio(&mut self, name: &str, numerator: &str, denominator: &str) {
         let find = |results: &[Stats], n: &str| results.iter().find(|s| s.name == n).cloned();
-        let (Some(num), Some(den)) = (find(&self.results, numerator), find(&self.results, denominator))
-        else {
+        let (Some(num), Some(den)) = (
+            find(&self.results, numerator),
+            find(&self.results, denominator),
+        ) else {
             eprintln!("{name:<40} skipped (missing {numerator} or {denominator})");
             return;
         };

@@ -119,7 +119,11 @@ fn second_daemon_on_a_live_socket_fails_typed_without_clobbering_the_first() {
     // A second daemon on the same socket must probe-connect, see the
     // live daemon, and refuse — typed AddrInUse, socket untouched.
     let err = serve(&opts).expect_err("second daemon must not bind a live socket");
-    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "wrong kind: {err}");
+    assert_eq!(
+        err.kind(),
+        std::io::ErrorKind::AddrInUse,
+        "wrong kind: {err}"
+    );
     assert!(
         err.to_string().contains("already-running"),
         "error must be typed: {err}"
@@ -172,8 +176,14 @@ fn requests_past_the_deadline_get_a_typed_reject_and_are_counted() {
     // the admission slot is still held by the background job.
     let r = request(&socket, "{\"cmd\":\"stats\"}").expect("stats");
     assert!(r.contains("\"timeouts\":1"), "timeout not counted: {r}");
-    assert!(r.contains("\"served\":0"), "timed-out request counted as served: {r}");
-    assert!(r.contains("\"inflight\":1"), "background job must hold its slot: {r}");
+    assert!(
+        r.contains("\"served\":0"),
+        "timed-out request counted as served: {r}"
+    );
+    assert!(
+        r.contains("\"inflight\":1"),
+        "background job must hold its slot: {r}"
+    );
 
     // A fast request still completes within the same deadline budget.
     let r = request(&socket, "{\"cmd\":\"sleep\",\"ms\":1}").expect("fast sleep");
@@ -205,7 +215,10 @@ fn shutdown_drains_in_flight_work_and_rejects_new_requests() {
         if r.contains("\"inflight\":1") {
             break;
         }
-        assert!(Instant::now() < deadline, "sleep request never went in flight");
+        assert!(
+            Instant::now() < deadline,
+            "sleep request never went in flight"
+        );
         std::thread::sleep(Duration::from_millis(10));
     }
 
@@ -257,7 +270,10 @@ fn idle_connections_are_swept_with_a_typed_response() {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     reader.read_line(&mut line).expect("read sweep response");
-    assert!(line.contains("\"kind\":\"idle\""), "unexpected sweep response: {line}");
+    assert!(
+        line.contains("\"kind\":\"idle\""),
+        "unexpected sweep response: {line}"
+    );
 
     let r = request(&socket, "{\"cmd\":\"stats\"}").expect("stats");
     assert!(r.contains("\"idle_closed\":1"), "sweep not counted: {r}");

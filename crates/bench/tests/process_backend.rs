@@ -164,9 +164,8 @@ fn hung_worker_times_out_is_killed_and_output_stays_identical() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    let (rows, health): (Vec<&str>, Vec<&str>) = out
-        .lines()
-        .partition(|l| !l.starts_with("health:"));
+    let (rows, health): (Vec<&str>, Vec<&str>) =
+        out.lines().partition(|l| !l.starts_with("health:"));
     assert_eq!(
         rows.join("\n"),
         reference.trim_end(),
@@ -220,9 +219,8 @@ fn always_hanging_item_quarantines_the_slot_deterministically() {
     assert!(ok, "run did not survive quarantine");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let (rows, health): (Vec<&str>, Vec<&str>) = out
-        .lines()
-        .partition(|l| !l.starts_with("health:"));
+    let (rows, health): (Vec<&str>, Vec<&str>) =
+        out.lines().partition(|l| !l.starts_with("health:"));
     assert_eq!(
         rows.join("\n"),
         reference.trim_end(),

@@ -28,8 +28,7 @@ fn criticality_aware_eco_fmax_is_never_worse_than_blind_eco() {
     for name in paper_bench::suite_names() {
         let stg = fsm_model::benchmarks::by_name(name).expect("suite benchmark");
         let emb_opts = EmbOptions::default();
-        let emb =
-            map_fsm_into_embs(&stg, &emb_opts).unwrap_or_else(|e| panic!("{name} maps: {e}"));
+        let emb = map_fsm_into_embs(&stg, &emb_opts).unwrap_or_else(|e| panic!("{name} maps: {e}"));
         let base = emb.to_netlist();
         let (gated, _control) = attach_emb_clock_control(&emb, emb_opts.lut_map)
             .unwrap_or_else(|e| panic!("{name} clock control: {e}"));

@@ -535,11 +535,13 @@ fn scan_records(dir: &std::path::Path) -> Option<(Vec<ScannedRecord>, u64)> {
         if !meta.is_file() {
             continue;
         }
-        let mtime = meta
-            .modified()
-            .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+        let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
         total += meta.len();
-        records.push(ScannedRecord { mtime, len: meta.len(), path });
+        records.push(ScannedRecord {
+            mtime,
+            len: meta.len(),
+            path,
+        });
     }
     Some((records, total))
 }
@@ -575,9 +577,7 @@ fn evict_scanned(mut records: Vec<ScannedRecord>, mut total: u64, max_bytes: u64
                 total = total.saturating_sub(rec.len);
             }
             Ok(meta) => {
-                let now_mtime = meta
-                    .modified()
-                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+                let now_mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
                 if now_mtime > rec.mtime {
                     continue; // concurrently refreshed: no longer LRU
                 }
@@ -1414,7 +1414,12 @@ mod tests {
     fn overlay_base_keys_depend_on_route_options() {
         let device = Device::xc2v250();
         let bytes = b"base-netlist-bytes";
-        let k1 = overlay_base_key(bytes, &device, PlaceOptions::default(), RouteOptions::default());
+        let k1 = overlay_base_key(
+            bytes,
+            &device,
+            PlaceOptions::default(),
+            RouteOptions::default(),
+        );
         let k2 = overlay_base_key(
             bytes,
             &device,
@@ -1434,7 +1439,12 @@ mod tests {
         assert_ne!(k1, k3, "base netlist bytes must be keyed");
         assert_eq!(
             k1,
-            overlay_base_key(bytes, &device, PlaceOptions::default(), RouteOptions::default())
+            overlay_base_key(
+                bytes,
+                &device,
+                PlaceOptions::default(),
+                RouteOptions::default()
+            )
         );
         assert_ne!(k1, place_key(bytes, &device, PlaceOptions::default()));
     }
@@ -1482,7 +1492,8 @@ mod tests {
     fn record_with_age(dir: &std::path::Path, name: &str, secs: u64) {
         let path = dir.join(format!("place_{name}.txt"));
         std::fs::write(&path, vec![b'x'; 100]).unwrap();
-        let t = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000 + secs);
+        let t =
+            std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000 + secs);
         let f = std::fs::File::options().append(true).open(&path).unwrap();
         f.set_times(std::fs::FileTimes::new().set_modified(t))
             .unwrap();
@@ -1530,10 +1541,8 @@ mod tests {
         // A concurrent process unlinking a record between the scan and the
         // delete loop must count toward the budget: the pre-fix code kept
         // the stale total and deleted the *next* record too (over-evict).
-        let dir = std::env::temp_dir().join(format!(
-            "romfsm-cache-race-del-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("romfsm-cache-race-del-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         record_with_age(&dir, "old", 0);
@@ -1560,10 +1569,8 @@ mod tests {
         // unlink promotes it out of LRU position: the evictor must re-stat
         // and skip it instead of deleting a record another process just
         // touched.
-        let dir = std::env::temp_dir().join(format!(
-            "romfsm-cache-race-touch-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("romfsm-cache-race-touch-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         record_with_age(&dir, "old", 0);
@@ -1585,10 +1592,8 @@ mod tests {
 
     #[test]
     fn touch_is_enoent_safe_and_never_recreates_a_record() {
-        let dir = std::env::temp_dir().join(format!(
-            "romfsm-cache-touch-enoent-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("romfsm-cache-touch-enoent-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let gone = dir.join("place_evicted.txt");

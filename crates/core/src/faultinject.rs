@@ -153,10 +153,7 @@ impl fmt::Display for EcoFault {
                 index,
                 from,
                 to,
-            } => write!(
-                f,
-                "pinned {kind} {index} moved from {from:?} to {to:?}"
-            ),
+            } => write!(f, "pinned {kind} {index} moved from {from:?} to {to:?}"),
             EcoFault::DropConeEntity { kind, index } => {
                 write!(f, "cone {kind} {index} dropped from the placement")
             }
@@ -488,9 +485,7 @@ pub fn netlist_fault_campaign(
         let mut sim = BatchSimulator::new(netlist)?;
         for (lane, (_, fault)) in chunk.iter().enumerate() {
             let applied = match *fault {
-                NetlistFault::FlipLutTruthBit { cell, bit } => {
-                    sim.flip_lane_truth(cell, lane, bit)
-                }
+                NetlistFault::FlipLutTruthBit { cell, bit } => sim.flip_lane_truth(cell, lane, bit),
                 NetlistFault::FlipBramInitBit { cell, word, bit } => {
                     sim.flip_lane_bram_init(cell, lane, word, bit)
                 }
@@ -515,7 +510,10 @@ pub fn netlist_fault_campaign(
             if undetected == 0 {
                 break;
             }
-            let words: Vec<u64> = vector.iter().map(|&b| if b { u64::MAX } else { 0 }).collect();
+            let words: Vec<u64> = vector
+                .iter()
+                .map(|&b| if b { u64::MAX } else { 0 })
+                .collect();
             sim.clock_words(&words);
             for (lane, slot) in detected.iter_mut().enumerate() {
                 if slot.is_some() {

@@ -1483,7 +1483,10 @@ mod tests {
         let stim = Stimulus::IdleBiased(0.5);
         let emb = emb_flow(&stg, &EmbOptions::default(), &stim, &cfg).unwrap();
         let cc = emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg).unwrap();
-        let eco = cc.eco.as_ref().expect("ECO path must engage on a fitting design");
+        let eco = cc
+            .eco
+            .as_ref()
+            .expect("ECO path must engage on a fitting design");
         assert_eq!(
             eco.base_coord_digest, emb.coord_digest,
             "pinned base coordinates must be byte-identical to the plain placement"
@@ -1502,7 +1505,8 @@ mod tests {
             eco_place: false,
             ..quick_cfg()
         };
-        let full = emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg_off).unwrap();
+        let full =
+            emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg_off).unwrap();
         assert!(full.eco.is_none());
     }
 

@@ -1176,16 +1176,30 @@ mod tests {
         // Narrow machine: the ladder takes the exhaustive rung.
         let stg = sequence_detector_0101();
         let emb = map_fsm_into_embs(&stg, &EmbOptions::default()).unwrap();
-        let method =
-            verify_rewrite(&emb.to_netlist(), &stg, OutputTiming::Registered, 20, 200, 7).unwrap();
+        let method = verify_rewrite(
+            &emb.to_netlist(),
+            &stg,
+            OutputTiming::Registered,
+            20,
+            200,
+            7,
+        )
+        .unwrap();
         assert!(method.is_exhaustive(), "{method:?}");
 
         // Wide machine (sand, 11 inputs) against a tight cap: typed
         // fallback to sampling, not an error.
         let wide = fsm_model::benchmarks::by_name("sand").unwrap();
         let emb = map_fsm_into_embs(&wide, &EmbOptions::default()).unwrap();
-        let method =
-            verify_rewrite(&emb.to_netlist(), &wide, OutputTiming::Registered, 8, 200, 7).unwrap();
+        let method = verify_rewrite(
+            &emb.to_netlist(),
+            &wide,
+            OutputTiming::Registered,
+            8,
+            200,
+            7,
+        )
+        .unwrap();
         assert_eq!(method, VerificationMethod::Sampled { cycles: 200 });
 
         // A divergent netlist still fails through the ladder.

@@ -319,19 +319,31 @@ impl std::fmt::Display for PartitionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PartitionError::BaseTooLarge { base_cells, cells } => {
-                write!(f, "base prefix of {base_cells} cells exceeds netlist ({cells} cells)")
+                write!(
+                    f,
+                    "base prefix of {base_cells} cells exceeds netlist ({cells} cells)"
+                )
             }
             PartitionError::EntityMapLength { expected, got } => {
-                write!(f, "base entity map covers {got} cells, prefix is {expected}")
+                write!(
+                    f,
+                    "base entity map covers {got} cells, prefix is {expected}"
+                )
             }
             PartitionError::CellOutOfRange { cell, base_cells } => {
-                write!(f, "base entity uses cell {cell} beyond the {base_cells}-cell prefix")
+                write!(
+                    f,
+                    "base entity uses cell {cell} beyond the {base_cells}-cell prefix"
+                )
             }
             PartitionError::CellKindMismatch {
                 cell,
                 expected,
                 got,
-            } => write!(f, "cell {cell} is a {got} here but a {expected} in the base packing"),
+            } => write!(
+                f,
+                "cell {cell} is a {got} here but a {expected} in the base packing"
+            ),
         }
     }
 }
@@ -757,7 +769,10 @@ mod tests {
         for i in base_cells..gated.cells().len() {
             match p.entity_of_cell[i] {
                 Some(EntityId::Clb(c)) => {
-                    assert!(c >= base.clbs.len(), "delta cell {i} packed into base CLB {c}")
+                    assert!(
+                        c >= base.clbs.len(),
+                        "delta cell {i} packed into base CLB {c}"
+                    )
                 }
                 other => panic!("delta cell {i} not in a CLB: {other:?}"),
             }
@@ -776,7 +791,10 @@ mod tests {
         let gated = chain_plus(4, 2);
 
         let err = pack_partitioned(&gated, &base, gated.cells().len() + 1);
-        assert!(matches!(err, Err(PartitionError::BaseTooLarge { .. })), "{err:?}");
+        assert!(
+            matches!(err, Err(PartitionError::BaseTooLarge { .. })),
+            "{err:?}"
+        );
 
         let err = pack_partitioned(&gated, &base, base_cells - 1);
         assert!(

@@ -17,6 +17,7 @@ use crate::pack::{EntityId, PackedDesign};
 use crate::sta::TimingKernel;
 use crate::timing::DelayModel;
 use std::fmt;
+use std::rc::Rc;
 use xrand::SmallRng;
 
 /// Bumped whenever [`place`] can produce a different placement for the
@@ -221,41 +222,39 @@ fn site_of(loc: &Locs, e: EntityId) -> Site {
     loc[kind][idx]
 }
 
-/// The sites of `sites` no entity in `locs` occupies, in site order.
-fn free_sites(locs: &[Site], sites: &[Site]) -> Vec<Site> {
-    let used: std::collections::HashSet<Site> = locs.iter().copied().collect();
-    sites
-        .iter()
-        .copied()
-        .filter(|s| !used.contains(s))
-        .collect()
-}
-
 /// One axis of a net's pin extent, with enough edge bookkeeping to drop a
 /// pin in O(1): each edge's value, how many pins sit on it, and the
 /// next-inner value behind it. Dropping a pin moves an edge only when
 /// that pin is the edge's sole occupant, and then to the next-inner value.
+/// Coordinates and pin counts are `u16` — a net's pins sit on distinct
+/// sites, so an edge holds at most a few device columns' worth — which
+/// keeps a whole [`NetBox`] in 32 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Extent {
-    lo: usize,
-    lo_pins: u32,
-    lo_next: usize,
-    hi: usize,
-    hi_pins: u32,
-    hi_next: usize,
+    lo: u16,
+    lo_pins: u16,
+    lo_next: u16,
+    hi: u16,
+    hi_pins: u16,
+    hi_next: u16,
 }
 
 impl Extent {
     const EMPTY: Extent = Extent {
-        lo: usize::MAX,
+        lo: u16::MAX,
         lo_pins: 0,
-        lo_next: usize::MAX,
+        lo_next: u16::MAX,
         hi: 0,
         hi_pins: 0,
         hi_next: 0,
     };
 
     fn add(&mut self, v: usize) {
+        debug_assert!(
+            v < usize::from(u16::MAX),
+            "site coordinate {v} overflows u16"
+        );
+        let v = v as u16;
         if v < self.lo {
             self.lo_next = self.lo;
             self.lo = v;
@@ -285,6 +284,7 @@ impl Extent {
         if from == to {
             return true;
         }
+        let from = from as u16;
         if from == self.lo_next
             || from == self.hi_next
             || (from == self.lo && self.lo_pins == 1)
@@ -305,6 +305,7 @@ impl Extent {
     /// `(lo, hi)` of the other pins once the pin at `from` leaves (the
     /// net has ≥ 2 pins).
     fn without(&self, from: usize) -> (usize, usize) {
+        let from = from as u16;
         let lo = if from == self.lo && self.lo_pins == 1 {
             self.lo_next
         } else {
@@ -315,7 +316,12 @@ impl Extent {
         } else {
             self.hi
         };
-        (lo, hi)
+        (usize::from(lo), usize::from(hi))
+    }
+
+    /// `hi − lo` (the extent holds at least one pin).
+    fn width(&self) -> usize {
+        usize::from(self.hi - self.lo)
     }
 }
 
@@ -356,7 +362,7 @@ impl NetBox {
             b.x.add(x);
             b.y.add(y);
         }
-        b.hpwl = ((b.x.hi - b.x.lo) + (b.y.hi - b.y.lo)) as f64;
+        b.hpwl = (b.x.width() + b.y.width()) as f64;
         b
     }
 
@@ -367,7 +373,7 @@ impl NetBox {
         if !(self.x.shift(from.0, to.0) && self.y.shift(from.1, to.1)) {
             return false;
         }
-        self.hpwl = ((self.x.hi - self.x.lo) + (self.y.hi - self.y.lo)) as f64;
+        self.hpwl = (self.x.width() + self.y.width()) as f64;
         true
     }
 
@@ -445,48 +451,99 @@ impl Move {
 /// entity index.
 const FREE: usize = 1 << 31;
 
-/// Every site of one kind, bucketed by column with rows ascending, and
-/// what occupies each: an entity of the kind, or a free site at some
-/// free-pool index. A proposal visits only the sites inside its window
-/// instead of scanning every free site and every sibling.
-#[derive(Debug, Clone)]
-struct SiteIndex {
-    /// Grid width: one past the largest site column.
+/// A device's sites per kind, `[CLBs, BRAMs, IOBs]`, each in device
+/// order, with each kind's [`SiteGrid`]. Indexing by kind gives the list.
+struct Sites {
+    list: [Vec<Site>; 3],
+    grid: [Rc<SiteGrid>; 3],
+}
+
+impl std::ops::Index<usize> for Sites {
+    type Output = Vec<Site>;
+
+    fn index(&self, kind: usize) -> &Vec<Site> {
+        &self.list[kind]
+    }
+}
+
+/// The fixed layout of one kind's sites, built once per placement: every
+/// site gets a slot, the sites bucketed by column with rows ascending.
+#[derive(Debug)]
+struct SiteGrid {
+    /// Grid width and height: one past the largest site column and row.
     w: usize,
-    /// The sites of column `x` are slots `col[x]..col[x + 1]`.
-    col: Vec<usize>,
-    /// The row of each slot.
-    ys: Vec<usize>,
+    h: usize,
+    /// `first[x · (h + 1) + y]` is the first slot of column `x` whose row
+    /// is `≥ y`, so the sites of column `x` in rows `lo..=hi` are slots
+    /// `first[x · (h + 1) + lo]..first[x · (h + 1) + hi + 1]`.
+    first: Vec<u32>,
     /// The slot of the site on tile `y · w + x` (unused off-site).
     slot: Vec<u32>,
+    /// Number of sites (and slots).
+    len: usize,
+}
+
+impl SiteGrid {
+    fn new(sites: &[Site]) -> SiteGrid {
+        let mut order = sites.to_vec();
+        order.sort_unstable();
+        let w = order.last().map_or(0, |s| s.0 + 1);
+        let h = order.iter().map(|s| s.1 + 1).max().unwrap_or(0);
+        // Sites in (column, row) order: the slots before the first site
+        // at or past (x, y) are exactly those of the columns before `x`
+        // and of column `x`'s rows before `y`.
+        let first = (0..w)
+            .flat_map(|x| (0..=h).map(move |y| (x, y)))
+            .map(|at| order.partition_point(|&s| s < at) as u32)
+            .collect();
+        let mut slot = vec![0; w * h];
+        for (k, &(x, y)) in order.iter().enumerate() {
+            slot[y * w + x] = k as u32;
+        }
+        SiteGrid {
+            w,
+            h,
+            first,
+            slot,
+            len: order.len(),
+        }
+    }
+
+    fn slot(&self, (x, y): Site) -> usize {
+        self.slot[y * self.w + x] as usize
+    }
+
+    /// The sites of `sites` (this grid's, in device order) no entity in
+    /// `locs` occupies, in that order.
+    fn free(&self, locs: &[Site], sites: &[Site]) -> Vec<Site> {
+        let mut used = vec![false; self.len];
+        for &s in locs {
+            used[self.slot(s)] = true;
+        }
+        sites
+            .iter()
+            .copied()
+            .filter(|&s| !used[self.slot(s)])
+            .collect()
+    }
+}
+
+/// What occupies each site of one kind: an entity of the kind, or a free
+/// site at some free-pool index. A proposal visits only the sites inside
+/// its window instead of scanning every free site and every sibling.
+#[derive(Debug, Clone)]
+struct SiteIndex {
+    grid: Rc<SiteGrid>,
     /// The occupant of each slot: an entity index, or `FREE |` a
     /// free-pool index.
     occ: Vec<u32>,
 }
 
 impl SiteIndex {
-    fn new(sites: &[Site], locs: &[Site], free: &[Site]) -> SiteIndex {
-        let mut order = sites.to_vec();
-        order.sort_unstable();
-        let w = order.last().map_or(0, |s| s.0 + 1);
-        let h = order.iter().map(|s| s.1 + 1).max().unwrap_or(0);
-        let mut col = vec![0; w + 1];
-        for &(x, _) in &order {
-            col[x + 1] += 1;
-        }
-        for x in 1..col.len() {
-            col[x] += col[x - 1];
-        }
-        let mut slot = vec![0; w * h];
-        for (k, &(x, y)) in order.iter().enumerate() {
-            slot[y * w + x] = k as u32;
-        }
+    fn new(grid: &Rc<SiteGrid>, locs: &[Site], free: &[Site]) -> SiteIndex {
         let mut index = SiteIndex {
-            w,
-            col,
-            ys: order.iter().map(|s| s.1).collect(),
-            slot,
-            occ: vec![0; order.len()],
+            grid: Rc::clone(grid),
+            occ: vec![0; grid.len],
         };
         for (i, &s) in locs.iter().enumerate() {
             index.set(s, i);
@@ -497,25 +554,41 @@ impl SiteIndex {
         index
     }
 
-    fn set(&mut self, (x, y): Site, occupant: usize) {
-        self.occ[self.slot[y * self.w + x] as usize] = occupant as u32;
+    fn set(&mut self, site: Site, occupant: usize) {
+        self.occ[self.grid.slot(site)] = occupant as u32;
     }
 
-    /// Calls `visit` with the occupant of every site within Chebyshev
-    /// distance `reach` of `at`.
-    fn window(&self, at: Site, reach: usize, mut visit: impl FnMut(usize)) {
-        let (y_lo, y_hi) = (at.1.saturating_sub(reach), at.1.saturating_add(reach));
-        let x_hi = at.0.saturating_add(reach).min(self.w.saturating_sub(1));
-        for x in at.0.saturating_sub(reach)..=x_hi {
-            let (start, end) = (self.col[x], self.col[x + 1]);
-            let ys = &self.ys[start..end];
-            let lo = start + ys.partition_point(|&y| y < y_lo);
-            let hi = start + ys.partition_point(|&y| y <= y_hi);
-            for &o in &self.occ[lo..hi] {
-                visit(o as usize);
-            }
-        }
+    /// The occupants of every site within Chebyshev distance `reach` of
+    /// `at`, one column at a time.
+    fn window(&self, at: Site, reach: usize) -> impl Iterator<Item = &[u32]> + '_ {
+        let SiteGrid {
+            w, h, ref first, ..
+        } = *self.grid;
+        let rows = h + 1;
+        let y_lo = at.1.saturating_sub(reach).min(h);
+        let y_end = at.1.saturating_add(reach).saturating_add(1).min(h);
+        let x_hi = at.0.saturating_add(reach).min(w.saturating_sub(1));
+        (at.0.saturating_sub(reach)..=x_hi).map(move |x| {
+            &self.occ[first[x * rows + y_lo] as usize..first[x * rows + y_end] as usize]
+        })
     }
+}
+
+/// The position of the `k`-th set bit of `words[lo..=hi]`, counted
+/// from the lowest (`k` is below the number of set bits).
+fn kth_bit(words: &[u64], lo: usize, hi: usize, mut k: usize) -> usize {
+    for (w, &word) in words.iter().enumerate().take(hi + 1).skip(lo) {
+        let ones = word.count_ones() as usize;
+        if k < ones {
+            let mut word = word;
+            for _ in 0..k {
+                word &= word - 1;
+            }
+            return w * 64 + word.trailing_zeros() as usize;
+        }
+        k -= ones;
+    }
+    lo * 64
 }
 
 /// The free-site pools per kind, the site index kept in step with them
@@ -524,21 +597,33 @@ impl SiteIndex {
 struct Pools {
     free: [Vec<Site>; 3],
     index: [SiteIndex; 3],
-    /// The current window's free-pool indices and swappable siblings.
-    near_free: Vec<usize>,
-    near_swap: Vec<usize>,
+    /// The current window's candidates as one bitset, cleared after each
+    /// proposal: sibling `o` is bit `o` and free-pool index `f` bit
+    /// `base + f`. The window visits them in column order; the bitset
+    /// hands them back in index order. Both index spaces are below
+    /// `base`, the largest site count rounded up to whole words.
+    near: Vec<u64>,
+    base: usize,
 }
 
 impl Pools {
     /// The pools of a layout: each kind's unoccupied sites, in site order.
-    fn new(sites: &[Vec<Site>; 3], loc: &Locs) -> Pools {
-        let free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
-        let index = std::array::from_fn(|k| SiteIndex::new(&sites[k], &loc[k], &free[k]));
+    fn new(sites: &Sites, loc: &Locs) -> Pools {
+        let free: [Vec<Site>; 3] = std::array::from_fn(|k| sites.grid[k].free(&loc[k], &sites[k]));
+        let index = std::array::from_fn(|k| SiteIndex::new(&sites.grid[k], &loc[k], &free[k]));
+        // A kind's pool and its entities share its sites.
+        let base = sites
+            .list
+            .iter()
+            .map(Vec::len)
+            .max()
+            .unwrap_or(0)
+            .next_multiple_of(64);
         Pools {
             free,
             index,
-            near_free: Vec::new(),
-            near_swap: Vec::new(),
+            near: vec![0; 2 * base / 64],
+            base,
         }
     }
 
@@ -560,27 +645,39 @@ impl Pools {
     ) -> Option<Move> {
         let (kind, idx) = movers[rng.random_range(0..movers.len())];
         let from = loc[kind][idx];
-        let (near_free, near_swap) = (&mut self.near_free, &mut self.near_swap);
-        near_free.clear();
-        near_swap.clear();
+        let (near, base) = (&mut self.near[..], self.base);
+        let (mut n_free, mut n_near) = (0, 0);
+        // Every set bit lies in words `lo..=hi` (none when `lo > hi`).
+        let (mut lo, mut hi) = (usize::MAX, 0);
         // Site distances are integers, so `d as f64 <= r` is `d <= ⌊r⌋`.
-        self.index[kind].window(from, r.floor() as usize, |o| {
-            if o & FREE != 0 {
-                near_free.push(o & !FREE);
-            } else if o != idx && movable.is_none_or(|m| m[kind][o]) {
-                near_swap.push(o);
+        for column in self.index[kind].window(from, r.floor() as usize) {
+            for &o in column {
+                let o = o as usize;
+                let free = o & FREE != 0;
+                if !free && (o == idx || movable.is_some_and(|m| !m[kind][o])) {
+                    continue;
+                }
+                n_free += usize::from(free);
+                n_near += 1;
+                let bit = if free { base + (o & !FREE) } else { o };
+                near[bit / 64] |= 1 << (bit % 64);
+                (lo, hi) = (lo.min(bit / 64), hi.max(bit / 64));
             }
-        });
-        let (n_free, n_swap) = (near_free.len(), near_swap.len());
+        }
+        let n_swap = n_near - n_free;
         let target = if n_free > 0 && (n_swap == 0 || rng.random_bool(0.5)) {
             let k = rng.random_range(0..n_free);
-            Target::Free(*near_free.select_nth_unstable(k).1)
+            Some(Target::Free(kth_bit(near, lo.max(base / 64), hi, k) - base))
         } else if n_swap > 0 {
             let k = rng.random_range(0..n_swap);
-            Target::Swap(*near_swap.select_nth_unstable(k).1)
+            Some(Target::Swap(kth_bit(near, lo, hi, k)))
         } else {
-            return None;
+            None
         };
+        if lo <= hi {
+            near[lo..=hi].fill(0);
+        }
+        let target = target?;
         let to = match target {
             Target::Free(f) => self.free[kind][f],
             Target::Swap(o) => loc[kind][o],
@@ -715,6 +812,55 @@ impl NetModel {
         })
     }
 
+    /// Every sum a walk decides `mv` by, folded in one pass over
+    /// [`Self::priced`], in net order: the same additions, in the same
+    /// order, as folding each sum over the priced nets separately, so
+    /// every sum is bit-identical to its separate fold. The
+    /// coefficient-weighted sums are folded only when `coef` is given.
+    /// Debug builds check each touched net's cached box against a rescan.
+    fn price(&self, boxes: &[NetBox], loc: &Locs, mv: Move, coef: Option<&[f64]>) -> Pricing {
+        // `-0.0` is the neutral element `Iterator::sum` starts from.
+        let mut p = Pricing {
+            before: (0.0, 0.0),
+            after: (0.0, 0.0),
+            eff_before: -0.0,
+            eff_after: 0.0,
+            eff_delta: -0.0,
+        };
+        let mut add = |n: NetId, b: f64, a: f64| {
+            debug_assert!(
+                boxes[n.index()] == self.rescan(n, |e| site_of(loc, e)),
+                "stale bounding-box cache under {mv:?}"
+            );
+            p.before = (p.before.0 + b, p.before.1 + b * b);
+            p.after = (p.after.0 + a, p.after.1 + a * a);
+            if let Some(c) = coef {
+                let c = c[n.index()];
+                p.eff_before += c * b;
+                p.eff_after += c * a;
+                p.eff_delta += c * (a - b);
+            }
+        };
+        if mv.partner().is_some() {
+            for (n, b, a) in self.priced(boxes, loc, mv) {
+                add(n, b, a);
+            }
+        } else {
+            // A move to a free site touches only the mover's nets: the
+            // same nets, in the same order, `priced` merges out.
+            for &n in self.nets_of(mv.kind, mv.idx) {
+                let b = &boxes[n.index()];
+                let after = b.moved(mv.from, mv.to);
+                debug_assert!(
+                    after == self.rescan(n, |e| mv.site_after(loc, e)).hpwl,
+                    "O(1) HPWL of net {n:?} under {mv:?} disagrees with a rescan"
+                );
+                add(n, b.hpwl, after);
+            }
+        }
+        p
+    }
+
     /// Updates the boxes of the nets `mv` touched, after it was applied.
     /// A net holding both swapped entities keeps its pin multiset, so its
     /// box; any other net's box shifts its one moved pin in O(1), unless
@@ -771,13 +917,31 @@ fn merge<'a>(mine: &'a [NetId], theirs: &'a [NetId]) -> impl Iterator<Item = Sid
     })
 }
 
-/// (Σ h, Σ h²) of the before (`after = false`) or after side of a priced
-/// move, folded in net order.
-fn side_sums(step: &[(NetId, f64, f64)], after: bool) -> (f64, f64) {
-    step.iter().fold((0.0, 0.0), |(lin, sq), &(_, b, a)| {
-        let h = if after { a } else { b };
-        (lin + h, sq + h * h)
-    })
+/// The sums of one priced move (see [`NetModel::price`]).
+#[derive(Debug, Clone, Copy)]
+struct Pricing {
+    /// (Σ h, Σ h²) over the touched nets before the move, and after it.
+    before: (f64, f64),
+    after: (f64, f64),
+    /// Σ coef·h before and after, and Σ coef·(after − before): the
+    /// effective-cost sides and delta of the timed arm.
+    eff_before: f64,
+    eff_after: f64,
+    eff_delta: f64,
+}
+
+impl Pricing {
+    /// Effective-cost early-exit test of the timed arm: once Σ coef·after
+    /// clears Σ coef·before + 20·T the effective delta is ≥ 20·T and
+    /// Metropolis acceptance is ~e⁻²⁰ — the walks reject such a move
+    /// without its RNG draw. (Timing mode only: skipping draws would shift
+    /// the wirelength-only RNG stream.) Every term coef·after is ≥ 0, so
+    /// the running sum never decreases: the whole sum clears the bar
+    /// exactly when some prefix of it does (and with no term at all,
+    /// 0 never clears a bar of −0 + 20·T, T ≥ 0).
+    fn hopeless(&self, temperature: f64) -> bool {
+        self.eff_after > self.eff_before + 20.0 * temperature
+    }
 }
 
 /// Standard deviation of the HPWL deltas of `samples` proposed — not
@@ -800,10 +964,8 @@ fn delta_spread(
         let Some(mv) = pools.propose(rng, movers, loc, movable, r) else {
             continue;
         };
-        let (before, after) = model
-            .priced(boxes, loc, mv)
-            .fold((0.0, 0.0), |(b, a), (_, hb, ha)| (b + hb, a + ha));
-        deltas.push(after - before);
+        let p = model.price(boxes, loc, mv, None);
+        deltas.push(p.after.0 - p.before.0);
     }
     let n = deltas.len() as f64;
     if deltas.is_empty() {
@@ -924,29 +1086,11 @@ impl TimingCtx {
             .map(|&n| self.coef[n.index()] * model.rescan(n, |e| site_of(loc, e)).hpwl)
             .sum()
     }
+}
 
-    /// Effective-cost early-exit test for a priced move: Σ coef·after_hpwl
-    /// only grows as nets are added (coef ≥ 0, hpwl ≥ 0), so once it
-    /// clears Σ coef·before_hpwl + 20·T the effective delta is ≥ 20·T and
-    /// Metropolis acceptance is ~e⁻²⁰ — the walks reject such a move
-    /// without its RNG draw. (Timing mode only: skipping draws would shift
-    /// the wirelength-only RNG stream.)
-    fn hopeless(&self, step: &[(NetId, f64, f64)], temperature: f64) -> bool {
-        let before_eff: f64 = step.iter().map(|&(n, b, _)| self.coef[n.index()] * b).sum();
-        let bar = before_eff + 20.0 * temperature;
-        let mut eff = 0.0;
-        step.iter().any(|&(n, _, a)| {
-            eff += self.coef[n.index()] * a;
-            eff > bar
-        })
-    }
-
-    /// The effective (coefficient-weighted) delta of a priced move.
-    fn delta(&self, step: &[(NetId, f64, f64)]) -> f64 {
-        step.iter()
-            .map(|&(n, b, a)| self.coef[n.index()] * (a - b))
-            .sum()
-    }
+/// The frozen coefficients of a timed arm; `None` for the blind arm.
+fn coef(timing: &Option<TimingCtx>) -> Option<&[f64]> {
+    timing.as_ref().map(|t| &t.coef[..])
 }
 
 /// Deterministic greedy descent over the full single-move neighborhood
@@ -976,10 +1120,14 @@ impl TimingCtx {
 /// Each candidate is priced in O(1) per touched net from the exact box
 /// cache `boxes` (see [`NetModel::priced`]), folded per net in ascending
 /// id order exactly as the historical rescan did; a taken move rebuilds
-/// only its own nets' boxes, so `boxes` is exact again on return.
+/// only its own nets' boxes, so `boxes` is exact again on return. A
+/// candidate whose linear delta is provably too large to beat the best so
+/// far — from per-column and per-row tables of the mover's separable
+/// linear cost, and for a swap the partner's largest possible shrink — is
+/// skipped unpriced; skipping never changes which candidate wins.
 fn quench(
     model: &NetModel,
-    sites: &[Vec<Site>; 3],
+    sites: &Sites,
     loc: &mut Locs,
     boxes: &mut [NetBox],
     movable: Option<[&[bool]; 3]>,
@@ -1034,6 +1182,31 @@ fn quench(
             );
         }
     }
+    // Per entity, over its incidences: Σ w·hpwl, and the most its nets
+    // can shrink when its pin leaves, Σ w·(hpwl − width without the pin).
+    // They bound its side of a swap (see below); a taken move recomputes
+    // them for every entity whose incidences it refreshed.
+    let sums_of = |inc: &[Incidence]| {
+        inc.iter().fold((0.0, 0.0), |(lin, shrink), m| {
+            let without = (m.x.1 - m.x.0 + m.y.1 - m.y.0) as f64;
+            (lin + m.w * m.hpwl, shrink + m.w * (m.hpwl - without))
+        })
+    };
+    let mut sums: Vec<(f64, f64)> = (0..model.start.len() - 1)
+        .map(|s| sums_of(&inc[model.start[s]..model.start[s + 1]]))
+        .collect();
+    let mut refreshed: Vec<usize> = Vec::new();
+    // A candidate whose linear delta is provably at least `lb` cannot beat
+    // the incumbent when `lb` clears it by 1e-9 (the `beats` epsilon) plus
+    // a relative margin. Both the bound and the exact fold sum the same
+    // non-negative terms, in different orders, so they differ by at most
+    // ~(n + 2)·2⁻⁵³ of the magnitudes summed — orders of magnitude under
+    // `1e-9·(1 + scale)`; in wirelength mode both are exact integers.
+    let loses = |lb: f64, scale: f64, best: f64| lb - best > 1e-9 * (2.0 + scale + best.abs());
+    // Per visit, the mover's linear cost at every column and row: its
+    // nets' `Σ w·stretch(x)` and `Σ w·stretch(y)` (the HPWL of a pin is
+    // separable), so `col[x] + row[y]` is its linear cost at site (x, y).
+    let (mut col, mut row): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     for _ in 0..16 {
         let mut improved = false;
         for kind in 0..3usize {
@@ -1047,21 +1220,32 @@ fn quench(
                 let before = mi.iter().fold((0.0, 0.0), |(lin, sq), m| {
                     (lin + m.w * m.hpwl, sq + m.hpwl * m.hpwl)
                 });
+                // Tables cost a pass per column and row; build them only
+                // when there are more candidates than that.
+                let (w, h) = (sites.grid[kind].w, sites.grid[kind].h);
+                let tabled = pools.free[kind].len() + loc[kind].len() > w + h;
+                if tabled {
+                    let axis =
+                        |len: usize, pick: fn(&Incidence) -> (usize, usize), t: &mut Vec<f64>| {
+                            t.clear();
+                            t.extend((0..len).map(|c| {
+                                mi.iter()
+                                    .fold(0.0, |sum, m| sum + m.w * stretch(pick(m), c) as f64)
+                            }));
+                        };
+                    axis(w, |m| m.x, &mut col);
+                    axis(h, |m| m.y, &mut row);
+                }
+                let lin_at = |to: Site| col[to.0] + row[to.1];
                 let mut best_delta = (0.0f64, 0.0f64);
-                let mut best_move: Option<Move> = None;
-                let mut consider = |to: Site, target: Target, delta: (f64, f64)| {
-                    if beats(delta, best_delta) {
-                        best_delta = delta;
-                        best_move = Some(Move {
-                            kind,
-                            idx,
-                            from,
-                            to,
-                            target,
-                        });
-                    }
-                };
+                let mut best: Option<(Site, Target)> = None;
                 for (f, &to) in pools.free[kind].iter().enumerate() {
+                    if tabled {
+                        let est = lin_at(to);
+                        if loses(est - before.0, est + before.0, best_delta.0) {
+                            continue;
+                        }
+                    }
                     let after = mine.iter().zip(mi).fold((0.0, 0.0), |(lin, sq), (&n, m)| {
                         let h = m.at(to);
                         debug_assert!(
@@ -1076,17 +1260,28 @@ fn quench(
                         );
                         (lin + m.w * h, sq + h * h)
                     });
-                    consider(
-                        to,
-                        Target::Free(f),
-                        (after.0 - before.0, after.1 - before.1),
-                    );
+                    let delta = (after.0 - before.0, after.1 - before.1);
+                    if beats(delta, best_delta) {
+                        (best_delta, best) = (delta, Some((to, Target::Free(f))));
+                    }
                 }
                 for o in 0..loc[kind].len() {
                     if o == idx || !may_move(kind, o) {
                         continue;
                     }
                     let to = loc[kind][o];
+                    // The swap's linear delta is at least the mover's free
+                    // move to `to` (on a net of both entities the mover's
+                    // term is ≤ 0 and the swap's is 0) less the partner's
+                    // largest possible shrink.
+                    if tabled {
+                        let (lin_o, shrink_o) = sums[model.first[kind] + o];
+                        let est = lin_at(to);
+                        let scale = est + before.0 + lin_o + shrink_o;
+                        if loses(est - before.0 - shrink_o, scale, best_delta.0) {
+                            continue;
+                        }
+                    }
                     let theirs = model.nets_of(kind, o);
                     let ti = &inc[model.slots(kind, o)];
                     let (b0, a0) =
@@ -1112,20 +1307,37 @@ fn quench(
                                 (a.0 + m.w * after, a.1 + after * after),
                             )
                         });
-                    consider(to, Target::Swap(o), (a0.0 - b0.0, a0.1 - b0.1));
+                    let delta = (a0.0 - b0.0, a0.1 - b0.1);
+                    if beats(delta, best_delta) {
+                        (best_delta, best) = (delta, Some((to, Target::Swap(o))));
+                    }
                 }
-                let Some(mv) = best_move else {
+                let Some((to, target)) = best else {
                     continue;
+                };
+                let mv = Move {
+                    kind,
+                    idx,
+                    from,
+                    to,
+                    target,
                 };
                 mv.apply(loc, &mut pools);
                 model.rebox(boxes, loc, &mv);
+                refreshed.clear();
                 for n in model.touched(&mv) {
                     for &e in &model.pins[n.index()] {
                         let (k, i) = kind_index(e);
                         let nets = model.nets_of(k, i);
                         let slot = model.slots(k, i).start + nets.partition_point(|m| m.0 < n.0);
                         inc[slot] = incidence(boxes, loc[k][i], n);
+                        refreshed.push(model.first[k] + i);
                     }
+                }
+                refreshed.sort_unstable();
+                refreshed.dedup();
+                for &s in &refreshed {
+                    sums[s] = sums_of(&inc[model.start[s]..model.start[s + 1]]);
                 }
                 improved = true;
             }
@@ -1174,14 +1386,17 @@ fn pick_guarded<T>(
     chosen
 }
 
-/// The per-kind site lists of a device, `[CLBs, BRAMs, IOBs]`.
-fn device_sites(device: &Device) -> [Vec<Site>; 3] {
-    [device.clb_sites(), device.bram_sites(), device.iob_sites()]
+/// The sites of a device.
+fn device_sites(device: &Device) -> Sites {
+    let list = [device.clb_sites(), device.bram_sites(), device.iob_sites()];
+    let grid = std::array::from_fn(|k| Rc::new(SiteGrid::new(&list[k])));
+    Sites { list, grid }
 }
 
 /// The largest site coordinate on any axis: the anneals' maximum window.
-fn site_span(sites: &[Vec<Site>; 3]) -> f64 {
+fn site_span(sites: &Sites) -> f64 {
     sites
+        .list
         .iter()
         .flatten()
         .map(|&(x, y)| x.max(y))
@@ -1207,7 +1422,7 @@ struct Walk {
 /// What an anneal reads but never changes.
 struct Problem<'a> {
     model: &'a NetModel,
-    sites: &'a [Vec<Site>; 3],
+    sites: &'a Sites,
     movers: &'a [(usize, usize)],
     opts: &'a PlaceOptions,
     /// The window an anneal opens with, and its maximum.
@@ -1411,8 +1626,6 @@ fn anneal(
     let mut cur_cost = base_cost;
     let mut best_cost = base_cost;
     let mut best = loc.clone();
-    // The nets of the move being priced, with their HPWL before and after.
-    let mut step: Vec<(NetId, f64, f64)> = Vec::new();
     // Effective (timing-blended) costs the walk actually optimizes; at
     // `timing_weight = 0` they mirror the HPWL costs exactly.
     let mut cur_eff = cur_cost;
@@ -1484,21 +1697,11 @@ fn anneal(
                 // historical rescan, so the sums are bit-identical; debug
                 // builds check the cache and every after-value against
                 // rescans of the coordinates.
-                step.clear();
-                step.extend(model.priced(&net_box, &loc, mv));
-                debug_assert!(
-                    step.iter()
-                        .all(|&(n, ..)| net_box[n.index()] == model.rescan(n, |e| site_of(&loc, e))),
-                    "stale bounding-box cache under {mv:?}"
-                );
-                if timing
-                    .as_ref()
-                    .is_some_and(|t| t.hopeless(&step, temperature))
-                {
+                let priced = model.price(&net_box, &loc, mv, coef(&timing));
+                if timing.is_some() && priced.hopeless(temperature) {
                     continue;
                 }
-                let before = side_sums(&step, false);
-                let after = side_sums(&step, true);
+                let (before, after) = (priced.before, priced.after);
                 let delta = after.0 - before.0;
                 // Zero-linear-cost moves are plateau diffusion; bias them by
                 // the quadratic tie-breaker the quench optimizes, so shelf
@@ -1512,7 +1715,11 @@ fn anneal(
                 // The Metropolis test runs on the effective (timing-blended)
                 // delta; without a timing context it IS the wirelength delta,
                 // so the `timing_weight = 0` decision stream is untouched.
-                let delta_eff = timing.as_ref().map_or(delta, |t| t.delta(&step));
+                let delta_eff = if timing.is_some() {
+                    priced.eff_delta
+                } else {
+                    delta
+                };
                 let accept = if delta_eff < -1e-9 {
                     true
                 } else if delta_eff < 1e-9 {
@@ -1599,14 +1806,7 @@ fn anneal(
         // best-seen tracking keeps whichever basin floor was deepest.
         loc.clone_from(&best);
         net_box = model.boxes(&loc);
-        quench(
-            model,
-            sites,
-            &mut loc,
-            &mut net_box,
-            None,
-            timing.as_ref().map(|t| &t.coef[..]),
-        );
+        quench(model, sites, &mut loc, &mut net_box, None, coef(&timing));
         pools = Pools::new(sites, &loc);
         cur_cost = model.cost(&loc).0;
         best_cost = cur_cost;
@@ -1643,14 +1843,7 @@ fn anneal(
 
     // Polish the winner with the same deterministic descent (criticality-
     // weighted in timing mode, under the final frozen coefficients).
-    quench(
-        model,
-        sites,
-        &mut loc,
-        &mut net_box,
-        None,
-        timing.as_ref().map(|t| &t.coef[..]),
-    );
+    quench(model, sites, &mut loc, &mut net_box, None, coef(&timing));
     (loc, moves_spent, budget)
 }
 
@@ -2103,7 +2296,6 @@ fn anneal_eco(
     let mut best_cost = cur_cost;
     let mut best = loc.clone();
     // Per-net box cache and move pricing exactly as in `place`.
-    let mut step: Vec<(NetId, f64, f64)> = Vec::new();
     let mut cur_eff = cur_cost;
     let mut best_eff = best_cost;
     if let Some(t) = timing.as_mut() {
@@ -2127,23 +2319,18 @@ fn anneal_eco(
             let Some(mv) = pools.propose(&mut rng, movers, &loc, movable, rlim) else {
                 continue;
             };
-            step.clear();
-            step.extend(model.priced(&net_box, &loc, mv));
-            debug_assert!(
-                step.iter()
-                    .all(|&(n, ..)| net_box[n.index()] == model.rescan(n, |e| site_of(&loc, e))),
-                "stale bounding-box cache under {mv:?}"
-            );
+            let priced = model.price(&net_box, &loc, mv, coef(&timing));
             // Same early-exit bound as `place` (timing mode only, so
             // the blind-ECO RNG stream is untouched).
-            if timing
-                .as_ref()
-                .is_some_and(|t| t.hopeless(&step, temperature))
-            {
+            if timing.is_some() && priced.hopeless(temperature) {
                 continue;
             }
-            let delta = side_sums(&step, true).0 - side_sums(&step, false).0;
-            let delta_eff = timing.as_ref().map_or(delta, |t| t.delta(&step));
+            let delta = priced.after.0 - priced.before.0;
+            let delta_eff = if timing.is_some() {
+                priced.eff_delta
+            } else {
+                delta
+            };
             let accept =
                 delta_eff < 1e-9 || rng.random_bool((-delta_eff / temperature).exp().min(1.0));
             if accept {
@@ -2191,14 +2378,7 @@ fn anneal_eco(
     }
     // Polish the delta with the masked deterministic descent
     // (criticality-weighted in timing mode).
-    quench(
-        model,
-        sites,
-        &mut loc,
-        &mut net_box,
-        movable,
-        timing.as_ref().map(|t| &t.coef[..]),
-    );
+    quench(model, sites, &mut loc, &mut net_box, movable, coef(&timing));
     (loc, moves_spent, budget)
 }
 
@@ -2515,6 +2695,17 @@ mod tests {
         }
     }
 
+    /// The sites of `sites` no entity in `locs` occupies, in site order:
+    /// the free-pool rule, by hash set.
+    fn free_sites(locs: &[Site], sites: &[Site]) -> Vec<Site> {
+        let used: std::collections::HashSet<Site> = locs.iter().copied().collect();
+        sites
+            .iter()
+            .copied()
+            .filter(|s| !used.contains(s))
+            .collect()
+    }
+
     /// The historical quench, kept as the oracle for the edge-box quench:
     /// every candidate rescans every pin of every touched net through an
     /// override locator, and every swap allocates, sorts and dedups the
@@ -2522,7 +2713,7 @@ mod tests {
     #[allow(clippy::needless_range_loop)]
     fn quench_reference(
         model: &NetModel,
-        sites: &[Vec<Site>; 3],
+        sites: &Sites,
         loc: &mut Locs,
         movable: Option<[&[bool]; 3]>,
         coef: Option<&[f64]>,
@@ -2659,6 +2850,29 @@ mod tests {
         (NetModel::from_pins(pins, counts), loc)
     }
 
+    /// Frozen-coefficient draws that stress the quench's pruning margin:
+    /// either log-uniform over 1e-3..1e3 — non-integer, so the fold order
+    /// is observable — or small integers nudged by one ulp either way,
+    /// which puts many candidates' linear deltas within the `beats`
+    /// epsilon of each other.
+    fn random_coefs(rng: &mut SmallRng, n: usize) -> Vec<f64> {
+        let nudged = rng.random_bool(0.5);
+        (0..n)
+            .map(|_| {
+                if nudged {
+                    let c = f64::from(rng.random_range(1u32..=4));
+                    match rng.random_range(0..3u32) {
+                        0 => c.next_down(),
+                        1 => c.next_up(),
+                        _ => c,
+                    }
+                } else {
+                    10f64.powf(rng.random::<f64>() * 6.0 - 3.0)
+                }
+            })
+            .collect()
+    }
+
     #[test]
     fn quench_matches_the_rescan_reference() {
         run_cases(40, |rng| {
@@ -2675,10 +2889,7 @@ mod tests {
             let movable = rng
                 .random_bool(0.5)
                 .then(|| -> [&[bool]; 3] { [&mov[0], &mov[1], &mov[2]] });
-            // Non-integer coefficients make the fold order observable.
-            let coefs: Vec<f64> = (0..model.pins.len())
-                .map(|_| 0.3 + 2.0 * rng.random::<f64>())
-                .collect();
+            let coefs = random_coefs(rng, model.pins.len());
             let coef = rng.random_bool(0.5).then_some(&coefs[..]);
 
             let mut fast = start.clone();
@@ -2739,7 +2950,7 @@ mod tests {
     fn index_consistent(pools: &Pools, loc: &Locs) -> bool {
         (0..3).all(|k| {
             let ix = &pools.index[k];
-            let at = |(x, y): Site| ix.occ[ix.slot[y * ix.w + x] as usize] as usize;
+            let at = |s: Site| ix.occ[ix.grid.slot(s)] as usize;
             loc[k].iter().enumerate().all(|(i, &s)| at(s) == i)
                 && pools.free[k]
                     .iter()
@@ -2760,7 +2971,11 @@ mod tests {
             let (model, mut loc) = random_problem(rng, device);
             let sites = device_sites(&device);
             let mut pools = Pools::new(&sites, &loc);
-            let mut free = pools.free.clone();
+            let mut free: [Vec<Site>; 3] = std::array::from_fn(|k| free_sites(&loc[k], &sites[k]));
+            assert_eq!(
+                pools.free, free,
+                "grid free pools differ from the hash-set rule"
+            );
             let mut boxes = model.boxes(&loc);
             let mov: [Vec<bool>; 3] =
                 std::array::from_fn(|k| (0..loc[k].len()).map(|_| rng.random_bool(0.6)).collect());
@@ -2816,6 +3031,94 @@ mod tests {
             }
             // Same number of draws consumed on both sides.
             assert_eq!(a.next_u64(), b.next_u64());
+        });
+    }
+
+    /// (Σ h, Σ h²) of one side of a priced move, folded in net order: the
+    /// walks' historical pricing, kept as the oracle for
+    /// [`NetModel::price`], with the two folds below.
+    fn side_sums(step: &[(NetId, f64, f64)], after: bool) -> (f64, f64) {
+        step.iter().fold((0.0, 0.0), |(lin, sq), &(_, b, a)| {
+            let h = if after { a } else { b };
+            (lin + h, sq + h * h)
+        })
+    }
+
+    /// The historical early-exit test: short-circuits on the first prefix
+    /// of Σ coef·after that clears the bar.
+    fn hopeless_reference(step: &[(NetId, f64, f64)], coef: &[f64], temperature: f64) -> bool {
+        let before_eff: f64 = step.iter().map(|&(n, b, _)| coef[n.index()] * b).sum();
+        let bar = before_eff + 20.0 * temperature;
+        let mut eff = 0.0;
+        step.iter().any(|&(n, _, a)| {
+            eff += coef[n.index()] * a;
+            eff > bar
+        })
+    }
+
+    fn delta_reference(step: &[(NetId, f64, f64)], coef: &[f64]) -> f64 {
+        step.iter()
+            .map(|&(n, b, a)| coef[n.index()] * (a - b))
+            .sum()
+    }
+
+    #[test]
+    fn one_pass_pricing_matches_the_separate_folds() {
+        let bits = |p: (f64, f64)| (p.0.to_bits(), p.1.to_bits());
+        run_cases(40, |rng| {
+            let device = if rng.random_bool(0.5) {
+                Device::by_name("XC2V40").expect("family member")
+            } else {
+                Device::xc2v250()
+            };
+            let sites = device_sites(&device);
+            let (model, mut loc) = random_problem(rng, device);
+            let mut pools = Pools::new(&sites, &loc);
+            let mut boxes = model.boxes(&loc);
+            let movers: Vec<(usize, usize)> = (0..3)
+                .flat_map(|k| (0..loc[k].len()).map(move |i| (k, i)))
+                .collect();
+            let coefs = random_coefs(rng, model.pins.len());
+            let span = site_span(&sites);
+            for _ in 0..128 {
+                let r = 1.0 + rng.random::<f64>() * (span - 1.0).max(0.0);
+                let Some(mv) = pools.propose(rng, &movers, &loc, None, r) else {
+                    continue;
+                };
+                let step: Vec<(NetId, f64, f64)> = model.priced(&boxes, &loc, mv).collect();
+                let blind = model.price(&boxes, &loc, mv, None);
+                let timed = model.price(&boxes, &loc, mv, Some(&coefs));
+                for p in [blind, timed] {
+                    assert_eq!(bits(p.before), bits(side_sums(&step, false)));
+                    assert_eq!(bits(p.after), bits(side_sums(&step, true)));
+                }
+                assert_eq!(
+                    timed.eff_delta.to_bits(),
+                    delta_reference(&step, &coefs).to_bits()
+                );
+                // Temperatures (never negative, as in the walks) around the
+                // one that puts the bar exactly on Σ coef·after, where the
+                // two tests could part ways.
+                let edge = (timed.eff_after - timed.eff_before) / 20.0;
+                for t in [
+                    edge.next_down(),
+                    edge,
+                    edge.next_up(),
+                    edge.abs() * 2.0,
+                    0.0,
+                ] {
+                    let t = t.max(0.0);
+                    assert_eq!(
+                        timed.hopeless(t),
+                        hopeless_reference(&step, &coefs, t),
+                        "temperature {t} under {mv:?}"
+                    );
+                }
+                if rng.random_bool(0.5) {
+                    mv.apply(&mut loc, &mut pools);
+                    model.rebox(&mut boxes, &loc, &mv);
+                }
+            }
         });
     }
 }

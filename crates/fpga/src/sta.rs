@@ -30,7 +30,6 @@ use crate::pack::PackedDesign;
 use crate::place::Placement;
 use crate::schedule::Schedule;
 use crate::timing::DelayModel;
-use std::collections::BTreeSet;
 
 /// What launches a net (determines its arrival-time formula).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +69,12 @@ pub struct TimingKernel {
     model: DelayModel,
     /// Per-net launch kind.
     launch: Vec<Launch>,
-    /// Per-net propagation rank: 0 for launch/const/undriven nets,
-    /// `1 + comb_order position` for LUT-driven nets (unique per net).
-    rank: Vec<u32>,
+    /// Every net in propagation order: ascending `(rank, id)`, where the
+    /// rank is 0 for launch/const/undriven nets and `1 + comb_order
+    /// position` for LUT-driven nets (unique per net).
+    order: Vec<u32>,
+    /// Each net's position in `order`.
+    pos: Vec<u32>,
     /// Per-net timing sinks.
     sinks: Vec<Vec<Sink>>,
     /// Input nets of each LUT, indexed by the `Launch::Lut`/`Sink::Lut` id.
@@ -90,10 +92,78 @@ pub struct TimingKernel {
     downstream: Vec<f64>,
     /// Worst endpoint arrival (`0.0` floor).
     dmax: f64,
-    /// Nets whose arrival must be recomputed, ordered by ascending rank.
-    dirty_fwd: BTreeSet<(u32, u32)>,
-    /// Nets whose downstream must be recomputed, drained by descending rank.
-    dirty_bwd: BTreeSet<(u32, u32)>,
+    /// Positions of nets whose arrival must be recomputed, drained in
+    /// ascending order.
+    dirty_fwd: Wavefront,
+    /// Positions of nets whose downstream must be recomputed, drained in
+    /// descending order.
+    dirty_bwd: Wavefront,
+}
+
+/// A set of positions in the kernel's propagation order, as a bitset
+/// with exact minimum and maximum extraction: a wavefront drains in the
+/// same order an ordered set of `(rank, id)` pairs would, without the
+/// tree. Every set bit lies in words `lo..=hi`; `lo > hi` when empty.
+#[derive(Debug, Clone)]
+struct Wavefront {
+    words: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Wavefront {
+    fn new(n: usize) -> Wavefront {
+        Wavefront {
+            words: vec![0; n.div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    fn insert(&mut self, p: u32) {
+        let w = p as usize / 64;
+        self.words[w] |= 1 << (p % 64);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w);
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+        (self.lo, self.hi) = (usize::MAX, 0);
+    }
+
+    /// Removes and returns the smallest position.
+    fn pop_min(&mut self) -> Option<usize> {
+        while self.lo <= self.hi {
+            let word = &mut self.words[self.lo];
+            if *word != 0 {
+                let b = word.trailing_zeros() as usize;
+                *word &= *word - 1;
+                return Some(self.lo * 64 + b);
+            }
+            self.lo += 1;
+        }
+        self.clear();
+        None
+    }
+
+    /// Removes and returns the largest position.
+    fn pop_max(&mut self) -> Option<usize> {
+        while self.lo <= self.hi {
+            let word = &mut self.words[self.hi];
+            if *word != 0 {
+                let b = 63 - word.leading_zeros() as usize;
+                *word &= !(1 << b);
+                return Some(self.hi * 64 + b);
+            }
+            if self.hi == 0 {
+                break;
+            }
+            self.hi -= 1;
+        }
+        self.clear();
+        None
+    }
 }
 
 impl TimingKernel {
@@ -182,10 +252,17 @@ impl TimingKernel {
             sinks[net.index()].push(Sink::Setup(model.pad));
         }
 
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_unstable_by_key(|&i| (rank[i as usize], i));
+        let mut pos = vec![0u32; n];
+        for (p, &i) in order.iter().enumerate() {
+            pos[i as usize] = p as u32;
+        }
         let mut kernel = TimingKernel {
             model: *model,
             launch,
-            rank,
+            order,
+            pos,
             sinks,
             lut_inputs,
             lut_output,
@@ -194,8 +271,8 @@ impl TimingKernel {
             arrival: vec![0.0; n],
             downstream: vec![f64::NEG_INFINITY; n],
             dmax: 0.0,
-            dirty_fwd: BTreeSet::new(),
-            dirty_bwd: BTreeSet::new(),
+            dirty_fwd: Wavefront::new(n),
+            dirty_bwd: Wavefront::new(n),
         };
         kernel.full_retime();
         Ok(kernel)
@@ -223,12 +300,12 @@ impl TimingKernel {
             return;
         }
         self.wire[i] = delay_ns;
-        self.dirty_fwd.insert((self.rank[i], net.0));
+        self.dirty_fwd.insert(self.pos[i]);
         // `wire[net]` feeds the downstream of every net fanning into the
         // LUT that drives `net` (the Sink::Lut term).
         if let Launch::Lut(li) = self.launch[i] {
             for input in &self.lut_inputs[li as usize] {
-                self.dirty_bwd.insert((self.rank[input.index()], input.0));
+                self.dirty_bwd.insert(self.pos[input.index()]);
             }
         }
     }
@@ -238,29 +315,27 @@ impl TimingKernel {
     /// recomputed value is bit-identical to the stored one, then refreshes
     /// the worst-endpoint arrival.
     pub fn flush(&mut self) {
-        while let Some(&(r, id)) = self.dirty_fwd.iter().next() {
-            self.dirty_fwd.remove(&(r, id));
-            let i = id as usize;
+        while let Some(p) = self.dirty_fwd.pop_min() {
+            let i = self.order[p] as usize;
             let a = self.arrival_of(i);
             if a.to_bits() != self.arrival[i].to_bits() {
                 self.arrival[i] = a;
                 for s in &self.sinks[i] {
                     if let Sink::Lut(li) = s {
                         let out = self.lut_output[*li as usize];
-                        self.dirty_fwd.insert((self.rank[out.index()], out.0));
+                        self.dirty_fwd.insert(self.pos[out.index()]);
                     }
                 }
             }
         }
-        while let Some(&(r, id)) = self.dirty_bwd.iter().next_back() {
-            self.dirty_bwd.remove(&(r, id));
-            let i = id as usize;
+        while let Some(p) = self.dirty_bwd.pop_max() {
+            let i = self.order[p] as usize;
             let d = self.downstream_of(i);
             if d.to_bits() != self.downstream[i].to_bits() {
                 self.downstream[i] = d;
                 if let Launch::Lut(li) = self.launch[i] {
                     for input in &self.lut_inputs[li as usize] {
-                        self.dirty_bwd.insert((self.rank[input.index()], input.0));
+                        self.dirty_bwd.insert(self.pos[input.index()]);
                     }
                 }
             }
@@ -276,22 +351,21 @@ impl TimingKernel {
     /// flush first when using this as a check).
     pub fn full_retime(&mut self) -> bool {
         let n = self.wire.len();
-        let mut order: Vec<(u32, u32)> = (0..n).map(|i| (self.rank[i], i as u32)).collect();
-        order.sort_unstable();
-
+        let order = std::mem::take(&mut self.order);
         let mut matched = true;
         let prev_arrival = std::mem::replace(&mut self.arrival, vec![0.0; n]);
-        for &(_, id) in &order {
+        for &id in &order {
             let i = id as usize;
             self.arrival[i] = self.arrival_of(i);
             matched &= self.arrival[i].to_bits() == prev_arrival[i].to_bits();
         }
         let prev_downstream = std::mem::replace(&mut self.downstream, vec![f64::NEG_INFINITY; n]);
-        for &(_, id) in order.iter().rev() {
+        for &id in order.iter().rev() {
             let i = id as usize;
             self.downstream[i] = self.downstream_of(i);
             matched &= self.downstream[i].to_bits() == prev_downstream[i].to_bits();
         }
+        self.order = order;
         self.dirty_fwd.clear();
         self.dirty_bwd.clear();
         self.dmax = self.scan_dmax();
@@ -474,7 +548,8 @@ mod tests {
 
             let mut kernel = TimingKernel::new(&netlist, &model).unwrap();
             for i in 0..netlist.num_nets() {
-                let w = model.net_base + model.net_per_hop * routed.wirelength(NetId(i as u32)) as f64;
+                let w =
+                    model.net_base + model.net_per_hop * routed.wirelength(NetId(i as u32)) as f64;
                 kernel.set_wire_delay(NetId(i as u32), w);
             }
             kernel.flush();
@@ -532,7 +607,9 @@ mod tests {
         // the incremental state must be bit-identical to a full recompute.
         let mut state = 0x1234_5678u64;
         for step in 0..200 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let net = NetId((state >> 33) as u32 % nets as u32);
             let hops = (state >> 17) % 40;
             kernel.set_wire_delay(net, model.net_base + model.net_per_hop * hops as f64);
@@ -541,7 +618,43 @@ mod tests {
                 let mut fresh = kernel.clone();
                 fresh.full_retime();
                 assert!(kernel.clone().full_retime(), "drift at step {step}");
-                assert_eq!(fresh.critical_ns().to_bits(), kernel.critical_ns().to_bits());
+                assert_eq!(
+                    fresh.critical_ns().to_bits(),
+                    kernel.critical_ns().to_bits()
+                );
+            }
+        }
+    }
+
+    /// The bitset wavefront drains in exactly the order an ordered set
+    /// does: ascending with `pop_min`, descending with `pop_max`, inserts
+    /// in between included, duplicates collapsing.
+    #[test]
+    fn wavefront_drains_like_an_ordered_set() {
+        let mut state = 0x9e37_79b9u64;
+        let mut next = |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % m
+        };
+        for n in [1usize, 63, 64, 65, 200, 1000] {
+            let mut queue = Wavefront::new(n);
+            let mut oracle = std::collections::BTreeSet::new();
+            for step in 0..4000 {
+                if next(5) < 3 {
+                    let p = next(n);
+                    queue.insert(p as u32);
+                    oracle.insert(p);
+                } else if step % 2 == 0 {
+                    assert_eq!(queue.pop_min(), oracle.pop_first(), "n {n} step {step}");
+                } else {
+                    assert_eq!(queue.pop_max(), oracle.pop_last(), "n {n} step {step}");
+                }
+                if next(500) == 0 {
+                    queue.clear();
+                    oracle.clear();
+                }
             }
         }
     }

@@ -105,7 +105,8 @@ pub fn spec(tier: &str, index: usize, corpus_seed: u64) -> Option<StgSpec> {
     if !TIERS.iter().any(|t| t.name == tier) {
         return None;
     }
-    let mut key = corpus_seed ^ tier_hash(tier) ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut key =
+        corpus_seed ^ tier_hash(tier) ^ (index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let mut rng = SmallRng::seed_from_u64(splitmix64(&mut key));
     let mut s = base_spec(tier, &mut rng);
     s.seed = rng.random();

@@ -109,11 +109,7 @@ impl StateEncoding {
     ///
     /// Padding a one-hot encoding is refused (its width is already the
     /// state count; widening it has no overlay meaning).
-    pub fn assign_padded(
-        stg: &Stg,
-        style: EncodingStyle,
-        min_bits: usize,
-    ) -> Result<Self, String> {
+    pub fn assign_padded(stg: &Stg, style: EncodingStyle, min_bits: usize) -> Result<Self, String> {
         if style == EncodingStyle::OneHotZero {
             return Err("one-hot encodings cannot be width-padded".to_string());
         }

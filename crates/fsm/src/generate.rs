@@ -225,9 +225,7 @@ pub fn generate(spec: &StgSpec) -> Result<Stg, GenerateError> {
             for (r, &s) in order.iter().enumerate() {
                 rank[s] = r;
             }
-            let weights: Vec<f64> = (0..n)
-                .map(|s| ((rank[s] + 1) as f64).powf(-skew))
-                .collect();
+            let weights: Vec<f64> = (0..n).map(|s| ((rank[s] + 1) as f64).powf(-skew)).collect();
             let total: f64 = weights.iter().sum();
             let budget = (per_state_target * n) as f64;
             weights.iter().map(|w| budget * w / total).collect()

@@ -196,13 +196,7 @@ impl<'a> BatchSimulator<'a> {
                     truth,
                 } => {
                     let leaves = (0..1usize << inputs.len())
-                        .map(|m| {
-                            if truth >> m & 1 == 1 {
-                                u64::MAX
-                            } else {
-                                0
-                            }
-                        })
+                        .map(|m| if truth >> m & 1 == 1 { u64::MAX } else { 0 })
                         .collect();
                     CombOp::Lut {
                         inputs: inputs.clone(),
@@ -693,7 +687,11 @@ pub fn transpose64(m: &mut [u64; LANES]) {
 /// Panics if `rows.len() > LANES` or any row's width differs.
 #[must_use]
 pub fn pack_rows(rows: &[Vec<bool>], width: usize) -> Vec<u64> {
-    assert!(rows.len() <= LANES, "{} rows exceed {LANES} lanes", rows.len());
+    assert!(
+        rows.len() <= LANES,
+        "{} rows exceed {LANES} lanes",
+        rows.len()
+    );
     let mut words = vec![0u64; width];
     for (lane, row) in rows.iter().enumerate() {
         assert_eq!(row.len(), width, "row {lane} width mismatch");

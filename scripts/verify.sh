@@ -11,6 +11,7 @@
 #
 #  * benchmark build — the perfbench package (its own workspace) must
 #    build against the workspace crates;
+#  * formatting — `cargo fmt --all --check` must report no diff;
 #  * clippy — `cargo clippy --workspace --all-targets` must report no
 #    warnings (`-D warnings`);
 #  * exactness — the placer's oracle tests (O(1) quench vs the rescan
@@ -107,6 +108,10 @@ cargo build --release --offline --workspace \
 echo "== cargo build --release --offline --manifest-path perfbench/Cargo.toml" >&2
 cargo build --release --offline --manifest-path perfbench/Cargo.toml \
     || fail "benchmark package (perfbench) failed to build against the workspace crates"
+
+echo "== cargo fmt --all --check" >&2
+cargo fmt --all --check \
+    || fail "formatting drifted (run cargo fmt --all)"
 
 echo "== cargo clippy --offline --workspace --all-targets -- -D warnings" >&2
 cargo clippy --offline --workspace --all-targets -- -D warnings \

@@ -103,17 +103,12 @@ fn netlist_corruption_campaign_is_panic_free() {
         for out in outcomes.iter().take(16) {
             let (bad, fault) = corrupt_netlist(&clean, out.seed).expect("same seed corrupts");
             assert_eq!(fault, out.fault, "{name}/seed {}", out.seed);
-            let scalar = match verify_against_stg(
-                &bad,
-                &stg,
-                OutputTiming::Registered,
-                200,
-                STIM_SEED,
-            ) {
-                Ok(()) => None,
-                Err(romfsm::emb::verify::VerifyError::Mismatch { cycle, .. }) => Some(cycle),
-                Err(e) => panic!("{name}/seed {}: unexpected error {e}", out.seed),
-            };
+            let scalar =
+                match verify_against_stg(&bad, &stg, OutputTiming::Registered, 200, STIM_SEED) {
+                    Ok(()) => None,
+                    Err(romfsm::emb::verify::VerifyError::Mismatch { cycle, .. }) => Some(cycle),
+                    Err(e) => panic!("{name}/seed {}: unexpected error {e}", out.seed),
+                };
             assert_eq!(
                 scalar, out.detected_at,
                 "{name}/seed {}: batched and scalar verdicts differ on {fault}",
@@ -164,9 +159,7 @@ fn eco_corruption_campaign_is_panic_free() {
     use romfsm::emb::faultinject::corrupt_eco;
     use romfsm::fpga::device::Device;
     use romfsm::fpga::pack::{pack, pack_partitioned};
-    use romfsm::fpga::place::{
-        place, place_incremental, verify_eco_placement, PinnedEntities,
-    };
+    use romfsm::fpga::place::{place, place_incremental, verify_eco_placement, PinnedEntities};
     use romfsm::logic::techmap::MapOptions;
 
     let mut cases = 0usize;
@@ -184,8 +177,8 @@ fn eco_corruption_campaign_is_panic_free() {
         };
         let plain_packed = pack(&plain);
         let base = place(&plain, &plain_packed, device, opts).expect("base placement");
-        let packed = pack_partitioned(&gated, &plain_packed, plain.cells().len())
-            .expect("partitioned pack");
+        let packed =
+            pack_partitioned(&gated, &plain_packed, plain.cells().len()).expect("partitioned pack");
         let pins = PinnedEntities::pin_base(&base, &packed);
         let eco = place_incremental(&gated, &packed, device, opts, &pins).expect("eco placement");
         for seed in 0..50u64 {
@@ -193,8 +186,9 @@ fn eco_corruption_campaign_is_panic_free() {
                 continue;
             };
             cases += 1;
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| verify_eco_placement(&bad.placement, &pins)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                verify_eco_placement(&bad.placement, &pins)
+            }));
             match outcome {
                 Ok(Err(_)) => {} // typed rejection, as the contract demands
                 Ok(Ok(())) => panic!("{name}/seed {seed}: fault {fault} went undetected"),

@@ -146,7 +146,10 @@ fn clock_control_logic_slows_the_clock() {
         "every base entity must sit at exactly the plain design's coordinates"
     );
     assert!(eco.pinned_entities > 0, "base entities are pinned");
-    assert!(eco.delta_entities > 0, "the enable cone is placed as a delta");
+    assert!(
+        eco.delta_entities > 0,
+        "the enable cone is placed as a delta"
+    );
     assert!(
         gated.timing.fmax_mhz <= plain.timing.fmax_mhz,
         "with the base placement pinned, enable logic can only slow the clock: {:.3} vs {:.3}",

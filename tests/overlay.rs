@@ -58,7 +58,10 @@ fn overlay_netlist_matches_stg_on_every_fitting_tier() {
                 )
                 .unwrap_or_else(|e| panic!("{tier}: overlay netlist diverges from STG: {e}"));
                 fitting += 1;
-                eprintln!("{tier}: overlay class {} proven via {method:?}", ovl.class.label());
+                eprintln!(
+                    "{tier}: overlay class {} proven via {method:?}",
+                    ovl.class.label()
+                );
             }
             Err(OverlayError::CapacityExceeded {
                 needed_addr_bits,

@@ -12,7 +12,9 @@
 //! wirelength-only (`timing_weight = 0`, the blind arm alone), the
 //! clock-controlled netlist ECO-placed against the pinned base (guarded
 //! `place_incremental`), and the FF baseline netlist (a LUT-heavy design
-//! where the quench does most of the work).
+//! where the quench does most of the work). keyb's FF baseline is also
+//! pinned on XC2V250, the device the FF-fallback tier lands on: there
+//! most sites are free, so free-site candidates dominate the quench.
 //!
 //! Each row also pins the routed result of its placement at default
 //! route options: the total wirelength and a digest of every routed net's
@@ -51,6 +53,7 @@ const EXPECTED: &[Row] = &[
     ("keyb", "emb_wl", "XC2V40", "3b0aebfb697a037e5770ed667fbfb46d", 73.0, 189.0, 7074, 79, "e8be4a694d82f5bdb920ae126cc37f2e"),
     ("keyb", "emb_cc_eco", "XC2V40", "2a7de810746ac3388c1dd1cc0d182b2b", 69.0, 193.0, 832, 73, "44132588a1af99dbe6667ce341438708"),
     ("keyb", "ff", "XC2V80", "3a3b57222cbef657bd5581148b077104", 1948.0, 15670.0, 122708, 2248, "ed0f0226033a11239249b5427aa87eac"),
+    ("keyb", "ff_xc2v250", "XC2V250", "c7809f569d8a41914ce5497f8026bec2", 1806.0, 13208.0, 130372, 2113, "53ec3565651bef53187dc6170ff3f220"),
     ("sand", "emb", "XC2V40", "49b912cf3aab662496b81dcd9bca4fb7", 175.0, 649.0, 57785, 190, "67d42e270657c4b5f8a5f03db12cfc36"),
     ("sand", "emb_wl", "XC2V40", "2a0024929e33010306c0d96fd51646d0", 185.0, 681.0, 28795, 199, "795e3ce63b5289cb4d2c07f19fe3e240"),
     ("sand", "emb_cc_eco", "XC2V40", "db7776c18dba68457b7b602a82d25416", 180.0, 690.0, 960, 195, "7aedba7534cf99c27008813afa321b79"),
@@ -152,6 +155,11 @@ fn placements(name: &str) -> Vec<Case> {
     let ff_packed = pack(&ff);
     let (device, ff_placement) = smallest_fit(&ff, &ff_packed, opts);
     out.push(case("ff", device, &ff, &ff_packed, ff_placement));
+    if name == "keyb" {
+        let device = Device::xc2v250();
+        let placement = place(&ff, &ff_packed, device, opts).expect("fits XC2V250");
+        out.push(case("ff_xc2v250", device, &ff, &ff_packed, placement));
+    }
     out
 }
 

@@ -196,11 +196,7 @@ fn generator_conforms_to_spec() {
             st.max_input_support
         );
         if spec.moore {
-            assert_eq!(
-                machine::classify(&stg),
-                machine::FsmKind::Moore,
-                "{spec:?}"
-            );
+            assert_eq!(machine::classify(&stg), machine::FsmKind::Moore, "{spec:?}");
         }
         if spec.idle_line == Some(0) {
             for s in stg.states() {
@@ -365,9 +361,21 @@ fn eco_placement_pins_base_and_bounds_delta_wirelength() {
         let eco = place_incremental(&gated, &packed, device, opts, &pins)
             .unwrap_or_else(|e| panic!("{}: eco place: {e} ({spec:?})", stg.name()));
         let p = &eco.placement;
-        assert_eq!(&p.clb_loc[..base.clb_loc.len()], &base.clb_loc[..], "{spec:?}");
-        assert_eq!(&p.bram_loc[..base.bram_loc.len()], &base.bram_loc[..], "{spec:?}");
-        assert_eq!(&p.iob_loc[..base.iob_loc.len()], &base.iob_loc[..], "{spec:?}");
+        assert_eq!(
+            &p.clb_loc[..base.clb_loc.len()],
+            &base.clb_loc[..],
+            "{spec:?}"
+        );
+        assert_eq!(
+            &p.bram_loc[..base.bram_loc.len()],
+            &base.bram_loc[..],
+            "{spec:?}"
+        );
+        assert_eq!(
+            &p.iob_loc[..base.iob_loc.len()],
+            &base.iob_loc[..],
+            "{spec:?}"
+        );
         assert_eq!(
             eco.pinned_entities + eco.delta_entities,
             p.clb_loc.len() + p.bram_loc.len() + p.iob_loc.len(),

@@ -142,7 +142,12 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
 }
 
 /// Random per-lane stimulus: `lanes` rows per cycle, one row per lane.
-fn arb_stimulus(rng: &mut SmallRng, lanes: usize, cycles: usize, width: usize) -> Vec<Vec<Vec<bool>>> {
+fn arb_stimulus(
+    rng: &mut SmallRng,
+    lanes: usize,
+    cycles: usize,
+    width: usize,
+) -> Vec<Vec<Vec<bool>>> {
     (0..lanes)
         .map(|_| {
             (0..cycles)
@@ -204,11 +209,17 @@ fn kernel_lanes_match_scalar_engines_cycle_for_cycle() {
             assert_eq!(act.toggles[i], summed, "toggle count of net {i}");
         }
         for k in 0..act.bram_active_cycles.len() {
-            let summed: u64 = scalars.iter().map(|s| s.activity().bram_active_cycles[k]).sum();
+            let summed: u64 = scalars
+                .iter()
+                .map(|s| s.activity().bram_active_cycles[k])
+                .sum();
             assert_eq!(act.bram_active_cycles[k], summed, "bram_active_cycles[{k}]");
         }
         for k in 0..act.ff_active_cycles.len() {
-            let summed: u64 = scalars.iter().map(|s| s.activity().ff_active_cycles[k]).sum();
+            let summed: u64 = scalars
+                .iter()
+                .map(|s| s.activity().ff_active_cycles[k])
+                .sum();
             assert_eq!(act.ff_active_cycles[k], summed, "ff_active_cycles[{k}]");
         }
     });
@@ -266,14 +277,25 @@ fn inactive_kernel_matches_values_with_zero_activity() {
             silent.clock_words(&words);
             for i in 0..netlist.num_nets() {
                 let net = NetId(i as u32);
-                assert_eq!(counted.word(net), silent.word(net), "net {i}, cycle {cycle}");
+                assert_eq!(
+                    counted.word(net),
+                    silent.word(net),
+                    "net {i}, cycle {cycle}"
+                );
             }
-            assert_eq!(counted.pre_edge_words(), silent.pre_edge_words(), "cycle {cycle}");
+            assert_eq!(
+                counted.pre_edge_words(),
+                silent.pre_edge_words(),
+                "cycle {cycle}"
+            );
         }
         let act = silent.activity();
         assert_eq!(act.cycles, 0, "cycles");
         assert!(act.toggles.iter().all(|&t| t == 0), "toggles");
-        assert!(act.bram_active_cycles.iter().all(|&c| c == 0), "bram enables");
+        assert!(
+            act.bram_active_cycles.iter().all(|&c| c == 0),
+            "bram enables"
+        );
         assert!(act.ff_active_cycles.iter().all(|&c| c == 0), "ff enables");
         assert_eq!(counted.activity().cycles, (LANES * cycles) as u64);
     });

@@ -24,7 +24,10 @@ use xrand::SmallRng;
 /// sometimes with no wired data output — a pure timing endpoint — and the
 /// second often on the first's read-address vector), and an optional
 /// constant driver — every launch and endpoint kind the timing model
-/// distinguishes shows up with fair probability.
+/// distinguishes shows up with fair probability. One netlist in four is
+/// a deep DAG of 64–200 LUTs whose inputs mostly come from the last few
+/// LUT outputs, so cones reconverge and a wavefront spans several words
+/// of the kernel's dirty bitsets.
 fn arb_netlist(rng: &mut SmallRng) -> Netlist {
     let mut n = Netlist::new("prop");
     let num_inputs = rng.random_range(1usize..=4);
@@ -62,11 +65,23 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
         pool.push(c);
     }
     // Acyclic LUT DAG: inputs only from already-driven nets.
-    let num_luts = rng.random_range(1usize..=8);
+    let deep = rng.random_bool(0.25);
+    let num_luts = if deep {
+        rng.random_range(64usize..=200)
+    } else {
+        rng.random_range(1usize..=8)
+    };
     for i in 0..num_luts {
         let k = rng.random_range(1usize..=3.min(pool.len()));
         let inputs: Vec<NetId> = (0..k)
-            .map(|_| pool[rng.random_range(0..pool.len())])
+            .map(|_| {
+                let from = if deep && rng.random_bool(0.8) {
+                    pool.len().saturating_sub(6)
+                } else {
+                    0
+                };
+                pool[rng.random_range(from..pool.len())]
+            })
             .collect();
         let out = n.add_net(format!("l{i}"));
         let truth = rng.random_range(0..1u64 << (1 << k));
