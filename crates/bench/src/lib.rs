@@ -29,9 +29,7 @@ use logic_synth::synth::SynthOptions;
 ///
 /// * `PLACE_TIMING_WEIGHT` — criticality-cost weight in `[0, 1]`
 ///   (0 = pure wirelength, default 0.5);
-/// * `PLACE_CRIT_EXP` — VPR-style criticality exponent (default 8);
-/// * `PLACE_RETIME_INTERVAL` — full re-times are forced every N-th
-///   refresh to bound incremental drift (default 8).
+/// * `PLACE_CRIT_EXP` — VPR-style criticality exponent (default 8).
 ///
 /// The mapping backend is resolved here for the same reason:
 ///
@@ -50,11 +48,6 @@ pub fn paper_config() -> FlowConfig {
     }
     if let Some(e) = env_f64("PLACE_CRIT_EXP") {
         cfg.place.crit_exp = e;
-    }
-    if let Ok(s) = std::env::var("PLACE_RETIME_INTERVAL") {
-        if let Ok(n) = s.trim().parse::<u32>() {
-            cfg.place.retime_interval = n;
-        }
     }
     if let Some(b) = std::env::var("MAP_BACKEND")
         .ok()

@@ -72,7 +72,10 @@ use std::sync::{Mutex, OnceLock};
 /// Version 2: rewrite verification is exhaustive (product-walk proof)
 /// up to the configured input cap, with a recorded sampled fallback —
 /// records from the sampling-only era must not satisfy the new check.
-pub const FRONTEND_VERSION: u32 = 2;
+/// Version 3: a netlist's `L` line carries its input count
+/// (`L out truth n i1 … in`), so a trailing token is a miss instead of
+/// one more LUT input.
+pub const FRONTEND_VERSION: u32 = 3;
 
 /// Bump when [`fpga_fabric::place::place_incremental`] can produce a
 /// different result for the same inputs (mixed into ECO placement keys
@@ -84,7 +87,13 @@ pub const ECO_PLACE_VERSION: u32 = 1;
 /// (placement + routing), or how the physical stages consume it.
 pub const OVERLAY_BASE_VERSION: u32 = 1;
 
-/// Bump when the record layout of any artifact changes.
+/// Bump when the record layout of any artifact changes. [`KeyWriter::new`]
+/// mixes it into every key *and* every [`coords_digest`] — which the
+/// placement pins, the ECO reports and `scripts/verify.sh`'s
+/// base-coordinate gate compare — so a change confined to the netlist
+/// codec bumps [`FRONTEND_VERSION`] instead: front-end records are the
+/// only records that embed a netlist, and the placement, ECO and
+/// overlay-base keys hash the encoded netlist, so they move with it.
 const FORMAT_VERSION: u32 = 1;
 
 // --- statistics -------------------------------------------------------
@@ -699,7 +708,7 @@ pub fn encode_netlist(n: &Netlist) -> Vec<u8> {
                 output,
                 truth,
             } => {
-                let _ = write!(s, "L {} {truth:x}", output.0);
+                let _ = write!(s, "L {} {truth:x} {}", output.0, inputs.len());
                 for i in inputs {
                     let _ = write!(s, " {}", i.0);
                 }
@@ -775,9 +784,13 @@ pub fn decode_netlist(bytes: &[u8]) -> Option<Netlist> {
                 let mut it = rest.split(' ');
                 let output = NetId(it.next()?.parse().ok()?);
                 let truth = u64::from_str_radix(it.next()?, 16).ok()?;
-                let inputs = it
-                    .map(|t| t.parse().ok().map(NetId))
+                let count: usize = it.next()?.parse().ok()?;
+                let inputs = (0..count)
+                    .map(|_| it.next().and_then(|t| t.parse().ok()).map(NetId))
                     .collect::<Option<Vec<_>>>()?;
+                if it.next().is_some() {
+                    return None;
+                }
                 n.add_cell(Cell::Lut {
                     inputs,
                     output,
@@ -939,15 +952,22 @@ fn decode_frontend(bytes: &[u8]) -> Option<Frontend> {
     })
 }
 
-/// Looks up a front-end artifact, counting a hit or miss.
-#[must_use]
-pub fn load_frontend(key: &Key) -> Option<Frontend> {
+/// Looks up a record and decodes it, counting a hit or a miss (a record
+/// that fails to decode is a miss); under `FLOW_CACHE=0` nothing is
+/// looked up or counted.
+fn load<T>(key: &Key, decode: fn(&[u8]) -> Option<T>) -> Option<T> {
     if !config().enabled {
         return None;
     }
-    let found = lookup_raw(key).and_then(|b| decode_frontend(&b));
+    let found = lookup_raw(key).and_then(|b| decode(&b));
     note(found.is_some());
     found
+}
+
+/// Looks up a front-end artifact, counting a hit or miss.
+#[must_use]
+pub fn load_frontend(key: &Key) -> Option<Frontend> {
+    load(key, decode_frontend)
 }
 
 /// Publishes a front-end artifact (no-op under `FLOW_CACHE=0`).
@@ -1041,12 +1061,7 @@ fn decode_placement(bytes: &[u8]) -> Option<Placement> {
 /// Looks up a placement artifact, counting a hit or miss.
 #[must_use]
 pub fn load_placement(key: &Key) -> Option<Placement> {
-    if !config().enabled {
-        return None;
-    }
-    let found = lookup_raw(key).and_then(|b| decode_placement(&b));
-    note(found.is_some());
-    found
+    load(key, decode_placement)
 }
 
 /// Publishes a placement artifact (no-op under `FLOW_CACHE=0`).
@@ -1088,12 +1103,7 @@ fn decode_eco_placement(bytes: &[u8]) -> Option<EcoPlacement> {
 /// Looks up an ECO placement artifact, counting a hit or miss.
 #[must_use]
 pub fn load_eco_placement(key: &Key) -> Option<EcoPlacement> {
-    if !config().enabled {
-        return None;
-    }
-    let found = lookup_raw(key).and_then(|b| decode_eco_placement(&b));
-    note(found.is_some());
-    found
+    load(key, decode_eco_placement)
 }
 
 /// Publishes an ECO placement artifact (no-op under `FLOW_CACHE=0`).
@@ -1192,12 +1202,7 @@ fn decode_overlay_base(bytes: &[u8]) -> Option<OverlayBase> {
 /// Looks up an overlay base artifact, counting a hit or miss.
 #[must_use]
 pub fn load_overlay_base(key: &Key) -> Option<OverlayBase> {
-    if !config().enabled {
-        return None;
-    }
-    let found = lookup_raw(key).and_then(|b| decode_overlay_base(&b));
-    note(found.is_some());
-    found
+    load(key, decode_overlay_base)
 }
 
 /// Publishes an overlay base artifact (no-op under `FLOW_CACHE=0`).
@@ -1229,8 +1234,13 @@ mod tests {
     #[test]
     fn trailing_tokens_are_a_miss() {
         let stg = sequence_detector_0101();
-        let emb = crate::map::map_fsm_into_embs(&stg, &crate::map::EmbOptions::default()).unwrap();
-        let text = String::from_utf8(encode_netlist(&emb.to_netlist())).unwrap();
+        let opts = crate::map::EmbOptions::default();
+        let emb = crate::map::map_fsm_into_embs(&stg, &opts).unwrap();
+        // The clock-controlled netlist: the BRAM and its ground constant
+        // plus the enable cone's LUTs.
+        let (gated, _) =
+            crate::clock_control::attach_emb_clock_control(&emb, opts.lut_map).unwrap();
+        let text = String::from_utf8(encode_netlist(&gated)).unwrap();
         assert!(decode_netlist(text.as_bytes()).is_some());
         let patched = |tag: &str, tail: &str| -> String {
             let mut out = String::new();
@@ -1250,6 +1260,9 @@ mod tests {
         assert!(decode_netlist(patched("B ", &write_port).as_bytes()).is_none());
         // The ground constant that pads the BRAM's unused address pins.
         assert!(decode_netlist(patched("C ", " 0").as_bytes()).is_none());
+        // A net id after a LUT's counted inputs: one more input, were the
+        // count not there.
+        assert!(decode_netlist(patched("L ", " 0").as_bytes()).is_none());
     }
 
     #[test]

@@ -39,7 +39,13 @@ pub const ALGORITHM_VERSION: u32 = 4;
 pub struct PlaceOptions {
     /// RNG seed (placement is deterministic given the seed).
     pub seed: u64,
-    /// Effort multiplier: moves per temperature ≈ `effort · entities^{4/3}`.
+    /// Effort multiplier. [`place`] caps it at 2 per cooling cycle: a
+    /// level in the 5–15 % acceptance band runs `⌈min(effort, 2) ·
+    /// entities^{4/3}⌉` moves, every other level a third of that, and
+    /// `round(effort / min(effort, 2))` reheat cycles follow the first
+    /// cooldown — one up to effort 2, so effort beyond 2 buys cycles, not
+    /// longer levels. [`place_incremental`] runs `max(16, ⌈max(effort,
+    /// 0.1) · movable^{4/3}⌉)` moves on every level and never reheats.
     pub effort: f64,
     /// Hard cap on annealing moves. When the cap is hit the anneal stops
     /// where it is, the best-seen configuration is polished and returned,
@@ -707,8 +713,7 @@ struct NetModel {
 
 impl NetModel {
     fn new(netlist: &Netlist, packed: &PackedDesign) -> NetModel {
-        let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
-        NetModel::from_pins(build_net_pins(netlist, packed), counts)
+        NetModel::from_pins(build_net_pins(netlist, packed), kind_counts(packed))
     }
 
     fn from_pins(pins: Vec<Vec<EntityId>>, counts: [usize; 3]) -> NetModel {
@@ -1096,8 +1101,9 @@ fn coef(timing: &Option<TimingCtx>) -> Option<&[f64]> {
 /// Deterministic greedy descent over the full single-move neighborhood
 /// (every free site and every same-type swap, best improvement per
 /// entity), repeated until a full pass finds no improving move. Used
-/// twice by [`place`]: to turn the ordered seed layout into a baseline
-/// local optimum before annealing, and to polish the anneal's winner —
+/// by every placement ([`place_walk`]): to turn the seed layout into a
+/// baseline local optimum before annealing, and to polish each arm's
+/// winner —
 /// so the returned placement can never be worse than plain descent,
 /// whatever the effort. (The first real run of the suite caught a
 /// high-effort anneal freezing at HPWL 17 on a layout where low effort
@@ -1355,35 +1361,32 @@ fn quench(
 /// is bit-identical to a `timing_weight = 0` run, the chosen estimate is
 /// never worse than wirelength-only placement — deterministically, per
 /// design, not just in expectation. `moves` and `budget` report the
-/// combined spend of both arms. `placement` reaches the [`Placement`]
-/// inside an arm's result, so [`place`] and [`place_incremental`] share
-/// the guard.
-fn pick_guarded<T>(
+/// combined spend of both arms.
+fn pick_guarded(
     netlist: &Netlist,
     packed: &PackedDesign,
     opts: &PlaceOptions,
-    mut blind: T,
-    mut timed: T,
-    placement: fn(&mut T) -> &mut Placement,
-) -> T {
+    blind: Placement,
+    timed: Placement,
+) -> Placement {
     let estimate = |p: &Placement| {
         crate::sta::estimate_critical_ns(netlist, packed, p, &opts.delay).unwrap_or(f64::INFINITY)
     };
-    let (b, t) = (placement(&mut blind), placement(&mut timed));
-    let (blind_ns, timed_ns) = (estimate(b), estimate(t));
-    let moves = b.moves + t.moves;
-    let exhausted = b.budget.is_exhausted() || t.budget.is_exhausted();
-    let timed_wins =
-        timed_ns < blind_ns || (timed_ns == blind_ns && (t.hpwl, t.hpwl_sq) < (b.hpwl, b.hpwl_sq));
-    let mut chosen = if timed_wins { timed } else { blind };
-    let p = placement(&mut chosen);
-    p.moves = moves;
-    p.budget = if exhausted {
+    let (blind_ns, timed_ns) = (estimate(&blind), estimate(&timed));
+    let moves = blind.moves + timed.moves;
+    let exhausted = blind.budget.is_exhausted() || timed.budget.is_exhausted();
+    let timed_wins = timed_ns < blind_ns
+        || (timed_ns == blind_ns && (timed.hpwl, timed.hpwl_sq) < (blind.hpwl, blind.hpwl_sq));
+    let budget = if exhausted {
         BudgetOutcome::Exhausted { spent: moves }
     } else {
         BudgetOutcome::Completed
     };
-    chosen
+    Placement {
+        moves,
+        budget,
+        ..if timed_wins { timed } else { blind }
+    }
 }
 
 /// The sites of a device.
@@ -1404,11 +1407,186 @@ fn site_span(sites: &Sites) -> f64 {
         .unwrap_or(1) as f64
 }
 
+/// Entities per kind, `[CLBs, BRAMs, IOBs]`.
+fn kind_counts(packed: &PackedDesign) -> [usize; 3] {
+    [packed.clbs.len(), packed.brams.len(), packed.iobs.len()]
+}
+
+/// Fails when some kind has more entities than the device has sites.
+fn check_fit(packed: &PackedDesign, sites: &Sites) -> Result<(), PlaceError> {
+    let counts = kind_counts(packed);
+    match (0..3).find(|&k| counts[k] > sites[k].len()) {
+        Some(k) => Err(PlaceError::DoesNotFit {
+            what: KIND_NAMES[k],
+            need: counts[k],
+            have: sites[k].len(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// One kind's site check, shared by the pin-map validation and
+/// [`verify_eco_placement`]: every site taken is a legal site of the kind,
+/// and none is taken twice.
+struct SiteCheck {
+    what: &'static str,
+    legal: std::collections::HashSet<Site>,
+    used: std::collections::HashSet<Site>,
+}
+
+impl SiteCheck {
+    fn new(kind: usize, sites: &Sites) -> SiteCheck {
+        SiteCheck {
+            what: KIND_NAMES[kind],
+            legal: sites[kind].iter().copied().collect(),
+            used: std::collections::HashSet::new(),
+        }
+    }
+
+    /// Takes `site` for entity `index` of the kind.
+    fn take(&mut self, index: usize, site: Site) -> Result<(), EcoPlaceError> {
+        let what = self.what;
+        if !self.legal.contains(&site) {
+            return Err(EcoPlaceError::IllegalPin { what, index, site });
+        }
+        if !self.used.insert(site) {
+            return Err(EcoPlaceError::DuplicatePin { what, index, site });
+        }
+        Ok(())
+    }
+}
+
+/// The constants in which the full anneal of [`place`] and the ECO delta
+/// anneal of [`place_incremental`] differ — and nothing else: proposals,
+/// pricing, acceptance bookkeeping, best-seen tracking, the per-level
+/// re-anchor and timing refresh, restore-best and the closing quench are
+/// one walk ([`anneal`]). DESIGN.md §11.7 tabulates the two.
+#[derive(Clone, Copy)]
+enum Schedule {
+    /// [`place`]: acceptance-keyed cooling with effort-driven reheats.
+    Full,
+    /// [`place_incremental`]: one short fixed-rate cooldown of the delta.
+    Eco,
+}
+
+impl Schedule {
+    /// Mixed into the seed: the two schedules draw unrelated streams.
+    fn salt(self) -> u64 {
+        match self {
+            Schedule::Full => 0x9e37_79b9_7f4a_7c15,
+            Schedule::Eco => 0x0ec0_5eed_ba5e_11f7,
+        }
+    }
+
+    /// Moves the T0 probe prices, for `movers` movable entities.
+    fn probe(self, movers: usize) -> usize {
+        match self {
+            Schedule::Full => (movers * 2).clamp(64, 1024),
+            Schedule::Eco => (movers * 4).clamp(32, 256),
+        }
+    }
+
+    /// T0 when the probe's spread is degenerate (e.g. one movable entity).
+    /// The full schedule falls back to the old average-net-cost heuristic
+    /// over the seed layout's cost *before* the quench.
+    fn fallback_t0(self, seed_cost: f64, nets: usize) -> f64 {
+        match self {
+            Schedule::Full => (seed_cost / nets.max(1) as f64).max(1.0) * 2.0,
+            Schedule::Eco => 1.0,
+        }
+    }
+
+    /// Moves per temperature level: `(most levels, the 5–15 % acceptance
+    /// band)`. The full schedule gives most bands a third of the classic
+    /// `effort·N^{4/3}` budget: the adaptive cooling visits ~3× more,
+    /// finer-grained, levels over the same temperature span than the old
+    /// fixed 0.85 rate did. The plateau-diffusion band keeps the full
+    /// budget: rlim has shrunk to 1 there, zero-cost sideways steps drift
+    /// across equal-cost shelves into valleys the deterministic quench
+    /// cannot see, and the trace shows that is where the final quality is
+    /// actually won. Effort beyond 2.0 buys reheat cycles
+    /// ([`Self::reheats`]), not longer levels: per-level budgets past
+    /// ~2·N^{4/3} adapt the temperature and window so slowly (both update
+    /// once per level) that the walk drifts device-wide before it cools.
+    /// The ECO schedule spends one fixed budget on every level.
+    fn level_moves(self, movers: usize, effort: f64) -> (usize, usize) {
+        let n = (movers as f64).powf(4.0 / 3.0);
+        match self {
+            Schedule::Full => {
+                let full = ((n * effort.min(2.0)).ceil() as usize).max(1);
+                ((full / 3).max(1), full)
+            }
+            Schedule::Eco => {
+                let each = ((n * effort.max(0.1)).ceil() as usize).max(16);
+                (each, each)
+            }
+        }
+    }
+
+    /// The temperature factor after a level accepted `success` of its
+    /// moves. Full: acceptance-keyed cooling (VPR) — linger where moves
+    /// are being usefully sorted (mid-range acceptance), sprint through
+    /// the too-hot (α ≈ 1: a random walk) and the frozen (α ≤ 5 %: rare
+    /// unit perturbations) ends the fixed 0.85 rate used to spend moves
+    /// on.
+    fn cooling(self, success: f64) -> f64 {
+        match self {
+            Schedule::Full if success > 0.96 => 0.5,
+            Schedule::Full if success > 0.8 => 0.9,
+            Schedule::Full if success > 0.15 => 0.95,
+            Schedule::Full if success > 0.05 => 0.8,
+            Schedule::Full => 0.5,
+            Schedule::Eco if success > 0.8 => 0.7,
+            Schedule::Eco => 0.85,
+        }
+    }
+
+    /// The cost the exit temperature is read from. Full: the *current*
+    /// cost, every level (VPR) — a walk that finds a much better layout
+    /// also earns an earlier exit. ECO: the cost at the walk's start.
+    fn exit_cost(self, start: f64, current: f64) -> f64 {
+        match self {
+            Schedule::Full => current,
+            Schedule::Eco => start,
+        }
+    }
+
+    /// Reheat cycles after the first cooldown (see [`anneal`]): for the
+    /// full schedule one up to effort 2.0, and effort beyond that buys
+    /// more.
+    fn reheats(self, effort: f64) -> u32 {
+        match self {
+            Schedule::Full => {
+                let per_cycle = effort.min(2.0);
+                (effort / per_cycle.max(f64::MIN_POSITIVE)).round() as u32
+            }
+            Schedule::Eco => 0,
+        }
+    }
+
+    /// Whether a move of near-zero effective delta (|Δeff| < 1e-9) is
+    /// accepted. Full: zero-linear-cost moves are plateau diffusion, biased
+    /// by the quadratic tie-breaker the quench optimizes, so shelf drift
+    /// trades equal-HPWL configurations toward ones without individually
+    /// long nets (better Σhpwl² for free, and more descent openings for
+    /// the closing quench); strictly sq-worsening sideways steps face the
+    /// Metropolis test, scaled down so the quadratic term stays a
+    /// tie-breaker rather than a second objective. ECO: always.
+    fn sideways(self, rng: &mut SmallRng, delta_sq: f64, temperature: f64) -> bool {
+        match self {
+            Schedule::Full => {
+                delta_sq < 1e-9 || rng.random_bool((-delta_sq / (8.0 * temperature)).exp().min(1.0))
+            }
+            Schedule::Eco => true,
+        }
+    }
+}
+
 /// The state an anneal starts from. Both arms of a guarded placement
 /// start from the same one — the seed layout quenched, the pools built,
-/// T0 sampled — so [`place`] and [`place_incremental`] compute it once and
-/// hand each arm a clone; the RNG stream included, each arm then runs
-/// exactly as if it had computed the prefix itself.
+/// T0 sampled — so [`place_walk`] computes it once and hands each arm a
+/// clone; the RNG stream included, each arm then runs exactly as if it
+/// had computed the prefix itself.
 #[derive(Clone)]
 struct Walk {
     rng: SmallRng,
@@ -1424,6 +1602,9 @@ struct Problem<'a> {
     model: &'a NetModel,
     sites: &'a Sites,
     movers: &'a [(usize, usize)],
+    /// Which entities may move; `None` when all may.
+    movable: Option<[&'a [bool]; 3]>,
+    schedule: Schedule,
     opts: &'a PlaceOptions,
     /// The window an anneal opens with, and its maximum.
     w0: f64,
@@ -1452,24 +1633,65 @@ pub fn place(
     opts: PlaceOptions,
 ) -> Result<Placement, PlaceError> {
     let sites = device_sites(&device);
-    let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
-    for k in 0..3 {
-        if counts[k] > sites[k].len() {
-            return Err(PlaceError::DoesNotFit {
-                what: KIND_NAMES[k],
-                need: counts[k],
-                have: sites[k].len(),
-            });
-        }
-    }
+    check_fit(packed, &sites)?;
+    let (placement, _) = place_walk(netlist, packed, device, &sites, &opts, None, |_| Ok(()))?;
+    Ok(placement)
+}
 
-    // Initial assignment: entities on the first sites, then anneal.
-    let mut loc: Locs = std::array::from_fn(|k| sites[k][..counts[k]].to_vec());
+/// The placer behind [`place`] (`pins` is `None`: every entity moves, on
+/// the [`Schedule::Full`] schedule) and [`place_incremental`] (a pin map
+/// the caller validated: only unpinned entities move, on
+/// [`Schedule::Eco`]). Seeds the layout, computes the shared start
+/// ([`Walk`]), runs the blind arm — and with the timing term on the timed
+/// arm, the guard ([`pick_guarded`]) choosing — self-checking every arm
+/// with `check`. Returns the placement and Σ HPWL over the nets touching
+/// a movable entity: the wirelength the walk decided.
+fn place_walk<E>(
+    netlist: &Netlist,
+    packed: &PackedDesign,
+    device: Device,
+    sites: &Sites,
+    opts: &PlaceOptions,
+    pins: Option<&PinnedEntities>,
+    check: impl Fn(&Placement) -> Result<(), E>,
+) -> Result<(Placement, f64), E> {
+    let counts = kind_counts(packed);
+    let pin_lists = pins.map(PinnedEntities::kinds);
+    let pin = |k: usize, i: usize| pin_lists.and_then(|p| p[k][i]);
+    // Seed layout: pinned entities at their pins, the rest on the first
+    // free sites in site order — with no pins, every entity on the first
+    // sites. Capacity and the pins are checked, so every unpinned entity
+    // finds a free site.
+    let mut loc: Locs = std::array::from_fn(|k| {
+        let pinned: std::collections::HashSet<Site> =
+            (0..counts[k]).filter_map(|i| pin(k, i)).collect();
+        let mut free = sites[k].iter().copied().filter(|s| !pinned.contains(s));
+        (0..counts[k])
+            .filter_map(|i| pin(k, i).or_else(|| free.next()))
+            .collect()
+    });
+    let mask: Option<[Vec<bool>; 3]> =
+        pin_lists.map(|p| p.map(|kind| kind.iter().map(Option::is_none).collect()));
+    let movable: Option<[&[bool]; 3]> = mask.as_ref().map(|m| m.each_ref().map(Vec::as_slice));
+    let may_move = |k: usize, i: usize| movable.is_none_or(|m| m[k][i]);
+    // Movable entities, flattened for uniform random picks.
+    let movers: Vec<(usize, usize)> = (0..3)
+        .flat_map(|k| {
+            (0..counts[k])
+                .filter(move |&i| may_move(k, i))
+                .map(move |i| (k, i))
+        })
+        .collect();
     let model = NetModel::new(netlist, packed);
+    let schedule = if pins.is_some() {
+        Schedule::Eco
+    } else {
+        Schedule::Full
+    };
     let finish = |loc: Locs, moves: u64, budget: BudgetOutcome| {
         let (hpwl, hpwl_sq) = model.cost(&loc);
         let [clb_loc, bram_loc, iob_loc] = loc;
-        Placement {
+        let placement = Placement {
             device,
             clb_loc,
             bram_loc,
@@ -1478,114 +1700,113 @@ pub fn place(
             hpwl_sq,
             moves,
             budget,
-        }
+        };
+        check(&placement)?;
+        Ok(placement)
     };
-    let num_entities = packed.num_entities();
-    if num_entities == 0 || model.active.is_empty() {
-        return Ok(finish(loc, 0, BudgetOutcome::Completed));
-    }
-    // Every entity may move; the pick below is uniform over them.
-    let movers: Vec<(usize, usize)> = (0..3)
-        .flat_map(|k| (0..counts[k]).map(move |i| (k, i)))
-        .collect();
 
-    let cost = model.cost(&loc).0;
-    // Per-net bounding-box cache: exact for the current layout at every
-    // point below. The quench and the walk price moves from it; taken
-    // moves update the boxes of their own nets.
-    let mut net_box = model.boxes(&loc);
+    let placement = if movers.is_empty() || model.active.is_empty() {
+        finish(loc, 0, BudgetOutcome::Completed)?
+    } else {
+        let seed_cost = model.cost(&loc).0;
+        // Per-net bounding-box cache: exact for the current layout at
+        // every point below. The quench and the walk price moves from it;
+        // taken moves update the boxes of their own nets.
+        let mut net_box = model.boxes(&loc);
 
-    // Deterministic descent baseline: quench the ordered seed layout
-    // into a local optimum. The anneal explores FROM this quenched
-    // layout — the fixed-T0 schedule this replaces had to start from the
-    // raw seed (its hand-picked T0 was calibrated against the seed's
-    // average net cost; starting it quenched left the walk too cold to
-    // escape the baseline's basin), burning more than half its moves
-    // re-descending to costs the quench had already reached. With T0
-    // *measured* at the quenched layout (below), the walk starts exactly
-    // warm enough to hop between nearby basins without losing what the
-    // descent already won — and best-seen tracking starts at the
-    // baseline, so no effort level can return anything worse than plain
-    // greedy descent.
-    quench(&model, &sites, &mut loc, &mut net_box, None, None);
+        // Deterministic descent baseline: quench the seed layout into a
+        // local optimum. The anneal explores FROM this quenched layout —
+        // the fixed-T0 schedule this replaces had to start from the raw
+        // seed (its hand-picked T0 was calibrated against the seed's
+        // average net cost; starting it quenched left the walk too cold
+        // to escape the baseline's basin), burning more than half its
+        // moves re-descending to costs the quench had already reached.
+        // With T0 *measured* at the quenched layout (below), the walk
+        // starts exactly warm enough to hop between nearby basins without
+        // losing what the descent already won — and best-seen tracking
+        // starts at the baseline, so no effort level can return anything
+        // worse than plain greedy descent.
+        quench(&model, sites, &mut loc, &mut net_box, movable, None);
 
-    // Free-site pools per type (the quench may have moved entities onto
-    // any site, so derive the pools from actual occupancy).
-    let mut pools = Pools::new(&sites, &loc);
-
-    let span = site_span(&sites);
-    // The walk starts from a local optimum, so it opens with a *basin
-    // hop* window — a few sites wide — rather than the device-wide
-    // window a melt would use (rlim can re-grow if the acceptance rate
-    // says the reheat overshot).
-    let w0 = (span / 4.0).clamp(2.0, span);
-
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x9e37_79b9_7f4a_7c15);
-    // Adaptive initial temperature (VPR, after Betz & Rose): probe the
-    // move distribution by evaluating — not applying — a batch of random
-    // moves from the quenched layout *within the starting window*, and
-    // set T0 to the stddev of the sampled deltas: a typical local
-    // perturbation is accepted with fair odds — a reheat, not a melt.
-    // The previous hand-picked T0 (proportional to the seed layout's
-    // average net cost) over-heated small designs and under-heated
-    // congested ones, and forced the walk to re-descend from a
-    // temperature where device-wide jumps were routinely accepted —
-    // re-randomizing what the quench had already won, then spending more
-    // than half of every run's moves climbing back down.
-    let t0 = {
-        let samples = (num_entities * 2).clamp(64, 1024);
+        // Free-site pools per type (the quench may have moved entities
+        // onto any site, so derive the pools from actual occupancy).
+        let mut pools = Pools::new(sites, &loc);
+        let span = site_span(sites);
+        // The walk starts from a local optimum, so it opens with a *basin
+        // hop* window — a few sites wide — rather than the device-wide
+        // window a melt would use (rlim can re-grow if the acceptance
+        // rate says the reheat overshot).
+        let w0 = (span / 4.0).clamp(2.0, span);
+        let mut rng = SmallRng::seed_from_u64(opts.seed ^ schedule.salt());
+        // Adaptive initial temperature (VPR, after Betz & Rose): probe the
+        // move distribution by evaluating — not applying — a batch of
+        // random moves from the quenched layout *within the starting
+        // window*, and set T0 to a third of the sampled deltas' stddev: a
+        // typical uphill step is accepted with modest odds — a reheat,
+        // not a melt. The textbook 20σ (99% acceptance) re-randomizes the
+        // quenched layout into a random walk whose whole descent
+        // best-seen tracking then ignores, and even 1σ was measured to
+        // climb hundreds of cost units before cooling caught up.
+        let samples = schedule.probe(movers.len());
         let sd = delta_spread(
-            &mut rng, &model, &net_box, &loc, &mut pools, &movers, None, w0, samples,
+            &mut rng, &model, &net_box, &loc, &mut pools, &movers, movable, w0, samples,
         );
-        if sd > 0.0 {
-            // A third of a standard deviation accepts a typical uphill
-            // step with modest odds — a reheat, not a melt. The textbook
-            // 20σ (99% acceptance) buys nothing here: it re-randomizes
-            // the quenched layout into a random walk whose whole descent
-            // best-seen tracking then ignores, and even 1σ was measured
-            // to climb hundreds of cost units before cooling caught up.
+        let t0 = if sd > 0.0 {
             sd / 3.0
         } else {
-            // Degenerate spread (e.g. a single movable entity): fall
-            // back to the old average-net-cost heuristic.
-            (cost / model.active.len().max(1) as f64).max(1.0) * 2.0
+            schedule.fallback_t0(seed_cost, model.active.len())
+        };
+        let walk = Walk {
+            rng,
+            loc,
+            net_box,
+            pools,
+            t0,
+        };
+        let problem = Problem {
+            model: &model,
+            sites,
+            movers: &movers,
+            movable,
+            schedule,
+            opts,
+            w0,
+            span,
+        };
+        let arm = |timing: Option<TimingCtx>| {
+            let (loc, moves, budget) = anneal(&problem, walk.clone(), timing);
+            finish(loc, moves, budget)
+        };
+        // Timing-driven mode: the timed arm anneals against one
+        // incremental STA kernel (built here, refreshed per level).
+        // `timing_weight = 0` skips all of it and runs the blind arm
+        // alone.
+        if opts.timing_weight > 0.0 {
+            let blind = arm(None)?;
+            let timed = arm(TimingCtx::build(netlist, opts))?;
+            pick_guarded(netlist, packed, opts, blind, timed)
+        } else {
+            arm(None)?
         }
     };
-
-    let walk = Walk {
-        rng,
-        loc,
-        net_box,
-        pools,
-        t0,
-    };
-    let problem = Problem {
-        model: &model,
-        sites: &sites,
-        movers: &movers,
-        opts: &opts,
-        w0,
-        span,
-    };
-    // Timing-driven mode: one incremental STA kernel for the timed arm's
-    // anneal (built here, refreshed per level). `timing_weight = 0` skips
-    // all of it and the walk is byte-identical to the wirelength-only
-    // placer.
-    let arm = |timing: Option<TimingCtx>| {
-        let (loc, moves, budget) = anneal(&problem, walk.clone(), timing);
-        finish(loc, moves, budget)
-    };
-    if opts.timing_weight > 0.0 {
-        let blind = arm(None);
-        let timed = arm(TimingCtx::build(netlist, &opts));
-        return Ok(pick_guarded(netlist, packed, &opts, blind, timed, |p| p));
-    }
-    Ok(arm(None))
+    let decided = model
+        .active
+        .iter()
+        .filter(|n| {
+            model.pins[n.index()].iter().any(|&e| {
+                let (kind, idx) = kind_index(e);
+                may_move(kind, idx)
+            })
+        })
+        .map(|&n| model.rescan(n, |e| placement.location(e)).hpwl)
+        .sum();
+    Ok((placement, decided))
 }
 
-/// One arm of [`place`]: the annealing walk from `walk` and the closing
-/// quench, wirelength-only without `timing`, criticality-weighted with
-/// it. Returns the layout, the moves spent and the budget outcome.
+/// One arm of a placement: the annealing walk from `walk` and the closing
+/// quench, both restricted to the movable entities, wirelength-only
+/// without `timing`, criticality-weighted with it. Returns the layout,
+/// the moves spent and the budget outcome.
 fn anneal(
     problem: &Problem,
     walk: Walk,
@@ -1595,6 +1816,8 @@ fn anneal(
         model,
         sites,
         movers,
+        movable,
+        schedule,
         opts,
         w0,
         span,
@@ -1607,8 +1830,7 @@ fn anneal(
         t0,
     } = walk;
     let active_nets = &model.active;
-    let num_entities = movers.len();
-    let base_cost = model.cost(&loc).0;
+    let start_cost = model.cost(&loc).0;
 
     // Anneal. The walk returns the BEST configuration it visits, not the
     // final one: at nonzero temperature the walk may drift uphill just
@@ -1623,8 +1845,8 @@ fn anneal(
     // refining locally — `annealing_improves_over_initial` caught exactly
     // that on its first real run (high effort froze at HPWL 17 on a
     // configuration where low effort reached 8).
-    let mut cur_cost = base_cost;
-    let mut best_cost = base_cost;
+    let mut cur_cost = start_cost;
+    let mut best_cost = start_cost;
     let mut best = loc.clone();
     // Effective (timing-blended) costs the walk actually optimizes; at
     // `timing_weight = 0` they mirror the HPWL costs exactly.
@@ -1635,47 +1857,26 @@ fn anneal(
         cur_eff = t.eff_from_boxes(active_nets, &net_box);
         best_eff = cur_eff;
     }
-    // Per-level move budget. Most bands get a third of the classic
-    // effort·N^{4/3} budget: the adaptive cooling visits ~3× more,
-    // finer-grained, levels over the same temperature span than the old
-    // fixed 0.85 rate did. The plateau-diffusion band (acceptance
-    // 5–15%) keeps the full budget: rlim has shrunk to 1 there,
-    // zero-cost sideways steps drift across equal-cost shelves into
-    // valleys the deterministic quench cannot see, and the trace shows
-    // that is where the final quality is actually won. Below 5% the
-    // walk is frozen and gets the small budget again.
-    //
-    // Effort beyond 2.0 is spent on additional reheat cycles, not on
-    // longer levels: per-level budgets past ~2·N^{4/3} adapt the
-    // temperature and window so slowly (both update once per level)
-    // that the walk drifts device-wide before it cools, while extra
-    // quench-polished restarts are independent draws from the basin-hop
-    // distribution — min over draws keeps improving where one long
-    // cooldown stalls.
-    let effort_per_cycle = opts.effort.min(2.0);
-    let full_moves =
-        (((num_entities as f64).powf(4.0 / 3.0) * effort_per_cycle).ceil() as usize).max(1);
-    let mid_moves = (full_moves / 3).max(1);
-    let mut moves_per_t = mid_moves;
+    let (level_moves, plateau_moves) = schedule.level_moves(movers.len(), opts.effort);
+    let mut moves_per_t = level_moves;
     let mut temperature = t0;
     // VPR exit test: stop once T falls below a small fraction of the
-    // *current* average net cost — past that point even unit-sized
-    // uphill steps are essentially never accepted, so further levels are
-    // pure descent, which the closing quench performs exactly. The
-    // threshold tracks cur_cost as the layout improves, so a walk that
-    // finds a much better layout also earns an earlier exit.
-    let exit_t = |cur: f64| (0.005 * cur / active_nets.len() as f64).max(1e-6);
+    // average net cost — past that point even unit-sized uphill steps are
+    // essentially never accepted, so further levels are pure descent,
+    // which the closing quench performs exactly.
+    let exit_t = |cur: f64| {
+        (0.005 * schedule.exit_cost(start_cost, cur) / active_nets.len() as f64).max(1e-6)
+    };
     let mut rlim = w0;
     let mut moves_spent = 0u64;
     let mut budget = BudgetOutcome::Completed;
     // Iterated reheats (basin hopping): each cycle reheats the best-seen
-    // layout to t0 and cools back to the exit temperature. A single
-    // reheat is a coin flip — it either tunnels to a better basin or
-    // drifts somewhere unhelpful and gets discarded by best-seen
-    // tracking — so splitting the move budget across independent cycles
-    // from the incumbent buys a second (and third) draw at the cost of
-    // none.
-    let reheat_cycles: u32 = (opts.effort / effort_per_cycle.max(f64::MIN_POSITIVE)).round() as u32;
+    // layout and cools back to the exit temperature. A single reheat is a
+    // coin flip — it either tunnels to a better basin or drifts somewhere
+    // unhelpful and gets discarded by best-seen tracking — so splitting
+    // the move budget across independent cycles from the incumbent buys a
+    // second (and third) draw at the cost of none.
+    let reheats = schedule.reheats(opts.effort);
     let mut cycle = 0u32;
     'outer: loop {
         while temperature > exit_t(cur_cost) {
@@ -1688,7 +1889,7 @@ fn anneal(
                 moves_spent += 1;
                 // Candidate: swap with a sibling entity, or move to a free
                 // site — in either case within `rlim` of the current site.
-                let Some(mv) = pools.propose(&mut rng, movers, &loc, None, rlim) else {
+                let Some(mv) = pools.propose(&mut rng, movers, &loc, movable, rlim) else {
                     continue;
                 };
                 // Both sides of the delta over the affected nets only, in
@@ -1703,18 +1904,10 @@ fn anneal(
                 }
                 let (before, after) = (priced.before, priced.after);
                 let delta = after.0 - before.0;
-                // Zero-linear-cost moves are plateau diffusion; bias them by
-                // the quadratic tie-breaker the quench optimizes, so shelf
-                // drift trades equal-HPWL configurations toward ones without
-                // individually long nets (better Σhpwl² for free, and more
-                // descent openings for the closing quench). Strictly
-                // sq-worsening sideways steps face the same Metropolis test
-                // the linear cost uses, scaled down so the quadratic term
-                // stays a tie-breaker rather than a second objective.
-                let delta_sq = after.1 - before.1;
                 // The Metropolis test runs on the effective (timing-blended)
-                // delta; without a timing context it IS the wirelength delta,
-                // so the `timing_weight = 0` decision stream is untouched.
+                // delta; without a timing context it IS the wirelength
+                // delta, so the `timing_weight = 0` decision stream is
+                // untouched.
                 let delta_eff = if timing.is_some() {
                     priced.eff_delta
                 } else {
@@ -1723,8 +1916,7 @@ fn anneal(
                 let accept = if delta_eff < -1e-9 {
                     true
                 } else if delta_eff < 1e-9 {
-                    delta_sq < 1e-9
-                        || rng.random_bool((-delta_sq / (8.0 * temperature)).exp().min(1.0))
+                    schedule.sideways(&mut rng, after.1 - before.1, temperature)
                 } else {
                     rng.random_bool((-delta_eff / temperature).exp().min(1.0))
                 };
@@ -1746,31 +1938,15 @@ fn anneal(
                     }
                 }
             }
-            // Acceptance-keyed cooling (VPR): linger where moves are being
-            // usefully sorted (mid-range acceptance), sprint through the
-            // too-hot (α ≈ 1: a random walk) and too-cold (α ≈ 0: frozen)
-            // ends that the fixed 0.85 rate used to spend moves on.
             let success = accepted as f64 / moves_per_t.max(1) as f64;
-            temperature *= if success > 0.96 {
-                0.5
-            } else if success > 0.8 {
-                0.9
-            } else if success > 0.15 {
-                0.95
-            } else if success > 0.05 {
-                0.8
-            } else {
-                // Frozen (α ≤ 5%): the walk is down to rare unit
-                // perturbations; sprint to the exit temperature.
-                0.5
-            };
+            temperature *= schedule.cooling(success);
             // Shrink (or re-grow) the window toward the 44% acceptance sweet
             // spot: rlim_new = rlim · (0.56 + success_rate), clamped.
             rlim = (rlim * (0.56 + success)).clamp(1.0, span);
             moves_per_t = if success > 0.05 && success <= 0.15 {
-                full_moves
+                plateau_moves
             } else {
-                mid_moves
+                level_moves
             };
             // Re-anchor the incremental cost per level so f64 drift cannot
             // accumulate across tens of thousands of accepted deltas. The
@@ -1794,19 +1970,19 @@ fn anneal(
         }
 
         cycle += 1;
-        if cycle > reheat_cycles {
+        if cycle > reheats {
             break;
         }
         // Reheat (basin hopping with local search): quench the best-seen
         // layout into its local optimum — the walk's winner is usually
         // still a few greedy steps above its basin floor — then restart
-        // the walk from that polished incumbent at the measured t0 with
-        // the opening window. Each cycle therefore launches from a layout
-        // at least as good as the previous cycle's polished result, and
-        // best-seen tracking keeps whichever basin floor was deepest.
+        // the walk from that polished incumbent with the opening window.
+        // Each cycle therefore launches from a layout at least as good as
+        // the previous cycle's polished result, and best-seen tracking
+        // keeps whichever basin floor was deepest.
         loc.clone_from(&best);
         net_box = model.boxes(&loc);
-        quench(model, sites, &mut loc, &mut net_box, None, coef(&timing));
+        quench(model, sites, &mut loc, &mut net_box, movable, coef(&timing));
         pools = Pools::new(sites, &loc);
         cur_cost = model.cost(&loc).0;
         best_cost = cur_cost;
@@ -1824,17 +2000,21 @@ fn anneal(
         // get found at this problem scale.
         temperature = t0 / 8.0;
         rlim = w0;
-        moves_per_t = mid_moves;
+        moves_per_t = level_moves;
     }
 
     // Exact costs decide between the walk's end point and its best-seen
     // snapshot (the incremental tracker is only a heuristic trigger). In
     // timing mode the comparison runs on the effective cost under the
     // final frozen coefficients — the objective the walk was pursuing.
+    // Wirelength-only, `best_cost` is already exact: every HPWL is an
+    // integer-valued f64 and every sum stays far below 2^53, so each
+    // accepted delta and each re-anchor is exact and `best_cost` equals
+    // `model.cost(&best).0` bit for bit.
     let restore_best = if let Some(t) = timing.as_ref() {
         t.eff_from_locs(model, &best) < t.eff_from_locs(model, &loc)
     } else {
-        model.cost(&best).0 < model.cost(&loc).0
+        best_cost < model.cost(&loc).0
     };
     if restore_best {
         loc = best;
@@ -1843,7 +2023,7 @@ fn anneal(
 
     // Polish the winner with the same deterministic descent (criticality-
     // weighted in timing mode, under the final frozen coefficients).
-    quench(model, sites, &mut loc, &mut net_box, None, coef(&timing));
+    quench(model, sites, &mut loc, &mut net_box, movable, coef(&timing));
     (loc, moves_spent, budget)
 }
 
@@ -1881,10 +2061,15 @@ impl PinnedEntities {
         }
     }
 
+    /// The pins per kind, `[CLBs, BRAMs, IOBs]`.
+    fn kinds(&self) -> [&[Option<Site>]; 3] {
+        [&self.clb, &self.bram, &self.iob]
+    }
+
     /// Number of pinned entities across all kinds.
     #[must_use]
     pub fn pinned_count(&self) -> usize {
-        [&self.clb, &self.bram, &self.iob]
+        self.kinds()
             .into_iter()
             .map(|v| v.iter().filter(|p| p.is_some()).count())
             .sum()
@@ -2011,11 +2196,10 @@ pub fn verify_eco_placement(
     placement: &Placement,
     pins: &PinnedEntities,
 ) -> Result<(), EcoPlaceError> {
-    let pin_lists = [&pins.clb, &pins.bram, &pins.iob];
     let locs = [&placement.clb_loc, &placement.bram_loc, &placement.iob_loc];
     let sites = device_sites(&placement.device);
-    for k in 0..3 {
-        let (what, pin, loc) = (KIND_NAMES[k], pin_lists[k], locs[k]);
+    for (k, pin) in pins.kinds().into_iter().enumerate() {
+        let (what, loc) = (KIND_NAMES[k], locs[k]);
         if pin.len() != loc.len() {
             return Err(EcoPlaceError::PinCount {
                 what,
@@ -2023,15 +2207,9 @@ pub fn verify_eco_placement(
                 entities: loc.len(),
             });
         }
-        let legal: std::collections::HashSet<Site> = sites[k].iter().copied().collect();
-        let mut used: std::collections::HashSet<Site> = std::collections::HashSet::new();
+        let mut taken = SiteCheck::new(k, &sites);
         for (index, &site) in loc.iter().enumerate() {
-            if !legal.contains(&site) {
-                return Err(EcoPlaceError::IllegalPin { what, index, site });
-            }
-            if !used.insert(site) {
-                return Err(EcoPlaceError::DuplicatePin { what, index, site });
-            }
+            taken.take(index, site)?;
             if let Some(expected) = pin[index] {
                 if site != expected {
                     return Err(EcoPlaceError::PinMoved {
@@ -2050,7 +2228,8 @@ pub fn verify_eco_placement(
 /// Incremental (ECO) placement: pinned entities keep their exact
 /// coordinates; only the movable delta is placed, by a short range-limited
 /// local anneal bracketed by the same deterministic quench [`place`] uses
-/// (restricted to movable entities). The returned placement is self-checked
+/// (restricted to movable entities) — the one walk of [`place`] under a
+/// pin mask and the [`Schedule::Eco`] schedule. Every arm is self-checked
 /// with [`verify_eco_placement`] before it leaves this function.
 ///
 /// With the timing term enabled (`timing_weight > 0`) the delta anneal is
@@ -2075,17 +2254,10 @@ pub fn place_incremental(
     pins_map: &PinnedEntities,
 ) -> Result<EcoPlacement, EcoPlaceError> {
     let sites = device_sites(&device);
-    let pin_lists = [&pins_map.clb, &pins_map.bram, &pins_map.iob];
-    let counts = [packed.clbs.len(), packed.brams.len(), packed.iobs.len()];
-    for k in 0..3 {
-        if counts[k] > sites[k].len() {
-            return Err(EcoPlaceError::DoesNotFit {
-                what: KIND_NAMES[k],
-                need: counts[k],
-                have: sites[k].len(),
-            });
-        }
-    }
+    check_fit(packed, &sites).map_err(|PlaceError::DoesNotFit { what, need, have }| {
+        EcoPlaceError::DoesNotFit { what, need, have }
+    })?;
+    let (counts, pin_lists) = (kind_counts(packed), pins_map.kinds());
     for k in 0..3 {
         if pin_lists[k].len() != counts[k] {
             return Err(EcoPlaceError::PinCount {
@@ -2095,291 +2267,33 @@ pub fn place_incremental(
             });
         }
     }
-
-    // Validate the pins and seed locations: pinned entities at their pins,
-    // movable entities on the first free sites (the quench below turns the
-    // seed into a baseline local optimum).
-    let seed_kind = |pin: &[Option<Site>],
-                     sites: &[Site],
-                     what: &'static str|
-     -> Result<(Vec<Site>, Vec<bool>), EcoPlaceError> {
-        let legal: std::collections::HashSet<Site> = sites.iter().copied().collect();
-        let mut used: std::collections::HashSet<Site> = std::collections::HashSet::new();
+    for (k, pin) in pin_lists.into_iter().enumerate() {
+        let mut taken = SiteCheck::new(k, &sites);
         for (index, p) in pin.iter().enumerate() {
             if let Some(site) = *p {
-                if !legal.contains(&site) {
-                    return Err(EcoPlaceError::IllegalPin { what, index, site });
-                }
-                if !used.insert(site) {
-                    return Err(EcoPlaceError::DuplicatePin { what, index, site });
-                }
+                taken.take(index, site)?;
             }
         }
-        let mut free = sites.iter().copied().filter(|s| !used.contains(s));
-        let mut loc = Vec::with_capacity(pin.len());
-        let mut movable = Vec::with_capacity(pin.len());
-        for p in pin {
-            match *p {
-                Some(site) => {
-                    loc.push(site);
-                    movable.push(false);
-                }
-                None => {
-                    // Capacity was checked above, so a free site exists.
-                    let site = free.next().ok_or(EcoPlaceError::DoesNotFit {
-                        what,
-                        need: pin.len(),
-                        have: sites.len(),
-                    })?;
-                    loc.push(site);
-                    movable.push(true);
-                }
-            }
-        }
-        Ok((loc, movable))
-    };
-    let (clb_loc, clb_mov) = seed_kind(pin_lists[0], &sites[0], KIND_NAMES[0])?;
-    let (bram_loc, bram_mov) = seed_kind(pin_lists[1], &sites[1], KIND_NAMES[1])?;
-    let (iob_loc, iob_mov) = seed_kind(pin_lists[2], &sites[2], KIND_NAMES[2])?;
-    let mut loc: Locs = [clb_loc, bram_loc, iob_loc];
-    let mov = [clb_mov, bram_mov, iob_mov];
-    let movable_mask: [&[bool]; 3] = [&mov[0], &mov[1], &mov[2]];
-
-    let model = NetModel::new(netlist, packed);
-    let active_nets = &model.active;
-    // Movable entities, flattened for uniform random picks.
-    let movers: Vec<(usize, usize)> = (0..3)
-        .flat_map(|k| {
-            (0..counts[k])
-                .filter(move |&i| movable_mask[k][i])
-                .map(move |i| (k, i))
-        })
-        .collect();
-
-    // The placement of a finished layout, self-checked against the pins.
-    let finish = |loc: Locs, moves: u64, budget: BudgetOutcome| {
-        let (hpwl, hpwl_sq) = model.cost(&loc);
-        // The wirelength actually decided by this pass: nets touching at
-        // least one movable entity.
-        let delta_hpwl: f64 = active_nets
-            .iter()
-            .filter(|n| {
-                model.pins[n.index()].iter().any(|&e| {
-                    let (kind, idx) = kind_index(e);
-                    mov[kind][idx]
-                })
-            })
-            .map(|&n| model.rescan(n, |e| site_of(&loc, e)).hpwl)
-            .sum();
-        let [clb_loc, bram_loc, iob_loc] = loc;
-        let placement = Placement {
-            device,
-            clb_loc,
-            bram_loc,
-            iob_loc,
-            hpwl,
-            hpwl_sq,
-            moves,
-            budget,
-        };
-        verify_eco_placement(&placement, pins_map)?;
-        Ok(EcoPlacement {
-            placement,
-            pinned_entities: pins_map.pinned_count(),
-            delta_entities: pins_map.movable_count(),
-            delta_hpwl,
-        })
-    };
-    if movers.is_empty() || active_nets.is_empty() {
-        return finish(loc, 0, BudgetOutcome::Completed);
     }
-
-    // Baseline: deterministic descent over the movable delta only.
-    let mut net_box = model.boxes(&loc);
-    quench(
-        &model,
-        &sites,
-        &mut loc,
-        &mut net_box,
-        Some(movable_mask),
-        None,
-    );
-
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x0ec0_5eed_ba5e_11f7);
-    let span = site_span(&sites);
-    let w0 = (span / 4.0).clamp(2.0, span);
-    let mut pools = Pools::new(&sites, &loc);
-
-    // T0 probe: stddev/3 of sampled in-window move deltas (see `place`).
-    let t0 = {
-        let samples = (movers.len() * 4).clamp(32, 256);
-        let sd = delta_spread(
-            &mut rng,
-            &model,
-            &net_box,
-            &loc,
-            &mut pools,
-            &movers,
-            Some(movable_mask),
-            w0,
-            samples,
-        );
-        if sd > 0.0 {
-            sd / 3.0
-        } else {
-            1.0
-        }
-    };
-    let walk = Walk {
-        rng,
-        loc,
-        net_box,
-        pools,
-        t0,
-    };
-    let problem = Problem {
-        model: &model,
-        sites: &sites,
-        movers: &movers,
-        opts: &opts,
-        w0,
-        span,
-    };
     // Criticality-aware ECO: the timed arm prices the enable cone's nets
     // by the same frozen criticalities as the full anneal, so the cone is
     // placed aware of the BRAM setup path it feeds instead of blind on
     // wirelength. The blind arm reproduces the blind ECO byte-for-byte.
-    let arm = |timing: Option<TimingCtx>| {
-        let (loc, moves, budget) = anneal_eco(&problem, movable_mask, walk.clone(), timing);
-        finish(loc, moves, budget)
-    };
-    if opts.timing_weight > 0.0 {
-        let blind = arm(None)?;
-        let timed = arm(TimingCtx::build(netlist, &opts))?;
-        return Ok(pick_guarded(netlist, packed, &opts, blind, timed, |e| {
-            &mut e.placement
-        }));
-    }
-    arm(None)
-}
-
-/// One arm of [`place_incremental`]: the masked delta anneal from `walk`
-/// and the closing masked quench, blind without `timing`,
-/// criticality-weighted with it. Returns the layout, the moves spent and
-/// the budget outcome.
-fn anneal_eco(
-    problem: &Problem,
-    movable_mask: [&[bool]; 3],
-    walk: Walk,
-    mut timing: Option<TimingCtx>,
-) -> (Locs, u64, BudgetOutcome) {
-    let Problem {
-        model,
-        sites,
-        movers,
-        opts,
-        w0,
-        span,
-    } = *problem;
-    let Walk {
-        mut rng,
-        mut loc,
-        mut net_box,
-        mut pools,
-        t0,
-    } = walk;
-    let movable = Some(movable_mask);
-    let active_nets = &model.active;
-    let mut moves_spent = 0u64;
-    let mut budget = BudgetOutcome::Completed;
-    let (mut cur_cost, _) = model.cost(&loc);
-    let mut best_cost = cur_cost;
-    let mut best = loc.clone();
-    // Per-net box cache and move pricing exactly as in `place`.
-    let mut cur_eff = cur_cost;
-    let mut best_eff = best_cost;
-    if let Some(t) = timing.as_mut() {
-        t.refresh(active_nets, &net_box);
-        cur_eff = t.eff_from_boxes(active_nets, &net_box);
-        best_eff = cur_eff;
-    }
-    let m = movers.len() as f64;
-    let moves_per_t = ((m.powf(4.0 / 3.0) * opts.effort.max(0.1)).ceil() as usize).max(16);
-    let mut temperature = t0;
-    let mut rlim = w0;
-    let exit_t = (0.005 * cur_cost / active_nets.len() as f64).max(1e-6);
-    'anneal: while temperature > exit_t {
-        let mut accepted = 0usize;
-        for _ in 0..moves_per_t {
-            if moves_spent >= opts.max_moves {
-                budget = BudgetOutcome::Exhausted { spent: moves_spent };
-                break 'anneal;
-            }
-            moves_spent += 1;
-            let Some(mv) = pools.propose(&mut rng, movers, &loc, movable, rlim) else {
-                continue;
-            };
-            let priced = model.price(&net_box, &loc, mv, coef(&timing));
-            // Same early-exit bound as `place` (timing mode only, so
-            // the blind-ECO RNG stream is untouched).
-            if timing.is_some() && priced.hopeless(temperature) {
-                continue;
-            }
-            let delta = priced.after.0 - priced.before.0;
-            let delta_eff = if timing.is_some() {
-                priced.eff_delta
-            } else {
-                delta
-            };
-            let accept =
-                delta_eff < 1e-9 || rng.random_bool((-delta_eff / temperature).exp().min(1.0));
-            if accept {
-                accepted += 1;
-                cur_cost += delta;
-                mv.apply(&mut loc, &mut pools);
-                model.rebox(&mut net_box, &loc, &mv);
-                if timing.is_some() {
-                    cur_eff += delta_eff;
-                    if cur_eff < best_eff {
-                        best_eff = cur_eff;
-                        best_cost = cur_cost;
-                        best.clone_from(&loc);
-                    }
-                } else if cur_cost < best_cost {
-                    best_cost = cur_cost;
-                    best.clone_from(&loc);
-                }
-            }
-        }
-        let success = accepted as f64 / moves_per_t.max(1) as f64;
-        temperature *= if success > 0.8 { 0.7 } else { 0.85 };
-        rlim = (rlim * (0.56 + success)).clamp(1.0, span);
-        // Cache-summed re-anchor, bit-identical to a recompute (see
-        // the matching comment in `place`).
-        cur_cost = active_nets.iter().map(|n| net_box[n.index()].hpwl).sum();
-        debug_assert!(
-            cur_cost == model.cost(&loc).0,
-            "bounding-box cache re-anchor diverged from recomputed HPWL"
-        );
-        if let Some(t) = timing.as_mut() {
-            t.refresh(active_nets, &net_box);
-            cur_eff = t.eff_from_boxes(active_nets, &net_box);
-            best_eff = t.eff_from_locs(model, &best);
-        }
-    }
-    let restore_best = if let Some(t) = timing.as_ref() {
-        t.eff_from_locs(model, &best) < t.eff_from_locs(model, &loc)
-    } else {
-        best_cost < model.cost(&loc).0
-    };
-    if restore_best {
-        loc = best;
-        net_box = model.boxes(&loc);
-    }
-    // Polish the delta with the masked deterministic descent
-    // (criticality-weighted in timing mode).
-    quench(model, sites, &mut loc, &mut net_box, movable, coef(&timing));
-    (loc, moves_spent, budget)
+    let (placement, delta_hpwl) = place_walk(
+        netlist,
+        packed,
+        device,
+        &sites,
+        &opts,
+        Some(pins_map),
+        |p| verify_eco_placement(p, pins_map),
+    )?;
+    Ok(EcoPlacement {
+        placement,
+        pinned_entities: pins_map.pinned_count(),
+        delta_entities: pins_map.movable_count(),
+        delta_hpwl,
+    })
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 #    warnings (`-D warnings`);
 #  * exactness — the placer's oracle tests (O(1) quench vs the rescan
 #    reference, proposals vs materialized candidate lists), the keyb/sand
-#    placement pins, the STA differential and the placement-quality gate,
+#    placement pins, the STA differential, the placement-quality gate and
+#    the timing-quality gate (both guarded entries never worse than
+#    their blind arm on all nine benchmarks),
 #    plus the verifier's walk-exactness suite (word-parallel product walk
 #    vs the scalar walk: equal reports and witnesses) and the equivalence
 #    suite, re-run in release mode with more random cases and without the
@@ -138,7 +140,7 @@ cargo test -q --offline --workspace "$@" \
 # costs the scalar oracle ~10^5 edges over 16K-word BRAM images (~30 s)
 # — and tests/equivalence.rs proves
 # every paper benchmark in every mapping style.
-echo "== exactness (release: quench, proposal and router oracles, placement and route pins, STA differential, place quality, walk exactness, equivalence)" >&2
+echo "== exactness (release: quench, proposal and router oracles, placement and route pins, STA differential, place and timing quality, walk exactness, equivalence)" >&2
 CASES=400 cargo test -q --offline --release -p fpga-fabric --lib place::tests \
     || fail "release-mode placer oracle tests failed (fast quench or proposal diverged from the reference)"
 CASES=400 cargo test -q --offline --release -p fpga-fabric --lib route::tests \
@@ -146,7 +148,8 @@ CASES=400 cargo test -q --offline --release -p fpga-fabric --lib route::tests \
 cargo test -q --offline --release --test place_exact \
     || fail "release-mode placement pins failed (a placement or routed tree moved: bump ALGORITHM_VERSION and re-record, or fix the placer or router)"
 cargo test -q --offline --release -p paper-bench --test sta_differential --test place_quality \
-    || fail "release-mode STA differential or placement-quality gate failed"
+    --test timing_quality \
+    || fail "release-mode STA differential, placement-quality or timing-quality gate failed"
 CASES=1000 cargo test -q --offline --release --test walk_exact -- --skip series_bank \
     || fail "release-mode walk-exactness suite failed (the batched exhaustive walk diverged from the scalar walk)"
 CASES=2 cargo test -q --offline --release --test walk_exact series_bank \

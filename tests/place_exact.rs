@@ -15,6 +15,18 @@
 //! where the quench does most of the work). keyb's FF baseline is also
 //! pinned on XC2V250, the device the FF-fallback tier lands on: there
 //! most sites are free, so free-site candidates dominate the quench.
+//! keyb also pins the blind ECO arm alone (`emb_cc_eco_wl`) and both
+//! move-budget exits: guarded `place` capped at 2000 moves per arm
+//! (`emb_budget`) and guarded `place_incremental` capped at 200
+//! (`emb_cc_eco_budget`), which must report `BudgetOutcome::Exhausted`
+//! with their combined spend while every other row reports `Completed`.
+//! At default options the ECO rows end on the same layout and move
+//! count whatever several of the ECO schedule's constants are, so two
+//! more cases run at effort 2 and timing weight 1 against a base placed
+//! with those options: the cone (`emb_cc_eco_w1`, keyb) and every CLB
+//! released (`emb_cc_eco_clbs`). Changing the ECO probe size, exit
+//! test, near-zero rule or fast-cooling factor alone moves at least one
+//! of them.
 //!
 //! Each row also pins the routed result of its placement at default
 //! route options: the total wirelength and a digest of every routed net's
@@ -29,7 +41,9 @@ use romfsm::emb::map::{map_fsm_into_embs, EmbOptions};
 use romfsm::fpga::device::{Device, FAMILY};
 use romfsm::fpga::netlist::Netlist;
 use romfsm::fpga::pack::{pack, pack_partitioned, PackedDesign};
-use romfsm::fpga::place::{place, place_incremental, PinnedEntities, PlaceOptions, Placement};
+use romfsm::fpga::place::{
+    place, place_incremental, BudgetOutcome, PinnedEntities, PlaceOptions, Placement,
+};
 use romfsm::fpga::route::{route, RouteOptions, RoutedDesign};
 use romfsm::logic::synth::{synthesize, SynthOptions};
 
@@ -52,11 +66,17 @@ const EXPECTED: &[Row] = &[
     ("keyb", "emb", "XC2V40", "1d8a61b8121b5f1f9d197fa340b095cc", 64.0, 152.0, 15942, 68, "4e9cd7591418348ee14014c28801f7dd"),
     ("keyb", "emb_wl", "XC2V40", "3b0aebfb697a037e5770ed667fbfb46d", 73.0, 189.0, 7074, 79, "e8be4a694d82f5bdb920ae126cc37f2e"),
     ("keyb", "emb_cc_eco", "XC2V40", "2a7de810746ac3388c1dd1cc0d182b2b", 69.0, 193.0, 832, 73, "44132588a1af99dbe6667ce341438708"),
+    ("keyb", "emb_cc_eco_wl", "XC2V40", "2a7de810746ac3388c1dd1cc0d182b2b", 69.0, 193.0, 416, 73, "44132588a1af99dbe6667ce341438708"),
+    ("keyb", "emb_budget", "XC2V40", "1d8a61b8121b5f1f9d197fa340b095cc", 64.0, 152.0, 4000, 68, "4e9cd7591418348ee14014c28801f7dd"),
+    ("keyb", "emb_cc_eco_budget", "XC2V40", "2a7de810746ac3388c1dd1cc0d182b2b", 69.0, 193.0, 400, 73, "44132588a1af99dbe6667ce341438708"),
+    ("keyb", "emb_cc_eco_w1", "XC2V40", "37c37ee9682ddf1bd6d45750c231cc48", 77.0, 215.0, 912, 84, "94fe7013ff48f9a2d92f9092c5927fb1"),
+    ("keyb", "emb_cc_eco_clbs", "XC2V40", "f071315a419a57dff85604d30bbe128c", 83.0, 249.0, 1496, 87, "e8e07b4051a32c26e78a83aa5f3d12b5"),
     ("keyb", "ff", "XC2V80", "3a3b57222cbef657bd5581148b077104", 1948.0, 15670.0, 122708, 2248, "ed0f0226033a11239249b5427aa87eac"),
     ("keyb", "ff_xc2v250", "XC2V250", "c7809f569d8a41914ce5497f8026bec2", 1806.0, 13208.0, 130372, 2113, "53ec3565651bef53187dc6170ff3f220"),
     ("sand", "emb", "XC2V40", "49b912cf3aab662496b81dcd9bca4fb7", 175.0, 649.0, 57785, 190, "67d42e270657c4b5f8a5f03db12cfc36"),
     ("sand", "emb_wl", "XC2V40", "2a0024929e33010306c0d96fd51646d0", 185.0, 681.0, 28795, 199, "795e3ce63b5289cb4d2c07f19fe3e240"),
     ("sand", "emb_cc_eco", "XC2V40", "db7776c18dba68457b7b602a82d25416", 180.0, 690.0, 960, 195, "7aedba7534cf99c27008813afa321b79"),
+    ("sand", "emb_cc_eco_clbs", "XC2V40", "5ade99d24521a9a0a07e0a01d7a7e2b3", 190.0, 732.0, 3332, 204, "05997e5c97f6afd03a5154902693d6f3"),
     ("sand", "ff", "XC2V80", "8a77c15c9db53f5c472c1d4b3c506d0f", 5340.0, 57700.0, 262428, 6222, "e647299a9665ed368a00698806e6bf3d"),
 ];
 
@@ -112,7 +132,7 @@ fn routes_digest(routed: &RoutedDesign) -> String {
     coords_digest(&tiles, &shape, &[])
 }
 
-/// The four placements of `name`, each routed, with its case label and
+/// The pinned placements of `name`, each routed, with its case label and
 /// device.
 fn placements(name: &str) -> Vec<Case> {
     let stg = romfsm::fsm::benchmarks::by_name(name).expect("paper benchmark");
@@ -124,31 +144,51 @@ fn placements(name: &str) -> Vec<Case> {
     let base = emb.to_netlist();
     let base_packed = pack(&base);
     let (device, base_placement) = smallest_fit(&base, &base_packed, opts);
-    let blind = place(
-        &base,
-        &base_packed,
-        device,
-        PlaceOptions {
-            timing_weight: 0.0,
-            ..opts
-        },
-    )
-    .expect("blind arm places where the guarded pair did");
+    let wl = PlaceOptions {
+        timing_weight: 0.0,
+        ..opts
+    };
+    let blind = place(&base, &base_packed, device, wl)
+        .expect("blind arm places where the guarded pair did");
     let (gated, _control) =
         attach_emb_clock_control(&emb, emb_opts.lut_map).expect("clock control attaches");
     let gated_packed =
         pack_partitioned(&gated, &base_packed, base.cells().len()).expect("partitioned pack");
     let pins = PinnedEntities::pin_base(&base_placement, &gated_packed);
-    let eco = place_incremental(&gated, &gated_packed, device, opts, &pins).expect("eco places");
-    out.push(case("emb", device, &base, &base_packed, base_placement));
-    out.push(case("emb_wl", device, &base, &base_packed, blind));
-    out.push(case(
-        "emb_cc_eco",
-        device,
-        &gated,
-        &gated_packed,
-        eco.placement,
-    ));
+    // The base netlist's cases, and the clock-controlled netlist
+    // ECO-placed against a pin map, all on the base's device.
+    let base_case = |label, placement| case(label, device, &base, &base_packed, placement);
+    let eco_case = |label, opts, pins: &PinnedEntities| {
+        let eco = place_incremental(&gated, &gated_packed, device, opts, pins).expect("eco places");
+        case(label, device, &gated, &gated_packed, eco.placement)
+    };
+    out.push(base_case("emb", base_placement));
+    out.push(base_case("emb_wl", blind));
+    out.push(eco_case("emb_cc_eco", opts, &pins));
+    if name == "keyb" {
+        let capped = |max_moves| PlaceOptions { max_moves, ..opts };
+        out.push(eco_case("emb_cc_eco_wl", wl, &pins));
+        let budget = place(&base, &base_packed, device, capped(2000)).expect("capped places");
+        out.push(base_case("emb_budget", budget));
+        out.push(eco_case("emb_cc_eco_budget", capped(200), &pins));
+    }
+    // ECO passes whose results depend on the ECO schedule's constants, at
+    // effort 2 and timing weight 1 against a base placed with the same
+    // options: the cone alone (keyb), and every CLB released, base and
+    // cone alike, so the walk, not only the closing quench, decides where
+    // they land.
+    let eco_opts = PlaceOptions {
+        effort: 2.0,
+        timing_weight: 1.0,
+        ..opts
+    };
+    let eco_base = place(&base, &base_packed, device, eco_opts).expect("base places");
+    let mut eco_pins = PinnedEntities::pin_base(&eco_base, &gated_packed);
+    if name == "keyb" {
+        out.push(eco_case("emb_cc_eco_w1", eco_opts, &eco_pins));
+    }
+    eco_pins.clb.fill(None);
+    out.push(eco_case("emb_cc_eco_clbs", eco_opts, &eco_pins));
 
     let synth = synthesize(&stg, SynthOptions::default()).expect("synthesizes");
     let ff = ff_netlist(&synth, false).0;
@@ -183,6 +223,14 @@ fn check(name: &str) {
             "{name}/{}: placement moved",
             c.label
         );
+        // Budget rows stop at the move cap: both arms spend `max_moves`
+        // and the guard reports their combined spend.
+        let budget = if c.label.ends_with("_budget") {
+            BudgetOutcome::Exhausted { spent: p.moves }
+        } else {
+            BudgetOutcome::Completed
+        };
+        assert_eq!(p.budget, budget, "{name}/{}: budget outcome", c.label);
         assert_eq!(
             (w.7, w.8),
             (c.routed.total_wirelength, routes_digest(&c.routed).as_str()),
