@@ -4,13 +4,13 @@
 //!
 //! Six passes over the same item list:
 //!
-//! 1. `serial_cold`   — sequential backend, cold flow cache (the
+//! 1. `serial_cold`   — one runner thread, cold flow cache (the
 //!    outcome-histogram source and the serial-throughput baseline);
 //! 2. `parallel_cold` — thread backend, cold cache;
 //! 3. `parallel_warm` — thread backend, warm cache;
 //! 4. `process_warm`  — process backend (spawned `--worker`
 //!    re-invocations of this binary), warm cache;
-//! 5. `overlay_auto`  — sequential backend with the mapping backend
+//! 5. `overlay_auto`  — one runner thread, with the mapping backend
 //!    forced to `auto`: overlay-fit items land on the pre-built overlay
 //!    bases, over-capacity items fall back to direct with a typed
 //!    `overlay-capacity` downgrade (the overlay ladder-coverage source);
@@ -87,9 +87,16 @@ fn tiers() -> Vec<&'static str> {
 /// One runner pass over all items; returns (rows, wall-clock, failures).
 /// `map_backend` overrides the flow's mapping backend (`None` keeps the
 /// profile default, i.e. direct).
+/// The runner configurations of the passes: the thread backend on one
+/// thread (the exact sequential path) and on `RUNNER_THREADS` threads,
+/// and the process backend.
+const SERIAL: (Backend, Option<usize>) = (Backend::Threads, Some(1));
+const PARALLEL: (Backend, Option<usize>) = (Backend::Threads, None);
+const PROCESS: (Backend, Option<usize>) = (Backend::Process, None);
+
 fn pass(
     label: &str,
-    backend: Backend,
+    (backend, threads): (Backend, Option<usize>),
     map_backend: Option<MapBackend>,
     items: &[String],
     scratch: &Path,
@@ -98,7 +105,7 @@ fn pass(
         label: format!("corpus_{label}"),
         max_attempts: 2,
         checkpoint_dir: scratch.to_path_buf(),
-        threads: None,
+        threads,
         backend: Some(backend),
         keep_failed: Some(false),
     };
@@ -297,16 +304,16 @@ fn main() {
     }
 
     let (serial_rows, serial_cold, serial_fail) =
-        pass("serial_cold", Backend::Sequential, None, &items, &scratch);
+        pass("serial_cold", SERIAL, None, &items, &scratch);
     if !in_worker {
         clear_cache(&scratch.join("cache"));
     }
     let (par_cold_rows, parallel_cold, par_cold_fail) =
-        pass("parallel_cold", Backend::Threads, None, &items, &scratch);
+        pass("parallel_cold", PARALLEL, None, &items, &scratch);
     let (par_warm_rows, parallel_warm, par_warm_fail) =
-        pass("parallel_warm", Backend::Threads, None, &items, &scratch);
+        pass("parallel_warm", PARALLEL, None, &items, &scratch);
     let (proc_rows, process_warm, proc_fail) =
-        pass("process_warm", Backend::Process, None, &items, &scratch);
+        pass("process_warm", PROCESS, None, &items, &scratch);
     // In a worker re-invocation the passes above either served items
     // (and exited at EOF) or returned placeholder rows; nothing below
     // may run there.
@@ -318,7 +325,7 @@ fn main() {
     // after the worker guard so `--worker` re-invocations never see it.
     let (overlay_rows, overlay_auto, overlay_fail) = pass(
         "overlay_auto",
-        Backend::Sequential,
+        SERIAL,
         Some(MapBackend::Auto),
         &items,
         &scratch,

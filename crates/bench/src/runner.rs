@@ -58,10 +58,9 @@ use std::time::Instant;
 /// How [`run`] executes its pending items.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Strictly in input order on the calling thread (the exact
-    /// historical path: items computed and checkpointed in order).
-    Sequential,
-    /// Work-stealing scoped threads inside this process.
+    /// Work-stealing scoped threads inside this process; one thread takes
+    /// the exact sequential path (items computed and checkpointed strictly
+    /// in input order).
     Threads,
     /// Work-stealing worker *processes* — `--worker` re-invocations of
     /// the current binary coordinated over pipes. Crash isolation goes
@@ -85,8 +84,8 @@ pub struct RunnerOptions {
     /// sequential path.
     pub threads: Option<usize>,
     /// Execution backend. `None` defers to the `RUNNER_BACKEND`
-    /// environment variable (`sequential` / `threads` / `process`),
-    /// defaulting to [`Backend::Threads`].
+    /// environment variable (`threads` / `process`), defaulting to
+    /// [`Backend::Threads`].
     pub backend: Option<Backend>,
     /// Whether checkpointed `ok:false` entries survive a resume as
     /// placeholder rows instead of being re-attempted. `None` defers to
@@ -145,7 +144,6 @@ impl RunnerOptions {
             .as_deref()
             .map(str::trim)
         {
-            Some("sequential" | "serial") => Backend::Sequential,
             Some("process" | "processes") => Backend::Process,
             _ => Backend::Threads,
         }
@@ -197,8 +195,8 @@ pub struct RunOutcome {
     pub unpersisted: Vec<String>,
     /// Supervision summary from the process backend: per-item deadline
     /// expiries, worker respawns, quarantined slots, and the full typed
-    /// event stream. Always clean (`health.is_clean()`) under the
-    /// sequential and thread backends.
+    /// event stream. Always clean (`health.is_clean()`) under the thread
+    /// backend.
     pub health: crate::fabric::FabricHealth,
 }
 
@@ -300,11 +298,7 @@ where
         .filter(|(_, item)| !done.contains_key(*item))
         .collect();
     let backend = opts.effective_backend();
-    let threads = match backend {
-        Backend::Sequential => 1,
-        Backend::Threads | Backend::Process => opts.effective_threads(),
-    }
-    .min(pending.len().max(1));
+    let threads = opts.effective_threads().min(pending.len().max(1));
 
     let sink = CheckpointSink::new(&path);
     let events: Mutex<Vec<crate::fabric::FabricEvent>> = Mutex::new(Vec::new());
@@ -413,7 +407,7 @@ where
         threads,
         match backend {
             Backend::Process => "worker process(es)",
-            Backend::Sequential | Backend::Threads => "thread(s)",
+            Backend::Threads => "thread(s)",
         },
         started.elapsed()
     );
@@ -764,7 +758,7 @@ mod tests {
             max_attempts: 3,
             checkpoint_dir: dir,
             threads: Some(1),
-            backend: Some(Backend::Sequential),
+            backend: Some(Backend::Threads),
             keep_failed: Some(false),
         }
     }
@@ -1003,7 +997,7 @@ mod tests {
             max_attempts: 1,
             checkpoint_dir: base.join("blocker").join("sub"),
             threads: Some(1),
-            backend: Some(Backend::Sequential),
+            backend: Some(Backend::Threads),
             keep_failed: Some(false),
         };
         let items: Vec<String> = ["a", "b"].iter().map(ToString::to_string).collect();
@@ -1026,8 +1020,8 @@ mod tests {
         // Explicit option wins regardless of environment.
         opts.backend = Some(Backend::Process);
         assert_eq!(opts.effective_backend(), Backend::Process);
-        opts.backend = Some(Backend::Sequential);
-        assert_eq!(opts.effective_backend(), Backend::Sequential);
+        opts.backend = Some(Backend::Threads);
+        assert_eq!(opts.effective_backend(), Backend::Threads);
         let _ = std::fs::remove_dir_all(&opts.checkpoint_dir);
     }
 }

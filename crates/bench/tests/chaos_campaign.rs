@@ -1,7 +1,7 @@
 //! Wire-level chaos campaign: 240 seeded fault cases (48 items × 5
 //! seeds) through the supervised process backend, asserting zero
-//! coordinator panics and byte-identical output versus the sequential
-//! backend under every injected fault — hangs, mid-line kills, torn
+//! coordinator panics and byte-identical output versus a one-thread
+//! reference run under every injected fault — hangs, mid-line kills, torn
 //! writes, garbage lines, slow drips, early EOF.
 //!
 //! The fault drawn for an item is deterministic in `(seed, item)`
@@ -65,7 +65,7 @@ fn chaos_round(seed: u64) {
     let items = campaign_items().join(",");
 
     let dir = scratch(&format!("ref_{seed}"));
-    let (reference, ok) = run_selftest(&dir, &items, &[("RUNNER_BACKEND", "sequential")]);
+    let (reference, ok) = run_selftest(&dir, &items, &[("RUNNER_THREADS", "1")]);
     assert!(ok, "sequential reference failed (seed {seed})");
     let _ = std::fs::remove_dir_all(&dir);
 

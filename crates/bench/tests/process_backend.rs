@@ -1,6 +1,6 @@
 //! Integration tests for the multi-process runner backend, driven
 //! through the `fabric_selftest` bin (a real harness binary whose flow
-//! is synthetic): byte identity against the sequential backend, survival
+//! is synthetic): byte identity against a one-thread run, survival
 //! of an abort-class worker death, and checkpoint-resume skipping.
 
 use std::path::PathBuf;
@@ -47,7 +47,7 @@ fn process_backend_output_is_byte_identical_to_sequential() {
     let items = "alpha,beta,fail-x,gamma,delta,epsilon";
 
     let dir = scratch("ident_seq");
-    let (serial, ok) = run_selftest(&dir, items, &[("RUNNER_BACKEND", "sequential")]);
+    let (serial, ok) = run_selftest(&dir, items, &[("RUNNER_THREADS", "1")]);
     assert!(ok, "sequential selftest run failed");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -137,7 +137,7 @@ fn hung_worker_times_out_is_killed_and_output_stays_identical() {
     // Sequential reference: hang items only sleep inside worker
     // processes, so this computes instantly.
     let dir = scratch("hang_seq");
-    let (reference, ok) = run_selftest(&dir, items, &[("RUNNER_BACKEND", "sequential")]);
+    let (reference, ok) = run_selftest(&dir, items, &[("RUNNER_THREADS", "1")]);
     assert!(ok, "sequential reference run failed");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -199,7 +199,7 @@ fn always_hanging_item_quarantines_the_slot_deterministically() {
     let items = "hang-always-stuck,tail";
 
     let dir = scratch("quarantine_seq");
-    let (reference, ok) = run_selftest(&dir, items, &[("RUNNER_BACKEND", "sequential")]);
+    let (reference, ok) = run_selftest(&dir, items, &[("RUNNER_THREADS", "1")]);
     assert!(ok, "sequential reference run failed");
     let _ = std::fs::remove_dir_all(&dir);
 

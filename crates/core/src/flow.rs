@@ -26,8 +26,8 @@ use fpga_fabric::device::Device;
 use fpga_fabric::netlist::Netlist;
 use fpga_fabric::pack::{pack, pack_partitioned, AreaReport, PackedDesign};
 use fpga_fabric::place::{
-    place, place_incremental, verify_eco_placement, BudgetOutcome, PinnedEntities, PlaceError,
-    PlaceOptions, Placement,
+    place, place_incremental, verify_eco_placement, BudgetOutcome, EcoPlacement, PinnedEntities,
+    PlaceError, PlaceOptions, Placement,
 };
 use fpga_fabric::route::{route, RouteError, RouteOptions, RoutedDesign};
 use fpga_fabric::timing::{analyze, DelayModel, TimingReport};
@@ -680,42 +680,31 @@ fn frontend(
 ) -> Result<Design, FlowError> {
     let gated = matches!(kind, ImplKind::FfClockGated | ImplKind::EmbClockControlled);
     let mut stage = StageTimings::default();
-    let fe = match cache::load_frontend(key) {
-        Some(fe) if !gated || fe.clock_control.is_some() => fe,
-        _ => {
-            let mut fe = timed(&mut stage.synth_ms, build)?;
-            fe.verify_sampled_inputs = timed(&mut stage.verify_ms, || match kind {
-                ImplKind::Ff | ImplKind::FfClockGated => verify_against_stg(
-                    &fe.netlist,
-                    stg,
-                    OutputTiming::Combinational,
-                    cfg.verify_cycles,
-                    cfg.seed,
-                )
-                .map(|()| None),
-                _ => verify_rewrite(
-                    &fe.netlist,
-                    stg,
-                    OutputTiming::Registered,
-                    cfg.exhaustive_verify_max_inputs,
-                    cfg.verify_cycles,
-                    cfg.seed,
-                )
-                .map(|m| {
-                    matches!(m, VerificationMethod::Sampled { .. }).then_some(stg.num_inputs())
-                }),
-            })
-            .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
-            cache::store_frontend(
-                key,
+    let accept = |fe: &Frontend| !gated || fe.clock_control.is_some();
+    let (fe, _) = cache::cached(key, accept, || {
+        let mut fe = timed(&mut stage.synth_ms, build)?;
+        fe.verify_sampled_inputs = timed(&mut stage.verify_ms, || match kind {
+            ImplKind::Ff | ImplKind::FfClockGated => verify_against_stg(
                 &fe.netlist,
-                fe.clock_control,
-                fe.synth_skipped_functions,
-                fe.verify_sampled_inputs,
-            );
-            fe
-        }
-    };
+                stg,
+                OutputTiming::Combinational,
+                cfg.verify_cycles,
+                cfg.seed,
+            )
+            .map(|()| None),
+            _ => verify_rewrite(
+                &fe.netlist,
+                stg,
+                OutputTiming::Registered,
+                cfg.exhaustive_verify_max_inputs,
+                cfg.verify_cycles,
+                cfg.seed,
+            )
+            .map(|m| matches!(m, VerificationMethod::Sampled { .. }).then_some(stg.num_inputs())),
+        })
+        .map_err(|e| FlowError::new(stg.name(), FlowStage::Verify, FlowErrorKind::Verify(e)))?;
+        Ok(fe)
+    })?;
     Ok(Design {
         name: stg.name().to_string(),
         kind,
@@ -1129,14 +1118,11 @@ impl Target<'_> {
     /// Full placement (loaded, or computed and cached) and routing.
     fn full(&self, device: Device, stage: &mut StageTimings) -> Result<Implemented, FlowError> {
         let popts = self.cfg.place_opts();
-        let placement = timed(&mut stage.place_ms, || {
+        let (placement, _) = timed(&mut stage.place_ms, || {
             let key = cache::place_key(&self.key_bytes, &device, popts);
-            if let Some(p) = cache::load_placement(&key) {
-                return Ok(p);
-            }
-            let p = place(self.netlist, &self.packed, device, popts)?;
-            cache::store_placement(&key, &p);
-            Ok(p)
+            cache::cached(&key, cache::always, || {
+                place(self.netlist, &self.packed, device, popts)
+            })
         })
         .map_err(|e| self.place_error(e))?;
         let routed = timed(&mut stage.route_ms, || {
@@ -1167,37 +1153,26 @@ impl Target<'_> {
         let (packed, eco, report) = timed(&mut stage.place_ms, || {
             let base_packed = pack(base);
             let bkey = cache::place_key(&cache::encode_netlist(base), &device, popts);
-            let (base_placement, base_reuse_cache_hit) = match cache::load_placement(&bkey) {
-                Some(p) => (p, true),
-                None => {
-                    let p = place(base, &base_packed, device, popts)
-                        .map_err(|e| format!("base placement: {e}"))?;
-                    cache::store_placement(&bkey, &p);
-                    (p, false)
-                }
-            };
+            let (base_placement, base_reuse_cache_hit) =
+                cache::cached(&bkey, cache::always, || {
+                    place(base, &base_packed, device, popts)
+                        .map_err(|e| format!("base placement: {e}"))
+                })?;
             let packed = pack_partitioned(self.netlist, &base_packed, base.cells().len())
                 .map_err(|e| format!("partitioned pack: {e}"))?;
             let pins = PinnedEntities::pin_base(&base_placement, &packed);
             let base_coord_digest = placement_digest(&base_placement);
             let ekey = cache::eco_place_key(&self.key_bytes, &device, popts, &base_coord_digest);
-            let eco = match cache::load_eco_placement(&ekey) {
-                // A cached ECO placement must still honour today's pin map
-                // (the key makes collisions unlikely; the check makes them
-                // harmless).
-                Some(e)
-                    if e.placement.device.name == device.name
-                        && verify_eco_placement(&e.placement, &pins).is_ok() =>
-                {
-                    e
-                }
-                _ => {
-                    let e = place_incremental(self.netlist, &packed, device, popts, &pins)
-                        .map_err(|e| format!("eco placement: {e}"))?;
-                    cache::store_eco_placement(&ekey, &e);
-                    e
-                }
+            // A cached ECO placement must still honour today's pin map (the
+            // key makes collisions unlikely; the check makes them harmless).
+            let honours_pins = |e: &EcoPlacement| {
+                e.placement.device.name == device.name
+                    && verify_eco_placement(&e.placement, &pins).is_ok()
             };
+            let (eco, _) = cache::cached(&ekey, honours_pins, || {
+                place_incremental(self.netlist, &packed, device, popts, &pins)
+                    .map_err(|e| format!("eco placement: {e}"))
+            })?;
             let report = EcoReport {
                 pinned_entities: eco.pinned_entities,
                 delta_entities: eco.delta_entities,
@@ -1234,25 +1209,23 @@ impl Target<'_> {
     ) -> Result<Implemented, FlowError> {
         let popts = self.cfg.place_opts();
         let bkey = cache::overlay_base_key(&self.key_bytes, &device, popts, self.cfg.route);
-        let stored = timed(&mut stage.place_ms, || cache::load_overlay_base(&bkey));
-        let base_cache_hit = stored.is_some();
-        let ovl_base = match stored {
-            Some(b) => b,
-            None => {
+        let mut route_ms = 0.0;
+        let (ovl_base, base_cache_hit) = timed(&mut stage.place_ms, || {
+            cache::cached(&bkey, cache::always, || {
                 let base_packed = pack(base);
-                let placement = timed(&mut stage.place_ms, || {
-                    place(base, &base_packed, device, popts)
-                })
-                .map_err(|e| self.place_error(e))?;
-                let routed = timed(&mut stage.route_ms, || {
+                let placement =
+                    place(base, &base_packed, device, popts).map_err(|e| self.place_error(e))?;
+                let routed = timed(&mut route_ms, || {
                     route(base, &base_packed, &placement, self.cfg.route)
                 })
                 .map_err(|e| self.route_error(e))?;
-                let b = cache::OverlayBase { placement, routed };
-                cache::store_overlay_base(&bkey, &b);
-                b
-            }
-        };
+                Ok(cache::OverlayBase { placement, routed })
+            })
+        })?;
+        // Routing a fresh base ran inside the placement timer: move it to
+        // its own bucket.
+        stage.place_ms -= route_ms;
+        stage.route_ms += route_ms;
         let mut imp = Implemented::new(
             self.netlist,
             device,

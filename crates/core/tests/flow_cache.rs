@@ -4,10 +4,12 @@
 //! [`FlowReport`] must account for the traffic.
 //!
 //! Every public flow entry point is also pinned to its exact cache
-//! traffic: the cold and warm `report.cache` hits/misses and the multiset
-//! of record kinds the cold run writes. The lookups are part of the
-//! flow's contract (replay tooling mirrors them), so a refactor that
-//! reorders, drops or adds one fails here.
+//! traffic: the cold and warm `report.cache` hits/misses, the multiset
+//! of record kinds the cold run writes, and a digest over the names and
+//! bytes of those records. The lookups are part of the flow's contract
+//! (replay tooling mirrors them), so a refactor that reorders, drops or
+//! adds one fails here; the digest pins every key and every record byte,
+//! so a codec change that moves either fails here too.
 //!
 //! This file holds a single test function on purpose: the cache reads
 //! `FLOW_CACHE_DIR` once per process, so the variable must be set before
@@ -39,16 +41,26 @@ fn fingerprint(r: &FlowReport) -> (usize, usize, usize, u64, usize, u64, String)
     )
 }
 
-/// Record files in the store, counted by kind (the file-name prefix
-/// before the digest: `ff`, `ffg`, `emb`, `embcc`, `ovl`, `place`,
-/// `ecoplace`, `ovlbase`).
+/// The record files in the store, by file name, with their bytes.
+/// In-flight temp files (`.<name>.tmp.<pid>.<thread>`) do not end in
+/// `.txt`, so only published records are listed.
+fn records(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    let mut out = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).expect("cache dir is readable") {
+        let path = entry.expect("dir entry").path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.ends_with(".txt") {
+            out.insert(name, std::fs::read(&path).expect("record is readable"));
+        }
+    }
+    out
+}
+
+/// Record files counted by kind (the file-name prefix before the digest:
+/// `ff`, `ffg`, `emb`, `embcc`, `ovl`, `place`, `ecoplace`, `ovlbase`).
 fn record_kinds(dir: &Path) -> BTreeMap<String, usize> {
     let mut kinds = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("cache dir is readable") {
-        let name = entry.expect("dir entry").file_name();
-        let name = name.to_string_lossy();
-        // In-flight temp files (`.<name>.tmp.<pid>.<thread>`) do not end in
-        // `.txt`, so only published records count.
+    for name in records(dir).keys() {
         if let Some((kind, _)) = name.strip_suffix(".txt").and_then(|n| n.rsplit_once('_')) {
             *kinds.entry(kind.to_string()).or_insert(0) += 1;
         }
@@ -56,9 +68,33 @@ fn record_kinds(dir: &Path) -> BTreeMap<String, usize> {
     kinds
 }
 
-/// Runs `flow` cold then warm and pins both runs' cache traffic and the
-/// record kinds the cold run wrote. Returns the cold and warm reports,
-/// which must agree.
+/// Pins the FNV-1a-64 digest over the name and bytes of every record in
+/// `after` that is not in `before`, in file-name order, each field
+/// length-prefixed.
+fn pin_digest(
+    label: &str,
+    before: &BTreeMap<String, Vec<u8>>,
+    after: &BTreeMap<String, Vec<u8>>,
+    want: &str,
+) {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (name, bytes) in after.iter().filter(|(n, _)| !before.contains_key(*n)) {
+        for field in [name.as_bytes(), bytes] {
+            for &b in (field.len() as u64).to_le_bytes().iter().chain(field) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(
+        format!("{h:016x}"),
+        want,
+        "{label}: digest of the records the cold run wrote"
+    );
+}
+
+/// Runs `flow` cold then warm and pins both runs' cache traffic, the
+/// record kinds the cold run wrote and the digest of those records.
+/// Returns the cold and warm reports, which must agree.
 fn pin_traffic(
     label: &str,
     dir: &Path,
@@ -66,9 +102,12 @@ fn pin_traffic(
     cold_traffic: (u64, u64),
     warm_traffic: (u64, u64),
     written: &[(&str, usize)],
+    digest: &str,
 ) -> (FlowReport, FlowReport) {
+    let before_records = records(dir);
     let before = record_kinds(dir);
     let cold = flow();
+    pin_digest(label, &before_records, &records(dir), digest);
     let after = record_kinds(dir);
     let new_kinds: BTreeMap<String, usize> = after
         .iter()
@@ -138,6 +177,12 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
 
     // Cold: every artifact is computed and stored.
     let cold = ff_flow(&stg, SynthOptions::default(), &Stimulus::Random, &cfg).unwrap();
+    pin_digest(
+        "ff_flow",
+        &BTreeMap::new(),
+        &records(&dir),
+        "1a4a379aa21e04c0",
+    );
     assert_eq!(cold.cache.hits, 0, "cold run must not hit: {}", cold.cache);
     assert!(
         cold.cache.misses >= 2,
@@ -179,7 +224,9 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
 
     // A different flavor of the same machine is a different key: the EMB
     // flow over an already-cached STG still misses its own artifacts.
+    let before_emb = records(&dir);
     let emb = emb_flow(&stg, &EmbOptions::default(), &Stimulus::Random, &cfg).unwrap();
+    pin_digest("emb_flow", &before_emb, &records(&dir), "328db27bec465655");
     assert!(
         emb.cache.misses >= 2,
         "distinct kind tags must not collide: {}",
@@ -201,6 +248,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 2),
         (2, 0),
         &[("ffg", 1), ("place", 1)],
+        "de4acfaf53529caa",
     );
     assert_eq!(gated.kind, ImplKind::FfClockGated);
 
@@ -215,6 +263,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 4),
         (4, 0),
         &[("ecoplace", 1), ("emb", 1), ("embcc", 1), ("place", 1)],
+        "86929deddca445e7",
     );
     assert!(cc.eco.as_ref().is_some_and(|e| !e.base_reuse_cache_hit));
     assert!(cc_warm.eco.as_ref().is_some_and(|e| e.base_reuse_cache_hit));
@@ -236,6 +285,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 2),
         (2, 0),
         &[("ovl", 1), ("ovlbase", 1)],
+        "f9d0479f53e536e0",
     );
     assert!(ovl.overlay.as_ref().is_some_and(|o| !o.base_cache_hit));
     assert!(ovl_warm.overlay.as_ref().is_some_and(|o| o.base_cache_hit));
@@ -255,6 +305,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 2),
         (2, 0),
         &[("emb", 1), ("place", 1)],
+        "c612b01a90eafac9",
     );
     assert_eq!(auto.kind, ImplKind::Emb);
     assert!(auto
@@ -277,6 +328,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 3),
         (2, 1),
         &[("ff", 1), ("place", 1)],
+        "ff2377fd0b3392ba",
     );
     assert_eq!(fallback.kind, ImplKind::Ff);
     assert!(fallback

@@ -39,8 +39,12 @@
 #  * ECO base coordinates — table3's clock-controlled flows must pin
 #    every base entity at exactly the plain design's coordinates (the
 #    plain and gated-base coordinate digests per row are byte-identical);
+#  * flow-cache record bytes — table3 runs against a fresh flow-cache
+#    store under target/, and the sha256 of every record file it writes
+#    (names and bytes) must equal results/table3_cache_records.sha256:
+#    a codec or key change that moves a single record byte fails here;
 #  * flow-cache growth — a second identical table3 run must be served
-#    from the flow cache without growing results/cache/ at all;
+#    from that store without growing it at all;
 #  * capped flow cache — a table3 run under FLOW_CACHE_MAX_BYTES=16384
 #    must print byte-identical output and keep the store within budget;
 #  * process-backend identity (ISSUE 6) — table1 and table3 re-run under
@@ -277,7 +281,9 @@ echo "   table2 byte-identical to the committed golden" >&2
 echo "== ECO base-coordinate gate (table3 plain vs gated digests)" >&2
 coords=target/verify_table3_coords.txt
 fmaxf=target/verify_table3_fmax.txt
-TABLE3_COORDS="$coords" TABLE3_FMAX="$fmaxf" \
+t3_cache=target/verify_cache_table3
+rm -rf "$t3_cache"
+FLOW_CACHE_DIR="$t3_cache" TABLE3_COORDS="$coords" TABLE3_FMAX="$fmaxf" \
     ./target/release/table3 > target/verify_table3.out 2>/dev/null \
     || fail "table3 run failed"
 [ -s "$coords" ] || fail "table3 wrote no coordinate digests"
@@ -307,17 +313,31 @@ while read -r name ft fw; do
 done < "$fmaxf"
 echo "   all 9 benchmarks: timing-driven fmax estimate no worse than wirelength-only" >&2
 
+# -- Flow-cache record-byte gate --------------------------------------------
+# The cold table3 run above wrote its records into a fresh store. Keys
+# and record layouts are deterministic, so the records' names and bytes
+# must match the committed digests exactly. A deliberate change to a key
+# or a record layout regenerates the file in the same commit:
+#   (cd target/verify_cache_table3 && export LC_ALL=C && sha256sum *.txt) \
+#       > results/table3_cache_records.sha256
+echo "== flow-cache record-byte gate (table3 records vs results/table3_cache_records.sha256)" >&2
+(cd "$t3_cache" && export LC_ALL=C && sha256sum *.txt) > target/verify_table3_records.sha256 \
+    || fail "could not digest the table3 cache records"
+cmp -s results/table3_cache_records.sha256 target/verify_table3_records.sha256 \
+    || fail "table3 cache records differ from results/table3_cache_records.sha256 (a key or record byte moved)"
+echo "   all $(wc -l < target/verify_table3_records.sha256) table3 records byte-identical to the committed digests" >&2
+
 # -- Flow-cache growth bound ------------------------------------------------
 # Keys are deterministic, so a second identical table3 run must be served
-# entirely from the warm cache: any growth of results/cache/ means a key
-# is unstable and the cache re-stores artifacts it should be hitting.
+# entirely from the warm store: any growth means a key is unstable and
+# the cache re-stores artifacts it should be hitting.
 echo "== flow-cache growth bound (second table3 run)" >&2
-size_mid=$(du -sk results/cache 2>/dev/null | cut -f1)
+size_mid=$(du -sk "$t3_cache" 2>/dev/null | cut -f1)
 size_mid=${size_mid:-0}
-TABLE3_COORDS="$coords" TABLE3_FMAX=target/verify_table3_fmax_again.txt \
+FLOW_CACHE_DIR="$t3_cache" TABLE3_COORDS="$coords" TABLE3_FMAX=target/verify_table3_fmax_again.txt \
     ./target/release/table3 > target/verify_table3_again.out 2>/dev/null \
     || fail "second table3 run failed"
-size_after=$(du -sk results/cache 2>/dev/null | cut -f1)
+size_after=$(du -sk "$t3_cache" 2>/dev/null | cut -f1)
 size_after=${size_after:-0}
 [ "$size_after" -le "$size_mid" ] \
     || fail "flow cache grew from ${size_mid}kB to ${size_after}kB on an identical rerun (unstable cache keys)"
@@ -352,9 +372,9 @@ echo "   capped store at ${tiny_size}/${tiny_budget} bytes; output byte-identica
 # table3 is the heavier harness (four flows per benchmark, ECO placement,
 # flow-cache traffic from every worker into the shared store); its
 # process-backend run must still match the serial output byte-for-byte.
-# The cache is warm from the gates above, so this costs seconds.
+# The store is warm from the gates above, so this costs seconds.
 echo "== process-backend identity (table3, RUNNER_BACKEND=process, 4 workers)" >&2
-RUNNER_BACKEND=process RUNNER_THREADS=4 \
+FLOW_CACHE_DIR="$t3_cache" RUNNER_BACKEND=process RUNNER_THREADS=4 \
     ./target/release/table3 > target/verify_table3_process.out 2>/dev/null \
     || fail "process-backend table3 run failed"
 cmp -s target/verify_table3.out target/verify_table3_process.out \
