@@ -49,7 +49,9 @@
 //!   as if this module did not exist.
 //! * `FLOW_CACHE_DIR=<dir>` — on-disk store location (default
 //!   `results/cache/` at the workspace root; relative paths resolve
-//!   against the workspace root).
+//!   against the workspace root). This crate's own unit tests ignore it:
+//!   each test process gets a fresh private store under the system temp
+//!   directory, so no test run loads what an earlier one stored.
 //! * `FLOW_CACHE_MAX_BYTES=<n>` — byte budget for the on-disk store.
 //!   After every store the record files are summed; while they exceed
 //!   the budget the least-recently-used record is deleted (a disk hit
@@ -177,17 +179,7 @@ fn config() -> &'static Config {
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok());
         let dir = if enabled {
-            let d = std::env::var("FLOW_CACHE_DIR").map_or_else(
-                |_| workspace_root().join("results").join("cache"),
-                |d| {
-                    let d = PathBuf::from(d);
-                    if d.is_absolute() {
-                        d
-                    } else {
-                        workspace_root().join(d)
-                    }
-                },
-            );
+            let d = store_dir();
             // A store we cannot create degrades to memory-only caching.
             std::fs::create_dir_all(&d).ok().map(|()| d)
         } else {
@@ -199,6 +191,32 @@ fn config() -> &'static Config {
             max_bytes,
         }
     })
+}
+
+/// The on-disk store: `FLOW_CACHE_DIR`, or `results/cache/` at the
+/// workspace root.
+#[cfg(not(test))]
+fn store_dir() -> PathBuf {
+    std::env::var("FLOW_CACHE_DIR").map_or_else(
+        |_| workspace_root().join("results").join("cache"),
+        |d| {
+            let d = PathBuf::from(d);
+            if d.is_absolute() {
+                d
+            } else {
+                workspace_root().join(d)
+            }
+        },
+    )
+}
+
+/// The unit tests' store: fresh for each test process, so a placer or
+/// front-end change is never hidden behind records an earlier run wrote.
+#[cfg(test)]
+fn store_dir() -> PathBuf {
+    let d = std::env::temp_dir().join(format!("emb_fsm_unit_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    d
 }
 
 /// The workspace root (two levels above this crate's manifest).
@@ -1644,6 +1662,16 @@ mod tests {
             )
         );
         assert_ne!(k1, place_key(bytes, &device, PlaceOptions::default()));
+    }
+
+    #[test]
+    fn unit_tests_use_a_fresh_private_store() {
+        let dir = config()
+            .dir
+            .as_ref()
+            .expect("the unit-test store is on disk");
+        assert!(dir.starts_with(std::env::temp_dir()), "{}", dir.display());
+        assert!(!dir.starts_with(workspace_root()), "{}", dir.display());
     }
 
     #[test]

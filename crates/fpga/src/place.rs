@@ -32,7 +32,10 @@ use xrand::SmallRng;
 /// selection ([`pick_guarded`]): with the timing term on, the blind and
 /// criticality-weighted anneals both run and the better STA estimate
 /// wins, so timing-driven placement is never worse than wirelength-only.
-pub const ALGORITHM_VERSION: u32 = 4;
+/// Version 5: one anneal per guarded [`place`] — the timed arm refines
+/// the blind arm's polished layout (the timing quench, one reheat cycle,
+/// the closing quench) instead of annealing again from the shared start.
+pub const ALGORITHM_VERSION: u32 = 5;
 
 /// Placement options.
 #[derive(Debug, Clone, Copy)]
@@ -42,10 +45,13 @@ pub struct PlaceOptions {
     /// Effort multiplier. [`place`] caps it at 2 per cooling cycle: a
     /// level in the 5–15 % acceptance band runs `⌈min(effort, 2) ·
     /// entities^{4/3}⌉` moves, every other level a third of that, and
-    /// `round(effort / min(effort, 2))` reheat cycles follow the first
-    /// cooldown — one up to effort 2, so effort beyond 2 buys cycles, not
-    /// longer levels. [`place_incremental`] runs `max(16, ⌈max(effort,
-    /// 0.1) · movable^{4/3}⌉)` moves on every level and never reheats.
+    /// `round(effort / min(effort, 2))` reheat cycles follow the blind
+    /// arm's first cooldown — one up to effort 2, so effort beyond 2 buys
+    /// cycles, not longer levels. The timed arm of a guarded [`place`]
+    /// runs one reheat cycle whatever the effort: effort buys it longer
+    /// levels up to 2, and no reheats. [`place_incremental`] runs
+    /// `max(16, ⌈max(effort, 0.1) · movable^{4/3}⌉)` moves on every level
+    /// and never reheats.
     pub effort: f64,
     /// Hard cap on annealing moves. When the cap is hit the anneal stops
     /// where it is, the best-seen configuration is polished and returned,
@@ -1007,6 +1013,12 @@ struct TimingCtx {
     retime_interval: u32,
     net_base: f64,
     per_hop: f64,
+    /// The HPWL each net's kernel wire delay was last set from (−1, which
+    /// no HPWL is, before the first refresh).
+    synced_hpwl: Vec<f64>,
+    /// The criticality each `crit_w` entry was last raised from (−1,
+    /// which no criticality is, before the first refresh).
+    crit: Vec<f64>,
     /// `criticality^crit_exp` per net (scratch kept for the normalizer).
     crit_w: Vec<f64>,
     /// Per-net effective-cost coefficient (see above); `Σ coef·hpwl` over
@@ -1029,6 +1041,8 @@ impl TimingCtx {
             retime_interval: opts.retime_interval,
             net_base: opts.delay.net_base,
             per_hop: opts.delay.net_per_hop,
+            synced_hpwl: vec![-1.0; n],
+            crit: vec![-1.0; n],
             crit_w: vec![0.0; n],
             coef: vec![1.0; n],
             t_scale: 0.0,
@@ -1039,11 +1053,22 @@ impl TimingCtx {
     /// Syncs the kernel's wire delays to the current bounding boxes,
     /// flushes the incremental wavefronts (with the periodic full-re-time
     /// drift check), and re-freezes the per-net coefficients.
+    ///
+    /// Only what changed since the last refresh is recomputed: a net whose
+    /// HPWL is unchanged keeps its wire delay (setting the same delay is a
+    /// no-op in the kernel), and a net whose criticality is bit-equal
+    /// keeps its `criticality^crit_exp`. Both are pure functions of their
+    /// input, so the coefficients are bit-identical to a full recompute,
+    /// which debug builds check.
     fn refresh(&mut self, active_nets: &[NetId], net_box: &[NetBox]) {
         for &n in active_nets {
             let i = n.index();
-            self.kernel
-                .set_wire_delay(n, self.net_base + self.per_hop * net_box[i].hpwl);
+            let hpwl = net_box[i].hpwl;
+            if hpwl.to_bits() != self.synced_hpwl[i].to_bits() {
+                self.synced_hpwl[i] = hpwl;
+                self.kernel
+                    .set_wire_delay(n, self.net_base + self.per_hop * hpwl);
+            }
         }
         self.kernel.flush();
         self.refreshes += 1;
@@ -1058,8 +1083,21 @@ impl TimingCtx {
         let mut t_anchor = 0.0;
         for &n in active_nets {
             let i = n.index();
-            let c = self.kernel.criticality(n).powf(self.crit_exp);
-            self.crit_w[i] = c;
+            debug_assert!(
+                self.kernel.wire_delay(n).to_bits()
+                    == (self.net_base + self.per_hop * net_box[i].hpwl).to_bits(),
+                "skipped wire-delay sync left a stale delay"
+            );
+            let crit = self.kernel.criticality(n);
+            if crit.to_bits() != self.crit[i].to_bits() {
+                self.crit[i] = crit;
+                self.crit_w[i] = crit.powf(self.crit_exp);
+            }
+            let c = self.crit_w[i];
+            debug_assert!(
+                c.to_bits() == crit.powf(self.crit_exp).to_bits(),
+                "skipped criticality raise left a stale weight"
+            );
             wl_anchor += net_box[i].hpwl;
             t_anchor += c * self.per_hop * net_box[i].hpwl;
         }
@@ -1551,6 +1589,18 @@ impl Schedule {
         }
     }
 
+    /// Whether the timed arm of a guarded pair refines the blind arm's
+    /// polished layout ([`place_walk`]). Full: yes — the timing quench,
+    /// then one reheat cycle of the walk, with no further reheats whatever
+    /// the effort (see [`anneal`]). ECO: no — the timed arm runs from the
+    /// shared start, as the blind arm does.
+    fn refines(self) -> bool {
+        match self {
+            Schedule::Full => true,
+            Schedule::Eco => false,
+        }
+    }
+
     /// Reheat cycles after the first cooldown (see [`anneal`]): for the
     /// full schedule one up to effort 2.0, and effort beyond that buys
     /// more.
@@ -1582,11 +1632,13 @@ impl Schedule {
     }
 }
 
-/// The state an anneal starts from. Both arms of a guarded placement
-/// start from the same one — the seed layout quenched, the pools built,
-/// T0 sampled — so [`place_walk`] computes it once and hands each arm a
-/// clone; the RNG stream included, each arm then runs exactly as if it
-/// had computed the prefix itself.
+/// The state an anneal starts from: the seed layout quenched, the pools
+/// built, T0 sampled. [`place_walk`] computes it once. The blind arm runs
+/// from a clone, RNG stream included, exactly as if it had computed the
+/// prefix itself; so does the timed arm of a guarded
+/// [`place_incremental`]. The timed arm of a guarded [`place`] keeps the
+/// RNG stream and T0 but takes the blind arm's polished layout, with its
+/// boxes and pools, as the layout to refine.
 #[derive(Clone)]
 struct Walk {
     rng: SmallRng,
@@ -1614,14 +1666,17 @@ struct Problem<'a> {
 /// Places a packed design on a device.
 ///
 /// With the timing term enabled (`timing_weight > 0`) this is a *guarded
-/// pair* of anneals: the wirelength-only arm (bit-identical to a
-/// `timing_weight = 0` run) and the criticality-weighted arm both run
-/// from one shared prefix ([`Walk`]), and [`pick_guarded`] keeps
-/// whichever ends with the better STA estimate. The guard is what lets
-/// `scripts/verify.sh` require the placer's fmax estimate to be no worse
-/// than wirelength-only placement on every paper benchmark, not merely in
-/// geomean; [`Placement::moves`] then reports the combined spend of both
-/// arms (so the effective move budget is up to `2 · max_moves`).
+/// pair*: the wirelength-only anneal (bit-identical to a `timing_weight
+/// = 0` run), then a criticality-weighted refinement of its polished
+/// layout — the timing quench, one gentle reheat cycle of the same walk
+/// with no further reheats whatever the effort, and the closing quench —
+/// and [`pick_guarded`] keeps whichever ends with the better STA
+/// estimate. The refinement costs a fraction of a second anneal. The
+/// guard is what lets `scripts/verify.sh` require the placer's fmax
+/// estimate to be no worse than wirelength-only placement on every paper
+/// benchmark, not merely in geomean; [`Placement::moves`] then reports
+/// the combined spend of both arms (so the effective move budget is up to
+/// `2 · max_moves`).
 ///
 /// # Errors
 ///
@@ -1644,8 +1699,11 @@ pub fn place(
 /// [`Schedule::Eco`]). Seeds the layout, computes the shared start
 /// ([`Walk`]), runs the blind arm — and with the timing term on the timed
 /// arm, the guard ([`pick_guarded`]) choosing — self-checking every arm
-/// with `check`. Returns the placement and Σ HPWL over the nets touching
-/// a movable entity: the wirelength the walk decided.
+/// with `check`. The timed arm refines the blind arm's layout where
+/// [`Schedule::refines`] says so (one reheat cycle, never more, whatever
+/// the effort), and otherwise runs from the shared start. Returns the
+/// placement and Σ HPWL over the nets touching a movable entity: the
+/// wirelength the walk decided.
 fn place_walk<E>(
     netlist: &Netlist,
     packed: &PackedDesign,
@@ -1773,20 +1831,37 @@ fn place_walk<E>(
             w0,
             span,
         };
-        let arm = |timing: Option<TimingCtx>| {
-            let (loc, moves, budget) = anneal(&problem, walk.clone(), timing);
+        let arm = |walk: Walk, timing: Option<TimingCtx>, refine: bool| {
+            let (loc, moves, budget) = anneal(&problem, walk, timing, refine);
             finish(loc, moves, budget)
         };
         // Timing-driven mode: the timed arm anneals against one
-        // incremental STA kernel (built here, refreshed per level).
-        // `timing_weight = 0` skips all of it and runs the blind arm
-        // alone.
+        // incremental STA kernel (built here, refreshed per level) —
+        // from the shared start (ECO), or refining the blind arm's
+        // polished layout (full). `timing_weight = 0` skips all of it and
+        // runs the blind arm alone.
         if opts.timing_weight > 0.0 {
-            let blind = arm(None)?;
-            let timed = arm(TimingCtx::build(netlist, opts))?;
+            let blind = arm(walk.clone(), None, false)?;
+            let timing = TimingCtx::build(netlist, opts);
+            let timed = if schedule.refines() {
+                let loc = [
+                    blind.clb_loc.clone(),
+                    blind.bram_loc.clone(),
+                    blind.iob_loc.clone(),
+                ];
+                let polished = Walk {
+                    net_box: model.boxes(&loc),
+                    pools: Pools::new(sites, &loc),
+                    loc,
+                    ..walk
+                };
+                arm(polished, timing, true)?
+            } else {
+                arm(walk, timing, false)?
+            };
             pick_guarded(netlist, packed, opts, blind, timed)
         } else {
-            arm(None)?
+            arm(walk, None, false)?
         }
     };
     let decided = model
@@ -1805,12 +1880,15 @@ fn place_walk<E>(
 
 /// One arm of a placement: the annealing walk from `walk` and the closing
 /// quench, both restricted to the movable entities, wirelength-only
-/// without `timing`, criticality-weighted with it. Returns the layout,
-/// the moves spent and the budget outcome.
+/// without `timing`, criticality-weighted with it. With `refine` the
+/// walk's layout is a finished placement: the walk opens with a reheat
+/// of it and none follows. Returns the layout, the moves spent and the
+/// budget outcome.
 fn anneal(
     problem: &Problem,
     walk: Walk,
     mut timing: Option<TimingCtx>,
+    refine: bool,
 ) -> (Locs, u64, BudgetOutcome) {
     let Problem {
         model,
@@ -1875,10 +1953,47 @@ fn anneal(
     // coin flip — it either tunnels to a better basin or drifts somewhere
     // unhelpful and gets discarded by best-seen tracking — so splitting
     // the move budget across independent cycles from the incumbent buys a
-    // second (and third) draw at the cost of none.
-    let reheats = schedule.reheats(opts.effort);
+    // second (and third) draw at the cost of none. A refinement is one
+    // reheat cycle and nothing more.
+    let mut reheat = refine;
+    let reheats = if refine {
+        0
+    } else {
+        schedule.reheats(opts.effort)
+    };
     let mut cycle = 0u32;
     'outer: loop {
+        if reheat {
+            // Reheat (basin hopping with local search): quench the
+            // best-seen layout into its local optimum — the walk's winner
+            // is usually still a few greedy steps above its basin floor —
+            // then restart the walk from that polished incumbent with the
+            // opening window. Each cycle therefore launches from a layout
+            // at least as good as the previous cycle's polished result,
+            // and best-seen tracking keeps whichever basin floor was
+            // deepest.
+            loc.clone_from(&best);
+            net_box = model.boxes(&loc);
+            quench(model, sites, &mut loc, &mut net_box, movable, coef(&timing));
+            pools = Pools::new(sites, &loc);
+            cur_cost = model.cost(&loc).0;
+            best_cost = cur_cost;
+            best.clone_from(&loc);
+            if let Some(t) = timing.as_mut() {
+                t.refresh(active_nets, &net_box);
+                cur_eff = t.eff_from_boxes(active_nets, &net_box);
+                best_eff = cur_eff;
+            }
+            // The reheat is gentle — a fraction of the first cycle's t0.
+            // Re-melting all the way destroys the incumbent (the walk
+            // climbs hundreds of cost units and rarely finds its way back
+            // down to a deeper basin); a low reheat does extended plateau
+            // exploration around the incumbent, which is where deeper
+            // basins actually get found at this problem scale.
+            temperature = t0 / 8.0;
+            rlim = w0;
+            moves_per_t = level_moves;
+        }
         while temperature > exit_t(cur_cost) {
             let mut accepted = 0usize;
             for _ in 0..moves_per_t {
@@ -1973,34 +2088,7 @@ fn anneal(
         if cycle > reheats {
             break;
         }
-        // Reheat (basin hopping with local search): quench the best-seen
-        // layout into its local optimum — the walk's winner is usually
-        // still a few greedy steps above its basin floor — then restart
-        // the walk from that polished incumbent with the opening window.
-        // Each cycle therefore launches from a layout at least as good as
-        // the previous cycle's polished result, and best-seen tracking
-        // keeps whichever basin floor was deepest.
-        loc.clone_from(&best);
-        net_box = model.boxes(&loc);
-        quench(model, sites, &mut loc, &mut net_box, movable, coef(&timing));
-        pools = Pools::new(sites, &loc);
-        cur_cost = model.cost(&loc).0;
-        best_cost = cur_cost;
-        best.clone_from(&loc);
-        if let Some(t) = timing.as_mut() {
-            t.refresh(active_nets, &net_box);
-            cur_eff = t.eff_from_boxes(active_nets, &net_box);
-            best_eff = cur_eff;
-        }
-        // The reheat is gentle — a fraction of the first cycle's t0.
-        // Re-melting all the way destroys the incumbent (the walk climbs
-        // hundreds of cost units and rarely finds its way back down to a
-        // deeper basin); a low reheat does extended plateau exploration
-        // around the incumbent, which is where deeper basins actually
-        // get found at this problem scale.
-        temperature = t0 / 8.0;
-        rlim = w0;
-        moves_per_t = level_moves;
+        reheat = true;
     }
 
     // Exact costs decide between the walk's end point and its best-seen
@@ -2233,9 +2321,10 @@ pub fn verify_eco_placement(
 /// with [`verify_eco_placement`] before it leaves this function.
 ///
 /// With the timing term enabled (`timing_weight > 0`) the delta anneal is
-/// a *guarded pair*, exactly like [`place`]: the blind arm (bit-identical
-/// to a `timing_weight = 0` run) and the criticality-weighted arm both
-/// run against the same pin map from one shared prefix, and
+/// a *guarded pair*, as in [`place`]: the blind arm (bit-identical to a
+/// `timing_weight = 0` run) and the criticality-weighted arm both run
+/// against the same pin map — here both from one shared prefix, since
+/// each short delta anneal costs little — and
 /// [`pick_guarded`] keeps the arm with the better STA estimate (ties fall
 /// to the better wirelength pair, then to the blind arm).
 /// The gated design's fmax estimate is therefore never worse than the

@@ -20,6 +20,11 @@
 //! (`emb_budget`) and guarded `place_incremental` capped at 200
 //! (`emb_cc_eco_budget`), which must report `BudgetOutcome::Exhausted`
 //! with their combined spend while every other row reports `Completed`.
+//!
+//! The guard's cost is gated by count, not by clock: guarded `place`
+//! runs one anneal and refines its layout, so each benchmark's `emb` row
+//! may spend at most 1.2× the moves of its wirelength-only twin
+//! `emb_wl`.
 //! At default options the ECO rows end on the same layout and move
 //! count whatever several of the ECO schedule's constants are, so two
 //! more cases run at effort 2 and timing weight 1 against a base placed
@@ -63,21 +68,21 @@ type Row = (
 
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    ("keyb", "emb", "XC2V40", "1d8a61b8121b5f1f9d197fa340b095cc", 64.0, 152.0, 15942, 68, "4e9cd7591418348ee14014c28801f7dd"),
+    ("keyb", "emb", "XC2V40", "3b0aebfb697a037e5770ed667fbfb46d", 73.0, 189.0, 7952, 79, "e8be4a694d82f5bdb920ae126cc37f2e"),
     ("keyb", "emb_wl", "XC2V40", "3b0aebfb697a037e5770ed667fbfb46d", 73.0, 189.0, 7074, 79, "e8be4a694d82f5bdb920ae126cc37f2e"),
-    ("keyb", "emb_cc_eco", "XC2V40", "2a7de810746ac3388c1dd1cc0d182b2b", 69.0, 193.0, 832, 73, "44132588a1af99dbe6667ce341438708"),
-    ("keyb", "emb_cc_eco_wl", "XC2V40", "2a7de810746ac3388c1dd1cc0d182b2b", 69.0, 193.0, 416, 73, "44132588a1af99dbe6667ce341438708"),
-    ("keyb", "emb_budget", "XC2V40", "1d8a61b8121b5f1f9d197fa340b095cc", 64.0, 152.0, 4000, 68, "4e9cd7591418348ee14014c28801f7dd"),
-    ("keyb", "emb_cc_eco_budget", "XC2V40", "2a7de810746ac3388c1dd1cc0d182b2b", 69.0, 193.0, 400, 73, "44132588a1af99dbe6667ce341438708"),
+    ("keyb", "emb_cc_eco", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 960, 84, "2b7eba7c55debf622de3c91275ded7f1"),
+    ("keyb", "emb_cc_eco_wl", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 480, 84, "2b7eba7c55debf622de3c91275ded7f1"),
+    ("keyb", "emb_budget", "XC2V40", "b7b4f41dbe1d3778ce787c083710476b", 73.0, 189.0, 3544, 79, "12867ff68ffebe7b9b6aa8e0e6233b68"),
+    ("keyb", "emb_cc_eco_budget", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 400, 84, "2b7eba7c55debf622de3c91275ded7f1"),
     ("keyb", "emb_cc_eco_w1", "XC2V40", "37c37ee9682ddf1bd6d45750c231cc48", 77.0, 215.0, 912, 84, "94fe7013ff48f9a2d92f9092c5927fb1"),
     ("keyb", "emb_cc_eco_clbs", "XC2V40", "f071315a419a57dff85604d30bbe128c", 83.0, 249.0, 1496, 87, "e8e07b4051a32c26e78a83aa5f3d12b5"),
-    ("keyb", "ff", "XC2V80", "3a3b57222cbef657bd5581148b077104", 1948.0, 15670.0, 122708, 2248, "ed0f0226033a11239249b5427aa87eac"),
-    ("keyb", "ff_xc2v250", "XC2V250", "c7809f569d8a41914ce5497f8026bec2", 1806.0, 13208.0, 130372, 2113, "53ec3565651bef53187dc6170ff3f220"),
-    ("sand", "emb", "XC2V40", "49b912cf3aab662496b81dcd9bca4fb7", 175.0, 649.0, 57785, 190, "67d42e270657c4b5f8a5f03db12cfc36"),
+    ("keyb", "ff", "XC2V80", "d4ea1376a0fdd536d3b479adf3854325", 1931.0, 15635.0, 66744, 2242, "1c6b9c76a4a504c56e54d26179a0b3e2"),
+    ("keyb", "ff_xc2v250", "XC2V250", "777d5b051dce49305c1d4e7e34f7fa23", 1767.0, 12867.0, 73168, 2083, "a3f775b5e22e2574bcb03b12d3a834a7"),
+    ("sand", "emb", "XC2V40", "21cdbfc7596dc4456809573bc7370496", 178.0, 650.0, 33215, 189, "bbd8be37efe719bd31319c3defbe51be"),
     ("sand", "emb_wl", "XC2V40", "2a0024929e33010306c0d96fd51646d0", 185.0, 681.0, 28795, 199, "795e3ce63b5289cb4d2c07f19fe3e240"),
-    ("sand", "emb_cc_eco", "XC2V40", "db7776c18dba68457b7b602a82d25416", 180.0, 690.0, 960, 195, "7aedba7534cf99c27008813afa321b79"),
-    ("sand", "emb_cc_eco_clbs", "XC2V40", "5ade99d24521a9a0a07e0a01d7a7e2b3", 190.0, 732.0, 3332, 204, "05997e5c97f6afd03a5154902693d6f3"),
-    ("sand", "ff", "XC2V80", "8a77c15c9db53f5c472c1d4b3c506d0f", 5340.0, 57700.0, 262428, 6222, "e647299a9665ed368a00698806e6bf3d"),
+    ("sand", "emb_cc_eco", "XC2V40", "c427551b06e725a4dc760dbd6cfd07b7", 183.0, 689.0, 960, 194, "8ccdaf9ecb3d644a4394e981f5c04b71"),
+    ("sand", "emb_cc_eco_clbs", "XC2V40", "b869778cb4ecc247054612ef3837b614", 192.0, 762.0, 3332, 202, "0217c7a29a23047f84d6c1741e2dce54"),
+    ("sand", "ff", "XC2V80", "661e3cac391f243bf514e6702b342e28", 5236.0, 56000.0, 156846, 6136, "69baee38d6c92cb32fd3bed18bf36ce4"),
 ];
 
 /// The smallest family member `netlist` places on, with its placement.
@@ -203,6 +208,25 @@ fn placements(name: &str) -> Vec<Case> {
     out
 }
 
+/// Guarded `place` spends at most this many times the moves of the
+/// wirelength-only run of the same design.
+const GUARD_MOVE_RATIO: f64 = 1.2;
+
+/// The counter gate on the guard's cost (see the module doc).
+fn check_guard_cost(name: &str, got: &[Case]) {
+    let moves = |label: &str| {
+        got.iter()
+            .find(|c| c.label == label)
+            .map(|c| c.placement.moves)
+            .expect("pinned case")
+    };
+    let (guarded, blind) = (moves("emb"), moves("emb_wl"));
+    assert!(
+        guarded as f64 <= GUARD_MOVE_RATIO * blind as f64,
+        "{name}: guarded place spent {guarded} moves, over {GUARD_MOVE_RATIO}x the {blind} of its blind arm"
+    );
+}
+
 fn check(name: &str) {
     let got = placements(name);
     let want: Vec<&Row> = EXPECTED.iter().filter(|r| r.0 == name).collect();
@@ -223,8 +247,8 @@ fn check(name: &str) {
             "{name}/{}: placement moved",
             c.label
         );
-        // Budget rows stop at the move cap: both arms spend `max_moves`
-        // and the guard reports their combined spend.
+        // Budget rows stop at the move cap: the arm that hits it spends
+        // `max_moves`, and the guard reports both arms' combined spend.
         let budget = if c.label.ends_with("_budget") {
             BudgetOutcome::Exhausted { spent: p.moves }
         } else {
@@ -238,6 +262,7 @@ fn check(name: &str) {
             c.label
         );
     }
+    check_guard_cost(name, &got);
 }
 
 #[test]
