@@ -5,7 +5,7 @@
 //! `results/bench_substrates.json`.
 
 use emb_fsm::baseline::ff_netlist;
-use emb_fsm::verify::{verify_exhaustive, verify_exhaustive_scalar, OutputTiming};
+use emb_fsm::verify::{verify_exhaustive, OutputTiming};
 use fpga_fabric::device::Device;
 use fpga_fabric::pack::pack;
 use fpga_fabric::place::{place, PlaceOptions};
@@ -15,7 +15,7 @@ use logic_synth::cube::Cube;
 use logic_synth::decompose::decompose2;
 use logic_synth::synth::{synthesize, SynthOptions};
 use logic_synth::techmap::{map_luts, MapOptions};
-use netsim::engine::Simulator;
+use netsim::kernel::BatchSimulator;
 use netsim::stimulus;
 use paper_bench::timing::Harness;
 use std::hint::black_box;
@@ -136,10 +136,8 @@ fn bench_simulation(h: &mut Harness) {
     let netlist = keyb_ff_netlist();
     let vectors = stimulus::random(netlist.inputs().len(), 1000, 3);
     h.bench("simulate_1k_cycles/keyb", || {
-        let mut sim = Simulator::new(black_box(&netlist)).expect("simulator");
-        for v in &vectors {
-            sim.clock(v);
-        }
+        let mut sim = BatchSimulator::new(black_box(&netlist)).expect("simulator");
+        sim.run_sequential(&vectors);
         sim.activity().cycles
     });
 }
@@ -148,15 +146,16 @@ fn bench_verify(h: &mut Harness) {
     let stg = fsm_model::benchmarks::by_name("keyb").expect("keyb");
     let netlist = keyb_ff_netlist();
     // The batched product walk (64 input vectors per word) against the
-    // scalar walk on the same netlist: the ratio is the kernel's whole
-    // reason to exist, so both are recorded and verify.sh gates on it.
+    // scalar walk of the test-only oracle crate on the same netlist: the
+    // ratio is the kernel's whole reason to exist, so both are recorded
+    // and verify.sh gates on it.
     h.bench("verify_exhaustive/keyb", || {
         verify_exhaustive(black_box(&netlist), &stg, OutputTiming::Combinational, 16)
             .expect("keyb is exhaustively equivalent")
             .edges_checked
     });
     h.bench("verify_exhaustive_scalar/keyb", || {
-        verify_exhaustive_scalar(black_box(&netlist), &stg, OutputTiming::Combinational, 16)
+        oracle::verify_exhaustive_scalar(black_box(&netlist), &stg, OutputTiming::Combinational, 16)
             .expect("keyb is exhaustively equivalent")
             .edges_checked
     });

@@ -13,7 +13,7 @@ use fpga_fabric::place::{place, PlaceOptions};
 use fpga_fabric::route::{route, RouteOptions};
 use fpga_fabric::timing::{analyze, DelayModel};
 use logic_synth::synth::{synthesize, SynthOptions};
-use netsim::engine::Simulator;
+use netsim::kernel::BatchSimulator;
 use netsim::stimulus;
 use powermodel::{estimate, PowerParams};
 
@@ -65,12 +65,12 @@ fn main() {
         routed.total_wirelength
     );
 
-    let mut sim = Simulator::new(&netlist).expect("simulator");
+    let mut sim = BatchSimulator::new(&netlist).expect("simulator");
     let vectors = stimulus::random(stg.num_inputs(), 2000, 7);
     let mut rec = netsim::vcd::VcdRecorder::all_nets(&netlist);
     for v in &vectors {
-        sim.clock(v);
-        rec.sample(|n| sim.value(n));
+        sim.run_sequential([v]);
+        rec.sample(|n| sim.lane_value(n, 0));
     }
     println!(
         "[6] post-P&R simulation (ModelSim role): {} cycles, {} VCD value changes",

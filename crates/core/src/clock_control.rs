@@ -308,7 +308,7 @@ mod tests {
     use crate::verify::{verify_against_stg, OutputTiming};
     use fsm_model::benchmarks::{rotary_sequencer, sequence_detector_0101, traffic_light};
     use logic_synth::synth::{synthesize, SynthOptions};
-    use netsim::engine::Simulator;
+    use netsim::kernel::BatchSimulator;
 
     #[test]
     fn clock_controlled_emb_is_cycle_exact() {
@@ -347,13 +347,10 @@ mod tests {
         let stg = rotary_sequencer();
         let emb = map_fsm_into_embs(&stg, &EmbOptions::default()).unwrap();
         let (n, _) = attach_emb_clock_control(&emb, MapOptions::default()).unwrap();
-        let mut sim = Simulator::new(&n).unwrap();
+        let mut sim = BatchSimulator::new(&n).unwrap();
         // Step twice, then halt for 20 cycles.
-        sim.clock(&[false]);
-        sim.clock(&[false]);
-        for _ in 0..20 {
-            sim.clock(&[true]);
-        }
+        sim.run_sequential(&[vec![false], vec![false]]);
+        sim.run_sequential(&vec![vec![true]; 20]);
         let act = sim.activity();
         // The BRAM must have been disabled for ~the halt duration. The
         // first halt cycle still clocks (the output updates to the hold
@@ -374,11 +371,9 @@ mod tests {
         assert!(!cc.uses_outputs);
         verify_against_stg(&n, &stg, OutputTiming::Combinational, 800, 52).unwrap();
 
-        let mut sim = Simulator::new(&n).unwrap();
-        sim.clock(&[false]);
-        for _ in 0..10 {
-            sim.clock(&[true]);
-        }
+        let mut sim = BatchSimulator::new(&n).unwrap();
+        sim.run_sequential(&[vec![false]]);
+        sim.run_sequential(&vec![vec![true]; 10]);
         let act = sim.activity();
         // State FFs enabled only while not halted.
         for k in 0..act.ff_active_cycles.len() {
@@ -411,10 +406,8 @@ mod tests {
         let (n, cc) = attach_emb_clock_control(&emb, MapOptions::default()).unwrap();
         assert_eq!(cc.idle_cubes, 0);
         verify_against_stg(&n, &stg, OutputTiming::Registered, 200, 53).unwrap();
-        let mut sim = Simulator::new(&n).unwrap();
-        for _ in 0..10 {
-            sim.clock(&[true]);
-        }
+        let mut sim = BatchSimulator::new(&n).unwrap();
+        sim.run_sequential(&vec![vec![true]; 10]);
         assert_eq!(sim.activity().bram_active_cycles[0], 10);
     }
 }

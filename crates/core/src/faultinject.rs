@@ -336,8 +336,8 @@ pub fn corrupt_stg(stg: &Stg, seed: u64) -> Option<(Stg, StgFault)> {
 /// This is the seed→fault map shared by [`corrupt_netlist`] (which
 /// rebuilds a corrupted netlist) and the batched
 /// [`netlist_fault_campaign`] (which applies the same fault to one lane
-/// of a [`BatchSimulator`]): both paths see the identical fault for the
-/// identical seed.
+/// of a [`BatchSimulator`](netsim::kernel::BatchSimulator)): both paths
+/// see the identical fault for the identical seed.
 #[must_use]
 pub fn pick_netlist_fault(netlist: &Netlist, seed: u64) -> Option<NetlistFault> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -436,21 +436,24 @@ pub struct FaultOutcome {
 
 /// Runs a seeded single-fault detection campaign on the bit-parallel
 /// kernel: up to 64 faulty variants of `netlist` share one
-/// [`BatchSimulator`] batch — per-lane truth-table, FF power-on and BRAM
-/// image edits model the faults of [`pick_netlist_fault`] — and all lanes
-/// are driven by the same deterministic stimulus while being compared
-/// against the same STG oracle trace.
+/// [`BatchSimulator`](netsim::kernel::BatchSimulator) batch — per-lane
+/// truth-table, FF power-on and BRAM image edits model the faults of
+/// [`pick_netlist_fault`] — and all lanes are driven by the same
+/// deterministic stimulus and compared against the same STG oracle trace.
 ///
-/// Each case's result is what a scalar [`corrupt_netlist`] +
-/// [`verify_against_stg`](crate::verify::verify_against_stg) run with the
-/// same seed would report: the same fault, detected at the same cycle.
+/// Each case's result is what [`corrupt_netlist`] +
+/// [`verify_against_stg`](crate::verify::verify_against_stg) with the
+/// same seed reports, through the same lockstep loop: the same fault,
+/// detected at the same cycle.
 ///
 /// Seeds whose netlist admits no corruption are skipped (the returned
 /// vector is then empty).
 ///
 /// # Errors
 ///
-/// Propagates [`NetlistError`] from netlist validation.
+/// The [`check_interface`](crate::verify::check_interface) error when the
+/// netlist's ports do not fit the machine, or a structural error from
+/// netlist validation.
 pub fn netlist_fault_campaign(
     netlist: &Netlist,
     stg: &Stg,
@@ -458,15 +461,11 @@ pub fn netlist_fault_campaign(
     seeds: std::ops::Range<u64>,
     cycles: usize,
     stim_seed: u64,
-) -> Result<Vec<FaultOutcome>, fpga_fabric::netlist::NetlistError> {
-    use crate::verify::OutputTiming;
+) -> Result<Vec<FaultOutcome>, crate::verify::VerifyError> {
     use fsm_model::simulate::StgSimulator;
     use netsim::kernel::{BatchSimulator, LANES};
 
-    assert!(
-        netlist.outputs().len() >= stg.num_outputs(),
-        "netlist must expose at least the machine's outputs"
-    );
+    crate::verify::check_interface(netlist, stg)?;
     let cases: Vec<(u64, NetlistFault)> = seeds
         .filter_map(|s| pick_netlist_fault(netlist, s).map(|f| (s, f)))
         .collect();
@@ -504,36 +503,12 @@ pub fn netlist_fault_campaign(
                 "picked fault must be applicable to its own netlist"
             );
         }
-        let mut detected: Vec<Option<usize>> = vec![None; chunk.len()];
-        let mut undetected = chunk.len();
-        for (cycle, vector) in stimulus.iter().enumerate() {
-            if undetected == 0 {
-                break;
-            }
-            let words: Vec<u64> = vector
-                .iter()
-                .map(|&b| if b { u64::MAX } else { 0 })
-                .collect();
-            sim.clock_words(&words);
-            for (lane, slot) in detected.iter_mut().enumerate() {
-                if slot.is_some() {
-                    continue;
-                }
-                let got_all = match timing {
-                    OutputTiming::Registered => sim.lane_outputs(lane),
-                    OutputTiming::Combinational => sim.lane_pre_edge_outputs(lane),
-                };
-                if got_all[..stg.num_outputs()] != expected[cycle][..] {
-                    *slot = Some(cycle);
-                    undetected -= 1;
-                }
-            }
-        }
+        let detected = crate::verify::lockstep(&mut sim, timing, &stimulus, &expected, chunk.len());
         for ((seed, fault), detected_at) in chunk.iter().zip(detected) {
             outcomes.push(FaultOutcome {
                 seed: *seed,
                 fault: fault.clone(),
-                detected_at,
+                detected_at: detected_at.map(|(cycle, _)| cycle),
             });
         }
     }

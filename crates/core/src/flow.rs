@@ -1340,8 +1340,8 @@ fn physical(
 
     // Activity recording runs on the bit-parallel kernel in single-lane
     // mode: the stimulus is one sequential stream, so only one lane
-    // carries it, but toggle counting still goes through the word-wide
-    // XOR/popcount path and is bit-identical to the scalar engine.
+    // carries it, and toggle counting goes through the word-wide
+    // XOR/popcount path.
     let mut sim = BatchSimulator::new(&netlist)
         .map_err(|e| fail(FlowStage::Simulate, FlowErrorKind::Netlist(e)))?;
     sim.run_sequential(&vectors);

@@ -75,7 +75,7 @@ mod tests {
     use logic_synth::decompose::decompose2;
     use logic_synth::network::Network;
     use logic_synth::techmap::{map_luts, MapOptions};
-    use netsim::engine::Simulator;
+    use netsim::kernel::BatchSimulator;
 
     #[test]
     fn instantiated_logic_matches_lut_network() {
@@ -102,11 +102,11 @@ mod tests {
         }
         let outs = instantiate_luts(&mut n, &luts, &pins, "u0");
         n.add_output("y", outs[0]);
-        let mut sim = Simulator::new(&n).unwrap();
+        let mut sim = BatchSimulator::new(&n).unwrap();
         for m in 0..8u64 {
             let bits: Vec<bool> = (0..3).map(|i| m >> i & 1 == 1).collect();
-            sim.clock(&bits);
-            assert_eq!(sim.outputs()[0], luts.eval(&bits)[0], "m={m:03b}");
+            sim.run_sequential([&bits]);
+            assert_eq!(sim.lane_outputs(0)[0], luts.eval(&bits)[0], "m={m:03b}");
         }
     }
 
@@ -122,8 +122,8 @@ mod tests {
         n.add_input("a", p);
         let outs = instantiate_luts(&mut n, &luts, &[p], "c");
         n.add_output("one", outs[0]);
-        let mut sim = Simulator::new(&n).unwrap();
-        sim.clock(&[false]);
-        assert_eq!(sim.outputs(), vec![true]);
+        let mut sim = BatchSimulator::new(&n).unwrap();
+        sim.run_sequential(&[vec![false]]);
+        assert_eq!(sim.lane_outputs(0), vec![true]);
     }
 }

@@ -14,15 +14,18 @@
 //!   typed downgrade) above that.
 //!
 //! [`netlists_equivalent`] decides equivalence of two netlists by the
-//! same product walk. Both walks run on the bit-parallel kernel; the
-//! scalar walks ([`verify_exhaustive_scalar`],
-//! [`netlists_equivalent_scalar`]) are kept only as their
-//! differential-testing oracles and benchmark baseline.
+//! same product walk. Every rung runs on the bit-parallel
+//! [`BatchSimulator`]: the walks expand 64 product edges per clock, and
+//! the sampled rung and the fault campaign
+//! ([`crate::faultinject::netlist_fault_campaign`]) share one lockstep
+//! loop that broadcasts the stimulus to every lane. Both rungs check the
+//! netlist's ports against the machine first ([`check_interface`]).
+//! Scalar reference implementations of each live in the test-only
+//! `oracle` crate, for the walk-exactness suite and the bench baseline.
 
 use fpga_fabric::netlist::{NetId, Netlist, NetlistError};
 use fsm_model::simulate::StgSimulator;
 use fsm_model::stg::Stg;
-use netsim::engine::Simulator;
 use netsim::kernel::{transpose64, BatchSimulator, LANES};
 use netsim::stimulus;
 use std::fmt;
@@ -52,6 +55,13 @@ pub enum VerifyError {
         expected: Vec<bool>,
         /// Implementation outputs.
         got: Vec<bool>,
+    },
+    /// The netlist's input ports are not the machine's inputs.
+    InputCount {
+        /// Input ports found.
+        found: usize,
+        /// Inputs expected.
+        expected: usize,
     },
     /// The netlist exposes fewer `out_*` ports than the machine has
     /// outputs.
@@ -83,6 +93,9 @@ impl fmt::Display for VerifyError {
                 f,
                 "output mismatch at cycle {cycle} (inputs {inputs:?}): expected {expected:?}, got {got:?}"
             ),
+            VerifyError::InputCount { found, expected } => {
+                write!(f, "netlist has {found} input ports, machine has {expected} inputs")
+            }
             VerifyError::PortCount { found, expected } => {
                 write!(f, "netlist has {found} output ports, machine has {expected}")
             }
@@ -101,12 +114,35 @@ impl From<NetlistError> for VerifyError {
     }
 }
 
+/// The precondition of every rung: the netlist's inputs are the
+/// machine's inputs (extra inputs are not allowed — enable logic must be
+/// internal) and it exposes at least the machine's outputs.
+///
+/// # Errors
+///
+/// `InputCount` or `PortCount` naming the mismatch.
+pub fn check_interface(netlist: &Netlist, stg: &Stg) -> Result<(), VerifyError> {
+    if netlist.inputs().len() != stg.num_inputs() {
+        return Err(VerifyError::InputCount {
+            found: netlist.inputs().len(),
+            expected: stg.num_inputs(),
+        });
+    }
+    if netlist.outputs().len() < stg.num_outputs() {
+        return Err(VerifyError::PortCount {
+            found: netlist.outputs().len(),
+            expected: stg.num_outputs(),
+        });
+    }
+    Ok(())
+}
+
 /// Verifies `netlist` against `stg` over `cycles` random vectors.
 ///
 /// The netlist's first `stg.num_outputs()` output ports are compared;
-/// additional ports (debug state bits) are ignored. The netlist's inputs
-/// must be the machine's inputs in order (extra inputs are not allowed —
-/// enable logic must be internal).
+/// additional ports (debug state bits) are ignored. The stimulus is
+/// broadcast to every lane of a [`BatchSimulator`] and checked in lane 0
+/// by the lockstep loop the fault campaign shares.
 ///
 /// # Errors
 ///
@@ -118,35 +154,79 @@ pub fn verify_against_stg(
     cycles: usize,
     seed: u64,
 ) -> Result<(), VerifyError> {
-    if netlist.outputs().len() < stg.num_outputs() {
-        return Err(VerifyError::PortCount {
-            found: netlist.outputs().len(),
-            expected: stg.num_outputs(),
-        });
-    }
-    let mut hw = Simulator::new(netlist)?;
+    check_interface(netlist, stg)?;
+    let mut sim = BatchSimulator::new(netlist)?;
+    let stimulus = stimulus::random(stg.num_inputs(), cycles, seed);
     let mut oracle = StgSimulator::new(stg);
-    for (cycle, inputs) in stimulus::random(stg.num_inputs(), cycles, seed)
-        .into_iter()
-        .enumerate()
-    {
-        let expected = oracle.clock(&inputs).to_vec();
-        hw.clock(&inputs);
-        let got_all = match timing {
-            OutputTiming::Registered => hw.outputs(),
-            OutputTiming::Combinational => hw.pre_edge_outputs().to_vec(),
-        };
-        let got = got_all[..stg.num_outputs()].to_vec();
-        if got != expected {
-            return Err(VerifyError::Mismatch {
-                cycle,
-                inputs,
-                expected,
-                got,
-            });
+    let expected: Vec<Vec<bool>> = stimulus.iter().map(|v| oracle.clock(v).to_vec()).collect();
+    match lockstep(&mut sim, timing, &stimulus, &expected, 1).pop() {
+        Some(Some((cycle, got))) => Err(VerifyError::Mismatch {
+            cycle,
+            inputs: stimulus[cycle].clone(),
+            expected: expected[cycle].clone(),
+            got,
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Drives `sim` with `stimulus`, each vector broadcast to all 64 lanes,
+/// and compares the first `expected[c].len()` output ports, sampled as
+/// `timing` says, with the precomputed [`StgSimulator`] trace `expected`.
+/// Returns, for each of the lowest `lanes` (at most [`LANES`]) lanes, its
+/// first divergent cycle and its sampled outputs there; stops as soon as
+/// every one of them has diverged. Counts no activity.
+///
+/// Lanes differ only where the caller made them differ (per-lane faults),
+/// so lane 0 of an unmodified simulator is the single-stream simulation.
+pub(crate) fn lockstep(
+    sim: &mut BatchSimulator<'_>,
+    timing: OutputTiming,
+    stimulus: &[Vec<bool>],
+    expected: &[Vec<bool>],
+    lanes: usize,
+) -> Vec<Option<(usize, Vec<bool>)>> {
+    sim.set_active(0);
+    let broadcast = |b: bool| 0u64.wrapping_sub(u64::from(b));
+    let mut found = vec![None; lanes];
+    let mut open = ((1u128 << lanes.min(LANES)) - 1) as u64;
+    let mut got = vec![0u64; expected.first().map_or(0, Vec::len)];
+    let mut words = vec![0u64; stimulus.first().map_or(0, Vec::len)];
+    for (cycle, (vector, exp)) in stimulus.iter().zip(expected).enumerate() {
+        if open == 0 {
+            break;
+        }
+        for (w, &b) in words.iter_mut().zip(vector) {
+            *w = broadcast(b);
+        }
+        sim.clock_words(&words);
+        sample_outputs(sim, timing, &mut got);
+        let mut diff = got
+            .iter()
+            .zip(exp)
+            .fold(0u64, |acc, (g, &e)| acc | (g ^ broadcast(e)))
+            & open;
+        open &= !diff;
+        while diff != 0 {
+            let lane = diff.trailing_zeros() as usize;
+            diff &= diff - 1;
+            found[lane] = Some((cycle, got.iter().map(|w| w >> lane & 1 == 1).collect()));
         }
     }
-    Ok(())
+    found
+}
+
+/// Reads the lane words of the first `got.len()` output ports at the
+/// sample point of `timing`.
+fn sample_outputs(sim: &BatchSimulator<'_>, timing: OutputTiming, got: &mut [u64]) {
+    match timing {
+        OutputTiming::Registered => {
+            for (g, (_, net)) in got.iter_mut().zip(sim.netlist().outputs()) {
+                *g = sim.word(*net);
+            }
+        }
+        OutputTiming::Combinational => got.copy_from_slice(&sim.pre_edge_words()[..got.len()]),
+    }
 }
 
 /// The input vector of minterm `m`, LSB-first: input `i` is bit `i`.
@@ -172,13 +252,14 @@ const LANE_BITS: [u64; 6] = [
 /// [`verify_exhaustive`] and [`netlists_equivalent`].
 ///
 /// Nodes are expanded in FIFO order under minterms `0..2^I` — the global
-/// edge order of the scalar walks — 64 edges per batch. With `2^I ≤ 64` a
-/// batch holds up to `64 / 2^I` whole nodes (fewer when the frontier runs
-/// out); with `2^I ≥ 64` it holds 64 aligned minterms of one node. Each
-/// node is identified by a fixed-width packed key; new keys are appended
-/// in lane order, so node discovery order is the scalar walk's. The walk
-/// keeps each node's parent (node 0, the reset state, is its own) and
-/// its key, from which the node's state is reloaded.
+/// edge order of a one-edge-per-clock breadth-first walk — 64 edges per
+/// batch. With `2^I ≤ 64` a batch holds up to `64 / 2^I` whole nodes
+/// (fewer when the frontier runs out); with `2^I ≥ 64` it holds 64
+/// aligned minterms of one node. Each node is identified by a fixed-width
+/// packed key; new keys are appended in lane order, so node discovery
+/// order is the one-edge walk's. The walk keeps each node's parent (node
+/// 0, the reset state, is its own) and its key, from which the node's
+/// state is reloaded.
 struct ProductWalk {
     num_inputs: usize,
     /// `log2` of the lanes one node occupies in a batch: `min(I, 6)`.
@@ -565,17 +646,18 @@ impl BitOracle {
 ///
 /// Edges are expanded through the bit-parallel
 /// [`netsim::kernel::BatchSimulator`], 64 per clock, in the exact global
-/// edge order of the scalar walk (FIFO node order × minterm order), so
-/// the report counts and the first-divergence witness are identical to
-/// [`verify_exhaustive_scalar`]. The oracle side is bit-sliced too: the
-/// STG is stepped for a whole node's lanes with word operations, and
-/// outputs are compared word-wise. Every BRAM is a ROM, so the
-/// sequential nets are the whole implementation state.
+/// edge order of a one-edge-per-clock walk (FIFO node order × minterm
+/// order), so the report counts and the first-divergence witness are
+/// those of the scalar walk in the test-only `oracle` crate. The oracle
+/// side is bit-sliced too: the STG is stepped for a whole node's lanes
+/// with word operations, and outputs are compared word-wise. Every BRAM
+/// is a ROM, so the sequential nets are the whole implementation state.
 ///
 /// # Errors
 ///
 /// Returns a [`VerifyError`] with a minimal-length witness input trace on
-/// divergence, or `InputsTooWide` when `2^I` enumeration is infeasible.
+/// divergence, `InputsTooWide` when `2^I` enumeration is infeasible, or
+/// the [`check_interface`] error.
 pub fn verify_exhaustive(
     netlist: &Netlist,
     stg: &Stg,
@@ -588,10 +670,6 @@ pub fn verify_exhaustive(
 
     let num_inputs = stg.num_inputs();
     let num_outputs = stg.num_outputs();
-    let out_nets: Vec<NetId> = netlist.outputs()[..num_outputs]
-        .iter()
-        .map(|(_, n)| *n)
-        .collect();
     let oracle = BitOracle::new(stg);
     let mut port = SeqPort::new(&sim);
 
@@ -620,16 +698,7 @@ pub fn verify_exhaustive(
                 &mut expected,
             );
         }
-        match timing {
-            OutputTiming::Registered => {
-                for (g, net) in got.iter_mut().zip(&out_nets) {
-                    *g = sim.word(*net);
-                }
-            }
-            OutputTiming::Combinational => {
-                got.copy_from_slice(&sim.pre_edge_words()[..num_outputs]);
-            }
-        }
+        sample_outputs(&sim, timing, &mut got);
         let diff = got
             .iter()
             .zip(&expected)
@@ -637,7 +706,7 @@ pub fn verify_exhaustive(
             & walk.live;
         if diff != 0 {
             // Lanes run in edge order, so the lowest divergent lane is the
-            // scalar walk's first divergent edge.
+            // first divergent edge of the global order.
             let lane = diff.trailing_zeros() as usize;
             let lane_bits = |words: &[u64]| words.iter().map(|w| w >> lane & 1 == 1).collect();
             return Err(VerifyError::Mismatch {
@@ -672,8 +741,13 @@ pub fn verify_exhaustive(
     })
 }
 
-/// The shared precondition checks of the exhaustive walks.
-fn check_exhaustive_bounds(
+/// The precondition of the exhaustive walk: `2^I` is enumerable within
+/// `max_inputs` (and 20), then [`check_interface`].
+///
+/// # Errors
+///
+/// `InputsTooWide`, or the [`check_interface`] error.
+pub fn check_exhaustive_bounds(
     netlist: &Netlist,
     stg: &Stg,
     max_inputs: usize,
@@ -684,101 +758,7 @@ fn check_exhaustive_bounds(
             limit: max_inputs.min(20),
         });
     }
-    if netlist.outputs().len() < stg.num_outputs() {
-        return Err(VerifyError::PortCount {
-            found: netlist.outputs().len(),
-            expected: stg.num_outputs(),
-        });
-    }
-    Ok(())
-}
-
-/// The scalar (one edge per clock) exhaustive product walk — the original
-/// implementation, retained as the differential-testing oracle for the
-/// bit-parallel walk and as the benchmark baseline.
-///
-/// # Errors
-///
-/// Identical contract to [`verify_exhaustive`]: a minimal witness on
-/// divergence, `InputsTooWide` when enumeration is infeasible.
-pub fn verify_exhaustive_scalar(
-    netlist: &Netlist,
-    stg: &Stg,
-    timing: OutputTiming,
-    max_inputs: usize,
-) -> Result<ExhaustiveReport, VerifyError> {
-    check_exhaustive_bounds(netlist, stg, max_inputs)?;
-    let base = Simulator::new(netlist)?;
-
-    // Joint state key: oracle (state, latched outputs) + implementation
-    // sequential snapshot.
-    type Key = (u32, Vec<bool>, Vec<bool>);
-    let snapshot = |sim: &Simulator<'_>| -> Vec<bool> {
-        let mut v = Vec::new();
-        for cell in netlist.cells() {
-            match cell {
-                fpga_fabric::netlist::Cell::Ff { q, .. } => v.push(sim.value(*q)),
-                fpga_fabric::netlist::Cell::Bram { dout, .. } => {
-                    v.extend(dout.iter().map(|d| sim.value(*d)));
-                }
-                _ => {}
-            }
-        }
-        v
-    };
-
-    let oracle0 = StgSimulator::new(stg);
-    let key0: Key = (
-        oracle0.state().0,
-        oracle0.outputs().to_vec(),
-        snapshot(&base),
-    );
-    let mut seen: std::collections::HashSet<Key> = std::collections::HashSet::new();
-    seen.insert(key0.clone());
-    // BFS queue holds (oracle, implementation, input trace to reach it).
-    let mut queue: std::collections::VecDeque<(StgSimulator<'_>, Simulator<'_>, Vec<Vec<bool>>)> =
-        std::collections::VecDeque::new();
-    queue.push_back((oracle0, base, Vec::new()));
-
-    let num_inputs = stg.num_inputs();
-    let mut states_explored = 0usize;
-    let mut edges_checked = 0usize;
-    while let Some((oracle, hw, trace)) = queue.pop_front() {
-        states_explored += 1;
-        for m in 0..1u64 << num_inputs {
-            let inputs = minterm_inputs(m, num_inputs);
-            let mut o2 = oracle.clone();
-            let mut h2 = hw.clone();
-            let expected = o2.clock(&inputs).to_vec();
-            h2.clock(&inputs);
-            let got_all = match timing {
-                OutputTiming::Registered => h2.outputs(),
-                OutputTiming::Combinational => h2.pre_edge_outputs().to_vec(),
-            };
-            let got = got_all[..stg.num_outputs()].to_vec();
-            edges_checked += 1;
-            if got != expected {
-                let mut witness = trace.clone();
-                witness.push(inputs.clone());
-                return Err(VerifyError::Mismatch {
-                    cycle: witness.len() - 1,
-                    inputs,
-                    expected,
-                    got,
-                });
-            }
-            let key: Key = (o2.state().0, o2.outputs().to_vec(), snapshot(&h2));
-            if seen.insert(key) {
-                let mut w = trace.clone();
-                w.push(inputs);
-                queue.push_back((o2, h2, w));
-            }
-        }
-    }
-    Ok(ExhaustiveReport {
-        states_explored,
-        edges_checked,
-    })
+    check_interface(netlist, stg)
 }
 
 /// Statistics of a completed exhaustive verification.
@@ -904,9 +884,17 @@ pub fn netlists_equivalent(
     Ok(true)
 }
 
-/// The shared precondition checks of the pairwise walks; returns the
-/// input count.
-fn check_pair_bounds(a: &Netlist, b: &Netlist, max_inputs: usize) -> Result<usize, VerifyError> {
+/// The precondition of the pairwise walk: the interfaces match and
+/// `2^I` is enumerable; returns the input count.
+///
+/// # Errors
+///
+/// `InputsTooWide` or `PortCount`.
+pub fn check_pair_bounds(
+    a: &Netlist,
+    b: &Netlist,
+    max_inputs: usize,
+) -> Result<usize, VerifyError> {
     let num_inputs = a.inputs().len();
     if num_inputs > max_inputs || num_inputs > 20 {
         return Err(VerifyError::InputsTooWide {
@@ -921,55 +909,6 @@ fn check_pair_bounds(a: &Netlist, b: &Netlist, max_inputs: usize) -> Result<usiz
         });
     }
     Ok(num_inputs)
-}
-
-/// The scalar (one edge per clock) pairwise product walk — the
-/// differential-testing oracle of [`netlists_equivalent`].
-///
-/// # Errors
-///
-/// Identical contract to [`netlists_equivalent`].
-pub fn netlists_equivalent_scalar(
-    a: &Netlist,
-    b: &Netlist,
-    max_inputs: usize,
-) -> Result<bool, VerifyError> {
-    let num_inputs = check_pair_bounds(a, b, max_inputs)?;
-    let snapshot = |n: &Netlist, sim: &Simulator<'_>| -> Vec<bool> {
-        let mut v = Vec::new();
-        for cell in n.cells() {
-            match cell {
-                fpga_fabric::netlist::Cell::Ff { q, .. } => v.push(sim.value(*q)),
-                fpga_fabric::netlist::Cell::Bram { dout, .. } => {
-                    v.extend(dout.iter().map(|d| sim.value(*d)));
-                }
-                _ => {}
-            }
-        }
-        v
-    };
-    let sa = Simulator::new(a)?;
-    let sb = Simulator::new(b)?;
-    let mut seen = std::collections::HashSet::new();
-    seen.insert((snapshot(a, &sa), snapshot(b, &sb)));
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back((sa, sb));
-    while let Some((sa, sb)) = queue.pop_front() {
-        for m in 0..1u64 << num_inputs {
-            let inputs: Vec<bool> = (0..num_inputs).map(|i| m >> i & 1 == 1).collect();
-            let mut a2 = sa.clone();
-            let mut b2 = sb.clone();
-            a2.clock(&inputs);
-            b2.clock(&inputs);
-            if a2.outputs() != b2.outputs() {
-                return Ok(false);
-            }
-            if seen.insert((snapshot(a, &a2), snapshot(b, &b2))) {
-                queue.push_back((a2, b2));
-            }
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]
@@ -1120,31 +1059,25 @@ mod tests {
     }
 
     #[test]
-    fn batched_walk_matches_scalar_reports_and_witnesses() {
-        // The kernel-backed walk must be indistinguishable from the scalar
-        // oracle: same exploration counts on success, same first-divergence
-        // witness on failure.
-        for stg in [
-            sequence_detector_0101(),
-            traffic_light(),
-            rotary_sequencer(),
-        ] {
-            let emb = map_fsm_into_embs(&stg, &EmbOptions::default()).unwrap();
-            let n = emb.to_netlist();
-            let batched = verify_exhaustive(&n, &stg, OutputTiming::Registered, 20)
-                .unwrap_or_else(|e| panic!("{}: {e}", stg.name()));
-            let scalar = verify_exhaustive_scalar(&n, &stg, OutputTiming::Registered, 20)
-                .unwrap_or_else(|e| panic!("{}: {e}", stg.name()));
-            assert_eq!(batched, scalar, "{}", stg.name());
+    fn input_width_mismatch_is_a_typed_error() {
+        // dk16 reads two inputs; the 0101 detector's netlist has one.
+        let stg = fsm_model::benchmarks::by_name("dk16").unwrap();
+        let n = map_fsm_into_embs(&sequence_detector_0101(), &EmbOptions::default())
+            .unwrap()
+            .to_netlist();
+        let want = VerifyError::InputCount {
+            found: 1,
+            expected: 2,
+        };
+        let t = OutputTiming::Registered;
+        assert_eq!(verify_against_stg(&n, &stg, t, 10, 1), Err(want.clone()));
+        assert_eq!(verify_exhaustive(&n, &stg, t, 20), Err(want.clone()));
+        for cap in [20, 0] {
+            let got = verify_rewrite(&n, &stg, t, cap, 10, 1);
+            assert_eq!(got, Err(want.clone()), "cap {cap}");
         }
-
-        let stg = sequence_detector_0101();
-        let mut emb = map_fsm_into_embs(&stg, &EmbOptions::default()).unwrap();
-        emb.rom[0b111] ^= 0b100; // reachable only through a 3-step prefix
-        let n = emb.to_netlist();
-        let b = verify_exhaustive(&n, &stg, OutputTiming::Registered, 8).unwrap_err();
-        let s = verify_exhaustive_scalar(&n, &stg, OutputTiming::Registered, 8).unwrap_err();
-        assert_eq!(b, s, "witnesses must agree edge-for-edge");
+        let campaign = crate::faultinject::netlist_fault_campaign(&n, &stg, t, 0..4, 10, 1);
+        assert_eq!(campaign, Err(want));
     }
 
     #[test]

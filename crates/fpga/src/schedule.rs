@@ -1,18 +1,17 @@
-//! The levelized evaluation schedule shared by the simulation engines and
+//! The levelized evaluation schedule shared by the netlist simulator and
 //! the static-timing kernel.
 //!
-//! `netsim`'s scalar and bit-parallel engines evaluate a netlist the same
-//! way: combinational cells in one fixed topological order, then the
-//! sequential cells (FFs, then BRAMs) in cell order at each clock edge.
-//! The same levelization is the traversal order of [`crate::sta`]'s
-//! arrival/required propagation. This module computes that schedule once
-//! per netlist so the consumers cannot drift apart structurally — the
-//! evaluation *order*, the set of sequential cells, and the definition of
-//! the architectural state all come from here. Every BRAM is a ROM, so
-//! the architectural state is exactly the sequential nets (FF `q` and
-//! BRAM `dout`). The module lives in `fpga_fabric` (the netlist's home
-//! crate) and is re-exported as `netsim::schedule` for the simulation
-//! engines.
+//! `netsim`'s bit-parallel simulator (and the scalar reference engine it
+//! is tested against) evaluates a netlist in one way: combinational cells
+//! in one fixed topological order, then the sequential cells (FFs, then
+//! BRAMs) in cell order at each clock edge. The same levelization is the
+//! traversal order of [`crate::sta`]'s arrival/required propagation. This
+//! module computes that schedule once per netlist so the consumers cannot
+//! drift apart structurally — the evaluation *order*, the set of
+//! sequential cells, and the definition of the architectural state all
+//! come from here. Every BRAM is a ROM, so the architectural state is
+//! exactly the sequential nets (FF `q` and BRAM `dout`). The module lives
+//! in `fpga_fabric` (the netlist's home crate), which `netsim` depends on.
 
 use crate::netlist::{Cell, CellId, NetId, Netlist, NetlistError};
 

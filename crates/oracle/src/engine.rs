@@ -1,9 +1,9 @@
-//! Cycle-based netlist simulation with switching-activity capture.
+//! The scalar reference simulator: one simulation, one `bool` per net.
 //!
-//! Plays the role of the paper's post-place-and-route ModelSim run: the
-//! design is simulated "for a large number of random inputs" and the
-//! per-net switching activity is recorded (their `.vcd` file) for the
-//! power estimator.
+//! [`netsim::kernel::BatchSimulator`] is held to this engine lane for
+//! lane, cycle for cycle — net values, registered and pre-edge outputs
+//! and every [`Activity`] counter — by the workspace's kernel property
+//! suite. Both walk the same [`Schedule`].
 //!
 //! ## Timing model
 //!
@@ -15,54 +15,9 @@
 //! transitions of both settle phases — the transition count a zero-delay
 //! VCD would contain.
 
-use crate::schedule::Schedule;
 use fpga_fabric::netlist::{Cell, NetId, Netlist, NetlistError};
-
-/// Per-net switching-activity record.
-#[derive(Debug, Clone, Default)]
-pub struct Activity {
-    /// Toggles observed per net.
-    pub toggles: Vec<u64>,
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Cycles in which each BRAM was enabled (indexed like the netlist's
-    /// BRAM cells, in cell order). Drives BRAM access power.
-    pub bram_active_cycles: Vec<u64>,
-    /// Cycles in which each FF had its clock-enable asserted (cell order).
-    pub ff_active_cycles: Vec<u64>,
-}
-
-impl Activity {
-    /// Average toggles per cycle for a net (switching activity).
-    #[must_use]
-    pub fn of(&self, net: NetId) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.toggles[net.index()] as f64 / self.cycles as f64
-        }
-    }
-
-    /// Fraction of cycles the `i`-th BRAM was enabled.
-    #[must_use]
-    pub fn bram_enable_fraction(&self, i: usize) -> f64 {
-        if self.cycles == 0 {
-            1.0
-        } else {
-            self.bram_active_cycles[i] as f64 / self.cycles as f64
-        }
-    }
-
-    /// Fraction of cycles the `i`-th FF was enabled.
-    #[must_use]
-    pub fn ff_enable_fraction(&self, i: usize) -> f64 {
-        if self.cycles == 0 {
-            1.0
-        } else {
-            self.ff_active_cycles[i] as f64 / self.cycles as f64
-        }
-    }
-}
+use fpga_fabric::schedule::Schedule;
+use netsim::kernel::Activity;
 
 /// A cycle-based simulator over a validated [`Netlist`].
 #[derive(Debug, Clone)]
@@ -287,12 +242,6 @@ impl<'a> Simulator<'a> {
     #[must_use]
     pub fn activity(&self) -> &Activity {
         &self.activity
-    }
-
-    /// The netlist under simulation.
-    #[must_use]
-    pub fn netlist(&self) -> &'a Netlist {
-        self.netlist
     }
 }
 

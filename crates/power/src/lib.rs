@@ -20,7 +20,7 @@
 
 use fpga_fabric::netlist::{Cell, NetId, Netlist};
 use fpga_fabric::route::RoutedDesign;
-use netsim::engine::Activity;
+use netsim::kernel::Activity;
 
 /// Electrical parameters of the power model.
 ///
@@ -280,16 +280,16 @@ mod tests {
     use fpga_fabric::pack::pack;
     use fpga_fabric::place::{place, PlaceOptions};
     use fpga_fabric::route::{route, RouteOptions};
-    use netsim::engine::Simulator;
+    use netsim::kernel::BatchSimulator;
     use netsim::stimulus;
 
     fn flow(netlist: &Netlist, cycles: usize) -> (RoutedDesign, Activity) {
         let p = pack(netlist);
         let pl = place(netlist, &p, Device::xc2v250(), PlaceOptions::default()).unwrap();
         let r = route(netlist, &p, &pl, RouteOptions::default()).unwrap();
-        let mut sim = Simulator::new(netlist).unwrap();
+        let mut sim = BatchSimulator::new(netlist).unwrap();
         let stim = stimulus::random(netlist.inputs().len(), cycles, 11);
-        sim.run(stim);
+        sim.run_sequential(&stim);
         let act = sim.activity().clone();
         (r, act)
     }
@@ -478,19 +478,19 @@ mod tests {
         let pl = place(&n, &p, Device::xc2v250(), PlaceOptions::default()).unwrap();
         let r = route(&n, &p, &pl, RouteOptions::default()).unwrap();
 
-        // Always enabled.
-        let mut sim = Simulator::new(&n).unwrap();
-        for v in stimulus::random(1, 400, 5) {
-            sim.clock(&[v[0], true]);
-        }
-        let busy = estimate(&n, &r, sim.activity(), 100.0, &PowerParams::default()).unwrap();
-
-        // Enabled 25% of the time.
-        let mut sim = Simulator::new(&n).unwrap();
-        for (i, v) in stimulus::random(1, 400, 5).into_iter().enumerate() {
-            sim.clock(&[v[0], i % 4 == 0]);
-        }
-        let gated = estimate(&n, &r, sim.activity(), 100.0, &PowerParams::default()).unwrap();
+        // Always enabled, then enabled 25% of the time.
+        let run = |enabled: fn(usize) -> bool| {
+            let stim: Vec<Vec<bool>> = stimulus::random(1, 400, 5)
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| vec![v[0], enabled(i)])
+                .collect();
+            let mut sim = BatchSimulator::new(&n).unwrap();
+            sim.run_sequential(&stim);
+            estimate(&n, &r, sim.activity(), 100.0, &PowerParams::default()).unwrap()
+        };
+        let busy = run(|_| true);
+        let gated = run(|i| i % 4 == 0);
 
         assert!(gated.clock_mw < busy.clock_mw, "clock power must drop");
         assert!(gated.bram_mw < busy.bram_mw * 0.5, "access power must drop");

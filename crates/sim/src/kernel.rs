@@ -12,11 +12,11 @@
 //! Toggle counts come from `popcount(prev ^ next)` per net, masked to the
 //! active lanes; with no active lane the accounting is skipped outright.
 //!
-//! The kernel shares its evaluation order and sequential-cell inventory
-//! with the scalar [`crate::engine::Simulator`] through
-//! [`crate::schedule::Schedule`], and is required to be bit-exact against
-//! it lane for lane — the scalar engine remains the differential-testing
-//! oracle (see the workspace's kernel property suite).
+//! The evaluation order and sequential-cell inventory come from
+//! [`fpga_fabric::schedule::Schedule`]. The kernel is the workspace's one
+//! production simulator; it is held bit-exact, lane for lane, to a scalar
+//! one-value-per-net reference engine that lives in the test-only
+//! `oracle` crate (see the workspace's kernel property suite).
 //!
 //! Lanes can diverge in two ways beyond their inputs, which is what the
 //! batched consumers build on:
@@ -33,12 +33,47 @@
 //! Every BRAM is a ROM: no clock changes a memory image, so the
 //! sequential-net words are the whole architectural state of a lane.
 
-use crate::engine::Activity;
-use crate::schedule::Schedule;
 use fpga_fabric::netlist::{Cell, NetId, Netlist, NetlistError};
+use fpga_fabric::schedule::Schedule;
 
 /// Number of independent simulations carried per net word.
 pub const LANES: usize = 64;
+
+/// Per-net switching-activity record.
+#[derive(Debug, Clone, Default)]
+pub struct Activity {
+    /// Toggles observed per net.
+    pub toggles: Vec<u64>,
+    /// Cycles simulated.
+    pub cycles: u64,
+    /// Cycles in which each BRAM was enabled (indexed like the netlist's
+    /// BRAM cells, in cell order). Drives BRAM access power.
+    pub bram_active_cycles: Vec<u64>,
+    /// Cycles in which each FF had its clock-enable asserted (cell order).
+    pub ff_active_cycles: Vec<u64>,
+}
+
+impl Activity {
+    /// Average toggles per cycle for a net (switching activity).
+    #[must_use]
+    pub fn of(&self, net: NetId) -> f64 {
+        if self.cycles == 0 {
+            0.0
+        } else {
+            self.toggles[net.index()] as f64 / self.cycles as f64
+        }
+    }
+
+    /// Fraction of cycles the `i`-th BRAM was enabled.
+    #[must_use]
+    pub fn bram_enable_fraction(&self, i: usize) -> f64 {
+        if self.cycles == 0 {
+            1.0
+        } else {
+            self.bram_active_cycles[i] as f64 / self.cycles as f64
+        }
+    }
+}
 
 /// A combinational cell, pre-compiled for word-wide evaluation.
 #[derive(Debug, Clone)]
@@ -143,12 +178,10 @@ fn add_read_port(groups: &mut Vec<ReadGroup>, addr: &[NetId], k: usize, width: u
 
 /// A 64-lane bit-parallel simulator over a validated [`Netlist`].
 ///
-/// Construction mirrors [`crate::engine::Simulator::new`]: every lane
-/// starts at the reset state (FF `init` values, BRAM output latches at
-/// `output_init`, combinational logic settled). The [`Activity`] record
-/// accumulates per-lane-cycle counts over the lanes selected by
-/// [`Self::set_active`]; with a single active lane it is bit-identical to
-/// the scalar engine's record for the same stimulus.
+/// Every lane starts at the reset state (FF `init` values, BRAM output
+/// latches at `output_init`, combinational logic settled). The
+/// [`Activity`] record accumulates per-lane-cycle counts over the lanes
+/// selected by [`Self::set_active`].
 #[derive(Debug, Clone)]
 pub struct BatchSimulator<'a> {
     netlist: &'a Netlist,
@@ -279,9 +312,6 @@ impl<'a> BatchSimulator<'a> {
     }
 
     fn apply_reset_state(&mut self) {
-        for word in &mut self.words {
-            *word = 0;
-        }
         for id in &self.sched.ffs {
             if let Cell::Ff { q, init, .. } = self.netlist.cell(*id) {
                 self.words[q.index()] = if *init { u64::MAX } else { 0 };
@@ -301,28 +331,6 @@ impl<'a> BatchSimulator<'a> {
                 }
             }
         }
-    }
-
-    /// Resets every lane to the architectural reset state, restores the
-    /// original memory images (dropping per-lane BRAM bit flips), and
-    /// clears the activity record — the batch analogue of
-    /// [`crate::engine::Simulator::reset`]. Per-lane truth-table edits are
-    /// **not** undone.
-    pub fn reset(&mut self) {
-        for (k, id) in self.sched.brams.iter().enumerate() {
-            if let Cell::Bram { init, .. } = self.netlist.cell(*id) {
-                self.mem[k] = BramMem::Shared(init.clone());
-            }
-        }
-        self.apply_reset_state();
-        self.settle();
-        self.activity = Activity {
-            toggles: vec![0; self.netlist.num_nets()],
-            cycles: 0,
-            bram_active_cycles: vec![0; self.sched.brams.len()],
-            ff_active_cycles: vec![0; self.sched.ffs.len()],
-        };
-        self.pre_edge_words.clear();
     }
 
     /// One word-wide pass over the levelized combinational cone.
@@ -408,8 +416,8 @@ impl<'a> BatchSimulator<'a> {
     /// Loads the architectural state of every lane at once: `words[i]` is
     /// the lane word of `seq_nets()[i]`. Combinational nets are left
     /// stale; the next [`Self::clock_words`] re-settles them before
-    /// anything samples them, so `set` + `clock` is exactly a scalar
-    /// restore-and-clock in every lane.
+    /// anything samples them, so `set` + `clock` restores and clocks every
+    /// lane exactly.
     ///
     /// # Panics
     ///
@@ -503,26 +511,16 @@ impl<'a> BatchSimulator<'a> {
         &self.pre_edge_words
     }
 
-    /// One lane's output values just before the most recent clock edge
-    /// (the sample point for combinational Mealy outputs). Empty before
-    /// the first clock.
-    #[must_use]
-    pub fn lane_pre_edge_outputs(&self, lane: usize) -> Vec<bool> {
-        self.pre_edge_words
-            .iter()
-            .map(|w| w >> lane & 1 == 1)
-            .collect()
-    }
-
     /// Advances all 64 lanes one clock cycle. `inputs` holds one lane
     /// word per primary input, in declaration order (bit `i` of word `k`
     /// is lane `i`'s value for input `k`).
     ///
-    /// The two-phase semantics mirror the scalar engine exactly: apply
+    /// Two-valued, cycle-accurate, glitch-free, in two phases: apply
     /// inputs, settle, count toggles against the pre-input values; sample
     /// FF `d`/`ce` and BRAM `addr`/`en` pins from that at-edge state;
     /// update the sequential outputs; settle again and count toggles
-    /// against the at-edge values. Activity is masked to the active lanes.
+    /// against the at-edge values — the transition count a zero-delay VCD
+    /// would contain. Activity is masked to the active lanes.
     ///
     /// # Panics
     ///
@@ -614,23 +612,10 @@ impl<'a> BatchSimulator<'a> {
         }
     }
 
-    /// Advances one clock with per-lane input rows (`rows[i]` drives lane
-    /// `i`; at most [`LANES`] rows). Lanes beyond `rows.len()` receive
-    /// all-zero inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row's width differs from the netlist's input count,
-    /// or `rows.len() > LANES`.
-    pub fn clock_rows(&mut self, rows: &[Vec<bool>]) {
-        let words = pack_rows(rows, self.netlist.inputs().len());
-        self.clock_words(&words);
-    }
-
     /// Runs a sequential stimulus in lane 0 alone (the other lanes idle
-    /// with zero inputs and masked-out activity), mirroring a scalar
-    /// [`crate::engine::Simulator::run`]: same state evolution, same
-    /// [`Activity`] record, computed with word ops and popcounts.
+    /// with zero inputs and masked-out activity): the power flow's
+    /// single-stream simulation, its [`Activity`] record computed with
+    /// word ops and popcounts.
     pub fn run_sequential<'v, I>(&mut self, stimulus: I)
     where
         I: IntoIterator<Item = &'v Vec<bool>>,
@@ -704,30 +689,13 @@ pub fn pack_rows(rows: &[Vec<bool>], width: usize) -> Vec<u64> {
     words
 }
 
-/// Inverse of [`pack_rows`]: extracts the first `count` lanes of `words`
-/// back into per-lane rows.
-///
-/// # Panics
-///
-/// Panics if `count > LANES`.
-#[must_use]
-pub fn unpack_rows(words: &[u64], count: usize) -> Vec<Vec<bool>> {
-    assert!(count <= LANES, "{count} rows exceed {LANES} lanes");
-    (0..count)
-        .map(|lane| words.iter().map(|w| w >> lane & 1 == 1).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
-    use crate::stimulus;
     use fpga_fabric::device::BramShape;
     use fpga_fabric::netlist::Cell;
 
-    /// 2-bit binary counter with enable (LUT-based), as in the scalar
-    /// engine's tests.
+    /// 2-bit binary counter with enable (LUT-based).
     fn counter() -> Netlist {
         let mut n = Netlist::new("cnt");
         let en = n.add_net("en");
@@ -786,63 +754,6 @@ mod tests {
         assert_eq!(count(0), 6 % 4);
         assert_eq!(count(1), 0);
         assert_eq!(count(2), 3);
-    }
-
-    #[test]
-    fn single_lane_matches_scalar_engine_bit_for_bit() {
-        let n = counter();
-        let stim = stimulus::random(1, 200, 11);
-        let mut scalar = Simulator::new(&n).unwrap();
-        for v in &stim {
-            scalar.clock(v);
-        }
-        let mut batch = BatchSimulator::new(&n).unwrap();
-        batch.run_sequential(&stim);
-        assert_eq!(batch.activity().toggles, scalar.activity().toggles);
-        assert_eq!(batch.activity().cycles, scalar.activity().cycles);
-        assert_eq!(
-            batch.activity().ff_active_cycles,
-            scalar.activity().ff_active_cycles
-        );
-        assert_eq!(batch.lane_outputs(0), scalar.outputs());
-    }
-
-    #[test]
-    fn pack_unpack_round_trip() {
-        let rows = stimulus::random(5, 64, 3);
-        let words = pack_rows(&rows, 5);
-        assert_eq!(unpack_rows(&words, 64), rows);
-    }
-
-    #[test]
-    fn seq_words_load_resumes_mid_run() {
-        // Drive a scalar sim 3 cycles, transplant its state into lane 7
-        // through the word-level state loader, and check the next cycle
-        // agrees (the other lanes keep the reset state).
-        let n = counter();
-        let stim = stimulus::random(1, 4, 5);
-        let mut scalar = Simulator::new(&n).unwrap();
-        for v in &stim[..3] {
-            scalar.clock(v);
-        }
-        let mut batch = BatchSimulator::new(&n).unwrap();
-        let mut words = vec![0u64; batch.seq_nets().len()];
-        batch.seq_words(&mut words);
-        for (w, net) in words.iter_mut().zip(batch.seq_nets()) {
-            *w = (*w & !(1 << 7)) | u64::from(scalar.value(*net)) << 7;
-        }
-        batch.set_seq_words(&words);
-        let mut round_trip = vec![0u64; words.len()];
-        batch.seq_words(&mut round_trip);
-        assert_eq!(round_trip, words);
-        let expected = scalar.clock(&stim[3]);
-        let mut inputs = vec![0u64];
-        if stim[3][0] {
-            inputs[0] |= 1 << 7;
-        }
-        batch.clock_words(&inputs);
-        assert_eq!(batch.lane_outputs(7), expected);
-        assert_eq!(batch.lane_outputs(0), vec![false, false]);
     }
 
     #[test]
@@ -908,10 +819,6 @@ mod tests {
             b.flip_lane_bram_init(0, 5, 512, 0).is_err(),
             "word out of range"
         );
-        // Reset restores the shared image.
-        b.reset();
-        b.clock_words(&[0u64; 9]);
-        assert!(!b.lane_value(d, 5));
     }
 
     #[test]

@@ -5,21 +5,23 @@
 //! (the `.vcd` content XPower consumes), and honour the block-RAM enable
 //! port that the clock-control technique of Sec. 6 exercises.
 //!
-//! * [`engine`] — the scalar simulator and [`engine::Activity`] record;
-//! * [`kernel`] — the 64-lane bit-parallel [`kernel::BatchSimulator`]
-//!   (one `u64` word per net, 64 independent simulations per clock);
-//! * [`schedule`] — the levelized evaluation schedule both engines share
-//!   (re-exported from [`fpga_fabric::schedule`]);
-//! * [`timing`] — the incremental static-timing kernel built on the same
-//!   schedule (re-exported from [`fpga_fabric::sta`]);
+//! * [`kernel`] — the simulator: the 64-lane bit-parallel
+//!   [`kernel::BatchSimulator`] (one `u64` word per net, 64 independent
+//!   simulations per clock) and its [`kernel::Activity`] record. Power,
+//!   every verifier and the fault campaign run on it; a single stream is
+//!   lane 0 ([`kernel::BatchSimulator::run_sequential`]);
 //! * [`stimulus`] — deterministic random / biased / constant input streams;
 //! * [`vcd`] — a minimal VCD writer for waveform inspection.
+//!
+//! The evaluation order is [`fpga_fabric::schedule::Schedule`], shared
+//! with the static-timing kernel. The scalar engine the kernel is tested
+//! against lives in the test-only `oracle` crate.
 //!
 //! # Examples
 //!
 //! ```
 //! use fpga_fabric::netlist::{Cell, Netlist};
-//! use netsim::engine::Simulator;
+//! use netsim::BatchSimulator;
 //!
 //! // A 1-bit toggler: q' = !q.
 //! let mut n = Netlist::new("toggle");
@@ -29,22 +31,21 @@
 //! n.add_cell(Cell::Ff { d, q, ce: None, init: false });
 //! n.add_output("q", q);
 //!
-//! let mut sim = Simulator::new(&n)?;
-//! assert_eq!(sim.clock(&[]), vec![true]);
-//! assert_eq!(sim.clock(&[]), vec![false]);
+//! let mut sim = BatchSimulator::new(&n)?;
+//! sim.run_sequential(&[vec![]]);
+//! assert_eq!(sim.lane_outputs(0), vec![true]);
+//! sim.run_sequential(&[vec![]]);
+//! assert_eq!(sim.lane_outputs(0), vec![false]);
+//! assert_eq!(sim.activity().cycles, 2);
 //! # Ok::<(), fpga_fabric::netlist::NetlistError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod engine;
 pub mod kernel;
-pub mod schedule;
 pub mod stimulus;
-pub mod timing;
 pub mod vcd;
 
-pub use engine::{Activity, Simulator};
-pub use kernel::BatchSimulator;
+pub use kernel::{Activity, BatchSimulator};
 pub use vcd::VcdRecorder;

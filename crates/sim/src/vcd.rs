@@ -123,7 +123,7 @@ fn id_code(mut i: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulator;
+    use crate::kernel::BatchSimulator;
     use fpga_fabric::netlist::Cell;
 
     #[test]
@@ -149,12 +149,12 @@ mod tests {
             ce: None,
             init: false,
         });
-        let mut sim = Simulator::new(&n).unwrap();
+        let mut sim = BatchSimulator::new(&n).unwrap();
         let mut rec = VcdRecorder::all_nets(&n);
-        rec.sample(|net| sim.value(net));
+        rec.sample(|net| sim.lane_value(net, 0));
         for bit in [true, false, true] {
-            sim.clock(&[bit]);
-            rec.sample(|net| sim.value(net));
+            sim.run_sequential(&[vec![bit]]);
+            rec.sample(|net| sim.lane_value(net, 0));
         }
         let text = rec.render("t", 10);
         assert!(text.contains("$timescale 10 ns $end"));

@@ -24,7 +24,12 @@
 #    suite, re-run in release mode with more random cases and without the
 #    debug asserts;
 #  * panic-site budget — the number of unwrap()/expect(/panic!( sites in
-#    non-test library code must not grow past the recorded baseline;
+#    non-test library code (the test-only oracle crate included) must not
+#    grow past the recorded baseline;
+#  * oracle containment — the scalar reference simulator and verifier
+#    walks (crates/oracle) stay test-only: no normal dependency of the
+#    root package, any other workspace crate or perfbench reaches them,
+#    and no library source outside crates/oracle names `oracle::`;
 #  * runner determinism — a RUNNER_THREADS=1 and a RUNNER_THREADS=4 run
 #    of the table1 harness bin must print byte-identical tables;
 #  * bench regression — a fresh run of the keyb micro-benchmarks must
@@ -162,7 +167,8 @@ cargo test -q --offline --release --test equivalence \
     || fail "release-mode equivalence suite failed"
 
 # -- Panic-site budget ------------------------------------------------------
-# Counts unwrap()/expect(/panic!( in library sources (bins excluded, and
+# Counts unwrap()/expect(/panic!( in library sources, crates/oracle/src
+# included (bins excluded, and
 # everything below a file's `#[cfg(test)]` marker skipped — test modules
 # sit at the bottom of each file in this workspace). The budget is the
 # count recorded after the ISSUE 2 panic-sweep (lowered to 67 by the
@@ -176,6 +182,26 @@ panic_sites=$(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' \
 echo "   $panic_sites panic sites in library code" >&2
 [ "$panic_sites" -le "$PANIC_BUDGET" ] \
     || fail "panic-site count $panic_sites exceeds budget $PANIC_BUDGET (new unwrap/expect/panic! in library code — return a typed error instead, or lower the budget only with review)"
+
+# -- Oracle containment gate -------------------------------------------------
+# The library ships one simulator, netsim's bit-parallel kernel. The scalar
+# engine and the scalar verifier walks it replaced are the test oracles of
+# tests/prop_kernel.rs and tests/walk_exact.rs and the substrates bench's
+# ratio baseline; only [dev-dependencies] may name them. A normal
+# dependency would put a second simulator back into production builds.
+echo "== oracle containment (test-only: no normal dependency, no oracle:: in library sources)" >&2
+for tree_args in "--workspace --exclude oracle" "--manifest-path perfbench/Cargo.toml"; do
+    # shellcheck disable=SC2086 # the arguments are word lists on purpose
+    tree=$(cargo tree -q --offline -e normal $tree_args) \
+        || fail "cargo tree $tree_args failed"
+    if printf '%s\n' "$tree" | grep -Eq '(^|[^[:alnum:]_-])oracle v'; then
+        fail "a normal dependency reaches the test-only oracle crate (cargo tree -e normal $tree_args)"
+    fi
+done
+named=$(grep -rl 'oracle::' crates/*/src --include='*.rs' | grep -v '^crates/oracle/' || true)
+[ -z "$named" ] \
+    || fail "library sources outside crates/oracle name oracle:: : $named"
+echo "   oracle reachable only through dev-dependencies" >&2
 
 # -- Runner determinism gate ------------------------------------------------
 # The same harness bin, serial then 4-way parallel, must print the same

@@ -3,18 +3,19 @@
 //! three BRAMs with and without enables, some sharing one read-address
 //! vector, some with no wired data output), every lane of
 //! [`romfsm::sim::kernel::BatchSimulator`] must agree with an independent
-//! scalar [`romfsm::sim::engine::Simulator`] cycle for cycle — net
-//! values, outputs, and every `Activity` counter — and the row/word
-//! transposition layer must round-trip exactly.
+//! scalar [`oracle::Simulator`] (the test-only reference engine) cycle for
+//! cycle — net values, outputs, and every `Activity` counter — a scalar
+//! run's state transplanted into one lane must resume there exactly, and
+//! the row/word transposition layer must round-trip exactly.
 //!
 //! Runs on the in-workspace `xrand::proptest_lite` harness (hermetic, no
 //! registry deps). Failures print the case seed; re-run one case with
 //! `SEED=<seed> cargo test --test prop_kernel`.
 
+use oracle::Simulator;
 use romfsm::fpga::device::BramShape;
 use romfsm::fpga::netlist::{Cell, NetId, Netlist};
-use romfsm::sim::engine::Simulator;
-use romfsm::sim::kernel::{pack_rows, unpack_rows, BatchSimulator, LANES};
+use romfsm::sim::kernel::{pack_rows, BatchSimulator, LANES};
 use xrand::proptest_lite::run_cases;
 use xrand::SmallRng;
 
@@ -184,9 +185,14 @@ fn kernel_lanes_match_scalar_engines_cycle_for_cycle() {
                     batch.lane_outputs(lane),
                     "outputs diverged: lane {lane}, cycle {cycle}"
                 );
+                let pre_edge: Vec<bool> = batch
+                    .pre_edge_words()
+                    .iter()
+                    .map(|w| w >> lane & 1 == 1)
+                    .collect();
                 assert_eq!(
                     scalar.pre_edge_outputs(),
-                    batch.lane_pre_edge_outputs(lane),
+                    pre_edge,
                     "pre-edge outputs diverged: lane {lane}, cycle {cycle}"
                 );
                 for i in 0..netlist.num_nets() {
@@ -259,6 +265,47 @@ fn run_sequential_matches_scalar_activity_exactly() {
     });
 }
 
+/// The word-level state port round-trips, and resumes a scalar run: a
+/// scalar engine's state after a few cycles, loaded into one lane through
+/// `set_seq_words`, clocks on there exactly as the scalar engine does,
+/// while lane 0, left at reset, clocks on as a fresh scalar engine does.
+#[test]
+fn seq_words_transplant_resumes_a_scalar_run() {
+    run_cases(32, |rng| {
+        let netlist = arb_netlist(rng);
+        let width = netlist.inputs().len();
+        let lane = rng.random_range(1..LANES);
+        let cycles = rng.random_range(1usize..=6);
+        let mut rows = arb_stimulus(rng, 1, cycles, width).remove(0);
+        let last = rows.pop().expect("at least one vector");
+        let mut fresh = Simulator::new(&netlist).expect("scalar engine accepts a valid netlist");
+        let mut scalar = fresh.clone();
+        scalar.run(rows);
+
+        let mut batch = BatchSimulator::new(&netlist).expect("kernel accepts a valid netlist");
+        let mut words = vec![0u64; batch.seq_nets().len()];
+        batch.seq_words(&mut words);
+        for (w, net) in words.iter_mut().zip(batch.seq_nets()) {
+            *w = (*w & !(1 << lane)) | u64::from(scalar.value(*net)) << lane;
+        }
+        batch.set_seq_words(&words);
+        let mut round_trip = vec![0u64; words.len()];
+        batch.seq_words(&mut round_trip);
+        assert_eq!(round_trip, words, "state port round trip");
+
+        let idle = vec![false; width];
+        let mut per_lane = vec![idle.clone(); LANES];
+        per_lane[lane].clone_from(&last);
+        batch.clock_words(&pack_rows(&per_lane, width));
+        assert_eq!(batch.lane_outputs(lane), scalar.clock(&last), "resumed");
+        assert_eq!(batch.lane_outputs(0), fresh.clock(&idle), "reset lane");
+        for i in 0..netlist.num_nets() {
+            let net = NetId(i as u32);
+            assert_eq!(batch.lane_value(net, lane), scalar.value(net), "net {i}");
+        }
+    });
+}
+
 /// With no active lane the kernel skips its activity accounting: the
 /// evolution is identical to a fully active kernel's net for net, and
 /// the `Activity` record stays all-zero.
@@ -327,6 +374,9 @@ fn transposition_round_trips() {
                 assert_eq!(word >> count, 0, "word {k} has bits above lane {count}");
             }
         }
-        assert_eq!(unpack_rows(&words, count), rows, "round trip");
+        let unpacked: Vec<Vec<bool>> = (0..count)
+            .map(|lane| words.iter().map(|w| w >> lane & 1 == 1).collect())
+            .collect();
+        assert_eq!(unpacked, rows, "round trip");
     });
 }

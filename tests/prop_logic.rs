@@ -137,7 +137,7 @@ mod netlist_cross_check {
     use super::*;
     use romfsm::emb::netlist_build::instantiate_luts;
     use romfsm::fpga::netlist::{NetId, Netlist};
-    use romfsm::sim::engine::Simulator;
+    use romfsm::sim::kernel::BatchSimulator;
 
     #[test]
     fn simulator_matches_lut_network_eval() {
@@ -156,11 +156,11 @@ mod netlist_cross_check {
             }
             let outs = instantiate_luts(&mut n, &luts, &pins, "u");
             n.add_output("y", outs[0]);
-            let mut sim = Simulator::new(&n).expect("valid netlist");
+            let mut sim = BatchSimulator::new(&n).expect("valid netlist");
             for m in 0..32u64 {
                 let bits: Vec<bool> = (0..5).map(|i| m >> i & 1 == 1).collect();
-                sim.clock(&bits);
-                assert_eq!(sim.outputs()[0], luts.eval(&bits)[0], "m={m:05b}");
+                sim.run_sequential([&bits]);
+                assert_eq!(sim.lane_outputs(0)[0], luts.eval(&bits)[0], "m={m:05b}");
             }
         });
     }

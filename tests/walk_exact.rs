@@ -1,9 +1,10 @@
 //! Walk-exactness property suite: the word-parallel exhaustive product
 //! walk ([`verify_exhaustive`], bit-sliced oracle, packed joint-state
-//! keys) must be indistinguishable from the scalar walk it replaced
-//! ([`verify_exhaustive_scalar`]) — equal `ExhaustiveReport`s on success
-//! and equal first-divergence `Mismatch` witnesses on failure — and
-//! [`netlists_equivalent`] must agree with its scalar pairwise walk.
+//! keys) must be indistinguishable from the scalar walk of the test-only
+//! `oracle` crate ([`verify_exhaustive_scalar`]) — equal
+//! `ExhaustiveReport`s on success and equal first-divergence `Mismatch`
+//! witnesses on failure — and so must [`netlists_equivalent`] and the
+//! sampled lockstep [`verify_against_stg`] be to theirs.
 //!
 //! Machines come from the seeded generator, so the cases cover narrow
 //! machines (`I < 6`: several nodes per 64-lane batch, the last batch
@@ -16,15 +17,16 @@
 //! Re-run one failing case with `SEED=<seed> cargo test --test walk_exact`;
 //! raise coverage with `CASES=<n>`.
 
+use oracle::{netlists_equivalent_scalar, verify_against_stg_scalar, verify_exhaustive_scalar};
 use romfsm::emb::baseline::ff_netlist;
 use romfsm::emb::clock_control::attach_emb_clock_control;
 use romfsm::emb::faultinject::{corrupt_netlist, corrupt_stg};
 use romfsm::emb::map::{map_fsm_into_embs, EmbOptions, OutputMode};
 use romfsm::emb::verify::{
-    netlists_equivalent, netlists_equivalent_scalar, verify_exhaustive, verify_exhaustive_scalar,
-    OutputTiming, VerifyError,
+    netlists_equivalent, verify_against_stg, verify_exhaustive, OutputTiming, VerifyError,
 };
 use romfsm::fpga::netlist::Netlist;
+use romfsm::fsm::benchmarks;
 use romfsm::fsm::generate::{generate, StgSpec};
 use romfsm::fsm::stg::Stg;
 use romfsm::logic::synth::{synthesize, SynthOptions};
@@ -240,4 +242,40 @@ fn netlist_equivalence_matches_scalar_walk_on_mutants() {
             );
         }
     });
+}
+
+/// The sampled rung: on the nine paper benchmarks' FF netlists
+/// (combinational outputs) and EMB netlists (registered outputs), and on
+/// twelve `corrupt_netlist` mutants of each, the kernel lockstep returns
+/// exactly the scalar lockstep's result — `Ok`, or the same `Mismatch`
+/// (cycle, inputs, expected, got).
+#[test]
+fn sampled_lockstep_matches_scalar_on_paper_netlists_and_mutants() {
+    let (mut mutants, mut caught) = (0, 0);
+    for stg in benchmarks::paper_suite() {
+        let synth = synthesize(&stg, SynthOptions::default()).expect("paper machines synthesize");
+        let ff = ff_netlist(&synth, false).0;
+        let emb = map_fsm_into_embs(&stg, &EmbOptions::default())
+            .expect("paper machines map")
+            .to_netlist();
+        for (clean, timing) in [
+            (ff, OutputTiming::Combinational),
+            (emb, OutputTiming::Registered),
+        ] {
+            let check = |n: &Netlist, what: &str| {
+                let kernel = verify_against_stg(n, &stg, timing, 300, 0x5A);
+                let scalar = verify_against_stg_scalar(n, &stg, timing, 300, 0x5A);
+                assert_eq!(kernel, scalar, "{} {timing:?}: {what}", stg.name());
+                kernel.is_err()
+            };
+            assert!(!check(&clean, "clean"), "{}: clean diverged", stg.name());
+            for seed in 0..12 {
+                let (mutant, fault) = corrupt_netlist(&clean, seed).expect("corruptible");
+                mutants += 1;
+                caught += usize::from(check(&mutant, &format!("{fault}")));
+            }
+        }
+    }
+    assert!(mutants >= 200, "only {mutants} mutants");
+    assert!(caught > 0, "no mutant diverged: no witness was compared");
 }
