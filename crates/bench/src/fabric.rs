@@ -29,7 +29,7 @@
 //! * **crash isolation** — a worker that dies (abort, OOM-kill,
 //!   `kill -9`) costs exactly its in-flight item: the coordinator
 //!   respawns a worker and resubmits, and after
-//!   [`PROCESS_ATTEMPTS_PER_ITEM`] consecutive process deaths on the
+//!   `PROCESS_ATTEMPTS_PER_ITEM` consecutive process deaths on the
 //!   same item falls back to computing it inline under `catch_unwind`
 //!   (so even an unspawnable environment still completes the run);
 //! * **shared store** — workers inherit `FLOW_CACHE_DIR`, so all

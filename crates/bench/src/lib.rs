@@ -12,7 +12,6 @@
 pub mod corpus;
 pub mod fabric;
 pub mod runner;
-pub mod timing;
 
 use emb_fsm::flow::{FlowConfig, FlowError, FlowReport, Stimulus};
 use emb_fsm::map::EmbOptions;
@@ -22,16 +21,9 @@ use logic_synth::synth::SynthOptions;
 
 /// The flow configuration every experiment uses unless it sweeps a knob.
 ///
-/// The timing-driven placement knobs are resolved from the environment
-/// **here** — never inside the placer itself, so the values are part of
-/// the [`emb_fsm::cache`] placement keys and a knob change can never
-/// resurrect a stale cached placement:
-///
-/// * `PLACE_TIMING_WEIGHT` — criticality-cost weight in `[0, 1]`
-///   (0 = pure wirelength, default 0.5);
-/// * `PLACE_CRIT_EXP` — VPR-style criticality exponent (default 8).
-///
-/// The mapping backend is resolved here for the same reason:
+/// The mapping backend is resolved from the environment **here** — never
+/// inside the flow itself, so the value is part of the [`emb_fsm::cache`]
+/// keys and a knob change can never resurrect a stale cached artifact:
 ///
 /// * `MAP_BACKEND` — `direct` (default), `overlay`, or `auto` (overlay
 ///   with direct fallback past the capacity ladder). Unknown values are
@@ -43,12 +35,6 @@ pub fn paper_config() -> FlowConfig {
         verify_cycles: 400,
         ..FlowConfig::default()
     };
-    if let Some(w) = env_f64("PLACE_TIMING_WEIGHT") {
-        cfg.place.timing_weight = w;
-    }
-    if let Some(e) = env_f64("PLACE_CRIT_EXP") {
-        cfg.place.crit_exp = e;
-    }
     if let Some(b) = std::env::var("MAP_BACKEND")
         .ok()
         .and_then(|s| emb_fsm::MapBackend::parse(s.trim()))
@@ -56,14 +42,6 @@ pub fn paper_config() -> FlowConfig {
         cfg.backend = b;
     }
     cfg
-}
-
-/// A finite `f64` environment knob, `None` when unset or unparsable.
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse::<f64>().ok())
-        .filter(|v| v.is_finite())
 }
 
 /// The nine paper benchmarks, in table row order.

@@ -113,6 +113,41 @@ fn chaos_campaign_seed_5() {
 }
 
 #[test]
+fn stalled_handshakes_quarantine_both_slots() {
+    // Every worker sleeps far past the READY deadline before its
+    // handshake, so no item ever reaches a worker: each of the two slots
+    // misses two handshakes (a respawn, then quarantine at two strikes)
+    // and computes its items inline. The health line is therefore exact.
+    let items = campaign_items().join(",");
+    let dir = scratch("handshake_ref");
+    let (reference, ok) = run_selftest(&dir, &items, &[("RUNNER_THREADS", "1")]);
+    assert!(ok, "sequential reference failed");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = scratch("handshake");
+    let (out, ok) = run_selftest(
+        &dir,
+        &items,
+        &[
+            ("RUNNER_BACKEND", "process"),
+            ("RUNNER_THREADS", "2"),
+            ("RUNNER_HANDSHAKE_TIMEOUT_MS", "200"),
+            ("RUNNER_MAX_STRIKES", "2"),
+            ("RUNNER_BACKOFF_BASE_MS", "5"),
+            ("FABRIC_CHAOS_SEED", "1"),
+            ("FABRIC_CHAOS_HANDSHAKE_MS", "60000"),
+            ("SELFTEST_PRINT_HEALTH", "1"),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "coordinator did not survive stalled handshakes");
+    assert_eq!(
+        out,
+        format!("{reference}health: timeouts=4 respawns=2 quarantined=2\n")
+    );
+}
+
+#[test]
 fn campaign_grid_is_big_enough_and_exercises_every_fault() {
     // 200+ cases, and every wire-fault variant (including the lethal
     // ones the deliver unit test can't drive in-process) occurs

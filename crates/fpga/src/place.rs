@@ -29,7 +29,7 @@ use xrand::SmallRng;
 /// the incremental STA kernel, timing-aware quench, early-exit move
 /// rejection) — wirelength-only behavior at `timing_weight = 0` is
 /// byte-identical to version 2. Version 4 added the guarded two-arm
-/// selection ([`pick_guarded`]): with the timing term on, the blind and
+/// selection (`pick_guarded`): with the timing term on, the blind and
 /// criticality-weighted anneals both run and the better STA estimate
 /// wins, so timing-driven placement is never worse than wirelength-only.
 /// Version 5: one anneal per guarded [`place`] — the timed arm refines
@@ -164,7 +164,7 @@ pub struct Placement {
     /// Final HPWL cost.
     pub hpwl: f64,
     /// Final Σ hpwl² over the same nets — the quadratic tie-breaker the
-    /// descent phases optimize (a cheap timing proxy; see [`quench`]).
+    /// descent phases optimize (a cheap timing proxy; see `quench`).
     pub hpwl_sq: f64,
     /// Annealing moves attempted (excludes the T0 calibration samples
     /// and the deterministic quench passes).
@@ -1670,7 +1670,7 @@ struct Problem<'a> {
 /// = 0` run), then a criticality-weighted refinement of its polished
 /// layout — the timing quench, one gentle reheat cycle of the same walk
 /// with no further reheats whatever the effort, and the closing quench —
-/// and [`pick_guarded`] keeps whichever ends with the better STA
+/// and `pick_guarded` keeps whichever ends with the better STA
 /// estimate. The refinement costs a fraction of a second anneal. The
 /// guard is what lets `scripts/verify.sh` require the placer's fmax
 /// estimate to be no worse than wirelength-only placement on every paper
@@ -2317,7 +2317,7 @@ pub fn verify_eco_placement(
 /// coordinates; only the movable delta is placed, by a short range-limited
 /// local anneal bracketed by the same deterministic quench [`place`] uses
 /// (restricted to movable entities) — the one walk of [`place`] under a
-/// pin mask and the [`Schedule::Eco`] schedule. Every arm is self-checked
+/// pin mask and the `Schedule::Eco` schedule. Every arm is self-checked
 /// with [`verify_eco_placement`] before it leaves this function.
 ///
 /// With the timing term enabled (`timing_weight > 0`) the delta anneal is
@@ -2325,7 +2325,7 @@ pub fn verify_eco_placement(
 /// `timing_weight = 0` run) and the criticality-weighted arm both run
 /// against the same pin map — here both from one shared prefix, since
 /// each short delta anneal costs little — and
-/// [`pick_guarded`] keeps the arm with the better STA estimate (ties fall
+/// `pick_guarded` keeps the arm with the better STA estimate (ties fall
 /// to the better wirelength pair, then to the blind arm).
 /// The gated design's fmax estimate is therefore never worse than the
 /// blind-ECO baseline, per benchmark, by construction —

@@ -14,6 +14,8 @@
 #  * formatting — `cargo fmt --all --check` must report no diff;
 #  * clippy — `cargo clippy --workspace --all-targets` must report no
 #    warnings (`-D warnings`);
+#  * rustdoc — `cargo doc --no-deps --workspace` must build with no
+#    warnings (`RUSTDOCFLAGS=-D warnings`: no broken or private links);
 #  * exactness — the placer's oracle tests (O(1) quench vs the rescan
 #    reference, proposals vs materialized candidate lists), the keyb/sand
 #    placement pins, the STA differential, the placement-quality gate and
@@ -22,7 +24,10 @@
 #    plus the verifier's walk-exactness suite (word-parallel product walk
 #    vs the scalar walk: equal reports and witnesses) and the equivalence
 #    suite, re-run in release mode with more random cases and without the
-#    debug asserts;
+#    debug asserts. Work is gated by count, not by clock: the placement
+#    pins fix every row's exact annealing moves and router expansions,
+#    and walk_exact requires the batched exhaustive walk to beat the
+#    scalar walk by >= 10x on keyb, both timed in one process;
 #  * panic-site budget — the number of unwrap()/expect(/panic!( sites in
 #    non-test library code (the test-only oracle crate included) must not
 #    grow past the recorded baseline;
@@ -32,13 +37,6 @@
 #    and no library source outside crates/oracle names `oracle::`;
 #  * runner determinism — a RUNNER_THREADS=1 and a RUNNER_THREADS=4 run
 #    of the table1 harness bin must print byte-identical tables;
-#  * bench regression — a fresh run of the keyb micro-benchmarks must
-#    leave synthesize_fsm/keyb, place_sa/keyb, route/keyb, and
-#    verify_exhaustive/keyb each no more than 25% slower than the
-#    committed baseline in results/bench_substrates.json, and the
-#    batched exhaustive walk must stay at least 10x faster than the
-#    scalar walk. Skip with VERIFY_SKIP_BENCH=1 on machines too noisy
-#    to time (the gate itself, not the build, is skipped);
 #  * table2 golden — the table2 bin's output must be byte-identical to
 #    the committed results/table2_golden.txt;
 #  * ECO base coordinates — table3's clock-controlled flows must pin
@@ -74,8 +72,7 @@
 #    no worse than the wirelength-only estimate on every row (the
 #    guarded two-arm anneal makes this exact, not statistical), and a
 #    warm-cache rerun must reproduce the file byte-for-byte (same seed
-#    -> identical fmax digest). The bench gate additionally covers
-#    place_timing_kernel/keyb, the incremental STA kernel microbench;
+#    -> identical fmax digest);
 #  * corpus smoke (ISSUE 9) — corpus_stress must push 198 seeded
 #    synthetic machines (22 per scenario tier) through the full flow on
 #    every backend and the daemon, twice, with zero coordinator
@@ -128,6 +125,10 @@ echo "== cargo clippy --offline --workspace --all-targets -- -D warnings" >&2
 cargo clippy --offline --workspace --all-targets -- -D warnings \
     || fail "clippy reported warnings"
 
+echo "== cargo doc --offline --no-deps --workspace (RUSTDOCFLAGS=-D warnings)" >&2
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace \
+    || fail "rustdoc reported warnings (a broken or private intra-doc link)"
+
 echo "== cargo test -q --offline" >&2
 cargo test -q --offline --workspace "$@" \
     || fail "test suite failed"
@@ -140,27 +141,29 @@ cargo test -q --offline --workspace "$@" \
 # quench and site-index proposals against the historical scan
 # (fpga-fabric place::tests), the dense-grid router search against the
 # historical hash-map search (route::tests), the keyb/sand placement
-# and route pins (tests/place_exact.rs), the STA (kernel and analyze vs a reference walk)
+# and route pins with their exact move and expansion counts
+# (tests/place_exact.rs), the STA (kernel and analyze vs a reference walk)
 # differential and the placement-quality gate. The word-parallel
 # exhaustive verifier gets
 # the same treatment: tests/walk_exact.rs compares it with the scalar
 # walk (reports and first-divergence witnesses) on many more generated
 # machines — the series-bank property separately, as each of its cases
 # costs the scalar oracle ~10^5 edges over 16K-word BRAM images (~30 s)
-# — and tests/equivalence.rs proves
-# every paper benchmark in every mapping style.
+# — and times the two walks against each other on keyb (release only);
+# tests/equivalence.rs proves every paper benchmark in every mapping
+# style.
 echo "== exactness (release: quench, proposal and router oracles, placement and route pins, STA differential, place and timing quality, walk exactness, equivalence)" >&2
 CASES=400 cargo test -q --offline --release -p fpga-fabric --lib place::tests \
     || fail "release-mode placer oracle tests failed (fast quench or proposal diverged from the reference)"
 CASES=400 cargo test -q --offline --release -p fpga-fabric --lib route::tests \
     || fail "release-mode router oracle test failed (dense search diverged from the hash-map reference)"
 cargo test -q --offline --release --test place_exact \
-    || fail "release-mode placement pins failed (a placement or routed tree moved: bump ALGORITHM_VERSION and re-record, or fix the placer or router)"
+    || fail "release-mode placement pins failed (a placement, routed tree or work count moved: bump ALGORITHM_VERSION and re-record, or fix the placer or router)"
 cargo test -q --offline --release -p paper-bench --test sta_differential --test place_quality \
     --test timing_quality \
     || fail "release-mode STA differential, placement-quality or timing-quality gate failed"
 CASES=1000 cargo test -q --offline --release --test walk_exact -- --skip series_bank \
-    || fail "release-mode walk-exactness suite failed (the batched exhaustive walk diverged from the scalar walk)"
+    || fail "release-mode walk-exactness suite failed (the batched exhaustive walk diverged from the scalar walk, or fell under 10x its speed)"
 CASES=2 cargo test -q --offline --release --test walk_exact series_bank \
     || fail "release-mode series-bank walk exactness failed"
 cargo test -q --offline --release --test equivalence \
@@ -172,10 +175,10 @@ cargo test -q --offline --release --test equivalence \
 # everything below a file's `#[cfg(test)]` marker skipped — test modules
 # sit at the bottom of each file in this workspace). The budget is the
 # count recorded after the ISSUE 2 panic-sweep (lowered to 67 by the
-# parse_request rework, and to 65 when the placer's swap-target and
-# free-pool rescans went away); lower it when you remove sites, never
-# raise it without a review.
-PANIC_BUDGET=65
+# parse_request rework, to 65 when the placer's swap-target and
+# free-pool rescans went away, and to 63 with the micro-bench harness);
+# lower it when you remove sites, never raise it without a review.
+PANIC_BUDGET=63
 echo "== panic-site budget (<= $PANIC_BUDGET)" >&2
 panic_sites=$(find crates/*/src -name '*.rs' -not -path '*/src/bin/*' \
     | xargs awk 'FNR==1{skip=0} /#\[cfg\(test\)\]/{skip=1} !skip && /unwrap\(\)|expect\(|panic!\(/{n++} END{print n+0}')
@@ -186,8 +189,8 @@ echo "   $panic_sites panic sites in library code" >&2
 # -- Oracle containment gate -------------------------------------------------
 # The library ships one simulator, netsim's bit-parallel kernel. The scalar
 # engine and the scalar verifier walks it replaced are the test oracles of
-# tests/prop_kernel.rs and tests/walk_exact.rs and the substrates bench's
-# ratio baseline; only [dev-dependencies] may name them. A normal
+# tests/prop_kernel.rs and tests/walk_exact.rs (and the baseline of
+# walk_exact's speed ratio); only [dev-dependencies] may name them. A normal
 # dependency would put a second simulator back into production builds.
 echo "== oracle containment (test-only: no normal dependency, no oracle:: in library sources)" >&2
 for tree_args in "--workspace --exclude oracle" "--manifest-path perfbench/Cargo.toml"; do
@@ -248,43 +251,6 @@ RUNNER_BACKEND=process RUNNER_THREADS=4 RUNNER_ITEM_TIMEOUT_MS=2000 \
 cmp -s target/verify_table1_serial.out target/verify_table1_chaos.out \
     || fail "table1 output differs under wire-fault injection"
 echo "   table1 byte-identical under injected wire faults" >&2
-
-# -- Bench regression gate --------------------------------------------------
-if [ "${VERIFY_SKIP_BENCH:-0}" = "1" ]; then
-    echo "== bench regression gate skipped (VERIFY_SKIP_BENCH=1)" >&2
-else
-    echo "== bench regression gate (keyb substrates, fresh vs committed)" >&2
-    fresh_dir=target/bench_fresh
-    rm -rf "$fresh_dir"
-    BENCH_FILTER=keyb BENCH_RESULTS_DIR="$fresh_dir" \
-        cargo bench -q --offline -p paper-bench --bench substrates \
-        || fail "bench run failed"
-    for gate in synthesize_fsm/keyb place_sa/keyb place_timing_kernel/keyb route/keyb verify_exhaustive/keyb; do
-        baseline=$(sed -n 's#.*"name": "'"$gate"'", "median_ns": \([0-9.]*\).*#\1#p' \
-            results/bench_substrates.json)
-        [ -n "$baseline" ] || fail "no $gate baseline in results/bench_substrates.json"
-        fresh=$(sed -n 's#.*"name": "'"$gate"'", "median_ns": \([0-9.]*\).*#\1#p' \
-            "$fresh_dir/bench_substrates.json")
-        [ -n "$fresh" ] || fail "fresh bench run produced no $gate result"
-        echo "   $gate: baseline ${baseline} ns, fresh ${fresh} ns" >&2
-        awk -v fresh="$fresh" -v base="$baseline" 'BEGIN{exit !(fresh <= base * 1.25)}' \
-            || fail "$gate regressed: fresh ${fresh} ns > 1.25 x baseline ${baseline} ns"
-    done
-    # The bit-parallel kernel must keep paying for itself: the batched
-    # exhaustive walk must beat the scalar walk by at least 10x on keyb
-    # (it runs 64 input vectors per word and steps the STG word-wide;
-    # measured ratio is ~27x, so 10x leaves headroom for noise without
-    # letting the kernel quietly rot back to scalar speed).
-    batched=$(sed -n 's#.*"name": "verify_exhaustive/keyb", "median_ns": \([0-9.]*\).*#\1#p' \
-        "$fresh_dir/bench_substrates.json")
-    scalar=$(sed -n 's#.*"name": "verify_exhaustive_scalar/keyb", "median_ns": \([0-9.]*\).*#\1#p' \
-        "$fresh_dir/bench_substrates.json")
-    [ -n "$batched" ] && [ -n "$scalar" ] \
-        || fail "fresh bench run is missing a verify_exhaustive result"
-    awk -v b="$batched" -v s="$scalar" 'BEGIN{exit !(s >= b * 10)}' \
-        || fail "batched exhaustive verify is under 10x the scalar walk (batched ${batched} ns, scalar ${scalar} ns)"
-    echo "   verify_exhaustive/keyb speedup: $(awk -v b="$batched" -v s="$scalar" 'BEGIN{printf "%.1f", s / b}')x over scalar (>= 10x required)" >&2
-fi
 
 # -- Table 2 golden gate ----------------------------------------------------
 # Table 2 is the paper's headline result and the one table whose numbers

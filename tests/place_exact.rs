@@ -37,7 +37,10 @@
 //! route options: the total wirelength and a digest of every routed net's
 //! tile list, so a router change that is meant to be a pure speed-up
 //! (dense search arrays, reused scratch) must keep the trees and their
-//! order exactly.
+//! order exactly. The router's work is pinned by count, not by clock:
+//! each row records the exact search expansions N its route spends, so
+//! the route must succeed under `max_expansions = N` with the pinned
+//! trees and stop with `BudgetExhausted { spent: N }` under `N - 1`.
 
 use romfsm::emb::baseline::ff_netlist;
 use romfsm::emb::cache::coords_digest;
@@ -49,11 +52,11 @@ use romfsm::fpga::pack::{pack, pack_partitioned, PackedDesign};
 use romfsm::fpga::place::{
     place, place_incremental, BudgetOutcome, PinnedEntities, PlaceOptions, Placement,
 };
-use romfsm::fpga::route::{route, RouteOptions, RoutedDesign};
+use romfsm::fpga::route::{route, RouteError, RouteOptions, RoutedDesign};
 use romfsm::logic::synth::{synthesize, SynthOptions};
 
 /// (benchmark, case, device, coordinate digest, hpwl, hpwl², moves,
-/// routed wirelength, routed-tile digest)
+/// routed wirelength, routed-tile digest, router expansions)
 type Row = (
     &'static str,
     &'static str,
@@ -64,25 +67,26 @@ type Row = (
     u64,
     usize,
     &'static str,
+    u64,
 );
 
 #[rustfmt::skip]
 const EXPECTED: &[Row] = &[
-    ("keyb", "emb", "XC2V40", "3b0aebfb697a037e5770ed667fbfb46d", 73.0, 189.0, 7952, 79, "e8be4a694d82f5bdb920ae126cc37f2e"),
-    ("keyb", "emb_wl", "XC2V40", "3b0aebfb697a037e5770ed667fbfb46d", 73.0, 189.0, 7074, 79, "e8be4a694d82f5bdb920ae126cc37f2e"),
-    ("keyb", "emb_cc_eco", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 960, 84, "2b7eba7c55debf622de3c91275ded7f1"),
-    ("keyb", "emb_cc_eco_wl", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 480, 84, "2b7eba7c55debf622de3c91275ded7f1"),
-    ("keyb", "emb_budget", "XC2V40", "b7b4f41dbe1d3778ce787c083710476b", 73.0, 189.0, 3544, 79, "12867ff68ffebe7b9b6aa8e0e6233b68"),
-    ("keyb", "emb_cc_eco_budget", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 400, 84, "2b7eba7c55debf622de3c91275ded7f1"),
-    ("keyb", "emb_cc_eco_w1", "XC2V40", "37c37ee9682ddf1bd6d45750c231cc48", 77.0, 215.0, 912, 84, "94fe7013ff48f9a2d92f9092c5927fb1"),
-    ("keyb", "emb_cc_eco_clbs", "XC2V40", "f071315a419a57dff85604d30bbe128c", 83.0, 249.0, 1496, 87, "e8e07b4051a32c26e78a83aa5f3d12b5"),
-    ("keyb", "ff", "XC2V80", "d4ea1376a0fdd536d3b479adf3854325", 1931.0, 15635.0, 66744, 2242, "1c6b9c76a4a504c56e54d26179a0b3e2"),
-    ("keyb", "ff_xc2v250", "XC2V250", "777d5b051dce49305c1d4e7e34f7fa23", 1767.0, 12867.0, 73168, 2083, "a3f775b5e22e2574bcb03b12d3a834a7"),
-    ("sand", "emb", "XC2V40", "21cdbfc7596dc4456809573bc7370496", 178.0, 650.0, 33215, 189, "bbd8be37efe719bd31319c3defbe51be"),
-    ("sand", "emb_wl", "XC2V40", "2a0024929e33010306c0d96fd51646d0", 185.0, 681.0, 28795, 199, "795e3ce63b5289cb4d2c07f19fe3e240"),
-    ("sand", "emb_cc_eco", "XC2V40", "c427551b06e725a4dc760dbd6cfd07b7", 183.0, 689.0, 960, 194, "8ccdaf9ecb3d644a4394e981f5c04b71"),
-    ("sand", "emb_cc_eco_clbs", "XC2V40", "b869778cb4ecc247054612ef3837b614", 192.0, 762.0, 3332, 202, "0217c7a29a23047f84d6c1741e2dce54"),
-    ("sand", "ff", "XC2V80", "661e3cac391f243bf514e6702b342e28", 5236.0, 56000.0, 156846, 6136, "69baee38d6c92cb32fd3bed18bf36ce4"),
+    ("keyb", "emb", "XC2V40", "3b0aebfb697a037e5770ed667fbfb46d", 73.0, 189.0, 7952, 79, "e8be4a694d82f5bdb920ae126cc37f2e", 498),
+    ("keyb", "emb_wl", "XC2V40", "3b0aebfb697a037e5770ed667fbfb46d", 73.0, 189.0, 7074, 79, "e8be4a694d82f5bdb920ae126cc37f2e", 498),
+    ("keyb", "emb_cc_eco", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 960, 84, "2b7eba7c55debf622de3c91275ded7f1", 544),
+    ("keyb", "emb_cc_eco_wl", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 480, 84, "2b7eba7c55debf622de3c91275ded7f1", 544),
+    ("keyb", "emb_budget", "XC2V40", "b7b4f41dbe1d3778ce787c083710476b", 73.0, 189.0, 3544, 79, "12867ff68ffebe7b9b6aa8e0e6233b68", 492),
+    ("keyb", "emb_cc_eco_budget", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 400, 84, "2b7eba7c55debf622de3c91275ded7f1", 544),
+    ("keyb", "emb_cc_eco_w1", "XC2V40", "37c37ee9682ddf1bd6d45750c231cc48", 77.0, 215.0, 912, 84, "94fe7013ff48f9a2d92f9092c5927fb1", 543),
+    ("keyb", "emb_cc_eco_clbs", "XC2V40", "f071315a419a57dff85604d30bbe128c", 83.0, 249.0, 1496, 87, "e8e07b4051a32c26e78a83aa5f3d12b5", 565),
+    ("keyb", "ff", "XC2V80", "d4ea1376a0fdd536d3b479adf3854325", 1931.0, 15635.0, 66744, 2242, "1c6b9c76a4a504c56e54d26179a0b3e2", 31181),
+    ("keyb", "ff_xc2v250", "XC2V250", "777d5b051dce49305c1d4e7e34f7fa23", 1767.0, 12867.0, 73168, 2083, "a3f775b5e22e2574bcb03b12d3a834a7", 32591),
+    ("sand", "emb", "XC2V40", "21cdbfc7596dc4456809573bc7370496", 178.0, 650.0, 33215, 189, "bbd8be37efe719bd31319c3defbe51be", 1305),
+    ("sand", "emb_wl", "XC2V40", "2a0024929e33010306c0d96fd51646d0", 185.0, 681.0, 28795, 199, "795e3ce63b5289cb4d2c07f19fe3e240", 1409),
+    ("sand", "emb_cc_eco", "XC2V40", "c427551b06e725a4dc760dbd6cfd07b7", 183.0, 689.0, 960, 194, "8ccdaf9ecb3d644a4394e981f5c04b71", 1344),
+    ("sand", "emb_cc_eco_clbs", "XC2V40", "b869778cb4ecc247054612ef3837b614", 192.0, 762.0, 3332, 202, "0217c7a29a23047f84d6c1741e2dce54", 1402),
+    ("sand", "ff", "XC2V80", "661e3cac391f243bf514e6702b342e28", 5236.0, 56000.0, 156846, 6136, "69baee38d6c92cb32fd3bed18bf36ce4", 89324),
 ];
 
 /// The smallest family member `netlist` places on, with its placement.
@@ -98,27 +102,41 @@ fn smallest_fit(
         .expect("design fits some family member")
 }
 
-/// One pinned case: its label, device, placement and routed result.
+/// One pinned case: its label, device, placement, and its routes under
+/// the row's pinned expansion budget N and under N - 1.
 struct Case {
     label: &'static str,
     device: Device,
     placement: Placement,
-    routed: RoutedDesign,
+    routed: Result<RoutedDesign, RouteError>,
+    short: Option<RouteError>,
 }
 
 fn case(
+    name: &str,
     label: &'static str,
     device: Device,
     netlist: &Netlist,
     packed: &PackedDesign,
     placement: Placement,
 ) -> Case {
-    let routed = route(netlist, packed, &placement, RouteOptions::default()).expect("routes");
+    let budget = EXPECTED
+        .iter()
+        .find(|r| (r.0, r.1) == (name, label))
+        .map_or(0, |r| r.9);
+    let route_within = |max_expansions| {
+        let opts = RouteOptions {
+            max_expansions,
+            ..RouteOptions::default()
+        };
+        route(netlist, packed, &placement, opts)
+    };
     Case {
         label,
         device,
+        routed: route_within(budget),
+        short: route_within(budget.saturating_sub(1)).err(),
         placement,
-        routed,
     }
 }
 
@@ -162,10 +180,10 @@ fn placements(name: &str) -> Vec<Case> {
     let pins = PinnedEntities::pin_base(&base_placement, &gated_packed);
     // The base netlist's cases, and the clock-controlled netlist
     // ECO-placed against a pin map, all on the base's device.
-    let base_case = |label, placement| case(label, device, &base, &base_packed, placement);
+    let base_case = |label, placement| case(name, label, device, &base, &base_packed, placement);
     let eco_case = |label, opts, pins: &PinnedEntities| {
         let eco = place_incremental(&gated, &gated_packed, device, opts, pins).expect("eco places");
-        case(label, device, &gated, &gated_packed, eco.placement)
+        case(name, label, device, &gated, &gated_packed, eco.placement)
     };
     out.push(base_case("emb", base_placement));
     out.push(base_case("emb_wl", blind));
@@ -199,11 +217,11 @@ fn placements(name: &str) -> Vec<Case> {
     let ff = ff_netlist(&synth, false).0;
     let ff_packed = pack(&ff);
     let (device, ff_placement) = smallest_fit(&ff, &ff_packed, opts);
-    out.push(case("ff", device, &ff, &ff_packed, ff_placement));
+    out.push(case(name, "ff", device, &ff, &ff_packed, ff_placement));
     if name == "keyb" {
         let device = Device::xc2v250();
         let placement = place(&ff, &ff_packed, device, opts).expect("fits XC2V250");
-        out.push(case("ff_xc2v250", device, &ff, &ff_packed, placement));
+        out.push(case(name, "ff_xc2v250", device, &ff, &ff_packed, placement));
     }
     out
 }
@@ -255,10 +273,22 @@ fn check(name: &str) {
             BudgetOutcome::Completed
         };
         assert_eq!(p.budget, budget, "{name}/{}: budget outcome", c.label);
+        let routed = c.routed.as_ref().unwrap_or_else(|e| {
+            panic!(
+                "{name}/{}: no route within {} expansions: {e}",
+                c.label, w.9
+            )
+        });
         assert_eq!(
             (w.7, w.8),
-            (c.routed.total_wirelength, routes_digest(&c.routed).as_str()),
+            (routed.total_wirelength, routes_digest(routed).as_str()),
             "{name}/{}: routed trees moved",
+            c.label
+        );
+        assert_eq!(
+            c.short,
+            Some(RouteError::BudgetExhausted { spent: w.9 }),
+            "{name}/{}: router expansions moved",
             c.label
         );
     }

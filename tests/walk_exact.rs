@@ -279,3 +279,31 @@ fn sampled_lockstep_matches_scalar_on_paper_netlists_and_mutants() {
     assert!(mutants >= 200, "only {mutants} mutants");
     assert!(caught > 0, "no mutant diverged: no witness was compared");
 }
+
+/// The word-parallel walk must keep paying for itself: on keyb's FF
+/// netlist it must beat the scalar walk by at least 10× (it reads ~20-30×).
+/// Both walks run in this process, alternating, and each keeps its best
+/// of three, so the ratio normalises itself to the machine it runs on.
+/// Release only: a debug build would time its debug assertions.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn batched_walk_is_10x_faster_than_scalar_on_keyb() {
+    let stg = benchmarks::by_name("keyb").expect("paper benchmark");
+    let synth = synthesize(&stg, SynthOptions::default()).expect("keyb synthesizes");
+    let ff = ff_netlist(&synth, false).0;
+    let timed = |best: &mut f64, walk: fn(&Netlist, &Stg, OutputTiming, usize) -> _| {
+        let start = std::time::Instant::now();
+        let report: Result<_, VerifyError> = walk(&ff, &stg, OutputTiming::Combinational, 16);
+        *best = best.min(start.elapsed().as_secs_f64());
+        report.expect("keyb is exhaustively equivalent");
+    };
+    let (mut batched, mut scalar) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        timed(&mut batched, verify_exhaustive);
+        timed(&mut scalar, verify_exhaustive_scalar);
+    }
+    assert!(
+        scalar >= 10.0 * batched,
+        "batched walk {batched:.4} s is under 10x the scalar walk's {scalar:.4} s"
+    );
+}
