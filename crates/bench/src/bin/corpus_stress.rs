@@ -30,73 +30,30 @@
 //! Timings and throughput go to **stderr** and to
 //! `results/bench_corpus.json` (honoring `BENCH_RESULTS_DIR`).
 //!
-//! Knobs: `CORPUS_SEED` (default 2004), `CORPUS_PER_TIER` (machines per
-//! tier, default 125 — 9 tiers × 125 = 1125 machines), `CORPUS_TIERS`
-//! (comma-separated subset, default all).
+//! The corpus is drawn from the committed seed
+//! [`fsm_model::corpus::SEED`]; the `CORPUS_PER_TIER` knob sets the
+//! machines per tier (default 125 — 9 tiers × 125 = 1125 machines), and
+//! every run covers all tiers.
 
 use emb_fsm::MapBackend;
+use paper_bench::clear_cache;
 use paper_bench::corpus::{run_item_with_backend, Outcome};
 use paper_bench::fabric::{
-    request, request_with_retry, serve, worker_invocation_label, DaemonOptions,
+    map_request, request, request_with_retry, serve, worker_invocation_label, DaemonOptions,
 };
+use paper_bench::knobs::workspace_root;
 use paper_bench::runner::{run, Backend, RunnerOptions};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")))
-}
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-/// The tier list this run covers: `CORPUS_TIERS` (unknown names are
-/// rejected loudly — a typo must not silently shrink coverage), else
-/// every tier.
-fn tiers() -> Vec<&'static str> {
-    let all = fsm_model::corpus::tier_names();
-    match std::env::var("CORPUS_TIERS") {
-        Err(_) => all.to_vec(),
-        Ok(list) => {
-            let mut out = Vec::new();
-            for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-                match all.iter().find(|t| **t == name) {
-                    Some(t) => out.push(*t),
-                    None => {
-                        eprintln!(
-                            "corpus_stress: unknown tier '{name}' in CORPUS_TIERS (known: {})",
-                            all.join(", ")
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            out
-        }
-    }
-}
-
-/// One runner pass over all items; returns (rows, wall-clock, failures).
-/// `map_backend` overrides the flow's mapping backend (`None` keeps the
-/// profile default, i.e. direct).
-/// The runner configurations of the passes: the thread backend on one
-/// thread (the exact sequential path) and on `RUNNER_THREADS` threads,
-/// and the process backend.
-const SERIAL: (Backend, Option<usize>) = (Backend::Threads, Some(1));
-const PARALLEL: (Backend, Option<usize>) = (Backend::Threads, None);
-const PROCESS: (Backend, Option<usize>) = (Backend::Process, None);
-
+/// One runner pass over all items on `threads` workers of `backend`;
+/// returns (rows, wall-clock, failures). `map_backend` overrides the
+/// flow's mapping backend (`None` keeps the profile default, i.e.
+/// direct).
 fn pass(
     label: &str,
-    (backend, threads): (Backend, Option<usize>),
+    (backend, threads): (Backend, usize),
     map_backend: Option<MapBackend>,
     items: &[String],
     scratch: &Path,
@@ -106,8 +63,7 @@ fn pass(
         max_attempts: 2,
         checkpoint_dir: scratch.to_path_buf(),
         threads,
-        backend: Some(backend),
-        keep_failed: Some(false),
+        backend,
     };
     let t = Instant::now();
     let out = run(&opts, items, Outcome::COLUMNS, |item, _attempt| {
@@ -122,16 +78,6 @@ fn stripped(rows: &[Vec<String>]) -> Vec<&[String]> {
     rows.iter()
         .map(|r| Outcome::deterministic_columns(r))
         .collect()
-}
-
-/// Empties both cache layers (the disk directory stays, its contents go).
-fn clear_cache(dir: &PathBuf) {
-    emb_fsm::cache::reset_memory();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let _ = std::fs::remove_file(e.path());
-        }
-    }
 }
 
 /// One per-tier histogram section, accumulating whole-corpus rung /
@@ -223,7 +169,8 @@ struct DaemonStats {
 /// answers every request warm.
 fn daemon_pass(items_one_per_tier: &[String], scratch: &Path) -> DaemonStats {
     let socket = scratch.join("corpus_stress.sock");
-    let opts = DaemonOptions::new(&socket);
+    let mut opts = DaemonOptions::new(&socket);
+    opts.request_timeout = paper_bench::knobs().request_timeout;
     let handle = {
         let opts = opts.clone();
         std::thread::spawn(move || serve(&opts))
@@ -241,27 +188,18 @@ fn daemon_pass(items_one_per_tier: &[String], scratch: &Path) -> DaemonStats {
         requests: 0,
         elapsed: Duration::ZERO,
     };
-    for item in items_one_per_tier {
-        let line = format!("{{\"bench\":\"{item}\"}}");
-        stats.requests += 1;
-        match request_with_retry(&socket, &line, 4) {
-            Ok(r) if r.contains("\"ok\":true") => {
-                stats.ok += 1;
-                if r.contains("\"warm\":true") {
-                    stats.warm += 1;
+    for backend in [None, Some(MapBackend::Auto)] {
+        for item in items_one_per_tier {
+            stats.requests += 1;
+            match request_with_retry(&socket, &map_request(item, backend), 4) {
+                Ok(r) if r.contains("\"ok\":true") && backend.is_some() => stats.overlay_ok += 1,
+                Ok(r) if r.contains("\"ok\":true") => {
+                    stats.ok += 1;
+                    stats.warm += usize::from(r.contains("\"warm\":true"));
                 }
+                Ok(r) => eprintln!("corpus_stress: daemon rejected {item} ({backend:?}): {r}"),
+                Err(e) => eprintln!("corpus_stress: daemon request for {item} ({backend:?}): {e}"),
             }
-            Ok(r) => eprintln!("corpus_stress: daemon rejected {item}: {r}"),
-            Err(e) => eprintln!("corpus_stress: daemon request failed for {item}: {e}"),
-        }
-    }
-    for item in items_one_per_tier {
-        let line = format!("{{\"bench\":\"{item}\",\"backend\":\"auto\"}}");
-        stats.requests += 1;
-        match request_with_retry(&socket, &line, 4) {
-            Ok(r) if r.contains("\"ok\":true") => stats.overlay_ok += 1,
-            Ok(r) => eprintln!("corpus_stress: daemon rejected overlay {item}: {r}"),
-            Err(e) => eprintln!("corpus_stress: daemon overlay request failed for {item}: {e}"),
         }
     }
     stats.elapsed = t.elapsed();
@@ -284,9 +222,15 @@ fn main() {
         std::env::set_var("FLOW_CACHE_DIR", scratch.join("cache"));
     }
 
-    let seed = env_u64("CORPUS_SEED", 2004);
-    let per_tier = env_u64("CORPUS_PER_TIER", 125);
-    let tiers = tiers();
+    let knobs = paper_bench::knobs();
+    let (seed, per_tier) = (fsm_model::corpus::SEED, knobs.corpus_per_tier);
+    let tiers = fsm_model::corpus::tier_names();
+    // The runner configurations of the passes: the thread backend on
+    // one thread (the exact sequential path) and on `RUNNER_THREADS`
+    // threads, and the process backend.
+    let serial = (Backend::Threads, 1);
+    let parallel = (Backend::Threads, knobs.threads);
+    let process = (Backend::Process, knobs.threads);
     let mut items = Vec::new();
     for tier in &tiers {
         for i in 0..per_tier {
@@ -300,20 +244,20 @@ fn main() {
             items.len(),
             tiers.len()
         );
-        clear_cache(&scratch.join("cache"));
+        clear_cache(&scratch.join("cache"), |_| false);
     }
 
     let (serial_rows, serial_cold, serial_fail) =
-        pass("serial_cold", SERIAL, None, &items, &scratch);
+        pass("serial_cold", serial, None, &items, &scratch);
     if !in_worker {
-        clear_cache(&scratch.join("cache"));
+        clear_cache(&scratch.join("cache"), |_| false);
     }
     let (par_cold_rows, parallel_cold, par_cold_fail) =
-        pass("parallel_cold", PARALLEL, None, &items, &scratch);
+        pass("parallel_cold", parallel, None, &items, &scratch);
     let (par_warm_rows, parallel_warm, par_warm_fail) =
-        pass("parallel_warm", PARALLEL, None, &items, &scratch);
+        pass("parallel_warm", parallel, None, &items, &scratch);
     let (proc_rows, process_warm, proc_fail) =
-        pass("process_warm", PROCESS, None, &items, &scratch);
+        pass("process_warm", process, None, &items, &scratch);
     // In a worker re-invocation the passes above either served items
     // (and exited at EOF) or returned placeholder rows; nothing below
     // may run there.
@@ -325,7 +269,7 @@ fn main() {
     // after the worker guard so `--worker` re-invocations never see it.
     let (overlay_rows, overlay_auto, overlay_fail) = pass(
         "overlay_auto",
-        SERIAL,
+        serial,
         Some(MapBackend::Auto),
         &items,
         &scratch,
@@ -394,18 +338,8 @@ fn main() {
         fsms_daemon
     );
 
-    let dir = std::env::var("BENCH_RESULTS_DIR").map_or_else(
-        |_| workspace_root().join("results"),
-        |d| {
-            let d = PathBuf::from(d);
-            if d.is_absolute() {
-                d
-            } else {
-                workspace_root().join(d)
-            }
-        },
-    );
-    std::fs::create_dir_all(&dir).expect("create results/");
+    let dir = &knobs.results_dir;
+    std::fs::create_dir_all(dir).expect("create results/");
     let path = dir.join("bench_corpus.json");
     let json = format!(
         "{{\n  \"suite\": \"corpus\",\n  \"machines\": {},\n  \"tiers\": {},\n  \

@@ -7,24 +7,15 @@
 //! Prints the daemon's JSON response line on stdout and exits 0 exactly
 //! when the response says `"ok":true` — so shell gates (verify.sh's
 //! daemon smoke test) can chain on the exit code and grep the body.
-//!
-//! `FABRIC_CLIENT_RETRIES` (default 0) enables bounded
-//! retry-with-backoff on transient outcomes: typed
-//! `overloaded`/`draining` rejects and connect-level failures (daemon
-//! not yet listening). The default stays 0 so a reject is observable as
-//! itself — backpressure tests and gates depend on seeing the typed
-//! body, not a silent retry.
+//! The socket defaults to `./fabric.sock`. There is no retry: a typed
+//! `overloaded` or `draining` reject is printed as itself, which is what
+//! the backpressure gates look for.
 
-use paper_bench::fabric::request_with_retry;
+use paper_bench::fabric::{map_request, request};
 use std::path::PathBuf;
 
 fn main() {
-    let mut socket: PathBuf = std::env::var_os("FABRIC_SOCKET")
-        .map_or_else(|| PathBuf::from("fabric.sock"), PathBuf::from);
-    let retries: u32 = std::env::var("FABRIC_CLIENT_RETRIES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0);
+    let mut socket = PathBuf::from("fabric.sock");
     let mut words: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -40,14 +31,14 @@ fn main() {
         ["ping"] => "{\"cmd\":\"ping\"}".to_string(),
         ["stats"] => "{\"cmd\":\"stats\"}".to_string(),
         ["shutdown"] => "{\"cmd\":\"shutdown\"}".to_string(),
-        ["map", bench] => format!("{{\"bench\":\"{bench}\"}}"),
+        ["map", bench] => map_request(bench, None),
         ["sleep", ms] => match ms.parse::<u64>() {
             Ok(ms) => format!("{{\"cmd\":\"sleep\",\"ms\":{ms}}}"),
             Err(_) => usage("sleep needs a millisecond count"),
         },
         _ => usage("expected one of: ping | stats | shutdown | map BENCH | sleep MS"),
     };
-    match request_with_retry(&socket, &line, retries) {
+    match request(&socket, &line) {
         Ok(response) => {
             println!("{response}");
             if !response.contains("\"ok\":true") {

@@ -5,10 +5,9 @@
 //! fabric_daemon [--socket PATH] [--max-inflight N]
 //! ```
 //!
-//! Defaults come from `FABRIC_SOCKET` (else `./fabric.sock`),
-//! `FABRIC_MAX_INFLIGHT` (else 4), `FABRIC_REQUEST_TIMEOUT_MS` (else
-//! 120000; 0 disables the per-request deadline) and
-//! `FABRIC_IDLE_TIMEOUT_MS` (else 10000, the idle-connection sweep).
+//! The socket defaults to `./fabric.sock` and the in-flight bound to 4;
+//! the per-request deadline is the `FABRIC_REQUEST_TIMEOUT_MS` knob
+//! (default 120000; 0 disables it) and the idle-connection sweep is 10 s.
 //! Protocol: one JSON request line per connection — `{"bench":"keyb"}`
 //! to map, `{"cmd":"ping"|"stats"|"shutdown"}` for control,
 //! `{"cmd":"sleep","ms":N}` as a deterministic load stand-in — one JSON
@@ -20,28 +19,22 @@ use paper_bench::fabric::{serve, DaemonOptions};
 use std::path::PathBuf;
 
 fn main() {
-    let mut socket: PathBuf = std::env::var_os("FABRIC_SOCKET")
-        .map_or_else(|| PathBuf::from("fabric.sock"), PathBuf::from);
-    let mut max_inflight: usize = std::env::var("FABRIC_MAX_INFLIGHT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let mut opts = DaemonOptions::new("fabric.sock");
+    opts.request_timeout = paper_bench::knobs().request_timeout;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--socket" => match args.next() {
-                Some(p) => socket = PathBuf::from(p),
+                Some(p) => opts.socket = PathBuf::from(p),
                 None => usage("--socket needs a path"),
             },
             "--max-inflight" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => max_inflight = n,
+                Some(n) => opts.max_inflight = n,
                 None => usage("--max-inflight needs a number"),
             },
             other => usage(&format!("unknown argument '{other}'")),
         }
     }
-    let mut opts = DaemonOptions::from_env(socket);
-    opts.max_inflight = max_inflight;
     if let Err(e) = serve(&opts) {
         eprintln!(
             "fabric_daemon: cannot serve on {}: {e}",

@@ -30,7 +30,6 @@ use emb_fsm::map::EmbOptions;
 use logic_synth::synth::SynthOptions;
 use paper_bench::runner::{run, RunnerOptions};
 use paper_bench::{mw, paper_config, pct, saving, suite_names, TextTable};
-use std::io::Write as _;
 
 fn main() {
     let cfg = paper_config();
@@ -105,8 +104,7 @@ fn main() {
             ]])
         },
     );
-    let coords_path = std::env::var("TABLE3_COORDS").ok();
-    let fmax_path = std::env::var("TABLE3_FMAX").ok();
+    let knobs = paper_bench::knobs();
     let mut coords = String::new();
     let mut fmax_lines = String::new();
     let mut fmax_ratios: Vec<f64> = Vec::new();
@@ -129,11 +127,13 @@ fn main() {
         row.resize(9, String::new());
         table.row(row);
     }
-    for (path, content) in [(coords_path, &coords), (fmax_path, &fmax_lines)] {
+    for (path, content) in [
+        (&knobs.table3_coords, coords),
+        (&knobs.table3_fmax, fmax_lines),
+    ] {
         if let Some(path) = path {
-            match std::fs::File::create(&path).and_then(|mut f| f.write_all(content.as_bytes())) {
-                Ok(()) => {}
-                Err(e) => eprintln!("warning: could not write {path}: {e}"),
+            if let Err(e) = std::fs::write(path, content) {
+                eprintln!("warning: could not write {}: {e}", path.display());
             }
         }
     }

@@ -36,47 +36,8 @@
 use emb_fsm::flow::{FlowConfig, FlowReport, MapBackend, Stimulus};
 use emb_fsm::map::EmbOptions;
 use fsm_model::stg::Stg;
-use paper_bench::{paper_config, TextTable};
-use std::path::PathBuf;
-
-/// The corpus seed the representative tier machines are drawn from —
-/// the same default as `corpus_stress` (`CORPUS_SEED` there).
-const CORPUS_SEED: u64 = 2004;
-
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")))
-}
-
-/// Empties both cache layers.
-fn clear_cache(dir: &PathBuf) {
-    emb_fsm::cache::reset_memory();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let _ = std::fs::remove_file(e.path());
-        }
-    }
-}
-
-/// Drops every cache record except the stored overlay base artifacts
-/// (`ovlbase_*.txt`), leaving exactly the state a fresh process sees
-/// when the class bases exist but this FSM has never been compiled.
-fn keep_only_bases(dir: &PathBuf) {
-    emb_fsm::cache::reset_memory();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for e in entries.flatten() {
-            let keep = e
-                .file_name()
-                .to_str()
-                .is_some_and(|n| n.starts_with("ovlbase_"));
-            if !keep {
-                let _ = std::fs::remove_file(e.path());
-            }
-        }
-    }
-}
+use paper_bench::knobs::workspace_root;
+use paper_bench::{clear_cache, paper_config, TextTable};
 
 /// One comparison item: where it came from and its machine.
 struct Item {
@@ -95,7 +56,7 @@ fn items() -> Vec<Item> {
         });
     }
     for tier in fsm_model::corpus::tier_names() {
-        let spec = fsm_model::corpus::spec(tier, 0, CORPUS_SEED).expect("known tier");
+        let spec = fsm_model::corpus::spec(tier, 0, fsm_model::corpus::SEED).expect("known tier");
         let stg = fsm_model::generate::generate(&spec).expect("corpus spec generates");
         out.push(Item {
             source: "corpus",
@@ -150,7 +111,7 @@ fn main() {
     // Phase A: cold direct turnaround — cache emptied before every item.
     let mut rows: Vec<Row> = Vec::new();
     for it in &items {
-        clear_cache(&cache_dir);
+        clear_cache(&cache_dir, |_| false);
         let rep = emb_fsm::flow::emb_flow(&it.stg, &emb_opts, &stimulus, &cfg)
             .unwrap_or_else(|e| panic!("{}: direct flow failed: {e}", it.name));
         rows.push(Row {
@@ -174,7 +135,7 @@ fn main() {
     // Phase B: prebuild every distinct class base (and prove every
     // overlay frontend equivalent to its STG — a failure here is a
     // verification failure, not a capacity rejection).
-    clear_cache(&cache_dir);
+    clear_cache(&cache_dir, |_| false);
     let mut verify_failures = 0usize;
     let mut base_builds = 0usize;
     for (it, row) in items.iter().zip(rows.iter_mut()) {
@@ -204,8 +165,11 @@ fn main() {
         }
     }
 
-    // Phase C: warm-base compile — frontends cold, bases warm.
-    keep_only_bases(&cache_dir);
+    // Phase C: warm-base compile — frontends cold, bases warm. Dropping
+    // every record but the overlay bases (`ovlbase_*.txt`) leaves exactly
+    // the state a fresh process sees when the class bases exist but this
+    // FSM has never been compiled.
+    clear_cache(&cache_dir, |name| name.starts_with("ovlbase_"));
     let mut phase_c_base_misses = 0usize;
     for (it, row) in items.iter().zip(rows.iter_mut()).filter(|(_, r)| r.fit) {
         let rep = emb_fsm::flow::emb_overlay_flow(&it.stg, &stimulus, &cfg)
@@ -314,18 +278,8 @@ fn main() {
     );
     assert_eq!(verify_failures, 0, "overlay verification failed");
 
-    let dir = std::env::var("BENCH_RESULTS_DIR").map_or_else(
-        |_| workspace_root().join("results"),
-        |d| {
-            let d = PathBuf::from(d);
-            if d.is_absolute() {
-                d
-            } else {
-                workspace_root().join(d)
-            }
-        },
-    );
-    std::fs::create_dir_all(&dir).expect("create results/");
+    let dir = &paper_bench::knobs().results_dir;
+    std::fs::create_dir_all(dir).expect("create results/");
     let path = dir.join("bench_overlay.json");
     let mut item_json = String::new();
     for (i, r) in rows.iter().enumerate() {
@@ -376,10 +330,11 @@ fn main() {
          \"verify_failures\": {verify_failures},\n  \
          \"phase_c_base_misses\": {phase_c_base_misses},\n  \
          \"second_run_base_misses\": {second_run_base_misses},\n  \
-         \"corpus_seed\": {CORPUS_SEED},\n  \"rows\": [\n{item_json}  ]\n}}\n",
+         \"corpus_seed\": {seed},\n  \"rows\": [\n{item_json}  ]\n}}\n",
         rows.len(),
         fit_ratios.len(),
         classes.len(),
+        seed = fsm_model::corpus::SEED,
     );
     std::fs::write(&path, json).expect("write bench JSON");
     eprintln!("wrote {}", path.display());

@@ -2,7 +2,8 @@
 //!
 //! Two layers sit on top of [`crate::runner`]'s `run()` entry point:
 //!
-//! **Process backend** (`RUNNER_BACKEND=process`). The coordinator — the
+//! **Process backend** (`RUNNER_BACKEND=process`, see [`crate::knobs::Knobs`]).
+//! The coordinator — the
 //! ordinary harness binary — spawns `--worker <label>` re-invocations of
 //! *itself* (`std::env::current_exe()`), one per configured worker. A
 //! worker re-executes `main` until it reaches the `run()` call whose
@@ -54,8 +55,8 @@
 pub mod chaos;
 
 use crate::runner::{
-    checkpoint_line, json_string, parse_checkpoint_line, run_one, CheckpointSink, ItemOutcome,
-    JsonCursor, RunnerOptions,
+    checkpoint_line, json_string, lock_unpoisoned, parse_checkpoint_line, run_one, CheckpointSink,
+    ItemOutcome, JsonCursor, RunnerOptions,
 };
 use std::fmt;
 use std::io::{BufRead as _, BufReader, Write as _};
@@ -78,58 +79,22 @@ const SENTINEL: &str = "RUNNER-WORKER";
 /// bounded-retry loop inside whichever process executes it.
 const PROCESS_ATTEMPTS_PER_ITEM: u32 = 2;
 
-/// Effectively-infinite deadline used when a timeout knob is set to 0
-/// ("disabled"): one year, far beyond any run, yet still a valid
-/// `Duration` for `recv_timeout` arithmetic.
-const FOREVER: Duration = Duration::from_secs(365 * 24 * 60 * 60);
-
 // --- supervision types ------------------------------------------------
 
-/// Coordinator-side supervision knobs for the process backend, read once
-/// per run from the environment.
+/// Coordinator-side supervision of the process backend: the
+/// [`crate::knobs::Knobs::supervision`] group.
 #[derive(Debug, Clone)]
 pub(crate) struct FabricTuning {
-    /// Deadline for one submitted item (`RUNNER_ITEM_TIMEOUT_MS`,
-    /// default 300000 ms; 0 disables the deadline).
+    /// Deadline for one submitted item (`RUNNER_ITEM_TIMEOUT_MS`).
     pub(crate) item_timeout: Duration,
-    /// Deadline for a fresh worker's READY handshake
-    /// (`RUNNER_HANDSHAKE_TIMEOUT_MS`, default 10000 ms).
+    /// Deadline for a fresh worker's READY line (`RUNNER_HANDSHAKE_TIMEOUT_MS`).
     pub(crate) handshake_timeout: Duration,
-    /// Consecutive strikes (timeouts/deaths with no intervening success)
-    /// before a worker slot is quarantined (`RUNNER_MAX_STRIKES`,
-    /// default 3, minimum 1).
+    /// Consecutive strikes (timeouts/deaths with no success between)
+    /// before a worker slot is quarantined (`RUNNER_MAX_STRIKES`).
     pub(crate) max_strikes: u32,
-    /// Base respawn backoff in milliseconds (`RUNNER_BACKOFF_BASE_MS`,
-    /// default 50); doubled per strike, capped at 2 s, plus jitter.
+    /// Respawn backoff base in ms, doubled per strike up to 2 s, plus
+    /// jitter (`RUNNER_BACKOFF_BASE_MS`).
     pub(crate) backoff_base_ms: u64,
-}
-
-/// Reads a millisecond knob from the environment, tolerating junk.
-fn env_ms(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-impl FabricTuning {
-    pub(crate) fn from_env() -> Self {
-        let item_ms = env_ms("RUNNER_ITEM_TIMEOUT_MS", 300_000);
-        FabricTuning {
-            item_timeout: if item_ms == 0 {
-                FOREVER
-            } else {
-                Duration::from_millis(item_ms)
-            },
-            handshake_timeout: Duration::from_millis(
-                env_ms("RUNNER_HANDSHAKE_TIMEOUT_MS", 10_000).max(1),
-            ),
-            max_strikes: u32::try_from(env_ms("RUNNER_MAX_STRIKES", 3))
-                .unwrap_or(u32::MAX)
-                .max(1),
-            backoff_base_ms: env_ms("RUNNER_BACKOFF_BASE_MS", 50),
-        }
-    }
 }
 
 /// One supervision event recorded by the process-backend coordinator.
@@ -275,10 +240,10 @@ where
 {
     // Wire-fault injection is a no-op unless FABRIC_CHAOS_SEED is set
     // (the chaos campaign sets it; production workers never see it).
-    let plan = chaos::FaultPlan::from_env();
+    let plan = &crate::knobs().chaos;
     let stdout = std::io::stdout();
     {
-        if let Some(p) = &plan {
+        if let Some(p) = plan {
             p.stall_handshake();
         }
         let mut out = stdout.lock();
@@ -304,7 +269,7 @@ where
         let outcome = run_one(&item, opts.max_attempts, f);
         let payload = format!("{SENTINEL} RESULT {}", checkpoint_line(&item, &outcome));
         let mut out = stdout.lock();
-        let ok = match &plan {
+        let ok = match plan {
             Some(p) => p.deliver(&mut out, &payload, &item),
             None => writeln!(out, "{payload}").and_then(|()| out.flush()),
         };
@@ -645,14 +610,13 @@ pub(crate) fn run_pending_in_workers<F>(
 where
     F: Fn(&str, u32) -> Result<Vec<Vec<String>>, String> + Sync,
 {
-    let tuning = FabricTuning::from_env();
+    let tuning = &crate::knobs().supervision;
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ItemOutcome>>> =
         (0..pending.len()).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         let cursor = &cursor;
         let slots = &slots;
-        let tuning = &tuning;
         for slot in 0..workers {
             scope.spawn(move || {
                 let mut sup = SlotSupervisor::new(slot, &opts.label, tuning, events);
@@ -686,10 +650,6 @@ where
         .collect()
 }
 
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 // --- daemon mode ------------------------------------------------------
 
 /// Configuration for the mapping daemon.
@@ -706,7 +666,7 @@ pub struct DaemonOptions {
     /// Per-request deadline for admitted work (map/sleep). A request
     /// past it gets a typed `deadline` reject while the work runs to
     /// completion in the background (its admission slot is released only
-    /// when it actually finishes). Zero disables the deadline.
+    /// when it actually finishes).
     pub request_timeout: Duration,
     /// Idle-connection sweep: how long an accepted connection may sit
     /// silent before it is closed with a typed `idle` response.
@@ -715,31 +675,17 @@ pub struct DaemonOptions {
 
 impl DaemonOptions {
     /// Daemon listening on `socket` with defaults: in-flight bound 4,
-    /// request deadline 120 s, idle sweep 10 s.
+    /// request deadline 120 s, idle sweep 10 s. Reads no environment; the
+    /// harness bins apply the `FABRIC_REQUEST_TIMEOUT_MS` knob
+    /// ([`crate::knobs::Knobs::request_timeout`]) themselves.
     #[must_use]
     pub fn new(socket: impl Into<PathBuf>) -> Self {
         DaemonOptions {
             socket: socket.into(),
             max_inflight: 4,
-            request_timeout: Duration::from_millis(120_000),
+            request_timeout: Duration::from_secs(120),
             idle_timeout: Duration::from_millis(10_000),
         }
-    }
-
-    /// [`DaemonOptions::new`] with the lifecycle knobs read from the
-    /// environment: `FABRIC_REQUEST_TIMEOUT_MS` (0 disables) and
-    /// `FABRIC_IDLE_TIMEOUT_MS` (clamped to ≥ 1 ms).
-    #[must_use]
-    pub fn from_env(socket: impl Into<PathBuf>) -> Self {
-        let mut opts = DaemonOptions::new(socket);
-        let request_ms = env_ms("FABRIC_REQUEST_TIMEOUT_MS", 120_000);
-        opts.request_timeout = if request_ms == 0 {
-            FOREVER
-        } else {
-            Duration::from_millis(request_ms)
-        };
-        opts.idle_timeout = Duration::from_millis(env_ms("FABRIC_IDLE_TIMEOUT_MS", 10_000).max(1));
-        opts
     }
 }
 
@@ -832,6 +778,14 @@ fn parse_request(line: &str) -> Request {
         (Some("shutdown"), None, None, None) => Request::Shutdown,
         _ => bad("request needs either \"bench\" or a known \"cmd\""),
     }
+}
+
+/// The request line asking the daemon to map `item` (a paper benchmark
+/// or a corpus item name), optionally forcing the mapping backend.
+#[must_use]
+pub fn map_request(item: &str, backend: Option<emb_fsm::MapBackend>) -> String {
+    let backend = backend.map_or(String::new(), |b| format!(",\"backend\":\"{b}\""));
+    format!("{{\"bench\":{}{backend}}}", json_string(item))
 }
 
 /// A typed reject/error response line.
@@ -1304,6 +1258,19 @@ mod tests {
                 matches!(parse_request(junk), Request::Malformed(_)),
                 "accepted junk request: {junk}"
             );
+        }
+    }
+
+    #[test]
+    fn map_requests_escape_any_item_name() {
+        for name in ["keyb", "a\"b", "back\\slash", "\"\\\"", "cx.t1.0"] {
+            for backend in [None, Some(emb_fsm::MapBackend::Auto)] {
+                let line = map_request(name, backend);
+                let Request::Map { bench, backend: b } = parse_request(&line) else {
+                    panic!("{line} is not a map request");
+                };
+                assert_eq!((bench.as_str(), b), (name, backend), "{line}");
+            }
         }
     }
 

@@ -11,37 +11,43 @@
 
 pub mod corpus;
 pub mod fabric;
+pub mod knobs;
 pub mod runner;
+
+pub use knobs::knobs;
 
 use emb_fsm::flow::{FlowConfig, FlowError, FlowReport, Stimulus};
 use emb_fsm::map::EmbOptions;
 use fsm_model::benchmarks::{paper_suite, PAPER_BENCHMARKS};
 use fsm_model::stg::Stg;
 use logic_synth::synth::SynthOptions;
+use std::path::Path;
 
 /// The flow configuration every experiment uses unless it sweeps a knob.
 ///
-/// The mapping backend is resolved from the environment **here** — never
-/// inside the flow itself, so the value is part of the [`emb_fsm::cache`]
-/// keys and a knob change can never resurrect a stale cached artifact:
-///
-/// * `MAP_BACKEND` — `direct` (default), `overlay`, or `auto` (overlay
-///   with direct fallback past the capacity ladder). Unknown values are
-///   ignored and the default kept.
+/// The mapping backend is the `MAP_BACKEND` knob (see [`mod@knobs`]),
+/// resolved **here** — never inside the flow itself, so the value is part
+/// of the [`emb_fsm::cache`] keys and a knob change can never resurrect a
+/// stale cached artifact.
 #[must_use]
 pub fn paper_config() -> FlowConfig {
-    let mut cfg = FlowConfig {
+    FlowConfig {
         cycles: 2000,
         verify_cycles: 400,
+        backend: knobs().map_backend,
         ..FlowConfig::default()
-    };
-    if let Some(b) = std::env::var("MAP_BACKEND")
-        .ok()
-        .and_then(|s| emb_fsm::MapBackend::parse(s.trim()))
-    {
-        cfg.backend = b;
     }
-    cfg
+}
+
+/// Empties both flow-cache layers: the in-process map, and every record
+/// file in `dir` whose name `keep` refuses (the directory itself stays).
+pub fn clear_cache(dir: &Path, keep: impl Fn(&str) -> bool) {
+    emb_fsm::cache::reset_memory();
+    for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        if !entry.file_name().to_str().is_some_and(&keep) {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// The nine paper benchmarks, in table row order.

@@ -21,9 +21,9 @@
 //!   yields a placeholder row instead of aborting the table,
 //! - **work-stealing parallelism** — pending items are claimed from a
 //!   shared atomic cursor by [`RunnerOptions::threads`] scoped worker
-//!   threads (default: the `RUNNER_THREADS` environment variable, else
-//!   the machine's available parallelism). Results are reassembled in
-//!   input order and checkpoint appends are serialized through a mutex,
+//!   threads (default: the `RUNNER_THREADS` knob, else the machine's
+//!   available parallelism; see [`crate::knobs::Knobs`]). Results are
+//!   reassembled in input order and checkpoint appends are serialized through a mutex,
 //!   so the emitted rows are identical whatever the thread count.
 //!   `RUNNER_THREADS=1` takes the exact sequential path (items computed
 //!   and checkpointed strictly in input order).
@@ -35,8 +35,8 @@
 //!   all workers share the on-disk flow-artifact cache, and the emitted
 //!   rows and checkpoint lines are identical to the other backends. The
 //!   coordinator supervises its workers under per-item deadlines
-//!   (`RUNNER_ITEM_TIMEOUT_MS`): a hung worker is killed and respawned
-//!   with exponential backoff, a slot that strikes `RUNNER_MAX_STRIKES`
+//!   (the four `RUNNER_*` supervision knobs): a hung worker is killed and
+//!   respawned with exponential backoff, a slot that strikes `RUNNER_MAX_STRIKES`
 //!   times in a row is quarantined (inline fallback), and every
 //!   intervention is recorded as a typed event in [`RunOutcome::health`].
 //!
@@ -78,87 +78,32 @@ pub struct RunnerOptions {
     pub max_attempts: u32,
     /// Directory the checkpoint lives in.
     pub checkpoint_dir: PathBuf,
-    /// Worker-thread count. `None` defers to the `RUNNER_THREADS`
-    /// environment variable, falling back to the machine's available
-    /// parallelism; `Some(1)` (or `RUNNER_THREADS=1`) forces the exact
-    /// sequential path.
-    pub threads: Option<usize>,
-    /// Execution backend. `None` defers to the `RUNNER_BACKEND`
-    /// environment variable (`threads` / `process`), defaulting to
-    /// [`Backend::Threads`].
-    pub backend: Option<Backend>,
-    /// Whether checkpointed `ok:false` entries survive a resume as
-    /// placeholder rows instead of being re-attempted. `None` defers to
-    /// the `RUNNER_KEEP_FAILED` environment variable (default: rerun
-    /// failures — a recorded failure may have been transient, e.g. a
-    /// budget-exhausted attempt right before a kill).
-    pub keep_failed: Option<bool>,
+    /// Worker count (0 counts as 1); 1 forces the exact sequential
+    /// path.
+    pub threads: usize,
+    /// Execution backend.
+    pub backend: Backend,
 }
 
 impl RunnerOptions {
     /// Options for the named experiment, checkpointing under the
-    /// workspace `results/` directory.
+    /// workspace `results/` directory, with the thread count and backend
+    /// of the `RUNNER_THREADS` and `RUNNER_BACKEND` knobs.
     #[must_use]
     pub fn new(label: impl Into<String>) -> Self {
+        let knobs = crate::knobs();
         RunnerOptions {
             label: label.into(),
             max_attempts: 3,
-            checkpoint_dir: workspace_results_dir(),
-            threads: None,
-            backend: None,
-            keep_failed: None,
+            checkpoint_dir: crate::knobs::workspace_root().join("results"),
+            threads: knobs.threads,
+            backend: knobs.backend,
         }
     }
 
     fn checkpoint_path(&self) -> PathBuf {
         self.checkpoint_dir
             .join(format!("checkpoint_{}.jsonl", self.label))
-    }
-
-    /// The worker count this run will use: the explicit option, else the
-    /// `RUNNER_THREADS` environment variable, else available parallelism
-    /// (always ≥ 1).
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        let n = self.threads.or_else(|| {
-            std::env::var("RUNNER_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        });
-        n.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
-        .max(1)
-    }
-
-    /// The backend this run will use: the explicit option, else
-    /// `RUNNER_BACKEND`, else [`Backend::Threads`]. Unknown values fall
-    /// back to threads rather than failing an experiment over a typo.
-    #[must_use]
-    pub fn effective_backend(&self) -> Backend {
-        if let Some(b) = self.backend {
-            return b;
-        }
-        match std::env::var("RUNNER_BACKEND")
-            .ok()
-            .as_deref()
-            .map(str::trim)
-        {
-            Some("process" | "processes") => Backend::Process,
-            _ => Backend::Threads,
-        }
-    }
-
-    /// Whether resume keeps checkpointed failures as placeholders (see
-    /// [`RunnerOptions::keep_failed`]).
-    #[must_use]
-    pub fn effective_keep_failed(&self) -> bool {
-        self.keep_failed.unwrap_or_else(|| {
-            matches!(
-                std::env::var("RUNNER_KEEP_FAILED").ok().as_deref(),
-                Some("1" | "true" | "yes")
-            )
-        })
     }
 }
 
@@ -277,8 +222,7 @@ where
 
     let started = Instant::now();
     let path = opts.checkpoint_path();
-    let mut done: HashMap<String, ItemOutcome> =
-        load_checkpoint(&path, opts.effective_keep_failed());
+    let mut done: HashMap<String, ItemOutcome> = load_checkpoint(&path);
     if !done.is_empty() {
         eprintln!(
             "[runner] resuming {} finished item(s) from {}",
@@ -297,13 +241,12 @@ where
         .enumerate()
         .filter(|(_, item)| !done.contains_key(*item))
         .collect();
-    let backend = opts.effective_backend();
-    let threads = opts.effective_threads().min(pending.len().max(1));
+    let threads = opts.threads.clamp(1, pending.len().max(1));
 
     let sink = CheckpointSink::new(&path);
     let events: Mutex<Vec<crate::fabric::FabricEvent>> = Mutex::new(Vec::new());
     let mut computed: Vec<Option<ItemOutcome>> = (0..items.len()).map(|_| None).collect();
-    if backend == Backend::Process && !pending.is_empty() {
+    if opts.backend == Backend::Process && !pending.is_empty() {
         // Process fabric: items farmed to spawned `--worker`
         // re-invocations of this binary under deadline supervision; the
         // coordinator owns the checkpoint, so its line set matches the
@@ -405,7 +348,7 @@ where
         items.len(),
         resumed,
         threads,
-        match backend {
+        match opts.backend {
             Backend::Process => "worker process(es)",
             Backend::Threads => "thread(s)",
         },
@@ -445,7 +388,7 @@ fn skipped_outcome(items: &[String], placeholder_cols: usize) -> RunOutcome {
 /// Locks a mutex, tolerating poisoning: a poisoned runner mutex only
 /// means another worker panicked past its `catch_unwind` fence, and the
 /// protected state (an appended line / a result slot) is always valid.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -482,15 +425,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The workspace `results/` directory (two levels above this manifest).
-fn workspace_results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from(env!("CARGO_MANIFEST_DIR")))
-        .join("results")
-}
-
 // --- checkpoint I/O ---------------------------------------------------
 
 /// Loads finished items from a checkpoint, tolerating missing files and
@@ -498,20 +432,20 @@ fn workspace_results_dir() -> PathBuf {
 /// including a final line torn mid-append by a `kill -9`).
 ///
 /// Lines are replayed in append (i.e. chronological) order, so the
-/// latest record for an item wins. Unless `keep_failed`, `ok:false`
-/// entries are dropped so the items are re-attempted on resume: a
+/// latest record for an item wins. `ok:false` entries are dropped so
+/// the items are re-attempted on resume: a
 /// recorded failure may have been transient (a budget-exhausted attempt
 /// right before the kill), and re-emitting it as a placeholder forever
 /// would make one bad run sticky. `ok:true` entries always replay
 /// byte-identically.
-fn load_checkpoint(path: &Path, keep_failed: bool) -> HashMap<String, ItemOutcome> {
+fn load_checkpoint(path: &Path) -> HashMap<String, ItemOutcome> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return HashMap::new();
     };
     let mut done = HashMap::new();
     for line in text.lines() {
         if let Some((item, outcome)) = parse_checkpoint_line(line) {
-            if !keep_failed && matches!(outcome, ItemOutcome::Failed { .. }) {
+            if matches!(outcome, ItemOutcome::Failed { .. }) {
                 done.remove(&item);
             } else {
                 done.insert(item, outcome);
@@ -757,9 +691,8 @@ mod tests {
             label: label.to_string(),
             max_attempts: 3,
             checkpoint_dir: dir,
-            threads: Some(1),
-            backend: Some(Backend::Threads),
-            keep_failed: Some(false),
+            threads: 1,
+            backend: Backend::Threads,
         }
     }
 
@@ -906,37 +839,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_failed_preserves_placeholder_rows_for_determinism() {
-        // RUNNER_KEEP_FAILED=1 semantics: the recorded failure replays as
-        // a placeholder without re-attempting (determinism tests rely on
-        // a resumed run making zero new attempts).
-        let mut opts = temp_opts("keepfail");
-        opts.keep_failed = Some(true);
-        let items: Vec<String> = ["a"].iter().map(ToString::to_string).collect();
-        append_checkpoint(
-            &opts.checkpoint_path(),
-            "a",
-            &ItemOutcome::Failed {
-                error: "recorded".to_string(),
-                attempts: 3,
-            },
-        )
-        .unwrap();
-        let out = run(
-            &opts,
-            &items,
-            2,
-            |_, _| -> Result<Vec<Vec<String>>, String> {
-                panic!("keep_failed must not recompute");
-            },
-        );
-        assert_eq!(out.resumed, 1);
-        assert_eq!(out.failures.len(), 1);
-        assert!(out.rows[0][1].contains("FAILED: recorded"));
-        let _ = std::fs::remove_dir_all(&opts.checkpoint_dir);
-    }
-
-    #[test]
     fn torn_final_checkpoint_line_recomputes_exactly_that_item() {
         // Simulated kill -9 mid-append: the last line is truncated. Resume
         // must replay the intact lines byte-identically and recompute
@@ -996,9 +898,8 @@ mod tests {
             label: "unwritable".to_string(),
             max_attempts: 1,
             checkpoint_dir: base.join("blocker").join("sub"),
-            threads: Some(1),
-            backend: Some(Backend::Threads),
-            keep_failed: Some(false),
+            threads: 1,
+            backend: Backend::Threads,
         };
         let items: Vec<String> = ["a", "b"].iter().map(ToString::to_string).collect();
         let out = run(&opts, &items, 2, |item, _| {
@@ -1011,17 +912,5 @@ mod tests {
             "every completed-but-unwritten item must be reported"
         );
         let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn backend_selection_parses_the_env_convention() {
-        let mut opts = temp_opts("backend");
-        opts.backend = None;
-        // Explicit option wins regardless of environment.
-        opts.backend = Some(Backend::Process);
-        assert_eq!(opts.effective_backend(), Backend::Process);
-        opts.backend = Some(Backend::Threads);
-        assert_eq!(opts.effective_backend(), Backend::Threads);
-        let _ = std::fs::remove_dir_all(&opts.checkpoint_dir);
     }
 }

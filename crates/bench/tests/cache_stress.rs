@@ -25,7 +25,6 @@ fn concurrent_writers_and_evictors_leave_a_within_budget_store() {
             .arg(iterations.to_string())
             .env("FLOW_CACHE_DIR", &dir)
             .env("FLOW_CACHE_MAX_BYTES", BUDGET.to_string())
-            .env_remove("FLOW_CACHE")
             .spawn()
             .expect("spawn cache_stress")
     };

@@ -42,13 +42,11 @@ fn run_selftest(dir: &PathBuf, items: &str, envs: &[(&str, &str)]) -> (String, b
     cmd.env("SELFTEST_ITEMS", items)
         .env("SELFTEST_DIR", dir)
         .env("SELFTEST_MARKER_DIR", dir)
-        .env_remove("RUNNER_BACKEND")
-        .env_remove("RUNNER_THREADS")
-        .env_remove("RUNNER_KEEP_FAILED")
-        .env_remove("RUNNER_ITEM_TIMEOUT_MS")
-        .env_remove("RUNNER_MAX_STRIKES")
-        .env_remove("SELFTEST_PRINT_HEALTH")
-        .env_remove("FABRIC_CHAOS_SEED");
+        .env_remove("SELFTEST_PRINT_HEALTH");
+    // Only the knobs a case sets reach the run.
+    for knob in paper_bench::knobs::NAMES {
+        cmd.env_remove(knob);
+    }
     for (k, v) in envs {
         cmd.env(k, v);
     }
@@ -85,7 +83,6 @@ fn chaos_round(seed: u64) {
             ("RUNNER_MAX_STRIKES", "4"),
             ("RUNNER_BACKOFF_BASE_MS", "5"),
             ("FABRIC_CHAOS_SEED", &seed_str),
-            ("FABRIC_CHAOS_HANG_MS", "60000"),
         ],
     );
     assert!(ok, "coordinator did not survive chaos seed {seed}");

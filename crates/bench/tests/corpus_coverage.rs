@@ -9,16 +9,13 @@
 //! `overlay_auto` pass of `corpus_stress`.
 //!
 //! The indices probed here are a prefix of every `corpus_stress` run
-//! with the default `CORPUS_SEED`, so a failure in this test means the
-//! committed `results/bench_corpus.json` run would miss coverage too.
+//! (seed `fsm_model::corpus::SEED`), so a failure in this test means
+//! the committed `results/bench_corpus.json` run would miss coverage too.
 
 use emb_fsm::MapBackend;
+use fsm_model::corpus::SEED;
 use paper_bench::corpus::{run_item, run_item_with_backend};
 use std::collections::BTreeSet;
-
-/// The default corpus seed (`CORPUS_SEED`), pinned: changing it moves
-/// every committed histogram.
-const SEED: u64 = 2004;
 
 /// Indices probed per tier. The eco-squeeze budget race only trips on
 /// some machines, so that tier gets a deeper prefix (machines 5 and 10

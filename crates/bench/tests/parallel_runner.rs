@@ -17,9 +17,8 @@ fn temp_opts(label: &str, threads: usize) -> RunnerOptions {
         label: label.to_string(),
         max_attempts: 2,
         checkpoint_dir: dir,
-        threads: Some(threads),
-        backend: Some(Backend::Threads),
-        keep_failed: Some(false),
+        threads,
+        backend: Backend::Threads,
     }
 }
 
@@ -75,7 +74,7 @@ fn parallel_run_resumes_from_checkpoint_without_recomputing() {
     // Reference: an uninterrupted serial run.
     let reference = run(
         &RunnerOptions {
-            threads: Some(1),
+            threads: 1,
             ..opts.clone()
         },
         &items,
@@ -119,12 +118,5 @@ fn parallel_run_resumes_from_checkpoint_without_recomputing() {
         "resumed rows must be identical"
     );
     assert!(!path.exists(), "checkpoint removed after a complete run");
-    let _ = std::fs::remove_dir_all(&opts.checkpoint_dir);
-}
-
-#[test]
-fn effective_threads_honors_explicit_option() {
-    let opts = temp_opts("threads_opt", 7);
-    assert_eq!(opts.effective_threads(), 7);
     let _ = std::fs::remove_dir_all(&opts.checkpoint_dir);
 }

@@ -42,11 +42,11 @@
 //! simply never addressed again. `results/cache/` can always be deleted
 //! wholesale; nothing references it by name.
 //!
-//! Environment knobs:
+//! Environment knobs — read here rather than in the harness's
+//! `paper_bench::knobs`, which this crate cannot depend on; the harness
+//! and the benchmark set `FLOW_CACHE_DIR` before the first cache call, and
+//! process-backend workers inherit it:
 //!
-//! * `FLOW_CACHE=0` (or `off`) — bypass the cache entirely: every lookup
-//!   misses without counting, nothing is stored. Flows recompute exactly
-//!   as if this module did not exist.
 //! * `FLOW_CACHE_DIR=<dir>` — on-disk store location (default
 //!   `results/cache/` at the workspace root; relative paths resolve
 //!   against the workspace root). This crate's own unit tests ignore it:
@@ -162,7 +162,6 @@ fn note(hit: bool) {
 // --- configuration ----------------------------------------------------
 
 struct Config {
-    enabled: bool,
     dir: Option<PathBuf>,
     /// On-disk byte budget (`FLOW_CACHE_MAX_BYTES`); `None` = unlimited.
     max_bytes: Option<u64>,
@@ -171,25 +170,13 @@ struct Config {
 fn config() -> &'static Config {
     static CONFIG: OnceLock<Config> = OnceLock::new();
     CONFIG.get_or_init(|| {
-        let enabled = !matches!(
-            std::env::var("FLOW_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("OFF") | Ok("false")
-        );
         let max_bytes = std::env::var("FLOW_CACHE_MAX_BYTES")
             .ok()
             .and_then(|v| v.trim().parse::<u64>().ok());
-        let dir = if enabled {
-            let d = store_dir();
-            // A store we cannot create degrades to memory-only caching.
-            std::fs::create_dir_all(&d).ok().map(|()| d)
-        } else {
-            None
-        };
-        Config {
-            enabled,
-            dir,
-            max_bytes,
-        }
+        let d = store_dir();
+        // A store we cannot create degrades to memory-only caching.
+        let dir = std::fs::create_dir_all(&d).ok().map(|()| d);
+        Config { dir, max_bytes }
     })
 }
 
@@ -506,9 +493,6 @@ pub fn coords_digest(
 
 fn lookup_raw(key: &Key) -> Option<Vec<u8>> {
     let cfg = config();
-    if !cfg.enabled {
-        return None;
-    }
     let name = key.file_name();
     {
         let mem = memory()
@@ -643,9 +627,6 @@ fn enforce_budget(dir: &std::path::Path, max_bytes: u64) {
 
 fn store_raw(key: &Key, bytes: Vec<u8>) {
     let cfg = config();
-    if !cfg.enabled {
-        return;
-    }
     let name = key.file_name();
     if let Some(dir) = &cfg.dir {
         // Atomic publish: concurrent binaries may race on the same key;
@@ -1223,12 +1204,8 @@ impl Record for OverlayBase {
 // --- load and store ---------------------------------------------------
 
 /// The `R` record under `key` if one decodes and `accept` takes it,
-/// counted as a hit; anything else is counted as a miss. Under
-/// `FLOW_CACHE=0` nothing is looked up or counted.
+/// counted as a hit; anything else is counted as a miss.
 fn fetch<R: Record>(key: &Key, accept: impl FnOnce(&R) -> bool) -> Option<R> {
-    if !config().enabled {
-        return None;
-    }
     let found = lookup_raw(key)
         .and_then(|bytes| decode::<R>(&bytes))
         .filter(accept);
@@ -1241,7 +1218,7 @@ fn load<R: Record>(key: &Key) -> Option<R> {
     fetch(key, |_| true)
 }
 
-/// Publishes an `R` record (no-op under `FLOW_CACHE=0`).
+/// Publishes an `R` record.
 fn store<R: Record>(key: &Key, record: &R) {
     store_raw(key, encode(record));
 }
@@ -1285,8 +1262,8 @@ pub fn load_frontend(key: &Key) -> Option<Frontend> {
     load(key)
 }
 
-/// Publishes a front-end record (no-op under `FLOW_CACHE=0`). Kept by
-/// name: the benchmark's replay calls it.
+/// Publishes a front-end record. Kept by name: the benchmark's
+/// replay calls it.
 pub fn store_frontend(
     key: &Key,
     netlist: &Netlist,
@@ -1312,8 +1289,8 @@ pub fn load_placement(key: &Key) -> Option<Placement> {
     load(key)
 }
 
-/// Publishes a placement record (no-op under `FLOW_CACHE=0`). Kept by
-/// name: the benchmark's replay calls it.
+/// Publishes a placement record. Kept by name: the benchmark's
+/// replay calls it.
 pub fn store_placement(key: &Key, placement: &Placement) {
     store(key, placement);
 }
@@ -1325,8 +1302,8 @@ pub fn load_eco_placement(key: &Key) -> Option<EcoPlacement> {
     load(key)
 }
 
-/// Publishes an ECO placement record (no-op under `FLOW_CACHE=0`). Kept
-/// by name: the benchmark's replay calls it.
+/// Publishes an ECO placement record. Kept by name: the benchmark's
+/// replay calls it.
 pub fn store_eco_placement(key: &Key, placement: &EcoPlacement) {
     store(key, placement);
 }

@@ -12,7 +12,7 @@ use crate::map::AddressPlan;
 use fpga_fabric::device::BramShape;
 use fsm_model::encoding::StateEncoding;
 use fsm_model::pattern::index_to_bits;
-use fsm_model::stg::{StateId, Stg};
+use fsm_model::stg::Stg;
 
 /// Computes the logical ROM of a mapping.
 ///
@@ -148,13 +148,6 @@ pub fn init_strings(shape: BramShape, words: &[u64]) -> Vec<String> {
             hex
         })
         .collect()
-}
-
-/// Convenience: the state a ROM word transitions to, for reporting.
-#[must_use]
-pub fn word_next_state(encoding: &StateEncoding, word: u64) -> Option<StateId> {
-    let s = encoding.num_bits();
-    encoding.decode(word & ((1u64 << s) - 1))
 }
 
 #[cfg(test)]

@@ -233,8 +233,7 @@ pub struct FlowReport {
     /// Graceful degradations taken to complete the flow (empty when the
     /// requested implementation succeeded as asked).
     pub downgrades: Vec<Downgrade>,
-    /// Flow-artifact cache traffic attributable to this run (zero under
-    /// `FLOW_CACHE=0`).
+    /// Flow-artifact cache traffic attributable to this run.
     pub cache: cache::CacheStats,
     /// Digest over the final placement's coordinates (CLB, BRAM, IOB site
     /// lists in entity order). Two reports with equal digests were placed

@@ -96,6 +96,9 @@ fn milli(rng: &mut SmallRng, lo: u32, hi: u32) -> f64 {
     f64::from(rng.random_range(lo..hi + 1)) / 1000.0
 }
 
+/// The seed `corpus_stress` and `table_overlay` draw every machine from.
+pub const SEED: u64 = 2004;
+
 /// The spec for item `index` of `tier` under `corpus_seed`, or `None`
 /// for an unknown tier name. Deterministic: the same triple always
 /// yields the same spec, and the spec's `name` is the encoded item name

@@ -365,11 +365,6 @@ impl Stg {
     pub fn to_table(&self) -> Result<TransitionTable, String> {
         TransitionTable::from_stg(self)
     }
-
-    /// Renames the machine (used by generators and transforms).
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
 }
 
 fn compatible_outputs(a: &Transition, b: &Transition) -> bool {

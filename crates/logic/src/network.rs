@@ -9,7 +9,6 @@
 
 use crate::cover::Cover;
 use crate::truth::TruthTable;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a node within a [`Network`].
@@ -390,24 +389,6 @@ pub mod gates {
             vec![Cube::from_pattern(&"0".parse().expect("valid pattern"))],
         )
     }
-
-    /// Identity buffer (1-variable cover).
-    #[must_use]
-    pub fn buf1() -> Cover {
-        Cover::from_cubes(
-            1,
-            vec![Cube::from_pattern(&"1".parse().expect("valid pattern"))],
-        )
-    }
-}
-
-/// Lookup of input ids by name.
-#[must_use]
-pub fn input_map(network: &Network) -> HashMap<String, NodeId> {
-    network
-        .inputs()
-        .map(|(id, name)| (name.to_string(), id))
-        .collect()
 }
 
 #[cfg(test)]

@@ -43,13 +43,13 @@ pub fn run_cases<F>(default_cases: usize, property: F)
 where
     F: Fn(&mut SmallRng),
 {
-    if let Some(seed) = env_u64("SEED") {
+    if let Some(seed) = env_number("SEED") {
         eprintln!("proptest_lite: SEED override — running single case {seed}");
         let mut rng = SmallRng::seed_from_u64(seed);
         property(&mut rng);
         return;
     }
-    let cases = env_u64("CASES").map_or(default_cases, |n| n as usize);
+    let cases = env_number("CASES").map_or(default_cases, |n| n as usize);
     let mut stream = BASE_SEED;
     for case in 0..cases {
         let case_seed = splitmix64(&mut stream);
@@ -88,15 +88,15 @@ pub fn run_sized_cases<F>(default_cases: usize, max_size: u32, property: F)
 where
     F: Fn(&mut SmallRng, u32),
 {
-    let pinned_size = env_u64("SIZE").map(|n| (n as u32).clamp(1, max_size.max(1)));
-    if let Some(seed) = env_u64("SEED") {
+    let pinned_size = env_number("SIZE").map(|n| (n as u32).clamp(1, max_size.max(1)));
+    if let Some(seed) = env_number("SEED") {
         let size = pinned_size.unwrap_or(max_size);
         eprintln!("proptest_lite: SEED override — running single case {seed} at size {size}");
         let mut rng = SmallRng::seed_from_u64(seed);
         property(&mut rng, size);
         return;
     }
-    let cases = env_u64("CASES").map_or(default_cases, |n| n as usize);
+    let cases = env_number("CASES").map_or(default_cases, |n| n as usize);
     let mut stream = BASE_SEED;
     for case in 0..cases {
         let case_seed = splitmix64(&mut stream);
@@ -141,7 +141,7 @@ where
     (failed_size, payload)
 }
 
-fn env_u64(name: &str) -> Option<u64> {
+fn env_number(name: &str) -> Option<u64> {
     let raw = std::env::var(name).ok()?;
     match raw.trim().parse() {
         Ok(v) => Some(v),

@@ -16,7 +16,7 @@ use romfsm::emb::map::EmbOptions;
 use romfsm::emb::overlay::{overlay_fsm, OverlayError};
 use romfsm::emb::verify::{verify_rewrite, OutputTiming};
 
-/// The committed corpus seed (`CORPUS_SEED` of `corpus_stress`).
+/// The committed corpus seed (`fsm_model::corpus::SEED`), pinned.
 const SEED: u64 = 2004;
 
 /// Exhaustive-proof input cap: narrow tiers take the product walk, the
