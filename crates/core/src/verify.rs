@@ -680,6 +680,9 @@ pub fn verify_exhaustive(
     key[..snap_words].copy_from_slice(port.row(0));
     key[state_word] = u64::from(stg.reset_state().0);
     let mut walk = ProductWalk::new(num_inputs, &key);
+    // The previous lane's key, already in the walk: a lane that repeats
+    // it would insert nothing.
+    let mut prev = key.clone();
 
     let mut expected = vec![0u64; num_outputs];
     let mut got = vec![0u64; num_outputs];
@@ -730,7 +733,10 @@ pub fn verify_exhaustive(
                     key[state_word] = u64::from(oracle.arcs[arc as usize].to);
                 }
             }
-            walk.insert(&key, walk.node_of(lane));
+            if key != prev {
+                walk.insert(&key, walk.node_of(lane));
+                std::mem::swap(&mut key, &mut prev);
+            }
         }
     }
     // The walk ends only when every discovered node has been expanded
@@ -862,6 +868,8 @@ pub fn netlists_equivalent(
     // Joint key: the snapshot of `a`, then the snapshot of `b`.
     let mut key = [pa.row(0), pb.row(0)].concat();
     let mut walk = ProductWalk::new(num_inputs, &key);
+    // The previous lane's key, already in the walk.
+    let mut prev = key.clone();
     while walk.next_batch() {
         pa.load(&mut sa, &walk, 0);
         pb.load(&mut sb, &walk, pa.words);
@@ -878,7 +886,10 @@ pub fn netlists_equivalent(
         for lane in 0..walk.live.count_ones() as usize {
             key[..pa.words].copy_from_slice(pa.row(lane));
             key[pa.words..].copy_from_slice(pb.row(lane));
-            walk.insert(&key, walk.node_of(lane));
+            if key != prev {
+                walk.insert(&key, walk.node_of(lane));
+                std::mem::swap(&mut key, &mut prev);
+            }
         }
     }
     Ok(true)

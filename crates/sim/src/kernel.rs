@@ -5,10 +5,11 @@
 //! netlist advance together on every [`BatchSimulator::clock_words`] call.
 //! LUTs are evaluated word-wide by mux-reducing their (per-lane) truth
 //! leaves with the input words, FFs with a masked select, and BRAM output
-//! latches by a per-lane gather and one transposition per read-address
-//! group: BRAMs wired to the same address vector share one address
-//! gather, and their words are packed side by side into lane-major rows
-//! so a single 64×64 transposition yields up to 64 dout lane words.
+//! latches through read packs: BRAMs wired to the same address vector
+//! share one address transposition, and their wired data bits are merged
+//! side by side into one row image per pack of up to 64 bits, so one load
+//! per lane and a single 64×64 transposition yield up to 64 dout lane
+//! words.
 //! Toggle counts come from `popcount(prev ^ next)` per net, masked to the
 //! active lanes; with no active lane the accounting is skipped outright.
 //!
@@ -33,7 +34,7 @@
 //! Every BRAM is a ROM: no clock changes a memory image, so the
 //! sequential-net words are the whole architectural state of a lane.
 
-use fpga_fabric::netlist::{Cell, NetId, Netlist, NetlistError};
+use fpga_fabric::netlist::{Cell, CellId, NetId, Netlist, NetlistError};
 use fpga_fabric::schedule::Schedule;
 
 /// Number of independent simulations carried per net word.
@@ -90,71 +91,42 @@ enum CombOp {
     Const { output: NetId, word: u64 },
 }
 
-/// One BRAM's memory, shared across lanes until a fault flips a bit in
-/// one lane's copy.
-#[derive(Debug, Clone)]
-enum BramMem {
-    /// All lanes read the same image (`depth` words).
-    Shared(Vec<u64>),
-    /// Lane-major per-lane images (`LANES * depth` words, lane `l`'s word
-    /// for address `a` at `l * depth + a`).
-    PerLane(Vec<u64>),
-}
-
-impl BramMem {
-    /// ORs each lane's word at `addrs[lane]`, cut to `width` bits and
-    /// shifted up by `shift`, into `rows[lane]`.
-    fn gather(&self, addrs: &[u64; LANES], width: usize, shift: usize, rows: &mut [u64; LANES]) {
-        let mask = if width >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        match self {
-            BramMem::Shared(image) => {
-                for (row, a) in rows.iter_mut().zip(addrs) {
-                    *row |= (image[*a as usize] & mask) << shift;
-                }
-            }
-            BramMem::PerLane(image) => {
-                let depth = image.len() / LANES;
-                for (lane, (row, a)) in rows.iter_mut().zip(addrs).enumerate() {
-                    *row |= (image[lane * depth + *a as usize] & mask) << shift;
-                }
-            }
-        }
-    }
-
-    /// Expands a shared image to per-lane copies (no-op when already
-    /// per-lane).
-    fn make_per_lane(&mut self, depth: usize) {
-        if let BramMem::Shared(image) = self {
-            let mut per_lane = Vec::with_capacity(LANES * depth);
-            for _ in 0..LANES {
-                per_lane.extend_from_slice(image);
-            }
-            *self = BramMem::PerLane(per_lane);
-        }
-    }
-}
-
 /// BRAMs wired to one read-address vector. Their read ports share one
-/// per-lane address gather per clock, and their data words are packed
-/// side by side into lane-major rows, one 64×64 transposition per pack.
+/// address transposition per clock, and their data bits are packed side
+/// by side into [`ReadPack`]s of at most 64 bits.
 #[derive(Debug, Clone)]
 struct ReadGroup {
     /// The shared read-address nets, LSB first.
     addr: Vec<NetId>,
-    /// Packs of at most 64 data bits, each entry `(k, offset, width)`:
-    /// BRAM `k` (ordinal in `sched.brams`) has `width` wired data bits at
-    /// bit `offset` of the packed row.
-    packs: Vec<Vec<(usize, usize, usize)>>,
+    packs: Vec<ReadPack>,
 }
 
-/// Adds BRAM `k`'s read port (`width` > 0 data bits) to the group of its
-/// address nets, appending to the group's last pack while the packed row
-/// has room.
-fn add_read_port(groups: &mut Vec<ReadGroup>, addr: &[NetId], k: usize, width: usize) {
+/// Up to 64 data bits of one read group, merged into one row image:
+/// `image[a]` holds, at bit `offset + i`, data bit `i` of each member's
+/// word at address `a`. One load per lane reads every member at once.
+#[derive(Debug, Clone)]
+struct ReadPack {
+    /// Members `(cell, offset, width)`: the BRAM `cell` has `width` wired
+    /// data bits at bit `offset` of the row.
+    members: Vec<(CellId, usize, usize)>,
+    /// The row image: `depth` rows every lane reads, or `LANES * depth`
+    /// once a fault gives each lane its own rows.
+    image: Vec<u64>,
+    /// Distance between two lanes' rows: 0 while the image is shared,
+    /// `depth` once it is per-lane (lane `l` reads `image[l * stride + a]`).
+    stride: usize,
+}
+
+/// Adds BRAM `cell`'s read port (its `width` > 0 wired bits of `init`) to
+/// the group of its address nets, appending to the group's last pack
+/// while the row has room, and ORs its words into that pack's image.
+fn add_read_port(
+    groups: &mut Vec<ReadGroup>,
+    addr: &[NetId],
+    cell: CellId,
+    width: usize,
+    init: &[u64],
+) {
     let g = match groups.iter().position(|g| g.addr == addr) {
         Some(g) => g,
         None => {
@@ -168,11 +140,28 @@ fn add_read_port(groups: &mut Vec<ReadGroup>, addr: &[NetId], k: usize, width: u
     let packs = &mut groups[g].packs;
     let used = packs
         .last()
-        .and_then(|p| p.last())
+        .and_then(|p| p.members.last())
         .map_or(LANES, |&(_, offset, w)| offset + w);
-    match packs.last_mut() {
-        Some(p) if used + width <= LANES => p.push((k, used, width)),
-        _ => packs.push(vec![(k, 0, width)]),
+    let offset = if used + width <= LANES {
+        used
+    } else {
+        packs.push(ReadPack {
+            members: Vec::new(),
+            image: vec![0; init.len()],
+            stride: 0,
+        });
+        0
+    };
+    let mask = if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    };
+    if let Some(pack) = packs.last_mut() {
+        pack.members.push((cell, offset, width));
+        for (row, word) in pack.image.iter_mut().zip(init) {
+            *row |= (word & mask) << offset;
+        }
     }
 }
 
@@ -190,14 +179,11 @@ pub struct BatchSimulator<'a> {
     ops: Vec<CombOp>,
     /// Cell index → index into `ops` (combinational cells only).
     op_of_cell: Vec<Option<usize>>,
-    /// Cell index → ordinal in `sched.brams` (BRAM cells only).
-    bram_of_cell: Vec<Option<usize>>,
-    /// The BRAM read ports, grouped by identical read-address nets.
+    /// The BRAM read ports, grouped by identical read-address nets, with
+    /// their memory as one row image per pack.
     read_groups: Vec<ReadGroup>,
     /// One word per net; bit `i` is lane `i`'s value.
     words: Vec<u64>,
-    /// Per-BRAM memory, in `sched.brams` order.
-    mem: Vec<BramMem>,
     /// Lanes whose activity is accumulated.
     active: u64,
     activity: Activity,
@@ -248,27 +234,17 @@ impl<'a> BatchSimulator<'a> {
             op_of_cell[id.index()] = Some(ops.len());
             ops.push(op);
         }
-        let mut bram_of_cell = vec![None; netlist.cells().len()];
         let mut read_groups: Vec<ReadGroup> = Vec::new();
-        let mem: Vec<BramMem> = sched
-            .brams
-            .iter()
-            .enumerate()
-            .map(|(k, id)| {
-                bram_of_cell[id.index()] = Some(k);
-                match netlist.cell(*id) {
-                    Cell::Bram {
-                        init, addr, dout, ..
-                    } => {
-                        if !dout.is_empty() {
-                            add_read_port(&mut read_groups, addr, k, dout.len());
-                        }
-                        BramMem::Shared(init.clone())
-                    }
-                    _ => unreachable!("bram list holds BRAMs"),
+        for id in &sched.brams {
+            if let Cell::Bram {
+                init, addr, dout, ..
+            } = netlist.cell(*id)
+            {
+                if !dout.is_empty() {
+                    add_read_port(&mut read_groups, addr, *id, dout.len(), init);
                 }
-            })
-            .collect();
+            }
+        }
         let num_nets = netlist.num_nets();
         let mut sim = BatchSimulator {
             netlist,
@@ -281,10 +257,8 @@ impl<'a> BatchSimulator<'a> {
             sched,
             ops,
             op_of_cell,
-            bram_of_cell,
             read_groups,
             words: vec![0; num_nets],
-            mem,
             active: u64::MAX,
             pre_edge_words: Vec::new(),
             scratch_before: vec![0; num_nets],
@@ -462,13 +436,15 @@ impl<'a> BatchSimulator<'a> {
     }
 
     /// Flips one bit of one word of a BRAM's memory image in a single lane
-    /// — the batched form of a `FlipBramInitBit` fault injection. The
-    /// shared image is expanded to per-lane copies on first use.
+    /// — the batched form of a `FlipBramInitBit` fault injection. Only the
+    /// BRAM's read pack changes: its shared row image is expanded to
+    /// per-lane rows on first use. A flip of a data bit with no wired
+    /// output is accepted and changes nothing a read can observe.
     ///
     /// # Errors
     ///
-    /// Returns a message when `cell_index` is not a BRAM or `word` is out
-    /// of range.
+    /// Returns a message when `cell_index` is not a BRAM, `word` is out of
+    /// range for its depth or `bit` for its data width.
     pub fn flip_lane_bram_init(
         &mut self,
         cell_index: usize,
@@ -476,19 +452,36 @@ impl<'a> BatchSimulator<'a> {
         word: usize,
         bit: u32,
     ) -> Result<(), String> {
-        let Some(k) = self.bram_of_cell.get(cell_index).copied().flatten() else {
+        let Some(Cell::Bram { shape, .. }) = self.netlist.cells().get(cell_index) else {
             return Err(format!("cell {cell_index} is not a BRAM"));
         };
-        let depth = match self.netlist.cell(self.sched.brams[k]) {
-            Cell::Bram { init, .. } => init.len(),
-            _ => return Err(format!("cell {cell_index} is not a BRAM")),
-        };
+        let depth = shape.depth();
         if word >= depth {
             return Err(format!("word {word} out of range for depth {depth}"));
         }
-        self.mem[k].make_per_lane(depth);
-        if let BramMem::PerLane(image) = &mut self.mem[k] {
-            image[lane * depth + word] ^= 1u64 << bit;
+        if bit as usize >= shape.data_bits {
+            return Err(format!(
+                "bit {bit} out of range for {} data bits",
+                shape.data_bits
+            ));
+        }
+        let cell = CellId(cell_index as u32);
+        let port = self
+            .read_groups
+            .iter_mut()
+            .flat_map(|g| &mut g.packs)
+            .find_map(|p| {
+                let &(_, offset, width) = p.members.iter().find(|m| m.0 == cell)?;
+                Some((p, offset, width))
+            });
+        if let Some((pack, offset, width)) = port {
+            if (bit as usize) < width {
+                if pack.stride == 0 {
+                    pack.image = pack.image.repeat(LANES);
+                    pack.stride = depth;
+                }
+                pack.image[lane * depth + word] ^= 1u64 << (offset + bit as usize);
+            }
         }
         Ok(())
     }
@@ -526,6 +519,13 @@ impl<'a> BatchSimulator<'a> {
     ///
     /// Panics if `inputs.len()` differs from the netlist's input count.
     pub fn clock_words(&mut self, inputs: &[u64]) {
+        self.clock(inputs, false);
+    }
+
+    /// [`Self::clock_words`], with the BRAM read ports served for every
+    /// lane or, with `one_lane`, for lane 0 alone (the other lanes' BRAM
+    /// latches hold).
+    fn clock(&mut self, inputs: &[u64], one_lane: bool) {
         assert_eq!(
             inputs.len(),
             self.netlist.inputs().len(),
@@ -566,25 +566,44 @@ impl<'a> BatchSimulator<'a> {
             }
         }
         // BRAM read ports. Per address group, one transposition turns the
-        // address words into per-lane addresses; per pack, the members'
-        // words are gathered side by side into lane rows and one
-        // transposition turns those back into dout lane words, merged under
-        // each BRAM's enable (disabled lanes hold their latches).
+        // address words into per-lane addresses; per pack, one load per
+        // lane fetches the members' bits side by side and one transposition
+        // turns those rows back into dout lane words, merged under each
+        // BRAM's enable (disabled lanes hold their latches). One lane needs
+        // neither transposition: its address is bit 0 of the address words
+        // and its row's bits are the dout values.
+        let lanes = if one_lane { 1 } else { u64::MAX };
         for group in &self.read_groups {
             let mut addrs = [0u64; LANES];
             for (row, net) in addrs.iter_mut().zip(&group.addr) {
                 *row = self.scratch_at_edge[net.index()];
             }
-            transpose64(&mut addrs);
+            let lane0_addr = if one_lane {
+                addrs[..group.addr.len()]
+                    .iter()
+                    .enumerate()
+                    .fold(0, |a, (i, w)| a | ((w & 1) as usize) << i)
+            } else {
+                transpose64(&mut addrs);
+                0
+            };
             for pack in &group.packs {
                 let mut rows = [0u64; LANES];
-                for &(k, offset, width) in pack {
-                    self.mem[k].gather(&addrs, width, offset, &mut rows);
+                if one_lane {
+                    let row = pack.image[lane0_addr];
+                    for (j, bits) in rows.iter_mut().enumerate() {
+                        *bits = row >> j & 1;
+                    }
+                } else {
+                    for (lane, (row, a)) in rows.iter_mut().zip(&addrs).enumerate() {
+                        *row = pack.image[lane * pack.stride + *a as usize];
+                    }
+                    transpose64(&mut rows);
                 }
-                transpose64(&mut rows);
-                for &(k, offset, _) in pack {
-                    if let Cell::Bram { dout, en, .. } = netlist.cell(self.sched.brams[k]) {
-                        let en_word = en.map_or(u64::MAX, |e| self.scratch_at_edge[e.index()]);
+                for &(id, offset, _) in &pack.members {
+                    if let Cell::Bram { dout, en, .. } = netlist.cell(id) {
+                        let en_word =
+                            lanes & en.map_or(u64::MAX, |e| self.scratch_at_edge[e.index()]);
                         for (d, bits) in dout.iter().zip(&rows[offset..]) {
                             let old = self.words[d.index()];
                             self.words[d.index()] = (old & !en_word) | (bits & en_word);
@@ -613,17 +632,19 @@ impl<'a> BatchSimulator<'a> {
     }
 
     /// Runs a sequential stimulus in lane 0 alone (the other lanes idle
-    /// with zero inputs and masked-out activity): the power flow's
-    /// single-stream simulation, its [`Activity`] record computed with
-    /// word ops and popcounts.
+    /// with zero inputs and masked-out activity, their BRAM latches
+    /// holding): the power flow's single-stream simulation, its
+    /// [`Activity`] record computed with word ops and popcounts.
     pub fn run_sequential<'v, I>(&mut self, stimulus: I)
     where
         I: IntoIterator<Item = &'v Vec<bool>>,
     {
         self.active = 1;
+        let mut words = Vec::new();
         for vector in stimulus {
-            let words: Vec<u64> = vector.iter().map(|&b| u64::from(b)).collect();
-            self.clock_words(&words);
+            words.clear();
+            words.extend(vector.iter().map(|&b| u64::from(b)));
+            self.clock(&words, true);
         }
     }
 
@@ -819,6 +840,99 @@ mod tests {
             b.flip_lane_bram_init(0, 5, 512, 0).is_err(),
             "word out of range"
         );
+    }
+
+    /// A bit beyond the cell's data width is refused, not wrapped into
+    /// the word; a bit inside it but with no wired output is accepted
+    /// and leaves every read unchanged.
+    #[test]
+    fn bram_fault_bit_is_checked_against_the_data_width() {
+        let shape = BramShape {
+            addr_bits: 2,
+            data_bits: 3,
+        };
+        let mut n = Netlist::new("rom");
+        let addr: Vec<_> = (0..2).map(|i| n.add_net(format!("a{i}"))).collect();
+        let d = n.add_net("d0");
+        for (i, net) in addr.iter().enumerate() {
+            n.add_input(format!("a{i}"), *net);
+        }
+        n.add_output("d0", d);
+        n.add_cell(Cell::Bram {
+            shape,
+            addr,
+            dout: vec![d],
+            en: None,
+            init: vec![0; 4],
+            output_init: 0,
+        });
+        let mut b = BatchSimulator::new(&n).unwrap();
+        for bit in [3, 63, 64, 200] {
+            assert!(
+                b.flip_lane_bram_init(0, 1, 0, bit).is_err(),
+                "bit {bit} is beyond 3 data bits"
+            );
+        }
+        b.flip_lane_bram_init(0, 1, 0, 2).unwrap();
+        b.clock_words(&[0, 0]);
+        assert_eq!(b.word(d), 0, "an unwired data bit reaches no lane");
+    }
+
+    /// Forty one-bit 16K-deep BRAMs on one address vector (a series
+    /// cascade's shape) build one read group with one pack, held as one
+    /// 16 384-row image rather than forty per-BRAM copies, and each
+    /// member reads its own bit of that image.
+    #[test]
+    fn narrow_banks_on_one_address_share_one_row_image() {
+        let shape = BramShape {
+            addr_bits: 14,
+            data_bits: 1,
+        };
+        let mut n = Netlist::new("banks");
+        let addr: Vec<_> = (0..14).map(|i| n.add_net(format!("a{i}"))).collect();
+        for (i, net) in addr.iter().enumerate() {
+            n.add_input(format!("a{i}"), *net);
+        }
+        let douts: Vec<_> = (0..40).map(|k| n.add_net(format!("d{k}"))).collect();
+        for (k, d) in douts.iter().enumerate() {
+            n.add_output(format!("d{k}"), *d);
+            n.add_cell(Cell::Bram {
+                shape,
+                addr: addr.clone(),
+                dout: vec![*d],
+                en: None,
+                init: (0..1u64 << 14).map(|a| a >> (k % 14) & 1).collect(),
+                output_init: 0,
+            });
+        }
+        let mut b = BatchSimulator::new(&n).unwrap();
+        assert_eq!(b.read_groups.len(), 1, "one address vector, one group");
+        let packs = &b.read_groups[0].packs;
+        assert_eq!(packs.len(), 1, "40 bits fit one pack");
+        assert_eq!(packs[0].members.len(), 40);
+        assert_eq!(packs[0].image.len(), 1 << 14, "one shared row image");
+        assert_eq!(packs[0].stride, 0);
+
+        // Lane `l` reads address `l * 255`; BRAM `k` returns address bit
+        // `k mod 14`.
+        let lane_addr = |l: u64| l * 255;
+        let words: Vec<u64> = (0..14)
+            .map(|i| (0..64).fold(0, |w, l| w | (lane_addr(l) >> i & 1) << l))
+            .collect();
+        b.clock_words(&words);
+        for (k, d) in douts.iter().enumerate() {
+            for l in 0..64 {
+                assert_eq!(
+                    b.lane_value(*d, l as usize),
+                    lane_addr(l) >> (k % 14) & 1 == 1,
+                    "bram {k}, lane {l}"
+                );
+            }
+        }
+        // A fault turns only that pack into per-lane rows.
+        b.flip_lane_bram_init(13, 2, 0, 0).unwrap();
+        let pack = &b.read_groups[0].packs[0];
+        assert_eq!((pack.image.len(), pack.stride), (LANES << 14, 1 << 14));
     }
 
     #[test]

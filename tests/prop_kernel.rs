@@ -1,11 +1,13 @@
 //! Property-based differential tests for the bit-parallel simulation
 //! kernel: on randomly generated netlists (LUT DAGs, enabled FFs, up to
 //! three BRAMs with and without enables, some sharing one read-address
-//! vector, some with no wired data output), every lane of
+//! vector, some with no wired data output, or a bank of 4–12 narrow BRAMs
+//! on one address), every lane of
 //! [`romfsm::sim::kernel::BatchSimulator`] must agree with an independent
 //! scalar [`oracle::Simulator`] (the test-only reference engine) cycle for
 //! cycle — net values, outputs, and every `Activity` counter — a scalar
-//! run's state transplanted into one lane must resume there exactly, and
+//! run's state transplanted into one lane must resume there exactly, a
+//! per-lane BRAM fault must behave as the corrupted netlist copy does, and
 //! the row/word transposition layer must round-trip exactly.
 //!
 //! Runs on the in-workspace `xrand::proptest_lite` harness (hermetic, no
@@ -13,6 +15,7 @@
 //! `SEED=<seed> cargo test --test prop_kernel`.
 
 use oracle::Simulator;
+use romfsm::emb::faultinject::{corrupt_netlist, NetlistFault};
 use romfsm::fpga::device::BramShape;
 use romfsm::fpga::netlist::{Cell, NetId, Netlist};
 use romfsm::sim::kernel::{pack_rows, BatchSimulator, LANES};
@@ -27,6 +30,16 @@ use xrand::SmallRng;
 /// 64-bit pack), and an optional constant driver. Every structural
 /// feature the kernel models shows up with fair probability.
 fn arb_netlist(rng: &mut SmallRng) -> Netlist {
+    let bank = rng.random_bool(0.2);
+    arb_netlist_shaped(rng, bank)
+}
+
+/// [`arb_netlist`]; with `bank`, its BRAMs are a bank of 4–12 narrow
+/// (1–2 bit) BRAMs on one read-address vector, with mixed enables — the
+/// shape of an overlay base or a series cascade, whose members all share
+/// one read pack. The first member's words are wider than its wired
+/// outputs, so the bank always holds an unwired data bit.
+fn arb_netlist_shaped(rng: &mut SmallRng, bank: bool) -> Netlist {
     let mut n = Netlist::new("prop");
     let num_inputs = rng.random_range(1usize..=4);
     let mut pool: Vec<NetId> = Vec::new();
@@ -41,7 +54,9 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
     let num_ffs = rng.random_range(0usize..=3);
     let ff_q: Vec<NetId> = (0..num_ffs).map(|i| n.add_net(format!("q{i}"))).collect();
     pool.extend(&ff_q);
-    let num_brams = if rng.random_bool(0.6) {
+    let num_brams = if bank {
+        rng.random_range(4usize..=12)
+    } else if rng.random_bool(0.6) {
         rng.random_range(1usize..=3)
     } else {
         0
@@ -52,6 +67,7 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
             // BRAMs on one address vector exceed one 64-bit pack), and
             // sometimes none at all (a BRAM whose outputs are unused).
             let w = match rng.random_range(0u32..8) {
+                _ if bank => rng.random_range(1usize..=2),
                 0 => 0,
                 1 | 2 => rng.random_range(20usize..=36),
                 _ => rng.random_range(1usize..=6),
@@ -104,9 +120,9 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
             .collect()
     };
     let mut last_addr: Option<Vec<NetId>> = None;
-    for dout in bram_douts {
+    for (b, dout) in bram_douts.into_iter().enumerate() {
         let addr = match last_addr.take() {
-            Some(shared) if rng.random_bool(0.6) => shared,
+            Some(shared) if bank || rng.random_bool(0.6) => shared,
             _ => {
                 let addr_bits = rng.random_range(2usize..=4);
                 pick(rng, &pool, addr_bits)
@@ -117,7 +133,8 @@ fn arb_netlist(rng: &mut SmallRng) -> Netlist {
         let depth = 1usize << addr_bits;
         // Memory words may be wider than the wired outputs: the unwired
         // high bits must never reach a neighbour in the packed read.
-        let data_bits = dout.len() + rng.random_range(0usize..=2);
+        let unwired = usize::from(bank && b == 0);
+        let data_bits = dout.len() + rng.random_range(unwired..=2);
         let en = rng
             .random_bool(0.5)
             .then(|| pool[rng.random_range(0..pool.len())]);
@@ -302,6 +319,81 @@ fn seq_words_transplant_resumes_a_scalar_run() {
         for i in 0..netlist.num_nets() {
             let net = NetId(i as u32);
             assert_eq!(batch.lane_value(net, lane), scalar.value(net), "net {i}");
+        }
+    });
+}
+
+/// Per-lane BRAM faults: each lane of one kernel, its memory flipped
+/// through `flip_lane_bram_init`, runs exactly as a scalar engine on the
+/// corrupted netlist copy does, lane for lane and net for net, while lane
+/// 0 stays clean. On a bank netlist, lane 1 flips a wired bit of one
+/// member of the shared pack and lane 2 a data bit with no wired output;
+/// the other lanes take the BRAM faults `corrupt_netlist` picks.
+#[test]
+fn per_lane_bram_faults_match_scalar_runs_of_corrupted_copies() {
+    run_cases(24, |rng| {
+        let netlist = arb_netlist_shaped(rng, true);
+        let brams: Vec<(usize, BramShape, usize)> = (0..netlist.cells().len())
+            .filter_map(|c| match &netlist.cells()[c] {
+                Cell::Bram { shape, dout, .. } => Some((c, *shape, dout.len())),
+                _ => None,
+            })
+            .collect();
+        // (cell, word, bit) per faulted lane, from lane 1 on.
+        let mut faults: Vec<(usize, usize, u32)> = Vec::new();
+        let (cell, shape, wired) = brams[rng.random_range(0..brams.len())];
+        let word = rng.random_range(0..shape.depth());
+        faults.push((cell, word, rng.random_range(0..wired) as u32));
+        let (cell, shape, wired) = brams[0];
+        let word = rng.random_range(0..shape.depth());
+        faults.push((cell, word, rng.random_range(wired..shape.data_bits) as u32));
+        let mut copies: Vec<Netlist> = faults
+            .iter()
+            .map(|&(cell, word, bit)| {
+                let mut init = match &netlist.cells()[cell] {
+                    Cell::Bram { init, .. } => init.clone(),
+                    _ => unreachable!("faults target BRAMs"),
+                };
+                init[word] ^= 1 << bit;
+                let mut copy = netlist.clone();
+                copy.replace_bram_init(cell, init).expect("same depth");
+                copy
+            })
+            .collect();
+        while faults.len() < LANES - 1 {
+            if let Some((copy, NetlistFault::FlipBramInitBit { cell, word, bit })) =
+                corrupt_netlist(&netlist, rng.random())
+            {
+                faults.push((cell, word, bit));
+                copies.push(copy);
+            }
+        }
+
+        let mut batch = BatchSimulator::new(&netlist).expect("kernel accepts a valid netlist");
+        let mut scalars = vec![Simulator::new(&netlist).expect("scalar engine accepts it")];
+        for (lane, (&(cell, word, bit), copy)) in faults.iter().zip(&copies).enumerate() {
+            batch
+                .flip_lane_bram_init(cell, lane + 1, word, bit)
+                .expect("fault in range");
+            scalars.push(Simulator::new(copy).expect("scalar engine accepts the copy"));
+        }
+        let width = netlist.inputs().len();
+        let cycles = rng.random_range(3usize..=10);
+        let streams = arb_stimulus(rng, LANES, cycles, width);
+        for cycle in 0..cycles {
+            let rows: Vec<Vec<bool>> = streams.iter().map(|s| s[cycle].clone()).collect();
+            batch.clock_words(&pack_rows(&rows, width));
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                scalar.clock(&rows[lane]);
+                for i in 0..netlist.num_nets() {
+                    let net = NetId(i as u32);
+                    assert_eq!(
+                        scalar.value(net),
+                        batch.lane_value(net, lane),
+                        "net {i} diverged: lane {lane}, cycle {cycle}"
+                    );
+                }
+            }
         }
     });
 }
