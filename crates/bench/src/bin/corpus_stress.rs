@@ -1,28 +1,26 @@
 //! Corpus stress harness: thousands of synthetic machines through the
-//! full flow under the degradation ladder, across every runner backend
-//! and the daemon.
+//! full flow under the degradation ladder, on one and many runner
+//! threads and through the daemon.
 //!
-//! Six passes over the same item list:
+//! Five passes over the same item list:
 //!
 //! 1. `serial_cold`   — one runner thread, cold flow cache (the
 //!    outcome-histogram source and the serial-throughput baseline);
-//! 2. `parallel_cold` — thread backend, cold cache;
-//! 3. `parallel_warm` — thread backend, warm cache;
-//! 4. `process_warm`  — process backend (spawned `--worker`
-//!    re-invocations of this binary), warm cache;
-//! 5. `overlay_auto`  — one runner thread, with the mapping backend
+//! 2. `parallel_cold` — `RUNNER_THREADS` threads, cold cache;
+//! 3. `parallel_warm` — `RUNNER_THREADS` threads, warm cache;
+//! 4. `overlay_auto`  — one runner thread, with the mapping backend
 //!    forced to `auto`: overlay-fit items land on the pre-built overlay
 //!    bases, over-capacity items fall back to direct with a typed
 //!    `overlay-capacity` downgrade (the overlay ladder-coverage source);
-//! 6. `daemon`        — an in-process [`paper_bench::fabric::serve`]
+//! 5. `daemon`        — an in-process [`paper_bench::fabric::serve`]
 //!    listener answering corpus-item mapping requests over its socket
 //!    (one item per tier, a direct leg and an overlay `backend:auto`
 //!    leg), doubling as the `fabric_daemon` load check.
 //!
-//! Passes 1–4 must produce byte-identical outcome rows once the
+//! Passes 1–3 must produce byte-identical outcome rows once the
 //! trailing stage-timing column is stripped
 //! ([`Outcome::deterministic_columns`]) — the deterministic prefix
-//! carries no timings and no cache counters, so backend choice and
+//! carries no timings and no cache counters, so thread count and
 //! cache warmth cannot leak into it. **stdout** is exactly the
 //! deterministic payload (per-tier outcome histograms for the direct
 //! and overlay passes and the union ladder-coverage summary):
@@ -38,22 +36,19 @@
 use emb_fsm::MapBackend;
 use paper_bench::clear_cache;
 use paper_bench::corpus::{run_item_with_backend, Outcome};
-use paper_bench::fabric::{
-    map_request, request, request_with_retry, serve, worker_invocation_label, DaemonOptions,
-};
+use paper_bench::fabric::{map_request, request, request_with_retry, serve, DaemonOptions};
 use paper_bench::knobs::workspace_root;
-use paper_bench::runner::{run, Backend, RunnerOptions};
+use paper_bench::runner::{run, RunnerOptions};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-/// One runner pass over all items on `threads` workers of `backend`;
-/// returns (rows, wall-clock, failures). `map_backend` overrides the
-/// flow's mapping backend (`None` keeps the profile default, i.e.
-/// direct).
+/// One runner pass over all items on `threads` threads; returns (rows,
+/// wall-clock, failures). `map_backend` overrides the flow's mapping
+/// backend (`None` keeps the profile default, i.e. direct).
 fn pass(
     label: &str,
-    (backend, threads): (Backend, usize),
+    threads: usize,
     map_backend: Option<MapBackend>,
     items: &[String],
     scratch: &Path,
@@ -63,7 +58,6 @@ fn pass(
         max_attempts: 2,
         checkpoint_dir: scratch.to_path_buf(),
         threads,
-        backend,
     };
     let t = Instant::now();
     let out = run(&opts, items, Outcome::COLUMNS, |item, _attempt| {
@@ -209,28 +203,19 @@ fn daemon_pass(items_one_per_tier: &[String], scratch: &Path) -> DaemonStats {
 }
 
 fn main() {
-    // A `--worker` re-invocation must keep the coordinator's scratch
-    // environment (shared flow cache) and skip every side effect on the
-    // way to its `run()` call, which never returns for its label.
-    let in_worker = worker_invocation_label().is_some();
     let scratch = workspace_root()
         .join("target")
         .join(format!("corpus_stress_scratch_{}", std::process::id()));
-    if !in_worker {
-        std::fs::create_dir_all(&scratch).expect("create scratch dir");
-        // Must precede the first cache access: the config is read once.
-        std::env::set_var("FLOW_CACHE_DIR", scratch.join("cache"));
-    }
+    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    // Must precede the first cache access: the config is read once.
+    std::env::set_var("FLOW_CACHE_DIR", scratch.join("cache"));
 
     let knobs = paper_bench::knobs();
     let (seed, per_tier) = (fsm_model::corpus::SEED, knobs.corpus_per_tier);
     let tiers = fsm_model::corpus::tier_names();
-    // The runner configurations of the passes: the thread backend on
-    // one thread (the exact sequential path) and on `RUNNER_THREADS`
-    // threads, and the process backend.
-    let serial = (Backend::Threads, 1);
-    let parallel = (Backend::Threads, knobs.threads);
-    let process = (Backend::Process, knobs.threads);
+    // The passes run on one thread (items strictly in input order) or on
+    // `RUNNER_THREADS` threads.
+    let (serial, parallel) = (1, knobs.threads);
     let mut items = Vec::new();
     for tier in &tiers {
         for i in 0..per_tier {
@@ -238,35 +223,24 @@ fn main() {
             items.push(s.name);
         }
     }
-    if !in_worker {
-        eprintln!(
-            "== corpus_stress: {} machine(s), {} tier(s), seed {seed} ==",
-            items.len(),
-            tiers.len()
-        );
-        clear_cache(&scratch.join("cache"), |_| false);
-    }
+    eprintln!(
+        "== corpus_stress: {} machine(s), {} tier(s), seed {seed} ==",
+        items.len(),
+        tiers.len()
+    );
+    clear_cache(&scratch.join("cache"), |_| false);
 
     let (serial_rows, serial_cold, serial_fail) =
         pass("serial_cold", serial, None, &items, &scratch);
-    if !in_worker {
-        clear_cache(&scratch.join("cache"), |_| false);
-    }
+    clear_cache(&scratch.join("cache"), |_| false);
     let (par_cold_rows, parallel_cold, par_cold_fail) =
         pass("parallel_cold", parallel, None, &items, &scratch);
     let (par_warm_rows, parallel_warm, par_warm_fail) =
         pass("parallel_warm", parallel, None, &items, &scratch);
-    let (proc_rows, process_warm, proc_fail) =
-        pass("process_warm", process, None, &items, &scratch);
-    // In a worker re-invocation the passes above either served items
-    // (and exited at EOF) or returned placeholder rows; nothing below
-    // may run there.
-    assert!(!in_worker, "worker re-invocations exit inside run()");
 
     // Overlay pass: same items with the mapping backend forced to
     // `auto` — overlay where the capacity ladder fits, typed
-    // `overlay-capacity` fallback to direct where it does not. Runs
-    // after the worker guard so `--worker` re-invocations never see it.
+    // `overlay-capacity` fallback to direct where it does not.
     let (overlay_rows, overlay_auto, overlay_fail) = pass(
         "overlay_auto",
         serial,
@@ -275,7 +249,7 @@ fn main() {
         &scratch,
     );
 
-    let failures = serial_fail + par_cold_fail + par_warm_fail + proc_fail + overlay_fail;
+    let failures = serial_fail + par_cold_fail + par_warm_fail + overlay_fail;
     assert_eq!(
         failures, 0,
         "corpus_stress: {failures} coordinator failure(s)"
@@ -283,17 +257,12 @@ fn main() {
     assert_eq!(
         stripped(&serial_rows),
         stripped(&par_cold_rows),
-        "thread backend diverged from sequential"
+        "parallel run diverged from sequential"
     );
     assert_eq!(
         stripped(&serial_rows),
         stripped(&par_warm_rows),
         "warm cache leaked into outcome rows"
-    );
-    assert_eq!(
-        stripped(&serial_rows),
-        stripped(&proc_rows),
-        "process backend diverged from sequential"
     );
 
     print_histograms(&serial_rows, &overlay_rows, &tiers, seed, per_tier);
@@ -324,7 +293,6 @@ fn main() {
         ("serial_cold", serial_cold),
         ("parallel_cold", parallel_cold),
         ("parallel_warm", parallel_warm),
-        ("process_warm", process_warm),
         ("overlay_auto", overlay_auto),
     ] {
         eprintln!("{name:<14} {d:>10.2?}  {:>8.1} FSMs/sec", fsms(d));
@@ -345,8 +313,7 @@ fn main() {
         "{{\n  \"suite\": \"corpus\",\n  \"machines\": {},\n  \"tiers\": {},\n  \
          \"seed\": {seed},\n  \"per_tier\": {per_tier},\n  \
          \"serial_cold_ms\": {:.1},\n  \"parallel_cold_ms\": {:.1},\n  \
-         \"parallel_warm_ms\": {:.1},\n  \"process_warm_ms\": {:.1},\n  \
-         \"overlay_auto_ms\": {:.1},\n  \
+         \"parallel_warm_ms\": {:.1},\n  \"overlay_auto_ms\": {:.1},\n  \
          \"fsms_per_sec_serial\": {:.2},\n  \"fsms_per_sec_parallel\": {:.2},\n  \
          \"fsms_per_sec_warm\": {:.2},\n  \"fsms_per_sec_overlay\": {:.2},\n  \
          \"daemon_items\": {},\n  \"daemon_ok\": {},\n  \"daemon_overlay_ok\": {},\n  \
@@ -358,7 +325,6 @@ fn main() {
         serial_cold.as_secs_f64() * 1e3,
         parallel_cold.as_secs_f64() * 1e3,
         parallel_warm.as_secs_f64() * 1e3,
-        process_warm.as_secs_f64() * 1e3,
         overlay_auto.as_secs_f64() * 1e3,
         fsms(serial_cold),
         fsms(parallel_cold),

@@ -1,46 +1,6 @@
-//! Multi-process flow fabric: worker processes and the mapping daemon.
+//! The mapping daemon: a long-running compile service over a Unix socket.
 //!
-//! Two layers sit on top of [`crate::runner`]'s `run()` entry point:
-//!
-//! **Process backend** (`RUNNER_BACKEND=process`, see [`crate::knobs::Knobs`]).
-//! The coordinator — the
-//! ordinary harness binary — spawns `--worker <label>` re-invocations of
-//! *itself* (`std::env::current_exe()`), one per configured worker. A
-//! worker re-executes `main` until it reaches the `run()` call whose
-//! label matches its `--worker` argument, then serves items from stdin
-//! instead of computing the item list: the coordinator writes one
-//! JSON-encoded item name per line, the worker answers each with a
-//! sentinel-prefixed checkpoint line on stdout, and EOF on stdin is the
-//! shutdown signal. The closure `f` exists in the worker because the
-//! worker *is* the same binary — no serialization of work, only of item
-//! names and row results.
-//!
-//! Contract with the other backends:
-//!
-//! * **byte identity** — rows come back through the same
-//!   `ItemOutcome`/checkpoint-line codec, are reassembled in input order
-//!   by the coordinator, and every worker computes attempt 0 with the
-//!   canonical seed, so the emitted table is identical whatever the
-//!   worker count (the serial-vs-parallel gate in `scripts/verify.sh`
-//!   extends verbatim to this backend);
-//! * **checkpointing** — only the coordinator appends to the checkpoint
-//!   file (through the same serialized, fsync'd sink as the thread
-//!   backend), so resume semantics and line sets are unchanged and
-//!   worker processes never contend on the file;
-//! * **crash isolation** — a worker that dies (abort, OOM-kill,
-//!   `kill -9`) costs exactly its in-flight item: the coordinator
-//!   respawns a worker and resubmits, and after
-//!   `PROCESS_ATTEMPTS_PER_ITEM` consecutive process deaths on the
-//!   same item falls back to computing it inline under `catch_unwind`
-//!   (so even an unspawnable environment still completes the run);
-//! * **shared store** — workers inherit `FLOW_CACHE_DIR`, so all
-//!   processes share the content-addressed on-disk artifact store; the
-//!   concurrent-process hardening in `emb_fsm::cache` (re-stat before
-//!   evict, ENOENT-safe refresh, atomic publishes) is what makes that
-//!   safe.
-//!
-//! **Daemon mode** ([`serve`], the `fabric_daemon` bin). A long-running
-//! service that accepts mapping requests over a Unix socket: one JSON
+//! [`serve`] (the `fabric_daemon` bin) accepts mapping requests: one JSON
 //! request line per connection, one JSON response line back. Admission
 //! control bounds concurrently *running* mapping requests
 //! ([`DaemonOptions::max_inflight`]); a request over the bound gets a
@@ -50,607 +10,21 @@
 //! carries the per-request cache delta and a `warm` flag so callers (and
 //! the verify.sh smoke gate) can observe it. Control commands (`ping`,
 //! `stats`, `shutdown`) bypass admission so the daemon stays steerable
-//! under load.
+//! under load. [`request`] and [`request_with_retry`] are the client
+//! half, shared by the `fabric_client` bin and the tests.
+//!
+//! The daemon shares the on-disk flow-artifact store (`FLOW_CACHE_DIR`)
+//! with harness runs and other processes; the concurrent-process
+//! hardening in `emb_fsm::cache` (re-stat before evict, ENOENT-safe
+//! refresh, atomic publishes) is what makes that safe.
 
-pub mod chaos;
-
-use crate::runner::{
-    checkpoint_line, json_string, lock_unpoisoned, parse_checkpoint_line, run_one, CheckpointSink,
-    ItemOutcome, JsonCursor, RunnerOptions,
-};
-use std::fmt;
+use crate::runner::{json_string, JsonCursor};
 use std::io::{BufRead as _, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-/// Protocol sentinel prefixing every line a worker writes for the
-/// coordinator. Anything else on the worker's stdout (a stray `println!`
-/// from an unrelated part of the harness binary) is ignored, so the
-/// protocol survives bins that print between `run()` calls.
-const SENTINEL: &str = "RUNNER-WORKER";
-
-/// Distinct worker *processes* tried per item before the coordinator
-/// computes it inline. Process attempts are orthogonal to
-/// [`RunnerOptions::max_attempts`]: each submission runs the full
-/// bounded-retry loop inside whichever process executes it.
-const PROCESS_ATTEMPTS_PER_ITEM: u32 = 2;
-
-// --- supervision types ------------------------------------------------
-
-/// Coordinator-side supervision of the process backend: the
-/// [`crate::knobs::Knobs::supervision`] group.
-#[derive(Debug, Clone)]
-pub(crate) struct FabricTuning {
-    /// Deadline for one submitted item (`RUNNER_ITEM_TIMEOUT_MS`).
-    pub(crate) item_timeout: Duration,
-    /// Deadline for a fresh worker's READY line (`RUNNER_HANDSHAKE_TIMEOUT_MS`).
-    pub(crate) handshake_timeout: Duration,
-    /// Consecutive strikes (timeouts/deaths with no success between)
-    /// before a worker slot is quarantined (`RUNNER_MAX_STRIKES`).
-    pub(crate) max_strikes: u32,
-    /// Respawn backoff base in ms, doubled per strike up to 2 s, plus
-    /// jitter (`RUNNER_BACKOFF_BASE_MS`).
-    pub(crate) backoff_base_ms: u64,
-}
-
-/// One supervision event recorded by the process-backend coordinator.
-/// The full event list rides in [`FabricHealth::events`] so callers can
-/// distinguish "clean run" from "completed, but only after the
-/// supervisor killed a hung worker".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FabricEvent {
-    /// An item blew the per-item deadline; the worker on `slot` was
-    /// presumed hung and killed.
-    ItemTimeout {
-        /// The item that was in flight when the deadline passed.
-        item: String,
-        /// The coordinator slot whose worker was killed.
-        slot: usize,
-        /// The deadline that was exceeded, in milliseconds.
-        timeout_ms: u64,
-    },
-    /// A freshly spawned worker missed the READY handshake deadline.
-    HandshakeTimeout {
-        /// The coordinator slot whose spawn was abandoned.
-        slot: usize,
-    },
-    /// A replacement worker is about to be spawned after a strike, once
-    /// the backoff expires.
-    Respawn {
-        /// The slot being respawned.
-        slot: usize,
-        /// Consecutive strike count that triggered this respawn.
-        strike: u32,
-        /// Backoff slept before the respawn, in milliseconds.
-        backoff_ms: u64,
-    },
-    /// The slot exhausted its strikes; items it claims from now on are
-    /// computed inline by the coordinator instead.
-    Quarantine {
-        /// The quarantined slot.
-        slot: usize,
-        /// Consecutive strikes accumulated when quarantine triggered.
-        strikes: u32,
-    },
-}
-
-impl fmt::Display for FabricEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FabricEvent::ItemTimeout {
-                item,
-                slot,
-                timeout_ms,
-            } => write!(
-                f,
-                "slot {slot}: item '{item}' exceeded {timeout_ms} ms; worker killed"
-            ),
-            FabricEvent::HandshakeTimeout { slot } => {
-                write!(f, "slot {slot}: worker missed the READY handshake deadline")
-            }
-            FabricEvent::Respawn {
-                slot,
-                strike,
-                backoff_ms,
-            } => write!(
-                f,
-                "slot {slot}: respawning after strike {strike} (backoff {backoff_ms} ms)"
-            ),
-            FabricEvent::Quarantine { slot, strikes } => write!(
-                f,
-                "slot {slot}: quarantined after {strikes} consecutive strike(s); falling back inline"
-            ),
-        }
-    }
-}
-
-/// Aggregate supervision health of one run, carried on
-/// `RunOutcome::health`. A clean run (no timeouts, no respawns, no
-/// quarantines) has empty `events` and zeroed counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FabricHealth {
-    /// Item + handshake deadline expiries.
-    pub timeouts: u64,
-    /// Workers respawned after a strike.
-    pub respawns: u64,
-    /// Worker slots quarantined after exhausting their strikes.
-    pub quarantined: u64,
-    /// The full event stream, in the order the coordinator recorded it.
-    pub events: Vec<FabricEvent>,
-}
-
-impl FabricHealth {
-    /// Folds an event stream into counters.
-    #[must_use]
-    pub fn from_events(events: Vec<FabricEvent>) -> Self {
-        let mut health = FabricHealth {
-            events,
-            ..FabricHealth::default()
-        };
-        for e in &health.events {
-            match e {
-                FabricEvent::ItemTimeout { .. } | FabricEvent::HandshakeTimeout { .. } => {
-                    health.timeouts += 1;
-                }
-                FabricEvent::Respawn { .. } => health.respawns += 1,
-                FabricEvent::Quarantine { .. } => health.quarantined += 1,
-            }
-        }
-        health
-    }
-
-    /// `true` when the run needed no supervisor intervention.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-// --- worker side ------------------------------------------------------
-
-/// The label this process was spawned to serve, when it is a `--worker`
-/// re-invocation of a harness binary; `None` in ordinary processes.
-#[must_use]
-pub fn worker_invocation_label() -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--worker" {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Serves items from stdin until EOF, then exits the process (a worker
-/// must never fall through to the harness binary's table-printing code —
-/// its stdout is the protocol channel).
-///
-/// Wire format: the coordinator sends one JSON string (the item name)
-/// per line; the worker answers `RUNNER-WORKER RESULT <checkpoint-line>`
-/// and flushes. Item panics are fenced inside [`run_one`] exactly as in
-/// the other backends; only an abort-class death (the thing this backend
-/// exists to isolate) ends the process early.
-pub(crate) fn worker_loop<F>(opts: &RunnerOptions, f: &F) -> !
-where
-    F: Fn(&str, u32) -> Result<Vec<Vec<String>>, String> + Sync,
-{
-    // Wire-fault injection is a no-op unless FABRIC_CHAOS_SEED is set
-    // (the chaos campaign sets it; production workers never see it).
-    let plan = &crate::knobs().chaos;
-    let stdout = std::io::stdout();
-    {
-        if let Some(p) = plan {
-            p.stall_handshake();
-        }
-        let mut out = stdout.lock();
-        let ok = writeln!(out, "{SENTINEL} READY {}", json_string(&opts.label))
-            .and_then(|()| out.flush());
-        if ok.is_err() {
-            std::process::exit(0); // coordinator already gone
-        }
-    }
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) | Err(_) => std::process::exit(0), // EOF: clean shutdown
-            Ok(_) => {}
-        }
-        let Some(item) = JsonCursor::new(line.trim()).string() else {
-            // Protocol violation: refuse to guess what the coordinator
-            // meant; exiting surfaces as a dead worker on its side.
-            std::process::exit(2);
-        };
-        let outcome = run_one(&item, opts.max_attempts, f);
-        let payload = format!("{SENTINEL} RESULT {}", checkpoint_line(&item, &outcome));
-        let mut out = stdout.lock();
-        let ok = match plan {
-            Some(p) => p.deliver(&mut out, &payload, &item),
-            None => writeln!(out, "{payload}").and_then(|()| out.flush()),
-        };
-        if ok.is_err() {
-            std::process::exit(0);
-        }
-    }
-}
-
-// --- coordinator side -------------------------------------------------
-
-/// Why a submission to (or handshake with) a worker failed.
-enum SubmitError {
-    /// The deadline passed with no parseable result; the worker is
-    /// presumed hung and must be killed, not reaped gracefully.
-    Timeout,
-    /// The worker's stdout closed, errored, or produced unrecoverable
-    /// garbage; the process is dead or useless.
-    Died(String),
-}
-
-/// One spawned worker process. Its stdout is drained by a dedicated
-/// reader thread into a channel, which is what lets the coordinator
-/// impose deadlines on protocol reads (`recv_timeout`) without
-/// platform-specific non-blocking pipe I/O.
-struct Worker {
-    child: Child,
-    stdin: ChildStdin,
-    lines: mpsc::Receiver<std::io::Result<String>>,
-    reader: std::thread::JoinHandle<()>,
-}
-
-impl Worker {
-    /// Spawns a `--worker <label>` re-invocation of the current binary
-    /// and waits (at most `handshake_timeout`) for its READY handshake.
-    /// A missed handshake surfaces as `ErrorKind::TimedOut` so the
-    /// caller can record it as a distinct supervision event.
-    fn spawn(label: &str, handshake_timeout: Duration) -> std::io::Result<Worker> {
-        let exe = std::env::current_exe()?;
-        let mut child = Command::new(exe)
-            .arg("--worker")
-            .arg(label)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit()) // retry/diagnostic lines stay visible
-            .spawn()?;
-        let stdin = child.stdin.take();
-        let stdout = child.stdout.take();
-        let (Some(stdin), Some(stdout)) = (stdin, stdout) else {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(std::io::Error::other("worker pipes unavailable"));
-        };
-        let (tx, lines) = mpsc::channel();
-        let reader = std::thread::spawn(move || {
-            let mut out = BufReader::new(stdout);
-            loop {
-                let mut line = String::new();
-                match out.read_line(&mut line) {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        if tx.send(Ok(line)).is_err() {
-                            break; // coordinator dropped the worker
-                        }
-                    }
-                    Err(e) => {
-                        // Includes invalid-UTF-8 garbage on the pipe: the
-                        // coordinator sees it as a dead worker.
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
-                }
-            }
-        });
-        let mut worker = Worker {
-            child,
-            stdin,
-            lines,
-            reader,
-        };
-        let ready = format!("{SENTINEL} READY {}", json_string(label));
-        match worker.recv_protocol_line(&ready, "", Instant::now() + handshake_timeout) {
-            Ok(_) => Ok(worker),
-            Err(SubmitError::Timeout) => {
-                worker.dispose(true);
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "worker missed the READY handshake deadline",
-                ))
-            }
-            Err(SubmitError::Died(why)) => {
-                worker.dispose(true);
-                Err(std::io::Error::other(why))
-            }
-        }
-    }
-
-    /// Receives stdout lines until one equals `exact` or starts with
-    /// `prefix` (when non-empty), ignoring non-protocol chatter. Returns
-    /// `Timeout` once `deadline` passes — chatter keeps being consumed
-    /// until then, so a slow-dripping worker cannot stall the
-    /// coordinator past the deadline.
-    fn recv_protocol_line(
-        &mut self,
-        exact: &str,
-        prefix: &str,
-        deadline: Instant,
-    ) -> Result<String, SubmitError> {
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(SubmitError::Timeout);
-            }
-            match self.lines.recv_timeout(left) {
-                Ok(Ok(line)) => {
-                    let t = line.trim_end();
-                    if t == exact {
-                        return Ok(t.to_string());
-                    }
-                    if !prefix.is_empty() {
-                        if let Some(rest) = t.strip_prefix(prefix) {
-                            return Ok(rest.to_string());
-                        }
-                    }
-                    // Non-protocol chatter: keep reading.
-                }
-                Ok(Err(e)) => return Err(SubmitError::Died(format!("worker stdout error: {e}"))),
-                Err(mpsc::RecvTimeoutError::Timeout) => return Err(SubmitError::Timeout),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(SubmitError::Died("worker exited".to_string()))
-                }
-            }
-        }
-    }
-
-    /// Submits one item and waits at most `timeout` for its outcome.
-    fn submit(&mut self, item: &str, timeout: Duration) -> Result<ItemOutcome, SubmitError> {
-        let sent = writeln!(self.stdin, "{}", json_string(item)).and_then(|()| self.stdin.flush());
-        if let Err(e) = sent {
-            return Err(SubmitError::Died(format!("worker stdin closed: {e}")));
-        }
-        let deadline = Instant::now() + timeout;
-        let result_prefix = format!("{SENTINEL} RESULT ");
-        loop {
-            let rest = self.recv_protocol_line("", &result_prefix, deadline)?;
-            let Some((got_item, outcome)) = parse_checkpoint_line(&rest) else {
-                return Err(SubmitError::Died("unparseable worker result".to_string()));
-            };
-            if got_item == item {
-                return Ok(outcome);
-            }
-            // A result for some other item (e.g. a stale line after a
-            // protocol hiccup): keep reading for ours.
-        }
-    }
-
-    /// Reaps the worker. `kill` forces termination first (the path for
-    /// hung or garbage-spewing workers); otherwise dropping stdin is the
-    /// EOF shutdown signal and the worker exits on its own. Either way
-    /// the reader thread drains to pipe EOF and is joined.
-    fn dispose(self, kill: bool) {
-        let Worker {
-            mut child,
-            stdin,
-            lines,
-            reader,
-        } = self;
-        if kill {
-            let _ = child.kill();
-        }
-        drop(stdin);
-        let _ = child.wait();
-        drop(lines);
-        let _ = reader.join();
-    }
-}
-
-/// Supervision state for one coordinator slot: the worker it currently
-/// fields, its consecutive-strike count, and whether it has been
-/// quarantined. State machine per DESIGN.md §13:
-/// running → timed-out/died → respawning(backoff) → running, and after
-/// `max_strikes` consecutive failures → quarantined (inline fallback).
-struct SlotSupervisor<'a> {
-    slot: usize,
-    label: &'a str,
-    tuning: &'a FabricTuning,
-    events: &'a Mutex<Vec<FabricEvent>>,
-    worker: Option<Worker>,
-    strikes: u32,
-    quarantined: bool,
-}
-
-impl<'a> SlotSupervisor<'a> {
-    fn new(
-        slot: usize,
-        label: &'a str,
-        tuning: &'a FabricTuning,
-        events: &'a Mutex<Vec<FabricEvent>>,
-    ) -> Self {
-        SlotSupervisor {
-            slot,
-            label,
-            tuning,
-            events,
-            worker: None,
-            strikes: 0,
-            quarantined: false,
-        }
-    }
-
-    fn record(&self, event: FabricEvent) {
-        eprintln!("[fabric] {}: {event}", self.label);
-        lock_unpoisoned(self.events).push(event);
-    }
-
-    /// One failure on this slot: count a consecutive strike, then either
-    /// quarantine (strikes ≥ max) or back off before the next spawn.
-    fn strike(&mut self) {
-        self.strikes += 1;
-        if self.strikes >= self.tuning.max_strikes {
-            self.quarantined = true;
-            self.record(FabricEvent::Quarantine {
-                slot: self.slot,
-                strikes: self.strikes,
-            });
-        } else {
-            let backoff_ms = backoff_with_jitter(
-                self.tuning.backoff_base_ms,
-                self.strikes,
-                self.label,
-                self.slot,
-            );
-            self.record(FabricEvent::Respawn {
-                slot: self.slot,
-                strike: self.strikes,
-                backoff_ms,
-            });
-            std::thread::sleep(Duration::from_millis(backoff_ms));
-        }
-    }
-
-    /// Ensures `self.worker` holds a live worker, spawning one inside
-    /// the handshake deadline if needed. A missed handshake strikes; an
-    /// unspawnable environment (no current_exe, fork failure) quarantines
-    /// immediately — retrying a spawn that cannot succeed per item would
-    /// only slow the inline fallback down.
-    fn ensure_worker(&mut self) {
-        if self.worker.is_some() || self.quarantined {
-            return;
-        }
-        match Worker::spawn(self.label, self.tuning.handshake_timeout) {
-            Ok(w) => self.worker = Some(w),
-            Err(e) if e.kind() == std::io::ErrorKind::TimedOut => {
-                self.record(FabricEvent::HandshakeTimeout { slot: self.slot });
-                self.strike();
-            }
-            Err(e) => {
-                eprintln!(
-                    "[runner] {}: cannot spawn worker process ({e}); computing inline",
-                    self.label
-                );
-                self.quarantined = true;
-            }
-        }
-    }
-
-    /// Tries the item on up to [`PROCESS_ATTEMPTS_PER_ITEM`] worker
-    /// processes under the per-item deadline. `None` means process
-    /// isolation is exhausted (or the slot is quarantined) and the
-    /// caller must compute inline.
-    fn submit_item(&mut self, item: &str) -> Option<ItemOutcome> {
-        for _ in 0..PROCESS_ATTEMPTS_PER_ITEM {
-            if self.quarantined {
-                return None;
-            }
-            self.ensure_worker();
-            let timeout = self.tuning.item_timeout;
-            let result = match self.worker.as_mut() {
-                None => continue, // spawn failed; strike already counted
-                Some(w) => w.submit(item, timeout),
-            };
-            match result {
-                Ok(o) => {
-                    self.strikes = 0; // strikes are consecutive, not cumulative
-                    return Some(o);
-                }
-                Err(SubmitError::Timeout) => {
-                    self.record(FabricEvent::ItemTimeout {
-                        item: item.to_string(),
-                        slot: self.slot,
-                        timeout_ms: u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX),
-                    });
-                    if let Some(hung) = self.worker.take() {
-                        hung.dispose(true);
-                    }
-                    self.strike();
-                }
-                Err(SubmitError::Died(why)) => {
-                    eprintln!(
-                        "[runner] {}: worker died on '{item}' ({why}); supervising",
-                        self.label
-                    );
-                    if let Some(dead) = self.worker.take() {
-                        dead.dispose(true);
-                    }
-                    self.strike();
-                }
-            }
-        }
-        None
-    }
-}
-
-/// Exponential backoff (base · 2^(strike−1), capped at 2 s) plus a
-/// deterministic jitter drawn from the (label, slot, strike) triple, so
-/// striking slots never thunder in lockstep yet reruns stay
-/// reproducible.
-fn backoff_with_jitter(base_ms: u64, strike: u32, label: &str, slot: usize) -> u64 {
-    let exp = base_ms
-        .saturating_mul(1_u64 << strike.saturating_sub(1).min(10))
-        .min(2_000);
-    let mut state = chaos::fnv1a(label.as_bytes()) ^ ((slot as u64) << 32) ^ u64::from(strike);
-    exp + xrand::splitmix64(&mut state) % (exp / 2).max(1)
-}
-
-/// Runs the pending items on `workers` supervised worker slots, writing
-/// results through the coordinator's checkpoint sink and supervision
-/// events into `events`. Returns outcomes aligned with `pending`. See
-/// the module docs for the contract.
-pub(crate) fn run_pending_in_workers<F>(
-    opts: &RunnerOptions,
-    sink: &CheckpointSink<'_>,
-    pending: &[(usize, &String)],
-    workers: usize,
-    events: &Mutex<Vec<FabricEvent>>,
-    f: &F,
-) -> Vec<Option<ItemOutcome>>
-where
-    F: Fn(&str, u32) -> Result<Vec<Vec<String>>, String> + Sync,
-{
-    let tuning = &crate::knobs().supervision;
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ItemOutcome>>> =
-        (0..pending.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let slots = &slots;
-        for slot in 0..workers {
-            scope.spawn(move || {
-                let mut sup = SlotSupervisor::new(slot, &opts.label, tuning, events);
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(_, item)) = pending.get(k) else {
-                        break;
-                    };
-                    // Last resort when process isolation is exhausted:
-                    // inline under catch_unwind keeps the run complete (a
-                    // true abort here would kill the coordinator — the
-                    // trade accepted by exhausting process attempts).
-                    let o = sup
-                        .submit_item(item)
-                        .unwrap_or_else(|| run_one(item, opts.max_attempts, f));
-                    sink.append(item, &o);
-                    *lock_unpoisoned(&slots[k]) = Some(o);
-                }
-                if let Some(w) = sup.worker.take() {
-                    w.dispose(false);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-        })
-        .collect()
-}
-
-// --- daemon mode ------------------------------------------------------
 
 /// Configuration for the mapping daemon.
 #[derive(Debug, Clone)]
@@ -1275,66 +649,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_label_extraction_matches_argv_convention() {
-        // This test binary was not started with --worker.
-        assert_eq!(worker_invocation_label(), None);
-    }
-
-    #[test]
     fn error_responses_are_single_json_lines() {
         let r = error_response("overloaded", "busy\nretry");
         assert!(!r.contains('\n'), "response must stay one line: {r}");
         assert!(r.contains("\"ok\":false"));
         assert!(r.contains("\"kind\":\"overloaded\""));
-    }
-
-    #[test]
-    fn backoff_is_deterministic_exponential_and_capped() {
-        let a = backoff_with_jitter(50, 1, "table1", 0);
-        let b = backoff_with_jitter(50, 1, "table1", 0);
-        assert_eq!(a, b, "same (label, slot, strike) must back off identically");
-        assert!(
-            (50..=75).contains(&a),
-            "strike 1: base + up to half jitter, got {a}"
-        );
-        let c = backoff_with_jitter(50, 1, "table1", 1);
-        let d = backoff_with_jitter(50, 2, "table1", 0);
-        assert!((100..=150).contains(&d), "strike 2 doubles, got {d}");
-        // Jitter decorrelates slots (not guaranteed unequal in general,
-        // but pinned here for the seeds verify.sh relies on).
-        assert_ne!(a, c, "slots 0 and 1 must not thunder in lockstep");
-        // Cap: enormous strikes stay ≤ 2 s + half jitter.
-        let e = backoff_with_jitter(50, 63, "table1", 0);
-        assert!(e <= 3_000, "backoff must cap, got {e}");
-    }
-
-    #[test]
-    fn health_counters_fold_the_event_stream() {
-        let health = FabricHealth::from_events(vec![
-            FabricEvent::ItemTimeout {
-                item: "keyb".to_string(),
-                slot: 0,
-                timeout_ms: 250,
-            },
-            FabricEvent::Respawn {
-                slot: 0,
-                strike: 1,
-                backoff_ms: 60,
-            },
-            FabricEvent::HandshakeTimeout { slot: 1 },
-            FabricEvent::Quarantine {
-                slot: 1,
-                strikes: 3,
-            },
-        ]);
-        assert_eq!(health.timeouts, 2);
-        assert_eq!(health.respawns, 1);
-        assert_eq!(health.quarantined, 1);
-        assert!(!health.is_clean());
-        assert!(FabricHealth::default().is_clean());
-        // Events render as one-line diagnostics.
-        for e in &health.events {
-            assert!(!e.to_string().contains('\n'));
-        }
     }
 }

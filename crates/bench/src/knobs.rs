@@ -4,22 +4,17 @@
 //! process. A knob set to a malformed value is a [`KnobError`] naming the
 //! knob, the value and the accepted form — never a silent fallback — and
 //! [`knobs`] reports it and exits with code 2 before any flow runs. An
-//! empty value counts as unset. Apart from the `fabric_selftest` test
-//! bin, no other file of this crate reads the environment.
+//! empty value counts as unset. No other file of this crate reads the
+//! environment.
 //!
-//! Three groups stay outside this module:
+//! Two groups stay outside this module:
 //!
 //! * `FLOW_CACHE_DIR` and `FLOW_CACHE_MAX_BYTES` belong to
 //!   `emb_fsm::cache`, which cannot depend on this crate. `FLOW_CACHE_DIR`
 //!   is also a handle: `corpus_stress`, `table_overlay` and the benchmark
-//!   set it before the first cache call, and process-backend workers
-//!   inherit it.
+//!   set it before the first cache call.
 //! * `SEED`, `CASES` and `SIZE` tune `xrand::proptest_lite` in tests.
-//! * `SELFTEST_*` drives the `fabric_selftest` test bin.
 
-use crate::fabric::chaos::FaultPlan;
-use crate::fabric::FabricTuning;
-use crate::runner::Backend;
 use emb_fsm::MapBackend;
 use std::fmt;
 use std::path::PathBuf;
@@ -27,16 +22,9 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Every knob this module reads, in README-table order.
-pub const NAMES: [&str; 14] = [
+pub const NAMES: [&str; 7] = [
     "RUNNER_THREADS",
-    "RUNNER_BACKEND",
-    "RUNNER_ITEM_TIMEOUT_MS",
-    "RUNNER_HANDSHAKE_TIMEOUT_MS",
-    "RUNNER_MAX_STRIKES",
-    "RUNNER_BACKOFF_BASE_MS",
     "FABRIC_REQUEST_TIMEOUT_MS",
-    "FABRIC_CHAOS_SEED",
-    "FABRIC_CHAOS_HANDSHAKE_MS",
     "MAP_BACKEND",
     "CORPUS_PER_TIER",
     "BENCH_RESULTS_DIR",
@@ -52,18 +40,11 @@ const FOREVER: Duration = Duration::from_secs(365 * 24 * 60 * 60);
 #[derive(Debug)]
 pub struct Knobs {
     /// `RUNNER_THREADS`: runner workers, at least 1 (default: available
-    /// parallelism); 1 takes the exact sequential path.
+    /// parallelism); 1 computes items strictly in input order.
     pub threads: usize,
-    /// `RUNNER_BACKEND`: `threads` (default) or `process`.
-    pub(crate) backend: Backend,
-    /// The process backend's supervision (the other four `RUNNER_*`).
-    pub(crate) supervision: FabricTuning,
     /// `FABRIC_REQUEST_TIMEOUT_MS`: the daemon's per-request deadline
     /// (default 120 s; 0 disables it).
     pub request_timeout: Duration,
-    /// Wire faults in process-backend workers: `FABRIC_CHAOS_SEED` arms
-    /// them, `FABRIC_CHAOS_HANDSHAKE_MS` (default 0) delays READY.
-    pub(crate) chaos: Option<FaultPlan>,
     /// `MAP_BACKEND`: `direct` (default), `overlay` or `auto`.
     pub(crate) map_backend: MapBackend,
     /// `CORPUS_PER_TIER`: machines per corpus tier (default 125).
@@ -147,35 +128,13 @@ impl Knobs {
     pub fn parse(get: impl Fn(&str) -> Option<String>) -> Result<Knobs, KnobError> {
         let env = Lookup(get);
         let threads = env.typed("RUNNER_THREADS", NUMBER, |v| v.parse::<usize>().ok())?;
-        let backend = env.typed("RUNNER_BACKEND", "threads or process", |v| match v {
-            "threads" => Some(Backend::Threads),
-            "process" => Some(Backend::Process),
-            _ => None,
-        })?;
-        let handshake_delay = Duration::from_millis(env.number("FABRIC_CHAOS_HANDSHAKE_MS", 0)?);
-        let chaos_seed = env.typed("FABRIC_CHAOS_SEED", NUMBER, |v| v.parse().ok())?;
         let map_backend = env.typed("MAP_BACKEND", "direct, overlay or auto", MapBackend::parse)?;
         Ok(Knobs {
             threads: threads.map_or_else(
                 || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
                 |n| n.max(1),
             ),
-            backend: backend.unwrap_or(Backend::Threads),
-            supervision: FabricTuning {
-                item_timeout: env.deadline("RUNNER_ITEM_TIMEOUT_MS", 300_000)?,
-                handshake_timeout: Duration::from_millis(
-                    env.number("RUNNER_HANDSHAKE_TIMEOUT_MS", 10_000)?.max(1),
-                ),
-                max_strikes: u32::try_from(env.number("RUNNER_MAX_STRIKES", 3)?)
-                    .unwrap_or(u32::MAX)
-                    .max(1),
-                backoff_base_ms: env.number("RUNNER_BACKOFF_BASE_MS", 50)?,
-            },
             request_timeout: env.deadline("FABRIC_REQUEST_TIMEOUT_MS", 120_000)?,
-            chaos: chaos_seed.map(|seed| FaultPlan {
-                handshake_delay,
-                ..FaultPlan::new(seed)
-            }),
             map_backend: map_backend.unwrap_or_default(),
             corpus_per_tier: env.number("CORPUS_PER_TIER", 125)?,
             // Joining an absolute path replaces the root.
@@ -223,13 +182,13 @@ mod tests {
         })
     }
 
-    /// Asserts that the `name = value` settings parse to knobs that
+    /// Asserts that the `name = value` setting parses to knobs that
     /// `holds` accepts.
     macro_rules! check {
-        ($($name:literal = $value:literal),+ => $holds:expr) => {
-            let k = parse(&[$(($name, $value)),+]).unwrap_or_else(|e| panic!("{e}"));
+        ($name:literal = $value:literal => $holds:expr) => {
+            let k = parse(&[($name, $value)]).unwrap_or_else(|e| panic!("{e}"));
             let holds: fn(&Knobs) -> bool = $holds;
-            assert!(holds(&k), "{:?} parsed to {k:?}", [$(($name, $value)),+]);
+            assert!(holds(&k), "{}={:?} parsed to {k:?}", $name, $value);
         };
     }
 
@@ -242,12 +201,8 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         for empty in [&[][..], &[("RUNNER_THREADS", " ")]] {
             let k = parse(empty).unwrap();
-            assert_eq!((k.threads, k.backend), (cores, Backend::Threads));
-            let s = &k.supervision;
-            assert_eq!((s.item_timeout, s.max_strikes), (ms(300_000), 3));
-            assert_eq!((s.handshake_timeout, s.backoff_base_ms), (ms(10_000), 50));
+            assert_eq!(k.threads, cores);
             assert_eq!(k.request_timeout, ms(120_000));
-            assert!(k.chaos.is_none());
             assert_eq!(k.map_backend, MapBackend::Direct);
             assert_eq!(k.corpus_per_tier, 125);
             assert_eq!(k.results_dir, workspace_root().join("results"));
@@ -259,25 +214,8 @@ mod tests {
     fn accepted_forms_and_clamps() {
         check!("RUNNER_THREADS" = " 4 " => |k| k.threads == 4);
         check!("RUNNER_THREADS" = "0" => |k| k.threads == 1);
-        check!("RUNNER_BACKEND" = "process" => |k| k.backend == Backend::Process);
-        check!("RUNNER_BACKEND" = "threads" => |k| k.backend == Backend::Threads);
-        check!("RUNNER_ITEM_TIMEOUT_MS" = "250" => |k| k.supervision.item_timeout == ms(250));
-        check!("RUNNER_ITEM_TIMEOUT_MS" = "0" => |k| k.supervision.item_timeout == FOREVER);
-        check!("RUNNER_HANDSHAKE_TIMEOUT_MS" = "200" => |k| k.supervision.handshake_timeout
-            == ms(200));
-        check!("RUNNER_HANDSHAKE_TIMEOUT_MS" = "0" => |k| k.supervision.handshake_timeout == ms(1));
-        check!("RUNNER_MAX_STRIKES" = "4" => |k| k.supervision.max_strikes == 4);
-        check!("RUNNER_MAX_STRIKES" = "0" => |k| k.supervision.max_strikes == 1);
-        check!("RUNNER_MAX_STRIKES" = "9999999999" => |k| k.supervision.max_strikes == u32::MAX);
-        check!("RUNNER_BACKOFF_BASE_MS" = "0" => |k| k.supervision.backoff_base_ms == 0);
         check!("FABRIC_REQUEST_TIMEOUT_MS" = "1000" => |k| k.request_timeout == ms(1000));
         check!("FABRIC_REQUEST_TIMEOUT_MS" = "0" => |k| k.request_timeout == FOREVER);
-        // The chaos plan exists only with a seed; the READY delay rides on it.
-        check!("FABRIC_CHAOS_HANDSHAKE_MS" = "70" => |k| k.chaos.is_none());
-        check!("FABRIC_CHAOS_SEED" = "5" => |k| k.chaos.as_ref().is_some_and(|p| p.seed == 5
-            && p.handshake_delay.is_zero() && p.hang == ms(60_000)));
-        check!("FABRIC_CHAOS_SEED" = "1", "FABRIC_CHAOS_HANDSHAKE_MS" = "70" => |k| k.chaos
-            .as_ref().is_some_and(|p| p.handshake_delay == ms(70)));
         check!("MAP_BACKEND" = "direct" => |k| k.map_backend == MapBackend::Direct);
         check!("MAP_BACKEND" = "overlay" => |k| k.map_backend == MapBackend::Overlay);
         check!("MAP_BACKEND" = "auto" => |k| k.map_backend == MapBackend::Auto);
@@ -304,14 +242,7 @@ mod tests {
     fn a_malformed_value_names_its_knob() {
         let malformed = [
             ("RUNNER_THREADS", "abc"),
-            ("RUNNER_BACKEND", "processes"),
-            ("RUNNER_ITEM_TIMEOUT_MS", "-1"),
-            ("RUNNER_HANDSHAKE_TIMEOUT_MS", "1.5"),
-            ("RUNNER_MAX_STRIKES", "three"),
-            ("RUNNER_BACKOFF_BASE_MS", "50ms"),
             ("FABRIC_REQUEST_TIMEOUT_MS", "soon"),
-            ("FABRIC_CHAOS_SEED", "x5"),
-            ("FABRIC_CHAOS_HANDSHAKE_MS", "-5"),
             ("MAP_BACKEND", "vliw"),
             ("CORPUS_PER_TIER", "many"),
         ];

@@ -25,20 +25,8 @@
 //!   available parallelism; see [`crate::knobs::Knobs`]). Results are
 //!   reassembled in input order and checkpoint appends are serialized through a mutex,
 //!   so the emitted rows are identical whatever the thread count.
-//!   `RUNNER_THREADS=1` takes the exact sequential path (items computed
-//!   and checkpointed strictly in input order).
-//! - **process-backend isolation** — under [`Backend::Process`]
-//!   (`RUNNER_BACKEND=process`) items are farmed to spawned `--worker`
-//!   re-invocations of the same harness binary over a stdin/stdout
-//!   protocol (see [`crate::fabric`]): a `kill -9` of a worker loses only
-//!   its in-flight item (the coordinator respawns a worker and resubmits),
-//!   all workers share the on-disk flow-artifact cache, and the emitted
-//!   rows and checkpoint lines are identical to the other backends. The
-//!   coordinator supervises its workers under per-item deadlines
-//!   (the four `RUNNER_*` supervision knobs): a hung worker is killed and
-//!   respawned with exponential backoff, a slot that strikes `RUNNER_MAX_STRIKES`
-//!   times in a row is quarantined (inline fallback), and every
-//!   intervention is recorded as a typed event in [`RunOutcome::health`].
+//!   With one thread, the one worker claims items in input order, so
+//!   items are computed and checkpointed strictly in input order.
 //!
 //! The checkpoint line format is a flat JSON object per line:
 //!
@@ -55,20 +43,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// How [`run`] executes its pending items.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Work-stealing scoped threads inside this process; one thread takes
-    /// the exact sequential path (items computed and checkpointed strictly
-    /// in input order).
-    Threads,
-    /// Work-stealing worker *processes* — `--worker` re-invocations of
-    /// the current binary coordinated over pipes. Crash isolation goes
-    /// beyond `catch_unwind`: an abort/OOM-kill/`kill -9` in one item
-    /// costs one worker process, not the run.
-    Process,
-}
-
 /// Configuration for one resilient run.
 #[derive(Debug, Clone)]
 pub struct RunnerOptions {
@@ -78,26 +52,22 @@ pub struct RunnerOptions {
     pub max_attempts: u32,
     /// Directory the checkpoint lives in.
     pub checkpoint_dir: PathBuf,
-    /// Worker count (0 counts as 1); 1 forces the exact sequential
-    /// path.
+    /// Worker threads (0 counts as 1); with 1, items are computed and
+    /// checkpointed strictly in input order.
     pub threads: usize,
-    /// Execution backend.
-    pub backend: Backend,
 }
 
 impl RunnerOptions {
     /// Options for the named experiment, checkpointing under the
-    /// workspace `results/` directory, with the thread count and backend
-    /// of the `RUNNER_THREADS` and `RUNNER_BACKEND` knobs.
+    /// workspace `results/` directory, with the thread count of the
+    /// `RUNNER_THREADS` knob.
     #[must_use]
     pub fn new(label: impl Into<String>) -> Self {
-        let knobs = crate::knobs();
         RunnerOptions {
             label: label.into(),
             max_attempts: 3,
             checkpoint_dir: crate::knobs::workspace_root().join("results"),
-            threads: knobs.threads,
-            backend: knobs.backend,
+            threads: crate::knobs().threads,
         }
     }
 
@@ -138,20 +108,14 @@ pub struct RunOutcome {
     /// stays honest: these items returned *without* an on-disk record,
     /// so a killed-and-resumed run would recompute exactly them.
     pub unpersisted: Vec<String>,
-    /// Supervision summary from the process backend: per-item deadline
-    /// expiries, worker respawns, quarantined slots, and the full typed
-    /// event stream. Always clean (`health.is_clean()`) under the thread
-    /// backend.
-    pub health: crate::fabric::FabricHealth,
 }
 
-/// Serialized checkpoint appends shared by every backend, degrading to
-/// in-memory outcomes (with a one-line warning and a typed note) when
-/// the checkpoint cannot be written: under the thread backend a panic
-/// here would abort the whole scoped-thread run, and under a daemon it
-/// would kill the service — an experiment that cannot record progress
-/// is still a better experiment than no experiment.
-pub(crate) struct CheckpointSink<'a> {
+/// Serialized checkpoint appends shared by every worker thread,
+/// degrading to in-memory outcomes (with a one-line warning and a typed
+/// note) when the checkpoint cannot be written: a panic here would abort
+/// the whole scoped-thread run — an experiment that cannot record
+/// progress is still a better experiment than no experiment.
+struct CheckpointSink<'a> {
     path: &'a Path,
     lock: Mutex<()>,
     warned: AtomicBool,
@@ -169,7 +133,7 @@ impl<'a> CheckpointSink<'a> {
     }
 
     /// Appends one finished item, serialized against other workers.
-    pub(crate) fn append(&self, item: &str, outcome: &ItemOutcome) {
+    fn append(&self, item: &str, outcome: &ItemOutcome) {
         let _guard = lock_unpoisoned(&self.lock);
         if let Err(e) = append_checkpoint(self.path, item, outcome) {
             if !self.warned.swap(true, Ordering::Relaxed) {
@@ -190,7 +154,7 @@ impl<'a> CheckpointSink<'a> {
 }
 
 /// Runs `f` over `items` with isolation, retry, checkpointing, and
-/// (when more than one worker is configured) work-stealing parallelism.
+/// (when more than one thread is configured) work-stealing parallelism.
 ///
 /// `f` is called as `f(item, attempt)` with `attempt` starting at 0; use
 /// it to derive a retry seed (`cfg.seed + attempt`) so reruns are
@@ -202,24 +166,10 @@ impl<'a> CheckpointSink<'a> {
 /// run's output is identical to a sequential run's. The checkpoint file
 /// may record items in completion order under parallelism; resume keys
 /// items by name, so a resumed run still re-emits rows byte-identically.
-///
-/// When this process is itself a `--worker` re-invocation spawned by a
-/// process-backend coordinator (see [`crate::fabric`]), this call never
-/// returns for the coordinated label: it serves items from stdin and
-/// exits at EOF. A `run` call for a *different* label inside the same
-/// worker binary returns placeholder rows without computing or touching
-/// that label's checkpoint, so control flow reaches the coordinated call.
 pub fn run<F>(opts: &RunnerOptions, items: &[String], placeholder_cols: usize, f: F) -> RunOutcome
 where
     F: Fn(&str, u32) -> Result<Vec<Vec<String>>, String> + Sync,
 {
-    if let Some(worker_label) = crate::fabric::worker_invocation_label() {
-        if worker_label == opts.label {
-            crate::fabric::worker_loop(opts, &f);
-        }
-        return skipped_outcome(items, placeholder_cols);
-    }
-
     let started = Instant::now();
     let path = opts.checkpoint_path();
     let mut done: HashMap<String, ItemOutcome> = load_checkpoint(&path);
@@ -232,10 +182,9 @@ where
     }
     let resumed = done.len();
 
-    // Work list: items the checkpoint does not already cover. Duplicated
-    // item names each get their own computation slot in the sequential
-    // path; under parallelism a duplicate is computed once per pending
-    // occurrence too (the pending list is positional).
+    // Work list: items the checkpoint does not already cover. A
+    // duplicated item name is computed once per pending occurrence (the
+    // pending list is positional).
     let pending: Vec<(usize, &String)> = items
         .iter()
         .enumerate()
@@ -243,67 +192,34 @@ where
         .collect();
     let threads = opts.threads.clamp(1, pending.len().max(1));
 
+    // Work stealing: threads claim the next pending index from a shared
+    // cursor, so a lone thread computes and checkpoints in input order;
+    // checkpoint appends are serialized by a mutex so rows never
+    // interleave mid-line.
     let sink = CheckpointSink::new(&path);
-    let events: Mutex<Vec<crate::fabric::FabricEvent>> = Mutex::new(Vec::new());
+    let cursor = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<ItemOutcome>>> =
+        (0..pending.len()).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|| loop {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&(_, item)) = pending.get(k) else {
+                    break;
+                };
+                let o = run_one(item, opts.max_attempts, &f);
+                sink.append(item, &o);
+                *lock_unpoisoned(&slots[k]) = Some(o);
+            });
+        }
+    });
     let mut computed: Vec<Option<ItemOutcome>> = (0..items.len()).map(|_| None).collect();
-    if opts.backend == Backend::Process && !pending.is_empty() {
-        // Process fabric: items farmed to spawned `--worker`
-        // re-invocations of this binary under deadline supervision; the
-        // coordinator owns the checkpoint, so its line set matches the
-        // other backends. Even a single-slot run uses a worker process —
-        // that keeps crash/hang isolation (and the supervision tests)
-        // independent of the thread count.
-        let outcomes =
-            crate::fabric::run_pending_in_workers(opts, &sink, &pending, threads, &events, &f);
-        for (&(idx, _), o) in pending.iter().zip(outcomes) {
-            computed[idx] = o;
-        }
-    } else if threads <= 1 {
-        // Exact sequential path: compute and checkpoint strictly in input
-        // order (byte-identical checkpoints to the historical runner).
-        for &(idx, item) in &pending {
-            let o = run_one(item, opts.max_attempts, &f);
-            sink.append(item, &o);
-            computed[idx] = Some(o);
-        }
-    } else {
-        // Work stealing: workers claim the next pending index from a
-        // shared cursor; checkpoint appends are serialized by a mutex so
-        // rows never interleave mid-line.
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ItemOutcome>>> =
-            (0..pending.len()).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(_, item)) = pending.get(k) else {
-                        break;
-                    };
-                    let o = run_one(item, opts.max_attempts, &f);
-                    sink.append(item, &o);
-                    *lock_unpoisoned(&slots[k]) = Some(o);
-                });
-            }
-        });
-        for (&(idx, _), slot) in pending.iter().zip(slots) {
-            computed[idx] = slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+    for (&(idx, _), slot) in pending.iter().zip(slots) {
+        computed[idx] = slot
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
     let unpersisted_set = sink.into_unpersisted();
-    let health = crate::fabric::FabricHealth::from_events(
-        events
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
-    );
-    if !health.is_clean() {
-        eprintln!(
-            "[runner] {}: fabric health: {} timeout(s), {} respawn(s), {} quarantine(s)",
-            opts.label, health.timeouts, health.respawns, health.quarantined
-        );
-    }
 
     // Reassemble in input order, preferring checkpointed outcomes.
     let mut rows = Vec::new();
@@ -343,15 +259,11 @@ where
     // is the right call anyway (every line it holds was re-emitted).
     let _ = std::fs::remove_file(&path);
     eprintln!(
-        "[runner] {}: {} item(s) ({} resumed) on {} {} in {:.2?}",
+        "[runner] {}: {} item(s) ({} resumed) on {} thread(s) in {:.2?}",
         opts.label,
         items.len(),
         resumed,
         threads,
-        match opts.backend {
-            Backend::Process => "worker process(es)",
-            Backend::Threads => "thread(s)",
-        },
         started.elapsed()
     );
     RunOutcome {
@@ -359,41 +271,18 @@ where
         failures,
         resumed,
         unpersisted,
-        health,
-    }
-}
-
-/// The outcome a worker process returns for a `run` call whose label is
-/// not the one it was spawned to serve: placeholder rows, no
-/// computation, no checkpoint traffic (touching another label's
-/// checkpoint from a worker would corrupt that run's resume state).
-fn skipped_outcome(items: &[String], placeholder_cols: usize) -> RunOutcome {
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    for item in items {
-        let mut row = vec![item.clone(), "SKIPPED: worker mode".to_string()];
-        row.resize(placeholder_cols.max(2), String::new());
-        rows.push(row);
-        failures.push((item.clone(), "skipped in worker mode".to_string()));
-    }
-    RunOutcome {
-        rows,
-        failures,
-        resumed: 0,
-        unpersisted: Vec::new(),
-        health: crate::fabric::FabricHealth::default(),
     }
 }
 
 /// Locks a mutex, tolerating poisoning: a poisoned runner mutex only
 /// means another worker panicked past its `catch_unwind` fence, and the
 /// protected state (an appended line / a result slot) is always valid.
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One item: bounded attempts, panics fenced at this boundary only.
-pub(crate) fn run_one<F>(item: &str, max_attempts: u32, f: &F) -> ItemOutcome
+fn run_one<F>(item: &str, max_attempts: u32, f: &F) -> ItemOutcome
 where
     F: Fn(&str, u32) -> Result<Vec<Vec<String>>, String>,
 {
@@ -478,7 +367,7 @@ fn append_checkpoint(path: &Path, item: &str, outcome: &ItemOutcome) -> std::io:
 }
 
 /// Renders one checkpoint line.
-pub(crate) fn checkpoint_line(item: &str, outcome: &ItemOutcome) -> String {
+fn checkpoint_line(item: &str, outcome: &ItemOutcome) -> String {
     match outcome {
         ItemOutcome::Ok(rows) => {
             let rows_json: Vec<String> = rows
@@ -522,7 +411,7 @@ pub(crate) fn json_string(s: &str) -> String {
 }
 
 /// Parses one checkpoint line; `None` on any malformation.
-pub(crate) fn parse_checkpoint_line(line: &str) -> Option<(String, ItemOutcome)> {
+fn parse_checkpoint_line(line: &str) -> Option<(String, ItemOutcome)> {
     let mut p = JsonCursor::new(line);
     p.expect('{')?;
     let mut item = None;
@@ -560,8 +449,8 @@ pub(crate) fn parse_checkpoint_line(line: &str) -> Option<(String, ItemOutcome)>
     }
 }
 
-/// A minimal cursor over the JSON subset the checkpoint (and the fabric
-/// wire protocol) uses.
+/// A minimal cursor over the JSON subset the checkpoint (and the daemon's
+/// request lines) use.
 pub(crate) struct JsonCursor<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
 }
@@ -584,7 +473,7 @@ impl<'a> JsonCursor<'a> {
         self.chars.next()
     }
 
-    pub(crate) fn expect(&mut self, want: char) -> Option<()> {
+    fn expect(&mut self, want: char) -> Option<()> {
         (self.next_non_ws()? == want).then_some(())
     }
 
@@ -692,7 +581,6 @@ mod tests {
             max_attempts: 3,
             checkpoint_dir: dir,
             threads: 1,
-            backend: Backend::Threads,
         }
     }
 
@@ -899,7 +787,6 @@ mod tests {
             max_attempts: 1,
             checkpoint_dir: base.join("blocker").join("sub"),
             threads: 1,
-            backend: Backend::Threads,
         };
         let items: Vec<String> = ["a", "b"].iter().map(ToString::to_string).collect();
         let out = run(&opts, &items, 2, |item, _| {

@@ -3,7 +3,7 @@
 //! placeholders), and a checkpoint written by a killed parallel run must
 //! resume without recomputing finished items.
 
-use paper_bench::runner::{run, Backend, RunnerOptions};
+use paper_bench::runner::{run, RunnerOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,7 +18,6 @@ fn temp_opts(label: &str, threads: usize) -> RunnerOptions {
         max_attempts: 2,
         checkpoint_dir: dir,
         threads,
-        backend: Backend::Threads,
     }
 }
 

@@ -45,7 +45,7 @@
 //! Environment knobs — read here rather than in the harness's
 //! `paper_bench::knobs`, which this crate cannot depend on; the harness
 //! and the benchmark set `FLOW_CACHE_DIR` before the first cache call, and
-//! process-backend workers inherit it:
+//! the benchmark's child processes inherit it:
 //!
 //! * `FLOW_CACHE_DIR=<dir>` — on-disk store location (default
 //!   `results/cache/` at the workspace root; relative paths resolve

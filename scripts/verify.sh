@@ -36,13 +36,15 @@
 #    root package, any other workspace crate or perfbench reaches them,
 #    and no library source outside crates/oracle names `oracle::`;
 #  * knob containment — every environment read in crates/*/src and src/
-#    sits in one of four files: the harness's typed config
+#    sits in one of three files: the harness's typed config
 #    (crates/bench/src/knobs.rs), the flow cache's store settings
-#    (crates/core/src/cache.rs), the property-test knobs
-#    (crates/xrand/src/proptest_lite.rs) and the process-backend test
-#    bin (crates/bench/src/bin/fabric_selftest.rs);
+#    (crates/core/src/cache.rs) and the property-test knobs
+#    (crates/xrand/src/proptest_lite.rs);
 #  * runner determinism — a RUNNER_THREADS=1 and a RUNNER_THREADS=4 run
 #    of the table1 harness bin must print byte-identical tables;
+#  * captured harness outputs — all 16 table/figure/sweep/ablation bins,
+#    run on a fresh flow-cache store, must reproduce the committed
+#    results/harness_outputs.txt byte for byte;
 #  * table2 golden — the table2 bin's output must be byte-identical to
 #    the committed results/table2_golden.txt;
 #  * ECO base coordinates — table3's clock-controlled flows must pin
@@ -56,18 +58,9 @@
 #    from that store without growing it at all;
 #  * capped flow cache — a table3 run under FLOW_CACHE_MAX_BYTES=16384
 #    must print byte-identical output and keep the store within budget;
-#  * process-backend identity (ISSUE 6) — table1 and table3 re-run under
-#    RUNNER_BACKEND=process with 4 worker processes must print the same
-#    bytes as their serial runs (the byte-identity contract extends
-#    verbatim to the multi-process fabric);
 #  * daemon smoke (ISSUE 6) — fabric_daemon must serve a mapping request
 #    over its Unix socket twice, report the repeat as warm-cache, and
 #    shut down cleanly on request;
-#  * chaos campaign (ISSUE 7) — table1 re-run under the process backend
-#    with seeded wire-fault injection (hangs, mid-line kills, torn
-#    writes, garbage, slow drips, early EOF on worker result lines) must
-#    survive without a coordinator failure and print bytes identical to
-#    the serial run;
 #  * daemon deadline + drain (ISSUE 7) — a second daemon on a live
 #    socket must refuse with the typed already-running exit (3), a
 #    request past FABRIC_REQUEST_TIMEOUT_MS must get a typed `deadline`
@@ -81,7 +74,7 @@
 #    -> identical fmax digest);
 #  * corpus smoke (ISSUE 9) — corpus_stress must push 198 seeded
 #    synthetic machines (22 per scenario tier) through the full flow on
-#    every backend and the daemon, twice, with zero coordinator
+#    one and many runner threads and the daemon, twice, with zero coordinator
 #    failures, byte-identical outcome histograms across runs, and every
 #    mapping rung and downgrade kind covered at least once; the
 #    committed results/bench_corpus.json must additionally come from a
@@ -216,11 +209,11 @@ echo "   oracle reachable only through dev-dependencies" >&2
 # -- Knob containment gate ---------------------------------------------------
 # Harness knobs are parsed once, strictly, into paper_bench::knobs::Knobs;
 # a stray env::var read elsewhere would bring back a second, lenient parse
-# of a knob (or a knob nothing documents). The flow cache's store settings,
-# the property-test knobs and the selftest bin keep their own reads.
-echo "== knob containment (environment reads only in the four knob files)" >&2
+# of a knob (or a knob nothing documents). The flow cache's store settings
+# and the property-test knobs keep their own reads.
+echo "== knob containment (environment reads only in the three knob files)" >&2
 stray=$(grep -rnE 'env::var(_os)?\(' crates/*/src src --include='*.rs' \
-    | grep -vE '^(crates/bench/src/knobs\.rs|crates/core/src/cache\.rs|crates/xrand/src/proptest_lite\.rs|crates/bench/src/bin/fabric_selftest\.rs):' \
+    | grep -vE '^(crates/bench/src/knobs\.rs|crates/core/src/cache\.rs|crates/xrand/src/proptest_lite\.rs):' \
     || true)
 [ -z "$stray" ] \
     || fail "environment read outside the knob files (add the knob to paper_bench::knobs instead): $stray"
@@ -240,37 +233,26 @@ cmp -s target/verify_table1_serial.out target/verify_table1_parallel.out \
     || fail "table1 output differs between RUNNER_THREADS=1 and RUNNER_THREADS=4"
 echo "   serial and parallel table1 outputs are byte-identical" >&2
 
-# -- Process-backend identity gate (table1) ---------------------------------
-# The same bin again, but sharded over 4 worker *processes* (spawned
-# --worker re-invocations of table1 itself). Rows travel over pipes and
-# through the checkpoint-line codec, so identical bytes here prove the
-# whole wire path is lossless and order-stable.
-echo "== process-backend identity (table1, RUNNER_BACKEND=process, 4 workers)" >&2
-RUNNER_BACKEND=process RUNNER_THREADS=4 \
-    ./target/release/table1 > target/verify_table1_process.out 2>/dev/null \
-    || fail "process-backend table1 run failed"
-cmp -s target/verify_table1_serial.out target/verify_table1_process.out \
-    || fail "table1 output differs between the serial and process backends"
-echo "   process-backend table1 output is byte-identical to serial" >&2
-
-# -- Chaos campaign gate (table1 under wire faults) -------------------------
-# The same process-backend run once more, but with fabric::chaos armed in
-# every worker: FABRIC_CHAOS_SEED draws a deterministic wire fault per
-# item, so RESULT lines get torn, interleaved with garbage, dripped
-# slowly, cut off by worker aborts, or withheld entirely behind a hang
-# the per-item deadline must kill. Supervision (kill, respawn, strike,
-# inline fallback) must absorb all of it: the run exits 0 and the table
-# bytes match the serial run exactly. Seed 5 is pinned by a unit test
-# (chaos::tests) to draw at most two hangs over the MCNC nine, keeping
-# this gate's worst case around four deadline windows.
-echo "== chaos campaign (table1, FABRIC_CHAOS_SEED=5, wire faults)" >&2
-RUNNER_BACKEND=process RUNNER_THREADS=4 RUNNER_ITEM_TIMEOUT_MS=2000 \
-    RUNNER_BACKOFF_BASE_MS=10 FABRIC_CHAOS_SEED=5 \
-    ./target/release/table1 > target/verify_table1_chaos.out 2>/dev/null \
-    || fail "chaos-campaign table1 run failed (coordinator did not survive wire faults)"
-cmp -s target/verify_table1_serial.out target/verify_table1_chaos.out \
-    || fail "table1 output differs under wire-fault injection"
-echo "   table1 byte-identical under injected wire faults" >&2
+# -- Captured harness outputs gate -------------------------------------------
+# results/harness_outputs.txt is what EXPERIMENTS.md compares against the
+# paper. Every bin is deterministic, so all 16 of them, run on a fresh
+# flow-cache store, must reproduce the committed file byte for byte. A
+# legitimate model change regenerates the file in the same commit with
+# this same loop.
+echo "== captured harness outputs (16 bins on a fresh cache vs results/harness_outputs.txt)" >&2
+harness_cache=target/verify_cache_harness
+rm -rf "$harness_cache"
+for b in table1 table2 table3 table4 fig1_arch fig2_sequencer fig3_moore_outputs \
+    fig4_compaction fig6_flow sweep_idle sweep_freq sweep_timing ablation_encoding \
+    ablation_compaction ablation_placement ablation_aspect; do
+    echo "=== $b ==="
+    FLOW_CACHE_DIR="$harness_cache" ./target/release/$b 2>/dev/null \
+        || fail "$b failed while regenerating the captured outputs"
+    echo
+done > target/verify_harness_outputs.txt
+cmp -s results/harness_outputs.txt target/verify_harness_outputs.txt \
+    || fail "harness outputs differ from results/harness_outputs.txt (see target/verify_harness_outputs.txt; if intentional, regenerate the file in this commit)"
+echo "   all 16 harness outputs byte-identical to results/harness_outputs.txt" >&2
 
 # -- Table 2 golden gate ----------------------------------------------------
 # Table 2 is the paper's headline result and the one table whose numbers
@@ -380,19 +362,6 @@ tiny_size=$(find "$tiny_dir" -name '*.txt' -type f -exec wc -c {} \; \
     || fail "capped store holds ${tiny_size} bytes, budget is ${tiny_budget} (eviction not enforced)"
 echo "   capped store at ${tiny_size}/${tiny_budget} bytes; output byte-identical" >&2
 
-# -- Process-backend identity gate (table3) ---------------------------------
-# table3 is the heavier harness (four flows per benchmark, ECO placement,
-# flow-cache traffic from every worker into the shared store); its
-# process-backend run must still match the serial output byte-for-byte.
-# The store is warm from the gates above, so this costs seconds.
-echo "== process-backend identity (table3, RUNNER_BACKEND=process, 4 workers)" >&2
-FLOW_CACHE_DIR="$t3_cache" RUNNER_BACKEND=process RUNNER_THREADS=4 \
-    ./target/release/table3 > target/verify_table3_process.out 2>/dev/null \
-    || fail "process-backend table3 run failed"
-cmp -s target/verify_table3.out target/verify_table3_process.out \
-    || fail "table3 output differs between the serial and process backends"
-echo "   process-backend table3 output is byte-identical to serial" >&2
-
 # -- Daemon smoke gate -------------------------------------------------------
 # Start the mapping daemon, ask it the same benchmark twice over the Unix
 # socket, and require the repeat to be served entirely from the warm flow
@@ -479,12 +448,12 @@ echo "   duplicate bind refused (exit 3); deadline and draining rejects typed; d
 
 # -- Corpus smoke gate -------------------------------------------------------
 # ~200 synthetic machines (22 per tier x 9 tiers) through the full flow
-# under the degradation ladder, on every runner backend, the forced
-# overlay-auto pass, and the daemon, twice with the same fixed seed.
-# corpus_stress itself asserts zero coordinator failures and identical
-# deterministic row prefixes (the trailing stage-timing column is
-# measurement, not outcome) across the sequential, thread, and process
-# backends; this gate adds (a) run-to-run stdout
+# under the degradation ladder, on one and RUNNER_THREADS runner threads,
+# the forced overlay-auto pass, and the daemon, twice with the same fixed
+# seed. corpus_stress itself asserts zero coordinator failures and
+# identical deterministic row prefixes (the trailing stage-timing column
+# is measurement, not outcome) across the sequential, parallel-cold and
+# parallel-warm passes; this gate adds (a) run-to-run stdout
 # determinism (the per-tier outcome histograms), and (b) full ladder
 # coverage — no rung and no downgrade kind at zero. Timings go to a
 # scratch BENCH_RESULTS_DIR so the committed results/bench_corpus.json
@@ -493,7 +462,7 @@ echo "== corpus smoke (22/tier x 9 tiers, 2 runs, deterministic histogram)" >&2
 rm -rf target/verify_corpus
 CORPUS_PER_TIER=22 BENCH_RESULTS_DIR=target/verify_corpus \
     ./target/release/corpus_stress > target/verify_corpus_1.out 2>/dev/null \
-    || fail "first corpus_stress run failed (coordinator failure or backend divergence)"
+    || fail "first corpus_stress run failed (coordinator failure or pass divergence)"
 CORPUS_PER_TIER=22 BENCH_RESULTS_DIR=target/verify_corpus \
     ./target/release/corpus_stress > target/verify_corpus_2.out 2>/dev/null \
     || fail "second corpus_stress run failed"
