@@ -1,8 +1,11 @@
 //! Placement-quality regression gate for the adaptive annealing
-//! schedule: on the bench configuration (`keyb`, seed 1, effort 2.0 —
-//! the same input `benches/substrates.rs` times as `place_sa/keyb`) the
+//! schedule: on keyb's FF baseline on XC2V250 (seed 1, effort 2.0 — the
+//! netlist and device of `tests/place_exact.rs`'s `ff_xc2v250` row,
+//! which pins the same placer's exact move count at default effort) the
 //! placer must be equal-or-better than the fixed-schedule baseline on
 //! both wirelength objectives while spending measurably fewer moves.
+//! keyb's FF netlist has 65 CLBs, so this gates the analytic start and
+//! its cold anneal (`ANALYTIC_MIN_CLBS`).
 //!
 //! Baseline (fixed 0.85 cooling, crude T0), recorded before the switch:
 //! Σhpwl = 1772, Σhpwl² = 13248, at 31722 moves.

@@ -140,9 +140,9 @@ pub fn check_interface(netlist: &Netlist, stg: &Stg) -> Result<(), VerifyError> 
 /// Verifies `netlist` against `stg` over `cycles` random vectors.
 ///
 /// The netlist's first `stg.num_outputs()` output ports are compared;
-/// additional ports (debug state bits) are ignored. The stimulus is
-/// broadcast to every lane of a [`BatchSimulator`] and checked in lane 0
-/// by the lockstep loop the fault campaign shares.
+/// additional ports (debug state bits) are ignored. The stimulus drives
+/// lane 0 of a [`BatchSimulator`], clocked for that lane alone, and is
+/// checked there by the lockstep loop the fault campaign shares.
 ///
 /// # Errors
 ///
@@ -175,7 +175,8 @@ pub fn verify_against_stg(
 /// `timing` says, with the precomputed [`StgSimulator`] trace `expected`.
 /// Returns, for each of the lowest `lanes` (at most [`LANES`]) lanes, its
 /// first divergent cycle and its sampled outputs there; stops as soon as
-/// every one of them has diverged. Counts no activity.
+/// every one of them has diverged. Counts no activity. With one lane the
+/// simulator clocks lane 0 alone ([`BatchSimulator::clock_lane0`]).
 ///
 /// Lanes differ only where the caller made them differ (per-lane faults),
 /// so lane 0 of an unmodified simulator is the single-stream simulation.
@@ -199,7 +200,11 @@ pub(crate) fn lockstep(
         for (w, &b) in words.iter_mut().zip(vector) {
             *w = broadcast(b);
         }
-        sim.clock_words(&words);
+        if lanes == 1 {
+            sim.clock_lane0(&words);
+        } else {
+            sim.clock_words(&words);
+        }
         sample_outputs(sim, timing, &mut got);
         let mut diff = got
             .iter()

@@ -122,21 +122,44 @@ impl PackedDesign {
 /// how FPGA tools tie constants off inside the fabric.
 #[must_use]
 pub fn pack(netlist: &Netlist) -> PackedDesign {
+    pack_from(netlist, PackedDesign::default(), 0, cluster)
+}
+
+/// Clusters logic elements into CLBs appended to the list given; returns
+/// each element's CLB index ([`cluster`], or a test reference).
+type Clusterer = fn(&Netlist, &[LogicElement], &mut Vec<Clb>) -> Vec<usize>;
+
+/// Packs the cells of `netlist` from `base_cells` on into `packed`, which
+/// holds the packing of the cells before them (nothing when `base_cells`
+/// is 0), and rebuilds the IOBs from the netlist's ports.
+///
+/// 1. An FF pairs with the LUT that exclusively drives its D pin when
+///    both are among the packed cells.
+/// 2. Logic elements are built in cell order: each LUT (with its paired
+///    FF), then each unpaired FF; BRAMs join the entity list.
+/// 3. `cluster` groups the logic elements into new CLBs.
+/// 4. The packed cells' entities are appended to the cell → entity map.
+fn pack_from(
+    netlist: &Netlist,
+    mut packed: PackedDesign,
+    base_cells: usize,
+    cluster: Clusterer,
+) -> PackedDesign {
+    let cells = netlist.cells().len();
     let fanout = netlist.fanout_map();
     let exported: HashSet<NetId> = netlist.outputs().iter().map(|(_, n)| *n).collect();
-
-    // 1. Pair FFs with their exclusive driving LUT.
     let driver = netlist.driver_map();
     let mut paired_with: HashMap<CellId, CellId> = HashMap::new(); // lut -> ff
     let mut ff_paired: HashSet<CellId> = HashSet::new();
-    for (i, cell) in netlist.cells().iter().enumerate() {
+    for i in base_cells..cells {
         let ff_id = CellId(i as u32);
-        if let Cell::Ff { d, .. } = cell {
+        if let Cell::Ff { d, .. } = netlist.cell(ff_id) {
             if exported.contains(d) {
                 continue;
             }
             if let Some(&lut_id) = driver.get(d) {
-                if matches!(netlist.cell(lut_id), Cell::Lut { .. })
+                if lut_id.index() >= base_cells
+                    && matches!(netlist.cell(lut_id), Cell::Lut { .. })
                     && fanout[d.index()].len() == 1
                     && !paired_with.contains_key(&lut_id)
                 {
@@ -147,12 +170,12 @@ pub fn pack(netlist: &Netlist) -> PackedDesign {
         }
     }
 
-    // 2. Build logic elements.
     let mut les: Vec<LogicElement> = Vec::new();
     let mut le_of_cell: HashMap<CellId, usize> = HashMap::new();
-    for (i, cell) in netlist.cells().iter().enumerate() {
+    let mut bram_index: HashMap<CellId, usize> = HashMap::new();
+    for i in base_cells..cells {
         let id = CellId(i as u32);
-        match cell {
+        match netlist.cell(id) {
             Cell::Lut { .. } => {
                 let ff = paired_with.get(&id).copied();
                 les.push(LogicElement { lut: Some(id), ff });
@@ -168,115 +191,134 @@ pub fn pack(netlist: &Netlist) -> PackedDesign {
                 });
                 le_of_cell.insert(id, les.len() - 1);
             }
+            Cell::Bram { .. } => {
+                bram_index.insert(id, packed.brams.len());
+                packed.brams.push(id);
+            }
             _ => {}
         }
     }
+    let clb_of_le = cluster(netlist, &les, &mut packed.clbs);
 
-    // 3. Per-LE net signature for connectivity clustering.
-    let le_nets: Vec<HashSet<NetId>> = les
-        .iter()
-        .map(|le| {
-            let mut nets = HashSet::new();
-            for id in [le.lut, le.ff].into_iter().flatten() {
-                let cell = netlist.cell(id);
-                nets.extend(cell.inputs());
-                nets.extend(cell.outputs());
+    for i in base_cells..cells {
+        let id = CellId(i as u32);
+        packed.entity_of_cell.push(match netlist.cell(id) {
+            Cell::Lut { .. } | Cell::Ff { .. } => {
+                le_of_cell.get(&id).map(|&le| EntityId::Clb(clb_of_le[le]))
             }
-            nets
+            Cell::Bram { .. } => bram_index.get(&id).map(|&b| EntityId::Bram(b)),
+            Cell::Const { .. } => None,
+        });
+    }
+
+    // IOBs from this netlist's ports (net ids shift across a rewrite, so
+    // a base's IOB list cannot be reused verbatim).
+    packed.iobs = netlist
+        .inputs()
+        .iter()
+        .map(|(name, net)| (name, net, true))
+        .chain(
+            netlist
+                .outputs()
+                .iter()
+                .map(|(name, net)| (name, net, false)),
+        )
+        .map(|(name, net, is_input)| Iob {
+            name: name.clone(),
+            net: *net,
+            is_input,
         })
         .collect();
+    packed
+}
 
-    // 4. Greedy clustering of LEs into CLBs.
+/// The distinct nets of each logic element's cells, ascending.
+fn le_nets(netlist: &Netlist, les: &[LogicElement]) -> Vec<Vec<NetId>> {
+    les.iter()
+        .map(|le| {
+            let mut nets: Vec<NetId> = [le.lut, le.ff]
+                .into_iter()
+                .flatten()
+                .flat_map(|id| {
+                    let cell = netlist.cell(id);
+                    cell.inputs().into_iter().chain(cell.outputs())
+                })
+                .collect();
+            nets.sort_unstable_by_key(|n| n.0);
+            nets.dedup();
+            nets
+        })
+        .collect()
+}
+
+/// Greedy connectivity clustering of `les` into CLBs appended to `clbs`;
+/// returns each logic element's CLB index. Each CLB is seeded with the
+/// lowest unclustered logic element, then repeatedly takes the
+/// unclustered element sharing the most nets with it (the lowest index
+/// among ties, never one sharing none) until it is full.
+///
+/// Every unclustered element's shared-net count is kept as a counter: a
+/// net joining the CLB bumps the counter of each element on it, through
+/// a net → elements list. Clustering is therefore linear in the pins the
+/// CLBs' nets reach, not a set intersection per element per slot.
+fn cluster(netlist: &Netlist, les: &[LogicElement], clbs: &mut Vec<Clb>) -> Vec<usize> {
+    let nets_of = le_nets(netlist, les);
+    let mut les_on: Vec<Vec<usize>> = vec![Vec::new(); netlist.num_nets()];
+    for (le, nets) in nets_of.iter().enumerate() {
+        for n in nets {
+            les_on[n.index()].push(le);
+        }
+    }
     let mut assigned = vec![false; les.len()];
-    let mut clbs: Vec<Clb> = Vec::new();
-    let mut clb_of_le: Vec<usize> = vec![0; les.len()];
+    let mut clb_of_le = vec![0; les.len()];
+    // Per CLB: which nets it holds, each element's shared-net count, and
+    // the nets and elements touched (to reset both for the next CLB).
+    let mut in_clb = vec![false; netlist.num_nets()];
+    let mut shared = vec![0usize; les.len()];
+    let (mut clb_nets, mut touched): (Vec<NetId>, Vec<usize>) = (Vec::new(), Vec::new());
     for seed in 0..les.len() {
         if assigned[seed] {
             continue;
         }
         let mut clb = Clb::default();
-        let mut clb_nets: HashSet<NetId> = HashSet::new();
-        let add = |idx: usize,
-                   clb: &mut Clb,
-                   clb_nets: &mut HashSet<NetId>,
-                   assigned: &mut Vec<bool>,
-                   clb_of_le: &mut Vec<usize>| {
-            assigned[idx] = true;
-            clb_of_le[idx] = clbs.len();
-            clb.les.push(les[idx]);
-            clb_nets.extend(le_nets[idx].iter().copied());
-        };
-        add(seed, &mut clb, &mut clb_nets, &mut assigned, &mut clb_of_le);
-        while clb.les.len() < LES_PER_CLB {
-            // Find the unassigned LE sharing the most nets.
-            let mut best: Option<(usize, usize)> = None; // (shared, idx)
-            for (idx, done) in assigned.iter().enumerate() {
-                if *done {
-                    continue;
-                }
-                let shared = le_nets[idx].intersection(&clb_nets).count();
-                if shared == 0 {
-                    continue;
-                }
-                if best.is_none_or(|(s, _)| shared > s) {
-                    best = Some((shared, idx));
+        let mut next = Some(seed);
+        while let Some(le) = next {
+            assigned[le] = true;
+            clb_of_le[le] = clbs.len();
+            clb.les.push(les[le]);
+            for &n in &nets_of[le] {
+                if !std::mem::replace(&mut in_clb[n.index()], true) {
+                    clb_nets.push(n);
+                    for &other in &les_on[n.index()] {
+                        if shared[other] == 0 {
+                            touched.push(other);
+                        }
+                        shared[other] += 1;
+                    }
                 }
             }
-            match best {
-                Some((_, idx)) => {
-                    add(idx, &mut clb, &mut clb_nets, &mut assigned, &mut clb_of_le);
+            next = None;
+            if clb.les.len() < LES_PER_CLB {
+                let mut best = 0;
+                for &other in &touched {
+                    let s = shared[other];
+                    if !assigned[other]
+                        && (s > best || (s == best && next.is_some_and(|b| other < b)))
+                    {
+                        (best, next) = (s, Some(other));
+                    }
                 }
-                None => break,
             }
+        }
+        for n in clb_nets.drain(..) {
+            in_clb[n.index()] = false;
+        }
+        for le in touched.drain(..) {
+            shared[le] = 0;
         }
         clbs.push(clb);
     }
-
-    // 5. BRAMs and IOBs.
-    let mut brams: Vec<CellId> = Vec::new();
-    let mut bram_index: HashMap<CellId, usize> = HashMap::new();
-    for (i, cell) in netlist.cells().iter().enumerate() {
-        if matches!(cell, Cell::Bram { .. }) {
-            bram_index.insert(CellId(i as u32), brams.len());
-            brams.push(CellId(i as u32));
-        }
-    }
-    let mut iobs: Vec<Iob> = Vec::new();
-    for (name, net) in netlist.inputs() {
-        iobs.push(Iob {
-            name: name.clone(),
-            net: *net,
-            is_input: true,
-        });
-    }
-    for (name, net) in netlist.outputs() {
-        iobs.push(Iob {
-            name: name.clone(),
-            net: *net,
-            is_input: false,
-        });
-    }
-
-    // 6. Cell -> entity map.
-    let entity_of_cell: Vec<Option<EntityId>> = (0..netlist.cells().len())
-        .map(|i| {
-            let id = CellId(i as u32);
-            match netlist.cell(id) {
-                Cell::Lut { .. } | Cell::Ff { .. } => {
-                    le_of_cell.get(&id).map(|&le| EntityId::Clb(clb_of_le[le]))
-                }
-                Cell::Bram { .. } => bram_index.get(&id).map(|&b| EntityId::Bram(b)),
-                Cell::Const { .. } => None,
-            }
-        })
-        .collect();
-
-    PackedDesign {
-        clbs,
-        brams,
-        iobs,
-        entity_of_cell,
-    }
+    clb_of_le
 }
 
 /// Errors from [`pack_partitioned`]: the claimed base prefix does not
@@ -425,156 +467,7 @@ pub fn pack_partitioned(
         check(bram, "BRAM")?;
     }
 
-    let mut clbs = base.clbs.clone();
-    let mut brams = base.brams.clone();
-    let mut entity_of_cell = base.entity_of_cell.clone();
-
-    // Delta pairing: an FF pairs with its exclusive driving LUT only when
-    // both live in the delta (a base LUT already occupies a base LE).
-    let fanout = netlist.fanout_map();
-    let exported: HashSet<NetId> = netlist.outputs().iter().map(|(_, n)| *n).collect();
-    let driver = netlist.driver_map();
-    let mut paired_with: HashMap<CellId, CellId> = HashMap::new(); // lut -> ff
-    let mut ff_paired: HashSet<CellId> = HashSet::new();
-    for i in base_cells..cells {
-        let ff_id = CellId(i as u32);
-        if let Cell::Ff { d, .. } = netlist.cell(ff_id) {
-            if exported.contains(d) {
-                continue;
-            }
-            if let Some(&lut_id) = driver.get(d) {
-                if lut_id.index() >= base_cells
-                    && matches!(netlist.cell(lut_id), Cell::Lut { .. })
-                    && fanout[d.index()].len() == 1
-                    && !paired_with.contains_key(&lut_id)
-                {
-                    paired_with.insert(lut_id, ff_id);
-                    ff_paired.insert(ff_id);
-                }
-            }
-        }
-    }
-
-    // Delta logic elements, then greedy clustering among them only.
-    let mut les: Vec<LogicElement> = Vec::new();
-    let mut le_of_cell: HashMap<CellId, usize> = HashMap::new();
-    let mut bram_index: HashMap<CellId, usize> = HashMap::new();
-    for i in base_cells..cells {
-        let id = CellId(i as u32);
-        match netlist.cell(id) {
-            Cell::Lut { .. } => {
-                let ff = paired_with.get(&id).copied();
-                les.push(LogicElement { lut: Some(id), ff });
-                le_of_cell.insert(id, les.len() - 1);
-                if let Some(ff_id) = ff {
-                    le_of_cell.insert(ff_id, les.len() - 1);
-                }
-            }
-            Cell::Ff { .. } if !ff_paired.contains(&id) => {
-                les.push(LogicElement {
-                    lut: None,
-                    ff: Some(id),
-                });
-                le_of_cell.insert(id, les.len() - 1);
-            }
-            Cell::Bram { .. } => {
-                bram_index.insert(id, brams.len());
-                brams.push(id);
-            }
-            _ => {}
-        }
-    }
-    let le_nets: Vec<HashSet<NetId>> = les
-        .iter()
-        .map(|le| {
-            let mut nets = HashSet::new();
-            for id in [le.lut, le.ff].into_iter().flatten() {
-                let cell = netlist.cell(id);
-                nets.extend(cell.inputs());
-                nets.extend(cell.outputs());
-            }
-            nets
-        })
-        .collect();
-    let mut assigned = vec![false; les.len()];
-    let mut clb_of_le: Vec<usize> = vec![0; les.len()];
-    for seed in 0..les.len() {
-        if assigned[seed] {
-            continue;
-        }
-        let mut clb = Clb::default();
-        let mut clb_nets: HashSet<NetId> = HashSet::new();
-        let add = |idx: usize,
-                   clb: &mut Clb,
-                   clb_nets: &mut HashSet<NetId>,
-                   assigned: &mut Vec<bool>,
-                   clb_of_le: &mut Vec<usize>| {
-            assigned[idx] = true;
-            clb_of_le[idx] = clbs.len();
-            clb.les.push(les[idx]);
-            clb_nets.extend(le_nets[idx].iter().copied());
-        };
-        add(seed, &mut clb, &mut clb_nets, &mut assigned, &mut clb_of_le);
-        while clb.les.len() < LES_PER_CLB {
-            let mut best: Option<(usize, usize)> = None; // (shared, idx)
-            for (idx, done) in assigned.iter().enumerate() {
-                if *done {
-                    continue;
-                }
-                let shared = le_nets[idx].intersection(&clb_nets).count();
-                if shared == 0 {
-                    continue;
-                }
-                if best.is_none_or(|(s, _)| shared > s) {
-                    best = Some((shared, idx));
-                }
-            }
-            match best {
-                Some((_, idx)) => {
-                    add(idx, &mut clb, &mut clb_nets, &mut assigned, &mut clb_of_le);
-                }
-                None => break,
-            }
-        }
-        clbs.push(clb);
-    }
-
-    // Delta cell → entity map, in cell order (constants stay unplaced).
-    for i in base_cells..cells {
-        let id = CellId(i as u32);
-        entity_of_cell.push(match netlist.cell(id) {
-            Cell::Lut { .. } | Cell::Ff { .. } => {
-                le_of_cell.get(&id).map(|&le| EntityId::Clb(clb_of_le[le]))
-            }
-            Cell::Bram { .. } => bram_index.get(&id).map(|&b| EntityId::Bram(b)),
-            Cell::Const { .. } => None,
-        });
-    }
-
-    // IOBs from this netlist's ports (net ids shift across the rewrite,
-    // so the base's IOB list cannot be reused verbatim).
-    let mut iobs: Vec<Iob> = Vec::new();
-    for (name, net) in netlist.inputs() {
-        iobs.push(Iob {
-            name: name.clone(),
-            net: *net,
-            is_input: true,
-        });
-    }
-    for (name, net) in netlist.outputs() {
-        iobs.push(Iob {
-            name: name.clone(),
-            net: *net,
-            is_input: false,
-        });
-    }
-
-    Ok(PackedDesign {
-        clbs,
-        brams,
-        iobs,
-        entity_of_cell,
-    })
+    Ok(pack_from(netlist, base.clone(), base_cells, cluster))
 }
 
 #[cfg(test)]
@@ -823,6 +716,144 @@ mod tests {
             matches!(err, Err(PartitionError::CellKindMismatch { .. })),
             "{err:?}"
         );
+    }
+
+    /// The historical clustering loop: for every slot, a set
+    /// intersection of each unclustered element's nets with the CLB's.
+    fn cluster_reference(
+        netlist: &Netlist,
+        les: &[LogicElement],
+        clbs: &mut Vec<Clb>,
+    ) -> Vec<usize> {
+        let le_nets: Vec<HashSet<NetId>> = les
+            .iter()
+            .map(|le| {
+                let mut nets = HashSet::new();
+                for id in [le.lut, le.ff].into_iter().flatten() {
+                    let cell = netlist.cell(id);
+                    nets.extend(cell.inputs());
+                    nets.extend(cell.outputs());
+                }
+                nets
+            })
+            .collect();
+        let mut assigned = vec![false; les.len()];
+        let mut clb_of_le: Vec<usize> = vec![0; les.len()];
+        for seed in 0..les.len() {
+            if assigned[seed] {
+                continue;
+            }
+            let mut clb = Clb::default();
+            let mut clb_nets: HashSet<NetId> = HashSet::new();
+            let add = |idx: usize,
+                       clb: &mut Clb,
+                       clb_nets: &mut HashSet<NetId>,
+                       assigned: &mut Vec<bool>,
+                       clb_of_le: &mut Vec<usize>| {
+                assigned[idx] = true;
+                clb_of_le[idx] = clbs.len();
+                clb.les.push(les[idx]);
+                clb_nets.extend(le_nets[idx].iter().copied());
+            };
+            add(seed, &mut clb, &mut clb_nets, &mut assigned, &mut clb_of_le);
+            while clb.les.len() < LES_PER_CLB {
+                let mut best: Option<(usize, usize)> = None; // (shared, idx)
+                for (idx, done) in assigned.iter().enumerate() {
+                    if *done {
+                        continue;
+                    }
+                    let shared = le_nets[idx].intersection(&clb_nets).count();
+                    if shared == 0 {
+                        continue;
+                    }
+                    if best.is_none_or(|(s, _)| shared > s) {
+                        best = Some((shared, idx));
+                    }
+                }
+                match best {
+                    Some((_, idx)) => {
+                        add(idx, &mut clb, &mut clb_nets, &mut assigned, &mut clb_of_le);
+                    }
+                    None => break,
+                }
+            }
+            clbs.push(clb);
+        }
+        clb_of_le
+    }
+
+    /// A random LUT/FF netlist: LUTs reading inputs and earlier nets,
+    /// FFs on some LUT outputs (some exclusively driven, so they pair),
+    /// a few clock enables, and some nets exported.
+    fn random_netlist(rng: &mut xrand::SmallRng) -> Netlist {
+        let mut n = Netlist::new("r");
+        let mut nets: Vec<NetId> = (0..rng.random_range(1usize..=6))
+            .map(|i| {
+                let net = n.add_net(format!("i{i}"));
+                n.add_input(format!("i{i}"), net);
+                net
+            })
+            .collect();
+        for c in 0..rng.random_range(1usize..=160) {
+            let out = n.add_net(format!("n{c}"));
+            if rng.random_bool(0.3) {
+                let d = nets[rng.random_range(0..nets.len())];
+                let ce = rng
+                    .random_bool(0.2)
+                    .then(|| nets[rng.random_range(0..nets.len())]);
+                n.add_cell(Cell::Ff {
+                    d,
+                    q: out,
+                    ce,
+                    init: false,
+                });
+            } else {
+                let k = rng.random_range(1usize..=4);
+                let inputs = (0..k)
+                    .map(|_| nets[rng.random_range(0..nets.len())])
+                    .collect();
+                n.add_cell(Cell::Lut {
+                    inputs,
+                    output: out,
+                    truth: rng.random(),
+                });
+            }
+            if rng.random_bool(0.1) {
+                n.add_output(format!("o{c}"), out);
+            }
+            nets.push(out);
+        }
+        n
+    }
+
+    fn assert_same(got: &PackedDesign, want: &PackedDesign) {
+        assert_eq!(got.clbs, want.clbs, "CLBs");
+        assert_eq!(got.brams, want.brams, "BRAMs");
+        assert_eq!(got.iobs, want.iobs, "IOBs");
+        assert_eq!(got.entity_of_cell, want.entity_of_cell, "entity map");
+    }
+
+    /// The counter clustering packs exactly as the historical
+    /// set-intersection loop, whole and partitioned.
+    #[test]
+    fn counter_clustering_matches_the_reference() {
+        xrand::proptest_lite::run_cases(64, |rng| {
+            let n = random_netlist(rng);
+            let want = pack_from(&n, PackedDesign::default(), 0, cluster_reference);
+            assert_same(&pack(&n), &want);
+            let base_cells = rng.random_range(0..=n.cells().len());
+            let mut base_netlist = Netlist::new("b");
+            for i in 0..n.num_nets() {
+                base_netlist.add_net(format!("n{i}"));
+            }
+            for cell in &n.cells()[..base_cells] {
+                base_netlist.add_cell(cell.clone());
+            }
+            let base = pack(&base_netlist);
+            let want = pack_from(&n, base.clone(), base_cells, cluster_reference);
+            let got = pack_partitioned(&n, &base, base_cells).expect("base is the prefix");
+            assert_same(&got, &want);
+        });
     }
 
     #[test]

@@ -20,6 +20,8 @@ use std::fmt;
 use std::rc::Rc;
 use xrand::SmallRng;
 
+mod analytic;
+
 /// Bumped whenever [`place`] can produce a different placement for the
 /// same (netlist, device, options) input — the flow-artifact cache mixes
 /// it into placement keys so stale artifacts from an older algorithm are
@@ -35,7 +37,18 @@ use xrand::SmallRng;
 /// Version 5: one anneal per guarded [`place`] — the timed arm refines
 /// the blind arm's polished layout (the timing quench, one reheat cycle,
 /// the closing quench) instead of annealing again from the shared start.
-pub const ALGORITHM_VERSION: u32 = 5;
+/// Version 6: a full placement of a netlist with at least
+/// [`ANALYTIC_MIN_CLBS`] CLBs starts from an analytic layout and anneals
+/// from a colder start (`Schedule::Analytic`); smaller netlists place
+/// exactly as in version 5.
+pub const ALGORITHM_VERSION: u32 = 6;
+
+/// The CLB count from which a full [`place`] seeds its layout with the
+/// analytic start (a quadratic-wirelength solve, legalized) instead of
+/// the first-free-site fill, and anneals on `Schedule::Analytic`. Chosen
+/// from data: every EMB netlist the harness and the 1125-machine corpus
+/// place has at most 10 CLBs, and every FF baseline at least 13.
+pub const ANALYTIC_MIN_CLBS: usize = 12;
 
 /// Placement options.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +60,9 @@ pub struct PlaceOptions {
     /// entities^{4/3}⌉` moves, every other level a third of that, and
     /// `round(effort / min(effort, 2))` reheat cycles follow the blind
     /// arm's first cooldown — one up to effort 2, so effort beyond 2 buys
-    /// cycles, not longer levels. The timed arm of a guarded [`place`]
+    /// cycles, not longer levels. A netlist with at least
+    /// [`ANALYTIC_MIN_CLBS`] CLBs starts from the analytic layout and runs
+    /// no reheat cycles. The timed arm of a guarded [`place`]
     /// runs one reheat cycle whatever the effort: effort buys it longer
     /// levels up to 2, and no reheats. [`place_incremental`] runs
     /// `max(16, ⌈max(effort, 0.1) · movable^{4/3}⌉)` moves on every level
@@ -1498,28 +1513,54 @@ impl SiteCheck {
 /// anneal of [`place_incremental`] differ — and nothing else: proposals,
 /// pricing, acceptance bookkeeping, best-seen tracking, the per-level
 /// re-anchor and timing refresh, restore-best and the closing quench are
-/// one walk ([`anneal`]). DESIGN.md §11.7 tabulates the two.
-#[derive(Clone, Copy)]
+/// one walk ([`anneal`]). DESIGN.md §11.7 tabulates the two, and §11.9
+/// the analytic start.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Schedule {
     /// [`place`]: acceptance-keyed cooling with effort-driven reheats.
     Full,
+    /// [`place`] of a netlist with at least [`ANALYTIC_MIN_CLBS`] CLBs:
+    /// the full schedule from the analytic start, opening colder and in a
+    /// narrower window.
+    Analytic,
     /// [`place_incremental`]: one short fixed-rate cooldown of the delta.
     Eco,
 }
 
 impl Schedule {
-    /// Mixed into the seed: the two schedules draw unrelated streams.
+    /// Mixed into the seed: the full and ECO schedules draw unrelated
+    /// streams.
     fn salt(self) -> u64 {
         match self {
-            Schedule::Full => 0x9e37_79b9_7f4a_7c15,
+            Schedule::Full | Schedule::Analytic => 0x9e37_79b9_7f4a_7c15,
             Schedule::Eco => 0x0ec0_5eed_ba5e_11f7,
+        }
+    }
+
+    /// The window a walk opens with, on sites whose largest coordinate is
+    /// `span`. Full and ECO: a quarter of the span — a basin hop from the
+    /// quenched seed. Analytic: a few sites, since the analytic start is
+    /// already near its optimum and a wide window only scrambles it.
+    fn opening_window(self, span: f64) -> f64 {
+        match self {
+            Schedule::Full | Schedule::Eco => (span / 4.0).clamp(2.0, span),
+            Schedule::Analytic => ANALYTIC_WINDOW.min(span),
+        }
+    }
+
+    /// T0 from the spread `sd` of the probed deltas: a third of it, and
+    /// from the analytic start [`ANALYTIC_COOLING`] times less again.
+    fn t0(self, sd: f64) -> f64 {
+        match self {
+            Schedule::Full | Schedule::Eco => sd / 3.0,
+            Schedule::Analytic => sd / 3.0 / ANALYTIC_COOLING,
         }
     }
 
     /// Moves the T0 probe prices, for `movers` movable entities.
     fn probe(self, movers: usize) -> usize {
         match self {
-            Schedule::Full => (movers * 2).clamp(64, 1024),
+            Schedule::Full | Schedule::Analytic => (movers * 2).clamp(64, 1024),
             Schedule::Eco => (movers * 4).clamp(32, 256),
         }
     }
@@ -1529,7 +1570,7 @@ impl Schedule {
     /// over the seed layout's cost *before* the quench.
     fn fallback_t0(self, seed_cost: f64, nets: usize) -> f64 {
         match self {
-            Schedule::Full => (seed_cost / nets.max(1) as f64).max(1.0) * 2.0,
+            Schedule::Full | Schedule::Analytic => (seed_cost / nets.max(1) as f64).max(1.0) * 2.0,
             Schedule::Eco => 1.0,
         }
     }
@@ -1550,7 +1591,7 @@ impl Schedule {
     fn level_moves(self, movers: usize, effort: f64) -> (usize, usize) {
         let n = (movers as f64).powf(4.0 / 3.0);
         match self {
-            Schedule::Full => {
+            Schedule::Full | Schedule::Analytic => {
                 let full = ((n * effort.min(2.0)).ceil() as usize).max(1);
                 ((full / 3).max(1), full)
             }
@@ -1569,11 +1610,11 @@ impl Schedule {
     /// on.
     fn cooling(self, success: f64) -> f64 {
         match self {
-            Schedule::Full if success > 0.96 => 0.5,
-            Schedule::Full if success > 0.8 => 0.9,
-            Schedule::Full if success > 0.15 => 0.95,
-            Schedule::Full if success > 0.05 => 0.8,
-            Schedule::Full => 0.5,
+            Schedule::Full | Schedule::Analytic if success > 0.96 => 0.5,
+            Schedule::Full | Schedule::Analytic if success > 0.8 => 0.9,
+            Schedule::Full | Schedule::Analytic if success > 0.15 => 0.95,
+            Schedule::Full | Schedule::Analytic if success > 0.05 => 0.8,
+            Schedule::Full | Schedule::Analytic => 0.5,
             Schedule::Eco if success > 0.8 => 0.7,
             Schedule::Eco => 0.85,
         }
@@ -1584,7 +1625,7 @@ impl Schedule {
     /// also earns an earlier exit. ECO: the cost at the walk's start.
     fn exit_cost(self, start: f64, current: f64) -> f64 {
         match self {
-            Schedule::Full => current,
+            Schedule::Full | Schedule::Analytic => current,
             Schedule::Eco => start,
         }
     }
@@ -1596,21 +1637,24 @@ impl Schedule {
     /// shared start, as the blind arm does.
     fn refines(self) -> bool {
         match self {
-            Schedule::Full => true,
+            Schedule::Full | Schedule::Analytic => true,
             Schedule::Eco => false,
         }
     }
 
     /// Reheat cycles after the first cooldown (see [`anneal`]): for the
     /// full schedule one up to effort 2.0, and effort beyond that buys
-    /// more.
+    /// more. None from the analytic start: a reheat opens at T0/8, and
+    /// from the analytic schedule's already cold T0 that walk is frozen —
+    /// on keyb's FF netlist five of them spent 29k moves and found
+    /// nothing.
     fn reheats(self, effort: f64) -> u32 {
         match self {
             Schedule::Full => {
                 let per_cycle = effort.min(2.0);
                 (effort / per_cycle.max(f64::MIN_POSITIVE)).round() as u32
             }
-            Schedule::Eco => 0,
+            Schedule::Analytic | Schedule::Eco => 0,
         }
     }
 
@@ -1624,13 +1668,20 @@ impl Schedule {
     /// tie-breaker rather than a second objective. ECO: always.
     fn sideways(self, rng: &mut SmallRng, delta_sq: f64, temperature: f64) -> bool {
         match self {
-            Schedule::Full => {
+            Schedule::Full | Schedule::Analytic => {
                 delta_sq < 1e-9 || rng.random_bool((-delta_sq / (8.0 * temperature)).exp().min(1.0))
             }
             Schedule::Eco => true,
         }
     }
 }
+
+/// The opening window of [`Schedule::Analytic`], in sites.
+const ANALYTIC_WINDOW: f64 = 3.0;
+
+/// How much colder than the full schedule's T0 [`Schedule::Analytic`]
+/// opens.
+const ANALYTIC_COOLING: f64 = 3.0;
 
 /// The state an anneal starts from: the seed layout quenched, the pools
 /// built, T0 sampled. [`place_walk`] computes it once. The blind arm runs
@@ -1716,18 +1767,28 @@ fn place_walk<E>(
     let counts = kind_counts(packed);
     let pin_lists = pins.map(PinnedEntities::kinds);
     let pin = |k: usize, i: usize| pin_lists.and_then(|p| p[k][i]);
-    // Seed layout: pinned entities at their pins, the rest on the first
-    // free sites in site order — with no pins, every entity on the first
-    // sites. Capacity and the pins are checked, so every unpinned entity
-    // finds a free site.
-    let mut loc: Locs = std::array::from_fn(|k| {
-        let pinned: std::collections::HashSet<Site> =
-            (0..counts[k]).filter_map(|i| pin(k, i)).collect();
-        let mut free = sites[k].iter().copied().filter(|s| !pinned.contains(s));
-        (0..counts[k])
-            .filter_map(|i| pin(k, i).or_else(|| free.next()))
-            .collect()
-    });
+    let model = NetModel::new(netlist, packed);
+    let schedule = match pins {
+        Some(_) => Schedule::Eco,
+        None if counts[0] >= ANALYTIC_MIN_CLBS => Schedule::Analytic,
+        None => Schedule::Full,
+    };
+    // Seed layout: the analytic start, or pinned entities at their pins
+    // and the rest on the first free sites in site order — with no pins,
+    // every entity on the first sites. Capacity and the pins are checked,
+    // so every unpinned entity finds a free site.
+    let mut loc: Locs = if schedule == Schedule::Analytic {
+        analytic::start(&model, sites, counts)
+    } else {
+        std::array::from_fn(|k| {
+            let pinned: std::collections::HashSet<Site> =
+                (0..counts[k]).filter_map(|i| pin(k, i)).collect();
+            let mut free = sites[k].iter().copied().filter(|s| !pinned.contains(s));
+            (0..counts[k])
+                .filter_map(|i| pin(k, i).or_else(|| free.next()))
+                .collect()
+        })
+    };
     let mask: Option<[Vec<bool>; 3]> =
         pin_lists.map(|p| p.map(|kind| kind.iter().map(Option::is_none).collect()));
     let movable: Option<[&[bool]; 3]> = mask.as_ref().map(|m| m.each_ref().map(Vec::as_slice));
@@ -1740,12 +1801,6 @@ fn place_walk<E>(
                 .map(move |i| (k, i))
         })
         .collect();
-    let model = NetModel::new(netlist, packed);
-    let schedule = if pins.is_some() {
-        Schedule::Eco
-    } else {
-        Schedule::Full
-    };
     let finish = |loc: Locs, moves: u64, budget: BudgetOutcome| {
         let (hpwl, hpwl_sq) = model.cost(&loc);
         let [clb_loc, bram_loc, iob_loc] = loc;
@@ -1794,7 +1849,7 @@ fn place_walk<E>(
         // hop* window — a few sites wide — rather than the device-wide
         // window a melt would use (rlim can re-grow if the acceptance
         // rate says the reheat overshot).
-        let w0 = (span / 4.0).clamp(2.0, span);
+        let w0 = schedule.opening_window(span);
         let mut rng = SmallRng::seed_from_u64(opts.seed ^ schedule.salt());
         // Adaptive initial temperature (VPR, after Betz & Rose): probe the
         // move distribution by evaluating — not applying — a batch of
@@ -1810,7 +1865,7 @@ fn place_walk<E>(
             &mut rng, &model, &net_box, &loc, &mut pools, &movers, movable, w0, samples,
         );
         let t0 = if sd > 0.0 {
-            sd / 3.0
+            schedule.t0(sd)
         } else {
             schedule.fallback_t0(seed_cost, model.active.len())
         };
@@ -2476,6 +2531,82 @@ mod tests {
             lo.hpwl,
             hi.hpwl
         );
+    }
+
+    /// The analytic start puts every entity on a distinct legal site of
+    /// its kind, and is a pure function of its input: random netlists
+    /// above [`ANALYTIC_MIN_CLBS`], half of them with BRAMs and a third
+    /// filling at least 75 % of the device's CLB sites.
+    #[test]
+    fn analytic_start_is_legal_and_deterministic() {
+        let devices = ["XC2V40", "XC2V80", "XC2V250"].map(|n| Device::by_name(n).unwrap());
+        run_cases(24, |rng| {
+            let device = devices[rng.random_range(0..devices.len())];
+            let sites = device_sites(&device);
+            let cap = sites[0].len();
+            let clbs = if rng.random_bool(0.33) {
+                rng.random_range(cap * 3 / 4..=cap)
+            } else {
+                rng.random_range(ANALYTIC_MIN_CLBS..=cap.min(80))
+            };
+            let brams = if rng.random_bool(0.5) {
+                rng.random_range(1..=sites[1].len())
+            } else {
+                0
+            };
+            let counts = [clbs, brams, rng.random_range(1..=sites[2].len().min(16))];
+            let all: Vec<EntityId> = (0..3)
+                .flat_map(|k| (0..counts[k]).map(move |i| entity(k, i)))
+                .collect();
+            let pins: Vec<Vec<EntityId>> = (0..2 * all.len())
+                .map(|_| {
+                    let want = rng.random_range(2usize..=6);
+                    let mut net: Vec<EntityId> = Vec::new();
+                    while net.len() < want {
+                        let e = all[rng.random_range(0..all.len())];
+                        if !net.contains(&e) {
+                            net.push(e);
+                        }
+                    }
+                    net
+                })
+                .collect();
+            let model = NetModel::from_pins(pins, counts);
+            let start = analytic::start(&model, &sites, counts);
+            assert_eq!(start, analytic::start(&model, &sites, counts));
+            for k in 0..3 {
+                assert_eq!(start[k].len(), counts[k], "{} placed", KIND_NAMES[k]);
+                let mut check = SiteCheck::new(k, &sites);
+                for (i, &site) in start[k].iter().enumerate() {
+                    check.take(i, site).unwrap();
+                }
+            }
+        });
+    }
+
+    /// A dense netlist above [`ANALYTIC_MIN_CLBS`] places from the
+    /// analytic start: 50 CLBs fill 78 % of XC2V40's 64 CLB sites, and
+    /// two runs agree.
+    #[test]
+    fn dense_analytic_placement_is_legal_and_deterministic() {
+        let n = chain(400);
+        let p = pack(&n);
+        assert_eq!(p.clbs.len(), 50);
+        let device = Device::by_name("XC2V40").unwrap();
+        let opts = PlaceOptions {
+            effort: 0.5,
+            ..PlaceOptions::default()
+        };
+        let a = place(&n, &p, device, opts).unwrap();
+        let b = place(&n, &p, device, opts).unwrap();
+        assert_eq!(
+            (&a.clb_loc, &a.iob_loc, a.moves),
+            (&b.clb_loc, &b.iob_loc, b.moves)
+        );
+        let mut check = SiteCheck::new(0, &device_sites(&device));
+        for (i, &site) in a.clb_loc.iter().enumerate() {
+            check.take(i, site).unwrap();
+        }
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! implementations of the same jobs, as independent references:
 //!
 //! * [`engine::Simulator`] — the scalar simulator the kernel must match
-//!   lane for lane (the workspace's kernel property suite);
+//!   lane for lane (the workspace's kernel property suite), and the
+//!   baseline of the walk-exactness suite's one-lane simulation ratio;
 //! * [`verify_against_stg_scalar`], [`verify_exhaustive_scalar`] and
 //!   [`netlists_equivalent_scalar`] — the scalar sampled lockstep and the
 //!   scalar product walks the kernel-backed verifiers must match result
 //!   for result, witness for witness (the walk-exactness suite), and the
-//!   baseline of the substrates bench's batched-walk ratio. Each has its
+//!   baseline of that suite's batched-walk ratio. Each has its
 //!   production counterpart's contract: the same preconditions (shared,
 //!   not copied), the same stimulus and edge order, and so the same
 //!   reports and first-divergence witnesses.

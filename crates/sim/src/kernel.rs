@@ -266,7 +266,7 @@ impl<'a> BatchSimulator<'a> {
             scratch_leaves: [0; 64],
         };
         sim.apply_reset_state();
-        sim.settle();
+        sim.settle(false);
         Ok(sim)
     }
 
@@ -307,10 +307,24 @@ impl<'a> BatchSimulator<'a> {
         }
     }
 
-    /// One word-wide pass over the levelized combinational cone.
-    fn settle(&mut self) {
+    /// One pass over the levelized combinational cone: word-wide, or with
+    /// `one_lane` for lane 0 alone — each LUT reads the leaf its lane-0
+    /// input bits index instead of muxing 2^k leaf words, and the other
+    /// lanes' bits of its output hold.
+    fn settle(&mut self, one_lane: bool) {
         for op in &self.ops {
             match op {
+                CombOp::Lut {
+                    inputs,
+                    output,
+                    leaves,
+                } if one_lane => {
+                    let leaf = inputs.iter().enumerate().fold(0, |m, (i, net)| {
+                        m | ((self.words[net.index()] & 1) as usize) << i
+                    });
+                    let word = &mut self.words[output.index()];
+                    *word = (*word & !1) | (leaves[leaf] & 1);
+                }
                 CombOp::Lut {
                     inputs,
                     output,
@@ -522,9 +536,22 @@ impl<'a> BatchSimulator<'a> {
         self.clock(inputs, false);
     }
 
-    /// [`Self::clock_words`], with the BRAM read ports served for every
-    /// lane or, with `one_lane`, for lane 0 alone (the other lanes' BRAM
-    /// latches hold).
+    /// [`Self::clock_words`] for lane 0 alone: bit 0 of each input word
+    /// drives lane 0, every LUT is read for lane 0 only and the other
+    /// lanes' BRAM latches hold, so only lane 0's values, and the activity
+    /// of lane 0, are defined afterwards (the other lanes hold stale
+    /// values). The single-stream simulations use it: the power flow's
+    /// [`Self::run_sequential`] and the sampled check against an STG.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from the netlist's input count.
+    pub fn clock_lane0(&mut self, inputs: &[u64]) {
+        self.clock(inputs, true);
+    }
+
+    /// [`Self::clock_words`], with every lane computed or, with
+    /// `one_lane`, lane 0 alone (see [`Self::clock_lane0`]).
     fn clock(&mut self, inputs: &[u64], one_lane: bool) {
         assert_eq!(
             inputs.len(),
@@ -540,7 +567,7 @@ impl<'a> BatchSimulator<'a> {
         for ((_, net), w) in netlist.inputs().iter().zip(inputs) {
             self.words[net.index()] = *w;
         }
-        self.settle();
+        self.settle(one_lane);
         if counting {
             for (i, old) in self.scratch_before.iter().enumerate() {
                 self.activity.toggles[i] +=
@@ -621,7 +648,7 @@ impl<'a> BatchSimulator<'a> {
                 }
             }
         }
-        self.settle();
+        self.settle(one_lane);
         if counting {
             for (i, old) in self.scratch_at_edge.iter().enumerate() {
                 self.activity.toggles[i] +=
@@ -631,10 +658,10 @@ impl<'a> BatchSimulator<'a> {
         }
     }
 
-    /// Runs a sequential stimulus in lane 0 alone (the other lanes idle
-    /// with zero inputs and masked-out activity, their BRAM latches
-    /// holding): the power flow's single-stream simulation, its
-    /// [`Activity`] record computed with word ops and popcounts.
+    /// Runs a sequential stimulus in lane 0 alone ([`Self::clock_lane0`]:
+    /// the other lanes' values are stale and their activity masked out):
+    /// the power flow's single-stream simulation, its [`Activity`] record
+    /// computed with word ops and popcounts.
     pub fn run_sequential<'v, I>(&mut self, stimulus: I)
     where
         I: IntoIterator<Item = &'v Vec<bool>>,

@@ -27,7 +27,9 @@
 #    debug asserts. Work is gated by count, not by clock: the placement
 #    pins fix every row's exact annealing moves and router expansions,
 #    and walk_exact requires the batched exhaustive walk to beat the
-#    scalar walk by >= 10x on keyb, both timed in one process;
+#    scalar walk by >= 10x on keyb, and the one-lane run_sequential to
+#    stay within 1.2x of the scalar engine on keyb/tbk/sand FF netlists,
+#    each pair timed in one process;
 #  * panic-site budget — the number of unwrap()/expect(/panic!( sites in
 #    non-test library code (the test-only oracle crate included) must not
 #    grow past the recorded baseline;
@@ -148,7 +150,9 @@ cargo test -q --offline --workspace "$@" \
 # walk (reports and first-divergence witnesses) on many more generated
 # machines — the series-bank property separately, as each of its cases
 # costs the scalar oracle ~10^5 edges over 16K-word BRAM images (~30 s)
-# — and times the two walks against each other on keyb (release only);
+# — and times the two walks against each other on keyb (release only),
+# and the one-lane run_sequential against the scalar engine on the FF
+# netlists of keyb, tbk and sand (<= 1.2x, release only);
 # tests/equivalence.rs proves every paper benchmark in every mapping
 # style.
 echo "== exactness (release: quench, proposal and router oracles, placement and route pins, STA differential, place and timing quality, walk exactness, equivalence)" >&2
@@ -162,7 +166,7 @@ cargo test -q --offline --release -p paper-bench --test sta_differential --test 
     --test timing_quality \
     || fail "release-mode STA differential, placement-quality or timing-quality gate failed"
 CASES=1000 cargo test -q --offline --release --test walk_exact -- --skip series_bank \
-    || fail "release-mode walk-exactness suite failed (the batched exhaustive walk diverged from the scalar walk, or fell under 10x its speed)"
+    || fail "release-mode walk-exactness suite failed (the batched exhaustive walk diverged from the scalar walk or fell under 10x its speed, or the one-lane run_sequential took over 1.2x the scalar engine's time)"
 CASES=2 cargo test -q --offline --release --test walk_exact series_bank \
     || fail "release-mode series-bank walk exactness failed"
 cargo test -q --offline --release --test equivalence \

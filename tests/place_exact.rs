@@ -24,7 +24,10 @@
 //! The guard's cost is gated by count, not by clock: guarded `place`
 //! runs one anneal and refines its layout, so each benchmark's `emb` row
 //! may spend at most 1.2× the moves of its wirelength-only twin
-//! `emb_wl`.
+//! `emb_wl`. So is the analytic start's: the FF rows' netlists have at
+//! least `ANALYTIC_MIN_CLBS` CLBs, so they start from the analytic layout
+//! and anneal cold, and each may spend at most 0.6× the moves it recorded
+//! when every placement started from the first-free-site fill.
 //! At default options the ECO rows end on the same layout and move
 //! count whatever several of the ECO schedule's constants are, so two
 //! more cases run at effort 2 and timing weight 1 against a base placed
@@ -80,13 +83,13 @@ const EXPECTED: &[Row] = &[
     ("keyb", "emb_cc_eco_budget", "XC2V40", "c1e0a77c76f95c1b75b5882e19e94748", 77.0, 213.0, 400, 84, "2b7eba7c55debf622de3c91275ded7f1", 544),
     ("keyb", "emb_cc_eco_w1", "XC2V40", "37c37ee9682ddf1bd6d45750c231cc48", 77.0, 215.0, 912, 84, "94fe7013ff48f9a2d92f9092c5927fb1", 543),
     ("keyb", "emb_cc_eco_clbs", "XC2V40", "f071315a419a57dff85604d30bbe128c", 83.0, 249.0, 1496, 87, "e8e07b4051a32c26e78a83aa5f3d12b5", 565),
-    ("keyb", "ff", "XC2V80", "d4ea1376a0fdd536d3b479adf3854325", 1931.0, 15635.0, 66744, 2242, "1c6b9c76a4a504c56e54d26179a0b3e2", 31181),
-    ("keyb", "ff_xc2v250", "XC2V250", "777d5b051dce49305c1d4e7e34f7fa23", 1767.0, 12867.0, 73168, 2083, "a3f775b5e22e2574bcb03b12d3a834a7", 32591),
+    ("keyb", "ff", "XC2V80", "bee63cf940364072b6070baf02c63ee1", 1886.0, 14654.0, 13886, 2218, "a6651f1ea5af226c8bcd336fc236a54b", 30561),
+    ("keyb", "ff_xc2v250", "XC2V250", "417de5ab4e385c20fed862ad3c899333", 1754.0, 12716.0, 17618, 2063, "e84dc7344617116cf5305643eda11c5f", 33270),
     ("sand", "emb", "XC2V40", "21cdbfc7596dc4456809573bc7370496", 178.0, 650.0, 33215, 189, "bbd8be37efe719bd31319c3defbe51be", 1305),
     ("sand", "emb_wl", "XC2V40", "2a0024929e33010306c0d96fd51646d0", 185.0, 681.0, 28795, 199, "795e3ce63b5289cb4d2c07f19fe3e240", 1409),
     ("sand", "emb_cc_eco", "XC2V40", "c427551b06e725a4dc760dbd6cfd07b7", 183.0, 689.0, 960, 194, "8ccdaf9ecb3d644a4394e981f5c04b71", 1344),
     ("sand", "emb_cc_eco_clbs", "XC2V40", "b869778cb4ecc247054612ef3837b614", 192.0, 762.0, 3332, 202, "0217c7a29a23047f84d6c1741e2dce54", 1402),
-    ("sand", "ff", "XC2V80", "661e3cac391f243bf514e6702b342e28", 5236.0, 56000.0, 156846, 6136, "69baee38d6c92cb32fd3bed18bf36ce4", 89324),
+    ("sand", "ff", "XC2V80", "e12f19f04630fbda30c0eac919bdf989", 5209.0, 55889.0, 32292, 6070, "f9df95dc9d341deb863e530e7a107940", 89656),
 ];
 
 /// The smallest family member `netlist` places on, with its placement.
@@ -230,6 +233,32 @@ fn placements(name: &str) -> Vec<Case> {
 /// wirelength-only run of the same design.
 const GUARD_MOVE_RATIO: f64 = 1.2;
 
+/// The FF rows and the moves each recorded with the first-free-site
+/// start and the full schedule (placer version 5).
+const SEEDED_FF_MOVES: [(&str, &str, u64); 3] = [
+    ("keyb", "ff", 66_744),
+    ("keyb", "ff_xc2v250", 73_168),
+    ("sand", "ff", 156_846),
+];
+
+/// An FF row spends at most this share of its [`SEEDED_FF_MOVES`].
+const ANALYTIC_MOVE_SHARE: f64 = 0.6;
+
+/// The counter gate on the analytic start's cost (see the module doc).
+fn check_analytic_cost(name: &str, got: &[Case]) {
+    for (_, label, seeded) in SEEDED_FF_MOVES.iter().filter(|r| r.0 == name) {
+        let moves = got
+            .iter()
+            .find(|c| c.label == *label)
+            .map(|c| c.placement.moves)
+            .expect("pinned case");
+        assert!(
+            moves as f64 <= ANALYTIC_MOVE_SHARE * *seeded as f64,
+            "{name}/{label}: {moves} moves, over {ANALYTIC_MOVE_SHARE}x the {seeded} of the first-free-site start"
+        );
+    }
+}
+
 /// The counter gate on the guard's cost (see the module doc).
 fn check_guard_cost(name: &str, got: &[Case]) {
     let moves = |label: &str| {
@@ -293,6 +322,7 @@ fn check(name: &str) {
         );
     }
     check_guard_cost(name, &got);
+    check_analytic_cost(name, &got);
 }
 
 #[test]

@@ -31,6 +31,7 @@ use romfsm::fsm::generate::{generate, StgSpec};
 use romfsm::fsm::stg::Stg;
 use romfsm::logic::synth::{synthesize, SynthOptions};
 use romfsm::logic::techmap::MapOptions;
+use romfsm::sim::kernel::BatchSimulator;
 use xrand::proptest_lite::run_cases;
 use xrand::SmallRng;
 
@@ -306,4 +307,37 @@ fn batched_walk_is_10x_faster_than_scalar_on_keyb() {
         scalar >= 10.0 * batched,
         "batched walk {batched:.4} s is under 10x the scalar walk's {scalar:.4} s"
     );
+}
+
+/// The single-stream simulation must keep up with the scalar engine: on
+/// the FF netlists of keyb, tbk and sand, `run_sequential` (the power
+/// flow's activity run, which reads one leaf per LUT for lane 0) takes at
+/// most 1.2× the time the scalar `oracle::Simulator` takes over the same
+/// 1000 random cycles. Timed like the walk ratio above: alternating,
+/// best of five, in this process. Release only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn one_lane_simulation_keeps_up_with_the_scalar_engine() {
+    for name in ["keyb", "tbk", "sand"] {
+        let stg = benchmarks::by_name(name).expect("paper benchmark");
+        let synth = synthesize(&stg, SynthOptions::default()).expect("synthesizes");
+        let ff = ff_netlist(&synth, false).0;
+        let stimulus = romfsm::sim::stimulus::random(ff.inputs().len(), 1000, 7);
+        let (mut batched, mut scalar) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            let mut sim = BatchSimulator::new(&ff).expect("kernel accepts the netlist");
+            let start = std::time::Instant::now();
+            sim.run_sequential(&stimulus);
+            batched = batched.min(start.elapsed().as_secs_f64());
+            let mut engine = oracle::Simulator::new(&ff).expect("engine accepts the netlist");
+            let start = std::time::Instant::now();
+            engine.run(stimulus.iter().cloned());
+            scalar = scalar.min(start.elapsed().as_secs_f64());
+            assert_eq!(sim.activity().toggles, engine.activity().toggles, "{name}");
+        }
+        assert!(
+            batched <= 1.2 * scalar,
+            "{name}: one-lane run_sequential {batched:.4} s is over 1.2x the scalar engine's {scalar:.4} s"
+        );
+    }
 }
