@@ -10,7 +10,7 @@
 use emb_fsm::flow::{emb_flow, Stimulus};
 use emb_fsm::map::EmbOptions;
 use fsm_model::generate::{generate, StgSpec};
-use paper_bench::runner::{run, RunnerOptions};
+use paper_bench::runner::run;
 use paper_bench::{mw, paper_config, TextTable};
 
 fn wide12() -> fsm_model::stg::Stg {
@@ -46,41 +46,35 @@ fn main() {
         "power@100",
     ]);
     let items = vec!["compaction".to_string(), "series".to_string()];
-    let out = run(
-        &RunnerOptions::new("ablation_compaction"),
-        &items,
-        6,
-        |item, attempt| {
-            let stg = wide12();
-            let (label, opts) = match item {
-                "compaction" => ("compaction (Fig. 4)", EmbOptions::default()),
-                "series" => (
-                    "series banks (Fig. 5 l.16-18)",
-                    EmbOptions {
-                        allow_compaction: false,
-                        ..EmbOptions::default()
-                    },
-                ),
-                other => return Err(format!("unknown strategy {other}")),
-            };
-            let mut cfg = paper_config();
-            cfg.seed += u64::from(attempt);
-            let emb = emb_fsm::map::map_fsm_into_embs(&stg, &opts)
-                .map_err(|e| format!("mapping failed: {e}"))?;
-            let r = emb_flow(&stg, &opts, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
-            let p100 = r
-                .power_at(100.0)
-                .ok_or_else(|| "no power at 100 MHz".to_string())?;
-            Ok(vec![vec![
-                label.to_string(),
-                emb.num_brams().to_string(),
-                emb.banks.to_string(),
-                emb.aux_luts().to_string(),
-                format!("{:.1}", r.timing.fmax_mhz),
-                mw(p100.total_mw()),
-            ]])
-        },
-    );
+    let out = run(paper_bench::knobs().threads, &items, 6, |item| {
+        let stg = wide12();
+        let (label, opts) = match item {
+            "compaction" => ("compaction (Fig. 4)", EmbOptions::default()),
+            "series" => (
+                "series banks (Fig. 5 l.16-18)",
+                EmbOptions {
+                    allow_compaction: false,
+                    ..EmbOptions::default()
+                },
+            ),
+            other => return Err(format!("unknown strategy {other}")),
+        };
+        let cfg = paper_config();
+        let emb = emb_fsm::map::map_fsm_into_embs(&stg, &opts)
+            .map_err(|e| format!("mapping failed: {e}"))?;
+        let r = emb_flow(&stg, &opts, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
+        let p100 = r
+            .power_at(100.0)
+            .ok_or_else(|| "no power at 100 MHz".to_string())?;
+        Ok(vec![vec![
+            label.to_string(),
+            emb.num_brams().to_string(),
+            emb.banks.to_string(),
+            emb.aux_luts().to_string(),
+            format!("{:.1}", r.timing.fmax_mhz),
+            mw(p100.total_mw()),
+        ]])
+    });
     for row in out.rows {
         table.row(row);
     }

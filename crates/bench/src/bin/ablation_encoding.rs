@@ -8,7 +8,7 @@
 use emb_fsm::flow::{ff_flow, Stimulus};
 use fsm_model::encoding::EncodingStyle;
 use logic_synth::synth::SynthOptions;
-use paper_bench::runner::{run, RunnerOptions};
+use paper_bench::runner::run;
 use paper_bench::{mw, paper_config, TextTable};
 
 fn main() {
@@ -28,48 +28,42 @@ fn main() {
             items.push(format!("{name}/{style}"));
         }
     }
-    let out = run(
-        &RunnerOptions::new("ablation_encoding"),
-        &items,
-        7,
-        |item, attempt| {
-            let (name, style_name) = item
-                .split_once('/')
-                .ok_or_else(|| format!("malformed item {item}"))?;
-            let style = match style_name {
-                "binary" => EncodingStyle::Binary,
-                "gray" => EncodingStyle::Gray,
-                "onehot0" => EncodingStyle::OneHotZero,
-                other => return Err(format!("unknown encoding {other}")),
-            };
-            let stg = fsm_model::benchmarks::by_name(name)
-                .ok_or_else(|| format!("unknown benchmark {name}"))?;
-            let mut cfg = paper_config();
-            cfg.seed += u64::from(attempt);
-            let r = ff_flow(
-                &stg,
-                SynthOptions {
-                    encoding: style,
-                    ..SynthOptions::default()
-                },
-                &Stimulus::Random,
-                &cfg,
-            )
-            .map_err(|e| e.to_string())?;
-            let p100 = r
-                .power_at(100.0)
-                .ok_or_else(|| "no power at 100 MHz".to_string())?;
-            Ok(vec![vec![
-                name.to_string(),
-                style.to_string(),
-                r.area.luts.to_string(),
-                r.area.ffs.to_string(),
-                r.area.slices.to_string(),
-                format!("{:.1}", r.timing.fmax_mhz),
-                mw(p100.total_mw()),
-            ]])
-        },
-    );
+    let out = run(paper_bench::knobs().threads, &items, 7, |item| {
+        let (name, style_name) = item
+            .split_once('/')
+            .ok_or_else(|| format!("malformed item {item}"))?;
+        let style = match style_name {
+            "binary" => EncodingStyle::Binary,
+            "gray" => EncodingStyle::Gray,
+            "onehot0" => EncodingStyle::OneHotZero,
+            other => return Err(format!("unknown encoding {other}")),
+        };
+        let stg = fsm_model::benchmarks::by_name(name)
+            .ok_or_else(|| format!("unknown benchmark {name}"))?;
+        let cfg = paper_config();
+        let r = ff_flow(
+            &stg,
+            SynthOptions {
+                encoding: style,
+                ..SynthOptions::default()
+            },
+            &Stimulus::Random,
+            &cfg,
+        )
+        .map_err(|e| e.to_string())?;
+        let p100 = r
+            .power_at(100.0)
+            .ok_or_else(|| "no power at 100 MHz".to_string())?;
+        Ok(vec![vec![
+            name.to_string(),
+            style.to_string(),
+            r.area.luts.to_string(),
+            r.area.ffs.to_string(),
+            r.area.slices.to_string(),
+            format!("{:.1}", r.timing.fmax_mhz),
+            mw(p100.total_mw()),
+        ]])
+    });
     for row in out.rows {
         table.row(row);
     }

@@ -10,7 +10,7 @@
 
 use emb_fsm::flow::{FlowConfig, Stimulus};
 use fpga_fabric::place::PlaceOptions;
-use paper_bench::runner::{run, RunnerOptions};
+use paper_bench::runner::run;
 use paper_bench::{mw, paper_config, try_compare, TextTable};
 
 fn main() {
@@ -28,41 +28,34 @@ fn main() {
         .iter()
         .map(ToString::to_string)
         .collect();
-    let out = run(
-        &RunnerOptions::new("ablation_placement"),
-        &items,
-        7,
-        |item, attempt| {
-            let effort: f64 = item.parse().map_err(|_| format!("bad effort {item}"))?;
-            let stg = fsm_model::benchmarks::by_name("styr").ok_or("styr missing")?;
-            let mut cfg = FlowConfig {
-                place: PlaceOptions {
-                    seed: 5,
-                    effort,
-                    ..PlaceOptions::default()
-                },
-                ..paper_config()
-            };
-            cfg.seed += u64::from(attempt);
-            let (ff, emb) =
-                try_compare(&stg, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
-            let pf = ff
-                .power_at(100.0)
-                .ok_or_else(|| "no FF power at 100 MHz".to_string())?;
-            let pe = emb
-                .power_at(100.0)
-                .ok_or_else(|| "no EMB power at 100 MHz".to_string())?;
-            Ok(vec![vec![
-                item.to_string(),
-                ff.total_wirelength.to_string(),
-                mw(pf.interconnect_mw),
-                mw(pf.total_mw()),
-                emb.total_wirelength.to_string(),
-                mw(pe.interconnect_mw),
-                mw(pe.total_mw()),
-            ]])
-        },
-    );
+    let out = run(paper_bench::knobs().threads, &items, 7, |item| {
+        let effort: f64 = item.parse().map_err(|_| format!("bad effort {item}"))?;
+        let stg = fsm_model::benchmarks::by_name("styr").ok_or("styr missing")?;
+        let cfg = FlowConfig {
+            place: PlaceOptions {
+                seed: 5,
+                effort,
+                ..PlaceOptions::default()
+            },
+            ..paper_config()
+        };
+        let (ff, emb) = try_compare(&stg, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
+        let pf = ff
+            .power_at(100.0)
+            .ok_or_else(|| "no FF power at 100 MHz".to_string())?;
+        let pe = emb
+            .power_at(100.0)
+            .ok_or_else(|| "no EMB power at 100 MHz".to_string())?;
+        Ok(vec![vec![
+            item.to_string(),
+            ff.total_wirelength.to_string(),
+            mw(pf.interconnect_mw),
+            mw(pf.total_mw()),
+            emb.total_wirelength.to_string(),
+            mw(pe.interconnect_mw),
+            mw(pe.total_mw()),
+        ]])
+    });
     // Footer statistics from the successful rows (mW columns 2 and 5).
     let mut ff_int = Vec::new();
     let mut emb_int = Vec::new();

@@ -1,8 +1,8 @@
 //! Corpus stress harness: thousands of synthetic machines through the
 //! full flow under the degradation ladder, on one and many runner
-//! threads and through the daemon.
+//! threads.
 //!
-//! Five passes over the same item list:
+//! Four passes over the same item list:
 //!
 //! 1. `serial_cold`   — one runner thread, cold flow cache (the
 //!    outcome-histogram source and the serial-throughput baseline);
@@ -11,11 +11,7 @@
 //! 4. `overlay_auto`  — one runner thread, with the mapping backend
 //!    forced to `auto`: overlay-fit items land on the pre-built overlay
 //!    bases, over-capacity items fall back to direct with a typed
-//!    `overlay-capacity` downgrade (the overlay ladder-coverage source);
-//! 5. `daemon`        — an in-process [`paper_bench::fabric::serve`]
-//!    listener answering corpus-item mapping requests over its socket
-//!    (one item per tier, a direct leg and an overlay `backend:auto`
-//!    leg), doubling as the `fabric_daemon` load check.
+//!    `overlay-capacity` downgrade (the overlay ladder-coverage source).
 //!
 //! Passes 1–3 must produce byte-identical outcome rows once the
 //! trailing stage-timing column is stripped
@@ -36,31 +32,21 @@
 use emb_fsm::MapBackend;
 use paper_bench::clear_cache;
 use paper_bench::corpus::{run_item_with_backend, Outcome};
-use paper_bench::fabric::{map_request, request, request_with_retry, serve, DaemonOptions};
 use paper_bench::knobs::workspace_root;
-use paper_bench::runner::{run, RunnerOptions};
+use paper_bench::runner::run;
 use std::collections::BTreeMap;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// One runner pass over all items on `threads` threads; returns (rows,
 /// wall-clock, failures). `map_backend` overrides the flow's mapping
 /// backend (`None` keeps the profile default, i.e. direct).
 fn pass(
-    label: &str,
     threads: usize,
     map_backend: Option<MapBackend>,
     items: &[String],
-    scratch: &Path,
 ) -> (Vec<Vec<String>>, Duration, usize) {
-    let opts = RunnerOptions {
-        label: format!("corpus_{label}"),
-        max_attempts: 2,
-        checkpoint_dir: scratch.to_path_buf(),
-        threads,
-    };
     let t = Instant::now();
-    let out = run(&opts, items, Outcome::COLUMNS, |item, _attempt| {
+    let out = run(threads, items, Outcome::COLUMNS, |item| {
         Ok(vec![run_item_with_backend(item, map_backend).row()])
     });
     (out.rows, t.elapsed(), out.failures.len())
@@ -145,63 +131,6 @@ fn print_histograms(
     }
 }
 
-/// Daemon pass results: plain-leg ok / warm counts, overlay-leg ok
-/// count, total requests sent, and wall-clock over both legs.
-struct DaemonStats {
-    ok: usize,
-    warm: usize,
-    overlay_ok: usize,
-    requests: usize,
-    elapsed: Duration,
-}
-
-/// Daemon pass: serve corpus mapping requests in-process over a Unix
-/// socket — one item per tier, first with the profile's (direct)
-/// backend, then with `"backend":"auto"` exercising the overlay wire
-/// field — and count ok / warm responses. The response rows were all
-/// computed (and cached) by the earlier passes, so a healthy daemon
-/// answers every request warm.
-fn daemon_pass(items_one_per_tier: &[String], scratch: &Path) -> DaemonStats {
-    let socket = scratch.join("corpus_stress.sock");
-    let mut opts = DaemonOptions::new(&socket);
-    opts.request_timeout = paper_bench::knobs().request_timeout;
-    let handle = {
-        let opts = opts.clone();
-        std::thread::spawn(move || serve(&opts))
-    };
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while request(&socket, "{\"cmd\":\"ping\"}").is_err() {
-        assert!(Instant::now() < deadline, "daemon never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    let t = Instant::now();
-    let mut stats = DaemonStats {
-        ok: 0,
-        warm: 0,
-        overlay_ok: 0,
-        requests: 0,
-        elapsed: Duration::ZERO,
-    };
-    for backend in [None, Some(MapBackend::Auto)] {
-        for item in items_one_per_tier {
-            stats.requests += 1;
-            match request_with_retry(&socket, &map_request(item, backend), 4) {
-                Ok(r) if r.contains("\"ok\":true") && backend.is_some() => stats.overlay_ok += 1,
-                Ok(r) if r.contains("\"ok\":true") => {
-                    stats.ok += 1;
-                    stats.warm += usize::from(r.contains("\"warm\":true"));
-                }
-                Ok(r) => eprintln!("corpus_stress: daemon rejected {item} ({backend:?}): {r}"),
-                Err(e) => eprintln!("corpus_stress: daemon request for {item} ({backend:?}): {e}"),
-            }
-        }
-    }
-    stats.elapsed = t.elapsed();
-    let _ = request(&socket, "{\"cmd\":\"shutdown\"}");
-    let _ = handle.join();
-    stats
-}
-
 fn main() {
     let scratch = workspace_root()
         .join("target")
@@ -230,24 +159,15 @@ fn main() {
     );
     clear_cache(&scratch.join("cache"), |_| false);
 
-    let (serial_rows, serial_cold, serial_fail) =
-        pass("serial_cold", serial, None, &items, &scratch);
+    let (serial_rows, serial_cold, serial_fail) = pass(serial, None, &items);
     clear_cache(&scratch.join("cache"), |_| false);
-    let (par_cold_rows, parallel_cold, par_cold_fail) =
-        pass("parallel_cold", parallel, None, &items, &scratch);
-    let (par_warm_rows, parallel_warm, par_warm_fail) =
-        pass("parallel_warm", parallel, None, &items, &scratch);
+    let (par_cold_rows, parallel_cold, par_cold_fail) = pass(parallel, None, &items);
+    let (par_warm_rows, parallel_warm, par_warm_fail) = pass(parallel, None, &items);
 
     // Overlay pass: same items with the mapping backend forced to
     // `auto` — overlay where the capacity ladder fits, typed
     // `overlay-capacity` fallback to direct where it does not.
-    let (overlay_rows, overlay_auto, overlay_fail) = pass(
-        "overlay_auto",
-        serial,
-        Some(MapBackend::Auto),
-        &items,
-        &scratch,
-    );
+    let (overlay_rows, overlay_auto, overlay_fail) = pass(serial, Some(MapBackend::Auto), &items);
 
     let failures = serial_fail + par_cold_fail + par_warm_fail + overlay_fail;
     assert_eq!(
@@ -267,28 +187,8 @@ fn main() {
 
     print_histograms(&serial_rows, &overlay_rows, &tiers, seed, per_tier);
 
-    let one_per_tier: Vec<String> = tiers
-        .iter()
-        .filter_map(|t| fsm_model::corpus::spec(t, 0, seed).map(|s| s.name))
-        .collect();
-    let daemon = daemon_pass(&one_per_tier, &scratch);
-    println!("== daemon ==");
-    println!("daemon ok: {}/{}", daemon.ok, one_per_tier.len());
-    println!(
-        "daemon overlay ok: {}/{}",
-        daemon.overlay_ok,
-        one_per_tier.len()
-    );
-    assert_eq!(daemon.ok, one_per_tier.len(), "daemon rejected corpus load");
-    assert_eq!(
-        daemon.overlay_ok,
-        one_per_tier.len(),
-        "daemon rejected overlay-backend corpus load"
-    );
-
     let n = items.len() as f64;
     let fsms = |d: Duration| n / d.as_secs_f64().max(1e-9);
-    let fsms_daemon = daemon.requests as f64 / daemon.elapsed.as_secs_f64().max(1e-9);
     for (name, d) in [
         ("serial_cold", serial_cold),
         ("parallel_cold", parallel_cold),
@@ -297,14 +197,6 @@ fn main() {
     ] {
         eprintln!("{name:<14} {d:>10.2?}  {:>8.1} FSMs/sec", fsms(d));
     }
-    eprintln!(
-        "daemon         {:>10.2?}  {}/{} ok, {} warm, {:.1} FSMs/sec",
-        daemon.elapsed,
-        daemon.ok,
-        one_per_tier.len(),
-        daemon.warm,
-        fsms_daemon
-    );
 
     let dir = &knobs.results_dir;
     std::fs::create_dir_all(dir).expect("create results/");
@@ -316,9 +208,6 @@ fn main() {
          \"parallel_warm_ms\": {:.1},\n  \"overlay_auto_ms\": {:.1},\n  \
          \"fsms_per_sec_serial\": {:.2},\n  \"fsms_per_sec_parallel\": {:.2},\n  \
          \"fsms_per_sec_warm\": {:.2},\n  \"fsms_per_sec_overlay\": {:.2},\n  \
-         \"daemon_items\": {},\n  \"daemon_ok\": {},\n  \"daemon_overlay_ok\": {},\n  \
-         \"daemon_warm\": {},\n  \
-         \"daemon_ms\": {:.1},\n  \"fsms_per_sec_daemon\": {:.2},\n  \
          \"coordinator_failures\": 0\n}}\n",
         items.len(),
         tiers.len(),
@@ -330,12 +219,6 @@ fn main() {
         fsms(parallel_cold),
         fsms(parallel_warm),
         fsms(overlay_auto),
-        one_per_tier.len(),
-        daemon.ok,
-        daemon.overlay_ok,
-        daemon.warm,
-        daemon.elapsed.as_secs_f64() * 1e3,
-        fsms_daemon,
     );
     std::fs::write(&path, json).expect("write bench JSON");
     eprintln!("wrote {}", path.display());

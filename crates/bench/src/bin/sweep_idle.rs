@@ -11,7 +11,7 @@
 use emb_fsm::flow::{emb_clock_controlled_flow, emb_flow, ff_clock_gated_flow, ff_flow, Stimulus};
 use emb_fsm::map::EmbOptions;
 use logic_synth::synth::SynthOptions;
-use paper_bench::runner::{run, RunnerOptions};
+use paper_bench::runner::run;
 use paper_bench::{mw, paper_config, pct, saving, TextTable};
 
 fn main() {
@@ -30,42 +30,34 @@ fn main() {
         .iter()
         .map(|t| format!("{t}"))
         .collect();
-    let out = run(
-        &RunnerOptions::new("sweep_idle"),
-        &items,
-        8,
-        |item, attempt| {
-            let target: f64 = item
-                .parse()
-                .map_err(|_| format!("bad idle target {item}"))?;
-            let stg = fsm_model::benchmarks::by_name("keyb").ok_or("keyb missing")?;
-            let mut cfg = paper_config();
-            cfg.seed += u64::from(attempt);
-            let stim = Stimulus::IdleBiased(target);
-            let emb =
-                emb_flow(&stg, &EmbOptions::default(), &stim, &cfg).map_err(|e| e.to_string())?;
-            let cc = emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg)
-                .map_err(|e| e.to_string())?;
-            let ff =
-                ff_flow(&stg, SynthOptions::default(), &stim, &cfg).map_err(|e| e.to_string())?;
-            let ffg = ff_clock_gated_flow(&stg, SynthOptions::default(), &stim, &cfg)
-                .map_err(|e| e.to_string())?;
-            let p = |r: &emb_fsm::flow::FlowReport| {
-                r.power_at(100.0)
-                    .map_or(f64::NAN, powermodel::PowerReport::total_mw)
-            };
-            Ok(vec![vec![
-                format!("{:.0}%", target * 100.0),
-                format!("{:.0}%", cc.idle_fraction * 100.0),
-                mw(p(&emb)),
-                mw(p(&cc)),
-                pct(saving(p(&emb), p(&cc))),
-                mw(p(&ff)),
-                mw(p(&ffg)),
-                pct(saving(p(&ff), p(&ffg))),
-            ]])
-        },
-    );
+    let out = run(paper_bench::knobs().threads, &items, 8, |item| {
+        let target: f64 = item
+            .parse()
+            .map_err(|_| format!("bad idle target {item}"))?;
+        let stg = fsm_model::benchmarks::by_name("keyb").ok_or("keyb missing")?;
+        let cfg = paper_config();
+        let stim = Stimulus::IdleBiased(target);
+        let emb = emb_flow(&stg, &EmbOptions::default(), &stim, &cfg).map_err(|e| e.to_string())?;
+        let cc = emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg)
+            .map_err(|e| e.to_string())?;
+        let ff = ff_flow(&stg, SynthOptions::default(), &stim, &cfg).map_err(|e| e.to_string())?;
+        let ffg = ff_clock_gated_flow(&stg, SynthOptions::default(), &stim, &cfg)
+            .map_err(|e| e.to_string())?;
+        let p = |r: &emb_fsm::flow::FlowReport| {
+            r.power_at(100.0)
+                .map_or(f64::NAN, powermodel::PowerReport::total_mw)
+        };
+        Ok(vec![vec![
+            format!("{:.0}%", target * 100.0),
+            format!("{:.0}%", cc.idle_fraction * 100.0),
+            mw(p(&emb)),
+            mw(p(&cc)),
+            pct(saving(p(&emb), p(&cc))),
+            mw(p(&ff)),
+            mw(p(&ffg)),
+            pct(saving(p(&ff), p(&ffg))),
+        ]])
+    });
     for row in out.rows {
         table.row(row);
     }

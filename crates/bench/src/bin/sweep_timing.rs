@@ -7,7 +7,7 @@
 
 use emb_fsm::flow::Stimulus;
 use emb_fsm::map::EmbOptions;
-use paper_bench::runner::{run, RunnerOptions};
+use paper_bench::runner::run;
 use paper_bench::{paper_config, suite_names, try_compare, TextTable};
 
 fn main() {
@@ -23,38 +23,31 @@ fn main() {
         "EMB+cc fmax",
     ]);
     let items: Vec<String> = suite_names().iter().map(ToString::to_string).collect();
-    let out = run(
-        &RunnerOptions::new("sweep_timing"),
-        &items,
-        8,
-        |name, attempt| {
-            let stg = fsm_model::benchmarks::by_name(name)
-                .ok_or_else(|| format!("unknown benchmark {name}"))?;
-            let mut cfg = paper_config();
-            cfg.seed += u64::from(attempt);
-            let (ff, emb) =
-                try_compare(&stg, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
-            // The gated variant is ECO-placed on the plain design, so its
-            // extra path delay is attributable to the enable cone alone.
-            let cc = emb_fsm::flow::emb_clock_controlled_flow(
-                &stg,
-                &EmbOptions::default(),
-                &Stimulus::Random,
-                &cfg,
-            )
-            .map_err(|e| e.to_string())?;
-            Ok(vec![vec![
-                name.to_string(),
-                stg.transitions().len().to_string(),
-                format!("{:.2}", ff.timing.critical_path_ns),
-                format!("{:.1}", ff.timing.fmax_mhz),
-                format!("{:.2}", emb.timing.critical_path_ns),
-                format!("{:.1}", emb.timing.fmax_mhz),
-                format!("{:.2}", cc.timing.critical_path_ns),
-                format!("{:.1}", cc.timing.fmax_mhz),
-            ]])
-        },
-    );
+    let out = run(paper_bench::knobs().threads, &items, 8, |name| {
+        let stg = fsm_model::benchmarks::by_name(name)
+            .ok_or_else(|| format!("unknown benchmark {name}"))?;
+        let cfg = paper_config();
+        let (ff, emb) = try_compare(&stg, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
+        // The gated variant is ECO-placed on the plain design, so its
+        // extra path delay is attributable to the enable cone alone.
+        let cc = emb_fsm::flow::emb_clock_controlled_flow(
+            &stg,
+            &EmbOptions::default(),
+            &Stimulus::Random,
+            &cfg,
+        )
+        .map_err(|e| e.to_string())?;
+        Ok(vec![vec![
+            name.to_string(),
+            stg.transitions().len().to_string(),
+            format!("{:.2}", ff.timing.critical_path_ns),
+            format!("{:.1}", ff.timing.fmax_mhz),
+            format!("{:.2}", emb.timing.critical_path_ns),
+            format!("{:.1}", emb.timing.fmax_mhz),
+            format!("{:.2}", cc.timing.critical_path_ns),
+            format!("{:.1}", cc.timing.fmax_mhz),
+        ]])
+    });
     // Footer statistics from the successful rows (columns 2 and 4).
     let mut ff_paths: Vec<f64> = Vec::new();
     let mut emb_paths: Vec<f64> = Vec::new();

@@ -7,7 +7,7 @@
 //! need an input multiplexer require LUTs in addition to the blockrams").
 
 use emb_fsm::flow::Stimulus;
-use paper_bench::runner::{run, RunnerOptions};
+use paper_bench::runner::run;
 use paper_bench::{paper_config, suite_names, try_compare, TextTable};
 
 fn main() {
@@ -23,11 +23,10 @@ fn main() {
         "device",
     ]);
     let items: Vec<String> = suite_names().iter().map(ToString::to_string).collect();
-    let out = run(&RunnerOptions::new("table1"), &items, 8, |name, attempt| {
+    let out = run(paper_bench::knobs().threads, &items, 8, |name| {
         let stg = fsm_model::benchmarks::by_name(name)
             .ok_or_else(|| format!("unknown benchmark {name}"))?;
-        let mut cfg = paper_config();
-        cfg.seed += u64::from(attempt);
+        let cfg = paper_config();
         let (ff, emb) = try_compare(&stg, &Stimulus::Random, &cfg).map_err(|e| e.to_string())?;
         Ok(vec![vec![
             name.to_string(),

@@ -28,7 +28,7 @@
 use emb_fsm::flow::{emb_clock_controlled_flow, emb_flow, ff_flow, Stimulus};
 use emb_fsm::map::EmbOptions;
 use logic_synth::synth::SynthOptions;
-use paper_bench::runner::{run, RunnerOptions};
+use paper_bench::runner::run;
 use paper_bench::{mw, paper_config, pct, saving, suite_names, TextTable};
 
 fn main() {
@@ -50,60 +50,52 @@ fn main() {
     // full-precision timing/wirelength-only fmax pair for the
     // TABLE3_COORDS / TABLE3_FMAX side files; they are stripped before
     // printing.
-    let out = run(
-        &RunnerOptions::new("table3"),
-        &items,
-        13,
-        |name, attempt| {
-            let stg = fsm_model::benchmarks::by_name(name)
-                .ok_or_else(|| format!("unknown benchmark {name}"))?;
-            let mut cfg = paper_config();
-            cfg.seed += u64::from(attempt);
-            let stim = Stimulus::IdleBiased(0.5);
-            let ff =
-                ff_flow(&stg, SynthOptions::default(), &stim, &cfg).map_err(|e| e.to_string())?;
-            let emb =
-                emb_flow(&stg, &EmbOptions::default(), &stim, &cfg).map_err(|e| e.to_string())?;
-            let cc = emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg)
-                .map_err(|e| e.to_string())?;
-            // The plain EMB flow placed wirelength-only: the estimate
-            // baseline for the Δf column and the verify.sh no-worse gate.
-            let mut cfg_wl = cfg.clone();
-            cfg_wl.place.timing_weight = 0.0;
-            let emb_wl = emb_flow(&stg, &EmbOptions::default(), &stim, &cfg_wl)
-                .map_err(|e| e.to_string())?;
-            let p = |r: &emb_fsm::flow::FlowReport, f: f64| {
-                r.power_at(f)
-                    .map_or(f64::NAN, powermodel::PowerReport::total_mw)
-            };
-            let (eco_cell, base_digest) = cc.eco.as_ref().map_or_else(
-                || ("full".to_string(), String::new()),
-                |e| {
-                    (
-                        format!("{}+{}", e.pinned_entities, e.delta_entities),
-                        e.base_coord_digest.clone(),
-                    )
-                },
-            );
-            let df = 100.0 * (emb.place_fmax_est_mhz - emb_wl.place_fmax_est_mhz)
-                / emb_wl.place_fmax_est_mhz;
-            Ok(vec![vec![
-                name.to_string(),
-                mw(p(&cc, 50.0)),
-                mw(p(&cc, 85.0)),
-                mw(p(&cc, 100.0)),
-                format!("{:.0}%", cc.idle_fraction * 100.0),
-                pct(saving(p(&ff, 100.0), p(&cc, 100.0))),
-                eco_cell,
-                format!("{:.1}", cc.timing.fmax_mhz),
-                format!("{df:+.1}%"),
-                emb.coord_digest.clone(),
-                base_digest,
-                format!("{:.9}", emb.place_fmax_est_mhz),
-                format!("{:.9}", emb_wl.place_fmax_est_mhz),
-            ]])
-        },
-    );
+    let out = run(paper_bench::knobs().threads, &items, 13, |name| {
+        let stg = fsm_model::benchmarks::by_name(name)
+            .ok_or_else(|| format!("unknown benchmark {name}"))?;
+        let cfg = paper_config();
+        let stim = Stimulus::IdleBiased(0.5);
+        let ff = ff_flow(&stg, SynthOptions::default(), &stim, &cfg).map_err(|e| e.to_string())?;
+        let emb = emb_flow(&stg, &EmbOptions::default(), &stim, &cfg).map_err(|e| e.to_string())?;
+        let cc = emb_clock_controlled_flow(&stg, &EmbOptions::default(), &stim, &cfg)
+            .map_err(|e| e.to_string())?;
+        // The plain EMB flow placed wirelength-only: the estimate
+        // baseline for the Δf column and the verify.sh no-worse gate.
+        let mut cfg_wl = cfg.clone();
+        cfg_wl.place.timing_weight = 0.0;
+        let emb_wl =
+            emb_flow(&stg, &EmbOptions::default(), &stim, &cfg_wl).map_err(|e| e.to_string())?;
+        let p = |r: &emb_fsm::flow::FlowReport, f: f64| {
+            r.power_at(f)
+                .map_or(f64::NAN, powermodel::PowerReport::total_mw)
+        };
+        let (eco_cell, base_digest) = cc.eco.as_ref().map_or_else(
+            || ("full".to_string(), String::new()),
+            |e| {
+                (
+                    format!("{}+{}", e.pinned_entities, e.delta_entities),
+                    e.base_coord_digest.clone(),
+                )
+            },
+        );
+        let df = 100.0 * (emb.place_fmax_est_mhz - emb_wl.place_fmax_est_mhz)
+            / emb_wl.place_fmax_est_mhz;
+        Ok(vec![vec![
+            name.to_string(),
+            mw(p(&cc, 50.0)),
+            mw(p(&cc, 85.0)),
+            mw(p(&cc, 100.0)),
+            format!("{:.0}%", cc.idle_fraction * 100.0),
+            pct(saving(p(&ff, 100.0), p(&cc, 100.0))),
+            eco_cell,
+            format!("{:.1}", cc.timing.fmax_mhz),
+            format!("{df:+.1}%"),
+            emb.coord_digest.clone(),
+            base_digest,
+            format!("{:.9}", emb.place_fmax_est_mhz),
+            format!("{:.9}", emb_wl.place_fmax_est_mhz),
+        ]])
+    });
     let knobs = paper_bench::knobs();
     let mut coords = String::new();
     let mut fmax_lines = String::new();

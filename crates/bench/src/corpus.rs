@@ -5,9 +5,9 @@
 //! owns the *flow* side: which device, mapping options, budgets and
 //! stimulus each tier is pushed through, chosen so every tier reliably
 //! exercises its target rung of the degradation ladder. [`run_item`] is
-//! the single work function every stress pass (sequential / threads /
-//! process workers / daemon) shares — it reconstructs the machine from
-//! the item name alone, so it runs identically in any process.
+//! the single work function every stress pass (one thread or many)
+//! shares — it reconstructs the machine from the item name alone, so it
+//! runs identically on any thread.
 //!
 //! Outcome rows carry exactly one measurement column — the per-stage
 //! wall-clock breakdown, always last — and are otherwise deterministic:
@@ -169,7 +169,7 @@ impl Outcome {
     /// warmth: everything except the trailing wall-clock column.
     pub const DETERMINISTIC_COLUMNS: usize = Self::COLUMNS - 1;
 
-    /// The outcome as a checkpoint/report row.
+    /// The outcome as a report row.
     #[must_use]
     pub fn row(self) -> Vec<String> {
         vec![

@@ -19,12 +19,10 @@ use emb_fsm::MapBackend;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::OnceLock;
-use std::time::Duration;
 
 /// Every knob this module reads, in README-table order.
-pub const NAMES: [&str; 7] = [
+pub const NAMES: [&str; 6] = [
     "RUNNER_THREADS",
-    "FABRIC_REQUEST_TIMEOUT_MS",
     "MAP_BACKEND",
     "CORPUS_PER_TIER",
     "BENCH_RESULTS_DIR",
@@ -32,19 +30,12 @@ pub const NAMES: [&str; 7] = [
     "TABLE3_FMAX",
 ];
 
-/// What a timeout knob set to 0 ("none") stands for: one year, beyond
-/// any run, yet a valid `Duration` for `recv_timeout` arithmetic.
-const FOREVER: Duration = Duration::from_secs(365 * 24 * 60 * 60);
-
 /// The resolved harness knobs.
 #[derive(Debug)]
 pub struct Knobs {
     /// `RUNNER_THREADS`: runner workers, at least 1 (default: available
     /// parallelism); 1 computes items strictly in input order.
     pub threads: usize,
-    /// `FABRIC_REQUEST_TIMEOUT_MS`: the daemon's per-request deadline
-    /// (default 120 s; 0 disables it).
-    pub request_timeout: Duration,
     /// `MAP_BACKEND`: `direct` (default), `overlay` or `auto`.
     pub(crate) map_backend: MapBackend,
     /// `CORPUS_PER_TIER`: machines per corpus tier (default 125).
@@ -108,14 +99,6 @@ impl<F: Fn(&str) -> Option<String>> Lookup<F> {
         let n = self.typed(name, NUMBER, |v| v.parse().ok())?;
         Ok(n.unwrap_or(default))
     }
-
-    /// A millisecond deadline where 0 means none.
-    fn deadline(&self, name: &'static str, default_ms: u64) -> Result<Duration, KnobError> {
-        Ok(match self.number(name, default_ms)? {
-            0 => FOREVER,
-            ms => Duration::from_millis(ms),
-        })
-    }
 }
 
 impl Knobs {
@@ -134,7 +117,6 @@ impl Knobs {
                 || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
                 |n| n.max(1),
             ),
-            request_timeout: env.deadline("FABRIC_REQUEST_TIMEOUT_MS", 120_000)?,
             map_backend: map_backend.unwrap_or_default(),
             corpus_per_tier: env.number("CORPUS_PER_TIER", 125)?,
             // Joining an absolute path replaces the root.
@@ -192,17 +174,12 @@ mod tests {
         };
     }
 
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
     #[test]
     fn unset_knobs_take_their_defaults() {
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         for empty in [&[][..], &[("RUNNER_THREADS", " ")]] {
             let k = parse(empty).unwrap();
             assert_eq!(k.threads, cores);
-            assert_eq!(k.request_timeout, ms(120_000));
             assert_eq!(k.map_backend, MapBackend::Direct);
             assert_eq!(k.corpus_per_tier, 125);
             assert_eq!(k.results_dir, workspace_root().join("results"));
@@ -214,8 +191,6 @@ mod tests {
     fn accepted_forms_and_clamps() {
         check!("RUNNER_THREADS" = " 4 " => |k| k.threads == 4);
         check!("RUNNER_THREADS" = "0" => |k| k.threads == 1);
-        check!("FABRIC_REQUEST_TIMEOUT_MS" = "1000" => |k| k.request_timeout == ms(1000));
-        check!("FABRIC_REQUEST_TIMEOUT_MS" = "0" => |k| k.request_timeout == FOREVER);
         check!("MAP_BACKEND" = "direct" => |k| k.map_backend == MapBackend::Direct);
         check!("MAP_BACKEND" = "overlay" => |k| k.map_backend == MapBackend::Overlay);
         check!("MAP_BACKEND" = "auto" => |k| k.map_backend == MapBackend::Auto);
@@ -242,7 +217,6 @@ mod tests {
     fn a_malformed_value_names_its_knob() {
         let malformed = [
             ("RUNNER_THREADS", "abc"),
-            ("FABRIC_REQUEST_TIMEOUT_MS", "soon"),
             ("MAP_BACKEND", "vliw"),
             ("CORPUS_PER_TIER", "many"),
         ];

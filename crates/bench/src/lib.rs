@@ -10,7 +10,6 @@
 #![warn(clippy::all)]
 
 pub mod corpus;
-pub mod fabric;
 pub mod knobs;
 pub mod runner;
 
@@ -62,19 +61,8 @@ pub fn suite_names() -> Vec<&'static str> {
     PAPER_BENCHMARKS.iter().map(|s| s.name).collect()
 }
 
-/// FF and EMB reports for one benchmark under the given stimulus.
-///
-/// # Panics
-///
-/// Panics with a diagnostic if a flow fails. Prefer [`try_compare`] from
-/// runner-driven experiments — it surfaces the typed [`FlowError`] so the
-/// runner can retry or emit a placeholder instead of dying.
-#[must_use]
-pub fn compare(stg: &Stg, stimulus: &Stimulus, cfg: &FlowConfig) -> (FlowReport, FlowReport) {
-    try_compare(stg, stimulus, cfg).unwrap_or_else(|e| panic!("{}: flow failed: {e}", stg.name()))
-}
-
-/// FF and EMB reports for one benchmark, propagating flow failures.
+/// FF and EMB reports for one benchmark. A flow failure is returned, not
+/// raised, so the runner can emit its item as a placeholder row.
 ///
 /// # Errors
 ///

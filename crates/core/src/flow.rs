@@ -526,9 +526,6 @@ pub enum FlowErrorKind {
     /// Power estimation was handed an activity record from a different
     /// netlist.
     Power(powermodel::ActivityMismatch),
-    /// The requested stimulus needs an STG oracle (idle biasing), but the
-    /// flow was given an external netlist without one.
-    NeedsOracle,
     /// The state-minimization pre-pass failed.
     Minimize(String),
 }
@@ -545,16 +542,13 @@ impl fmt::Display for FlowErrorKind {
             FlowErrorKind::Route(e) => write!(f, "routing: {e}"),
             FlowErrorKind::Netlist(e) => write!(f, "netlist: {e}"),
             FlowErrorKind::Power(e) => write!(f, "power estimation: {e}"),
-            FlowErrorKind::NeedsOracle => {
-                write!(f, "idle-biased stimulus needs an STG oracle")
-            }
             FlowErrorKind::Minimize(e) => write!(f, "state minimization: {e}"),
         }
     }
 }
 
 /// A flow failure, carrying the benchmark and pipeline stage it came from
-/// so harness logs and checkpoints stay actionable without a backtrace.
+/// so harness logs and placeholder rows stay actionable without a backtrace.
 #[derive(Debug)]
 pub struct FlowError {
     /// The machine / netlist being implemented.
@@ -790,7 +784,7 @@ pub fn ff_flow(
             let (_, synth) = synthesized(stg, cfg, synth_opts)?;
             Ok(built(ff_netlist(&synth, false).0, Some(&synth), None))
         })?;
-        physical(design, Some(stg), stimulus, cfg, Resolve::Full)
+        physical(design, stg, stimulus, cfg, Resolve::Full)
     })
 }
 
@@ -813,7 +807,7 @@ pub fn ff_clock_gated_flow(
                 .map_err(|e| clock_control_error(stg, e))?;
             Ok(built(netlist, Some(&synth), Some(&control)))
         })?;
-        physical(design, Some(stg), stimulus, cfg, Resolve::Full)
+        physical(design, stg, stimulus, cfg, Resolve::Full)
     })
 }
 
@@ -836,7 +830,7 @@ pub fn emb_flow(
     let direct = || {
         physical(
             emb_frontend(stg, emb_opts, cfg)?,
-            Some(stg),
+            stg,
             stimulus,
             cfg,
             Resolve::Full,
@@ -901,13 +895,7 @@ pub fn emb_overlay_flow(
         })?;
         let mut base = design.netlist.with_zeroed_bram_init();
         base.name = class.label();
-        physical(
-            design,
-            Some(stg),
-            stimulus,
-            cfg,
-            Resolve::Overlay { class, base },
-        )
+        physical(design, stg, stimulus, cfg, Resolve::Overlay { class, base })
     })
 }
 
@@ -975,49 +963,20 @@ pub fn emb_clock_controlled_flow(
             }
             None => Resolve::Full,
         };
-        physical(design, Some(stg), stimulus, cfg, resolve)
+        physical(design, stg, stimulus, cfg, resolve)
     })
 }
 
-/// Implements a netlist that has no STG oracle (external BLIF input) as
-/// an FF design: idle fraction reported as 0, no idle-biased stimulus.
-///
-/// # Errors
-///
-/// See [`FlowError`].
-pub(crate) fn implement_external(
-    netlist: Netlist,
-    stimulus: &Stimulus,
-    cfg: &FlowConfig,
-) -> Result<FlowReport, FlowError> {
-    let design = Design {
-        name: netlist.name.clone(),
-        kind: ImplKind::Ff,
-        netlist,
-        clock_control: None,
-        downgrades: Vec::new(),
-        stage: StageTimings::default(),
-    };
-    accounted(|| physical(design, None, stimulus, cfg, Resolve::Full))
-}
-
 /// The stimulus vectors plus the idle fraction the oracle achieves on
-/// them. Without an oracle (external netlists) the idle fraction is 0 and
-/// idle-biased stimulus is unavailable (`None`).
-fn stimulus_vectors(
-    stimulus: &Stimulus,
-    oracle: Option<&Stg>,
-    netlist: &Netlist,
-    cfg: &FlowConfig,
-) -> Option<(Vec<Vec<bool>>, f64)> {
-    let inputs = oracle.map_or(netlist.inputs().len(), Stg::num_inputs);
+/// them.
+fn stimulus_vectors(stimulus: &Stimulus, oracle: &Stg, cfg: &FlowConfig) -> (Vec<Vec<bool>>, f64) {
     let vectors = match stimulus {
-        Stimulus::Random => netstim::random(inputs, cfg.cycles, cfg.seed),
-        Stimulus::IdleBiased(p) => crate::stimulus::idle_biased(oracle?, cfg.cycles, *p, cfg.seed),
+        Stimulus::Random => netstim::random(oracle.num_inputs(), cfg.cycles, cfg.seed),
+        Stimulus::IdleBiased(p) => crate::stimulus::idle_biased(oracle, cfg.cycles, *p, cfg.seed),
         Stimulus::Replay(v) => v.clone(),
     };
-    let idle = oracle.map_or(0.0, |stg| idle_fraction(stg, &trace(stg, vectors.clone())));
-    Some((vectors, idle))
+    let idle = idle_fraction(oracle, &trace(oracle, vectors.clone()));
+    (vectors, idle)
 }
 
 /// How the physical driver resolves placement and routing on each ladder
@@ -1267,7 +1226,7 @@ fn device_ladder(cfg: &FlowConfig) -> Vec<Device> {
 /// and assemble the report.
 fn physical(
     design: Design,
-    oracle: Option<&Stg>,
+    oracle: &Stg,
     stimulus: &Stimulus,
     cfg: &FlowConfig,
     resolve: Resolve,
@@ -1281,8 +1240,7 @@ fn physical(
         mut stage,
     } = design;
     let fail = |stage, kind| FlowError::new(name.as_str(), stage, kind);
-    let (vectors, idle) = stimulus_vectors(stimulus, oracle, &netlist, cfg)
-        .ok_or_else(|| fail(FlowStage::Simulate, FlowErrorKind::NeedsOracle))?;
+    let (vectors, idle) = stimulus_vectors(stimulus, oracle, cfg);
     netlist
         .validate()
         .map_err(|e| fail(FlowStage::Pack, FlowErrorKind::Netlist(e)))?;

@@ -19,8 +19,6 @@
 //!   strings;
 //! * [`clock_control`] — idle detection and enable synthesis (Sec. 6);
 //! * [`baseline`] — the FF + LUT reference implementation (Fig. 1a);
-//! * [`blif_flow`] — implement externally synthesized BLIF netlists
-//!   (real SIS output) through the same physical flow;
 //! * [`verify`] — lockstep equivalence against the STG oracle;
 //! * [`stimulus`] — idle-biased input streams (Table 3's 50%-idle case);
 //! * [`eco`] — content rewrites without re-place-and-route;
@@ -52,7 +50,6 @@
 #![warn(clippy::all)]
 
 pub mod baseline;
-pub mod blif_flow;
 pub mod cache;
 pub mod clock_control;
 pub mod compaction;

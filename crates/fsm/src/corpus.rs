@@ -7,9 +7,9 @@
 //! cascades, heavy column compaction, always-on machines where clock
 //! control is a pure loss, wide-input machines, FF fallbacks, …) — and
 //! gives every corpus item a **self-describing name** that round-trips
-//! through [`encode_spec`]/[`decode_spec`]. Process workers and the
-//! mapping daemon reconstruct the exact machine from the item name
-//! alone, so the corpus needs no side-channel files on the wire.
+//! through [`encode_spec`]/[`decode_spec`]. Any runner thread
+//! reconstructs the exact machine from the item name alone, so the
+//! corpus needs no side-channel files.
 //!
 //! Tier definitions here are pure *machine-space*: which states/inputs/
 //! knob ranges a tier draws from. How a tier is pushed through the flow

@@ -99,7 +99,7 @@ impl StgSpec {
 }
 
 /// Degenerate-spec errors from [`generate`]. Typed instead of panicking so
-/// corpus drivers and the daemon can feed arbitrary (possibly hostile)
+/// corpus drivers can feed arbitrary (possibly hostile)
 /// specs through the generator without a `catch_unwind` fence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenerateError {
