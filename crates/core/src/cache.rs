@@ -13,12 +13,15 @@
 //!   mapping *and* oracle verification: the artifact is addressed by
 //!   every input that determines it, and it was verified by the run that
 //!   produced it.
-//! * **placements** — keyed by the encoded netlist bytes, the device,
-//!   and the placement options, so the dominant pipeline stage runs once
-//!   per distinct (netlist, device, options) triple across all binaries.
+//! * **placements** — keyed by the netlist's structural digest
+//!   ([`encode_netlist`]), the device, and the placement options, so the
+//!   dominant pipeline stage runs once per distinct (netlist, device,
+//!   options) triple across all binaries.
 //! * **ECO placements** — the clock-controlled design placed around the
 //!   pinned plain design, keyed also by the pinned coordinates.
-//! * **overlay bases** — an overlay class's placement and routing.
+//! * **overlay bases** — an overlay class's placement and routing, keyed
+//!   by the digest of the class's zeroed base netlist, which the flow
+//!   computes from the member's netlist without building the base.
 //!
 //! The cache is two-level: a per-process map (so e.g. the idle sweep's
 //! five stimulus levels share one placement within a run) over an
@@ -34,10 +37,16 @@
 //! looks records up through `cached`, which also counts a record that
 //! decodes but that the caller refuses as a miss.
 //!
+//! **Keys without text.** A netlist is keyed by a 128-bit digest of its
+//! fields, each BRAM image bit-packed and hashed a whole 64-bit word at a
+//! time, so a key costs O(netlist fields + image bits) and formats
+//! nothing; records store each image as one bit-packed hex token.
+//!
 //! **Invalidation** is by key construction, not by deletion: keys mix in
 //! a format version, a per-stage algorithm version
 //! ([`fpga_fabric::place::ALGORITHM_VERSION`] for placements,
-//! [`FRONTEND_VERSION`] for netlists), and every option field. Changing
+//! [`FRONTEND_VERSION`] for front-end records, [`NETLIST_KEY_VERSION`]
+//! for the netlist digest), and every option field. Changing
 //! an algorithm or an option changes the key, and stale entries are
 //! simply never addressed again. `results/cache/` can always be deleted
 //! wholesale; nothing references it by name.
@@ -87,7 +96,9 @@ use std::sync::{Mutex, OnceLock};
 /// Version 3: a netlist's `L` line carries its input count
 /// (`L out truth n i1 … in`), so a trailing token is a miss instead of
 /// one more LUT input.
-pub const FRONTEND_VERSION: u32 = 3;
+/// Version 4: a BRAM image is one bit-packed hex token, not one token
+/// per word.
+pub const FRONTEND_VERSION: u32 = 4;
 
 /// Bump when [`fpga_fabric::place::place_incremental`] can produce a
 /// different result for the same inputs (mixed into ECO placement keys
@@ -104,9 +115,16 @@ pub const OVERLAY_BASE_VERSION: u32 = 1;
 /// placement pins, the ECO reports and `scripts/verify.sh`'s
 /// base-coordinate gate compare — so a change confined to the netlist
 /// codec bumps [`FRONTEND_VERSION`] instead: front-end records are the
-/// only records that embed a netlist, and the placement, ECO and
-/// overlay-base keys hash the encoded netlist, so they move with it.
+/// only records that embed a netlist. The placement, ECO and overlay-base
+/// keys hash the netlist's key material, not its record, and move with
+/// [`NETLIST_KEY_VERSION`].
 const FORMAT_VERSION: u32 = 1;
+
+/// Bump when what [`encode_netlist`] covers, or how it hashes it,
+/// changes. It is mixed into the material itself, so every
+/// netlist-keyed kind (placement, ECO placement, overlay base) moves
+/// with it and nothing else does.
+pub const NETLIST_KEY_VERSION: u32 = 1;
 
 // --- statistics -------------------------------------------------------
 
@@ -291,6 +309,187 @@ impl KeyWriter {
             digest: format!("{:016x}{:016x}", self.h1, self.h2),
         }
     }
+
+    /// The 128-bit digest as 16 bytes: key material for another key.
+    fn material(self) -> Vec<u8> {
+        [self.h1.to_le_bytes(), self.h2.to_le_bytes()].concat()
+    }
+
+    fn net(&mut self, n: NetId) {
+        self.u64(u64::from(n.0));
+    }
+
+    /// An optional net; `None` is a value no net id takes.
+    fn opt_net(&mut self, n: Option<NetId>) {
+        self.u64(n.map_or(u64::MAX, |n| u64::from(n.0)));
+    }
+
+    fn nets(&mut self, nets: &[NetId]) {
+        self.u64(nets.len() as u64);
+        for &n in nets {
+            self.net(n);
+        }
+    }
+
+    /// Count-prefixed whole words: each is mixed into both streams by an
+    /// xor, a multiply and an xor-shift — one round a word where
+    /// [`KeyWriter::bytes`] takes eight. Every round is a bijection of the
+    /// stream state, so a changed word always changes the state, and the
+    /// shift carries a high-bit change down into the next round's product.
+    fn words(&mut self, words: &[u64]) {
+        self.u64(words.len() as u64);
+        for &w in words {
+            self.h1 = (self.h1 ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            self.h1 ^= self.h1 >> 31;
+            self.h2 = (self.h2 ^ w.rotate_left(32)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            self.h2 ^= self.h2 >> 29;
+        }
+    }
+}
+
+/// The key material of `n` read with `name` as its name and, when
+/// `zero_images`, every BRAM image as all zero: its fields hashed one by
+/// one — name, net names, ports, then each cell's tag, pins and truth
+/// table or shape — with each BRAM image bit-packed ([`pack_image`]) and
+/// hashed a whole word at a time ([`KeyWriter::words`]). Every list is
+/// count-prefixed and [`KeyWriter::bytes`] length-prefixes every field,
+/// so two netlists that differ in any field get different material.
+fn netlist_material(n: &Netlist, name: &str, zero_images: bool) -> Vec<u8> {
+    let mut w = KeyWriter::new("netlist");
+    w.u64(u64::from(NETLIST_KEY_VERSION));
+    w.str(name);
+    w.u64(n.num_nets() as u64);
+    for i in 0..n.num_nets() {
+        w.str(n.net_name(NetId(i as u32)));
+    }
+    for ports in [n.inputs(), n.outputs()] {
+        w.u64(ports.len() as u64);
+        for (port, id) in ports {
+            w.str(port);
+            w.net(*id);
+        }
+    }
+    w.u64(n.cells().len() as u64);
+    for cell in n.cells() {
+        match cell {
+            Cell::Lut {
+                inputs,
+                output,
+                truth,
+            } => {
+                w.str("L");
+                w.net(*output);
+                w.u64(*truth);
+                w.nets(inputs);
+            }
+            Cell::Ff { d, q, ce, init } => {
+                w.str("F");
+                w.net(*d);
+                w.net(*q);
+                w.opt_net(*ce);
+                w.u64(u64::from(*init));
+            }
+            Cell::Const { output, value } => {
+                w.str("C");
+                w.net(*output);
+                w.u64(u64::from(*value));
+            }
+            Cell::Bram {
+                shape,
+                addr,
+                dout,
+                en,
+                init,
+                output_init,
+            } => {
+                w.str("B");
+                w.u64(shape.addr_bits as u64);
+                w.u64(shape.data_bits as u64);
+                w.opt_net(*en);
+                w.u64(*output_init);
+                w.nets(addr);
+                w.nets(dout);
+                w.u64(init.len() as u64);
+                w.words(&if zero_images {
+                    vec![0; packed_len(init.len(), shape.data_bits)]
+                } else {
+                    pack_image(init, shape.data_bits)
+                });
+            }
+        }
+    }
+    w.material()
+}
+
+/// The number of words [`pack_image`] packs `len` words of `width` bits
+/// into.
+fn packed_len(len: usize, width: usize) -> usize {
+    (len * width.min(64)).div_ceil(64)
+}
+
+/// `words`, each cut to its low `width` bits (at most 64), as one
+/// LSB-first bit string — bit `b` of word `i` is bit `i·width + b` — in
+/// [`packed_len`] words, the last zero-padded.
+fn pack_image(words: &[u64], width: usize) -> Vec<u64> {
+    match width {
+        // The deep shapes hold most of an image's words: pack them a
+        // whole output word at a time.
+        1 => pack_exact::<1, 64>(words),
+        2 => pack_exact::<2, 32>(words),
+        4 => pack_exact::<4, 16>(words),
+        _ => pack_any(words, width.min(64)),
+    }
+}
+
+/// [`pack_image`] for a `width` of `W` bits, `N = 64 / W` words an output
+/// word.
+fn pack_exact<const W: usize, const N: usize>(words: &[u64]) -> Vec<u64> {
+    let pack = |chunk: &[u64]| {
+        let mask = (1 << W) - 1;
+        let bits = chunk.iter().enumerate();
+        bits.fold(0, |acc, (i, &w)| acc | (w & mask) << (i * W))
+    };
+    let (chunks, tail) = words.as_chunks::<N>();
+    let mut out: Vec<u64> = chunks
+        .iter()
+        .map(|chunk| {
+            // Most of an FSM image is zero (unused state codes, a zeroed
+            // base): one OR over the chunk, which vectorizes, skips those.
+            if chunk.iter().fold(0, |any, &w| any | w) == 0 {
+                0
+            } else {
+                pack(chunk)
+            }
+        })
+        .collect();
+    if !tail.is_empty() {
+        out.push(pack(tail));
+    }
+    out
+}
+
+/// [`pack_image`] for any `width` up to 64.
+fn pack_any(words: &[u64], width: usize) -> Vec<u64> {
+    let mask = if width == 64 {
+        u64::MAX
+    } else {
+        (1 << width) - 1
+    };
+    let mut out = Vec::with_capacity(packed_len(words.len(), width));
+    let (mut acc, mut fill) = (0u128, 0);
+    for &w in words {
+        acc |= u128::from(w & mask) << fill;
+        fill += width;
+        if fill >= 64 {
+            out.push(acc as u64);
+            acc >>= 64;
+            fill -= 64;
+        }
+    }
+    if fill > 0 {
+        out.push(acc as u64);
+    }
+    out
 }
 
 /// Stable byte serialization of an STG: everything that determines the
@@ -410,7 +609,8 @@ fn key_place_opts(w: &mut KeyWriter, opts: PlaceOptions) {
     }
 }
 
-/// Key for a placement of the given (already encoded) netlist.
+/// Key for a placement of the netlist whose [`encode_netlist`] material
+/// is `netlist_bytes`.
 #[must_use]
 pub fn place_key(netlist_bytes: &[u8], device: &Device, opts: PlaceOptions) -> Key {
     let mut w = KeyWriter::new("place");
@@ -443,9 +643,10 @@ pub fn eco_place_key(
     w.finish()
 }
 
-/// Key for an overlay base artifact: the zeroed base netlist bytes (the
-/// class's content address — every member of an overlay class encodes to
-/// the same bytes), the device, and every placement and routing option
+/// Key for an overlay base artifact: the zeroed base netlist's
+/// [`encode_netlist`] material (the class's content address — every
+/// member of an overlay class has the same zeroed base), the device, and
+/// every placement and routing option
 /// that shapes the stored physical result. Placement and routing travel
 /// together in one record: the routing is only valid for exactly that
 /// placement.
@@ -763,6 +964,22 @@ impl Writer {
         self.glued("", v, 16)
     }
 
+    /// ` prefix` glued to the bit string [`pack_image`] makes of `words`:
+    /// `⌈len·width / 4⌉` lowercase hex digits, four bits each, lowest
+    /// bits first.
+    fn image(&mut self, prefix: &str, words: &[u64], width: usize) -> &mut Self {
+        let packed = pack_image(words, width);
+        let digits = (words.len() * width.min(64)).div_ceil(4);
+        self.text.push(' ');
+        self.text.push_str(prefix);
+        self.text.extend(
+            (0..digits)
+                .map(|k| packed[k / 16] >> (k % 16 * 4) & 0xf)
+                .map(|d| char::from(b"0123456789abcdef"[d as usize])),
+        );
+        self
+    }
+
     /// An `f64` as the hex of its bits, so it reads back exactly.
     fn f64(&mut self, v: f64) -> &mut Self {
         self.hex(v.to_bits())
@@ -865,6 +1082,36 @@ impl<'a> Line<'a> {
         u64::from_str_radix(self.tok()?, 16).ok()
     }
 
+    /// What [`Writer::image`] wrote after `prefix`, read as `depth` words
+    /// of `width` bits; `None` unless the token has exactly the digits
+    /// those bits need, each a lowercase hex digit, and the padding bits
+    /// of its last digit are zero — so an image has one token, not
+    /// several.
+    fn image(&mut self, prefix: &str, depth: usize, width: usize) -> Option<Vec<u64>> {
+        let digits = self.tok()?.strip_prefix(prefix)?;
+        if !(1..=64).contains(&width) || digits.len() != (depth * width).div_ceil(4) {
+            return None;
+        }
+        let mask = u64::MAX >> (64 - width);
+        let mut words = Vec::with_capacity(depth);
+        let (mut acc, mut fill) = (0u128, 0usize);
+        for c in digits.bytes() {
+            let nibble = match c {
+                b'0'..=b'9' => c - b'0',
+                b'a'..=b'f' => c - b'a' + 10,
+                _ => return None,
+            };
+            acc |= u128::from(nibble) << fill;
+            fill += 4;
+            while fill >= width && words.len() < depth {
+                words.push(acc as u64 & mask);
+                acc >>= width;
+                fill -= width;
+            }
+        }
+        (acc == 0).then_some(words)
+    }
+
     fn f64(&mut self) -> Option<f64> {
         self.hex().map(f64::from_bits)
     }
@@ -913,9 +1160,10 @@ impl<'a> Line<'a> {
 
 // --- record kinds -----------------------------------------------------
 
-/// A netlist: its name, net names, ports and one line per cell. Its bytes
-/// are also what the placement keys hash, so "same netlist" and "same
-/// placement key" coincide by construction.
+/// A netlist: its name, net names, ports and one line per cell, a BRAM's
+/// image as one bit-packed token (`m` glued to [`Writer::image`]'s
+/// digits). The placement keys do not hash these bytes but
+/// [`encode_netlist`]'s material, which covers the same fields.
 impl Record for Netlist {
     fn write(&self, w: &mut Writer) {
         w.line("netlist").tok(esc(&self.name));
@@ -962,7 +1210,7 @@ impl Record for Netlist {
                     .hex(*output_init)
                     .list("a", addr, |w, &a| w.net(a))
                     .list("d", dout, |w, &d| w.net(d))
-                    .list("m", init, |w, &word| w.hex(word)),
+                    .image("m", init, shape.data_bits),
             };
         }
     }
@@ -1007,7 +1255,7 @@ impl Record for Netlist {
                         output_init: l.hex()?,
                         addr: l.list("a", Line::net)?,
                         dout: l.list("d", Line::net)?,
-                        init: l.list("m", Line::hex)?,
+                        init: l.image("m", shape.depth(), shape.data_bits)?,
                     })
                 }
             })?;
@@ -1230,11 +1478,17 @@ pub(crate) fn always<R>(_: &R) -> bool {
 
 /// The one lookup the flow makes: the `R` record under `key` when one
 /// decodes and `accept` takes it (`true`: a hit), else what `build`
-/// returns, stored (`false`: a miss — a refused record included).
+/// returns, stored (`false`: a miss).
+///
+/// A miss is any of: no record under `key`, a record that does not decode
+/// (truncated, from an older layout, hand-edited), or a record that
+/// decodes but that `accept` refuses. Each is counted as a miss and
+/// replaced by what `build` returns.
 ///
 /// # Errors
 ///
-/// `build`'s error; nothing is stored then.
+/// `build`'s error. A failed `build` stores nothing, so the next lookup
+/// under `key` misses and builds again.
 pub(crate) fn cached<R: Record, E>(
     key: &Key,
     accept: impl FnOnce(&R) -> bool,
@@ -1248,11 +1502,22 @@ pub(crate) fn cached<R: Record, E>(
     Ok((record, false))
 }
 
-/// The bytes of `n`'s record: also the key material of every placement
-/// key. Kept by name: the benchmark's replay calls it.
+/// The 128-bit key material of `n` that [`place_key`],
+/// [`eco_place_key`] and [`overlay_base_key`] hash: a digest of its
+/// fields (see [`NETLIST_KEY_VERSION`]), BRAM images included, built
+/// without formatting any text. Not the bytes of `n`'s record. Kept by
+/// name: the benchmark's replay calls it.
 #[must_use]
 pub fn encode_netlist(n: &Netlist) -> Vec<u8> {
-    encode(n)
+    netlist_material(n, &n.name, false)
+}
+
+/// The key material of `n`'s overlay class base — `n` with every BRAM
+/// image zeroed and renamed `class_label` — without building that
+/// netlist: equal to `encode_netlist` of
+/// [`Netlist::with_zeroed_bram_init`] renamed to `class_label`.
+pub(crate) fn overlay_base_material(n: &Netlist, class_label: &str) -> Vec<u8> {
+    netlist_material(n, class_label, true)
 }
 
 /// Looks up a front-end record, counting a hit or miss. Kept by name:
@@ -1325,7 +1590,7 @@ mod tests {
         let stg = sequence_detector_0101();
         let emb = crate::map::map_fsm_into_embs(&stg, &crate::map::EmbOptions::default()).unwrap();
         let n = emb.to_netlist();
-        let bytes = encode_netlist(&n);
+        let bytes = encode(&n);
         let back = decode::<Netlist>(&bytes).unwrap();
         assert_eq!(n.name, back.name);
         assert_eq!(n.num_nets(), back.num_nets());
@@ -1333,7 +1598,334 @@ mod tests {
         assert_eq!(n.inputs(), back.inputs());
         assert_eq!(n.outputs(), back.outputs());
         // Encoding is stable: same netlist, same bytes, same key.
-        assert_eq!(bytes, encode_netlist(&back));
+        assert_eq!(bytes, encode(&back));
+        assert_eq!(encode_netlist(&n), encode_netlist(&back));
+    }
+
+    /// A netlist's fields, mutable one by one, then assembled.
+    #[derive(Clone)]
+    struct Parts {
+        name: String,
+        nets: Vec<String>,
+        inputs: Vec<(String, NetId)>,
+        outputs: Vec<(String, NetId)>,
+        cells: Vec<Cell>,
+    }
+
+    impl Parts {
+        /// One cell of every kind, every optional pin present, and a BRAM
+        /// of `shape` holding `init`.
+        fn with_bram(shape: BramShape, init: Vec<u64>) -> Parts {
+            let net = NetId;
+            Parts {
+                name: "sample".into(),
+                nets: (0..24).map(|i| format!("n{i}")).collect(),
+                inputs: vec![("a".into(), net(0)), ("b".into(), net(1))],
+                outputs: vec![("y".into(), net(2)), ("z".into(), net(5))],
+                cells: vec![
+                    Cell::Lut {
+                        inputs: vec![net(0), net(1)],
+                        output: net(4),
+                        truth: 0b0110,
+                    },
+                    Cell::Ff {
+                        d: net(4),
+                        q: net(5),
+                        ce: Some(net(1)),
+                        init: false,
+                    },
+                    Cell::Const {
+                        output: net(6),
+                        value: false,
+                    },
+                    Cell::Bram {
+                        shape,
+                        addr: (0..shape.addr_bits)
+                            .map(|i| net([0, 1, 4, 5, 6][i % 5]))
+                            .collect(),
+                        dout: [net(2), net(3)][..shape.data_bits.min(2)].to_vec(),
+                        en: Some(net(0)),
+                        init,
+                        output_init: 0b01,
+                    },
+                ],
+            }
+        }
+
+        fn sample() -> Parts {
+            let shape = BramShape::ALL[0];
+            let init = (0..shape.depth() as u64)
+                .map(|w| w * 0x9e37 % (1 << 36))
+                .collect();
+            Parts::with_bram(shape, init)
+        }
+
+        fn build(&self) -> Netlist {
+            let mut n = Netlist::new(self.name.clone());
+            for name in &self.nets {
+                n.add_net(name.clone());
+            }
+            for (name, id) in &self.inputs {
+                n.add_input(name.clone(), *id);
+            }
+            for (name, id) in &self.outputs {
+                n.add_output(name.clone(), *id);
+            }
+            for cell in &self.cells {
+                n.add_cell(cell.clone());
+            }
+            n
+        }
+    }
+
+    /// A named edit of one field.
+    type Change = (&'static str, fn(&mut Parts));
+
+    /// Every one-field change of [`Parts::sample`], by name.
+    fn one_field_changes() -> Vec<Change> {
+        fn lut(p: &mut Parts) -> (&mut Vec<NetId>, &mut NetId, &mut u64) {
+            match &mut p.cells[0] {
+                Cell::Lut {
+                    inputs,
+                    output,
+                    truth,
+                } => (inputs, output, truth),
+                other => panic!("cell 0 is {other:?}"),
+            }
+        }
+        fn ff(p: &mut Parts) -> (&mut NetId, &mut NetId, &mut Option<NetId>, &mut bool) {
+            match &mut p.cells[1] {
+                Cell::Ff { d, q, ce, init } => (d, q, ce, init),
+                other => panic!("cell 1 is {other:?}"),
+            }
+        }
+        fn konst(p: &mut Parts) -> (&mut NetId, &mut bool) {
+            match &mut p.cells[2] {
+                Cell::Const { output, value } => (output, value),
+                other => panic!("cell 2 is {other:?}"),
+            }
+        }
+        type BramFields<'a> = (
+            &'a mut BramShape,
+            &'a mut Vec<NetId>,
+            &'a mut Vec<NetId>,
+            &'a mut Option<NetId>,
+            &'a mut Vec<u64>,
+            &'a mut u64,
+        );
+        fn bram(p: &mut Parts) -> BramFields<'_> {
+            match &mut p.cells[3] {
+                Cell::Bram {
+                    shape,
+                    addr,
+                    dout,
+                    en,
+                    init,
+                    output_init,
+                } => (shape, addr, dout, en, init, output_init),
+                other => panic!("cell 3 is {other:?}"),
+            }
+        }
+        vec![
+            ("name", |p| p.name.push('x')),
+            ("net name", |p| p.nets[9].push('x')),
+            ("net count", |p| p.nets.push("extra".into())),
+            ("input name", |p| p.inputs[1].0.push('x')),
+            ("input net", |p| p.inputs[1].1 = NetId(20)),
+            ("input order", |p| p.inputs.swap(0, 1)),
+            ("output name", |p| p.outputs[0].0.push('x')),
+            ("output net", |p| p.outputs[0].1 = NetId(20)),
+            ("output order", |p| p.outputs.swap(0, 1)),
+            ("port direction", |p| {
+                let port = p.outputs.remove(1);
+                p.inputs.push(port);
+            }),
+            ("cell order", |p| p.cells.swap(0, 2)),
+            ("LUT output", |p| *lut(p).1 = NetId(20)),
+            ("LUT truth bit", |p| *lut(p).2 ^= 0b1000),
+            ("LUT input net", |p| lut(p).0[1] = NetId(20)),
+            ("LUT input order", |p| lut(p).0.swap(0, 1)),
+            ("LUT input count", |p| lut(p).0.push(NetId(20))),
+            ("FF d", |p| *ff(p).0 = NetId(20)),
+            ("FF q", |p| *ff(p).1 = NetId(20)),
+            ("FF ce net", |p| *ff(p).2 = Some(NetId(20))),
+            ("FF ce absent", |p| *ff(p).2 = None),
+            ("FF init", |p| *ff(p).3 ^= true),
+            ("const output", |p| *konst(p).0 = NetId(20)),
+            ("const value", |p| *konst(p).1 ^= true),
+            ("BRAM shape", |p| *bram(p).0 = BramShape::ALL[1]),
+            ("BRAM address net", |p| bram(p).1[3] = NetId(20)),
+            ("BRAM address order", |p| bram(p).1.swap(0, 1)),
+            ("BRAM data net", |p| bram(p).2[1] = NetId(20)),
+            ("BRAM data count", |p| bram(p).2.push(NetId(20))),
+            ("BRAM enable net", |p| *bram(p).3 = Some(NetId(20))),
+            ("BRAM enable absent", |p| *bram(p).3 = None),
+            ("BRAM init word count", |p| bram(p).4.push(0)),
+            ("BRAM init top bit", |p| bram(p).4[511] ^= 1 << 35),
+            ("BRAM init bottom bit", |p| bram(p).4[0] ^= 1),
+            ("BRAM output_init bit", |p| *bram(p).5 ^= 1 << 20),
+        ]
+    }
+
+    #[test]
+    fn key_material_separates_every_one_field_change() {
+        let base = Parts::sample();
+        let mut seen = vec![("unchanged", encode_netlist(&base.build()))];
+        assert_eq!(seen[0].1.len(), 16, "128-bit key material");
+        for (field, change) in one_field_changes() {
+            let mut p = base.clone();
+            change(&mut p);
+            let material = encode_netlist(&p.build());
+            if let Some((other, _)) = seen.iter().find(|(_, m)| *m == material) {
+                panic!("changing the {field} leaves the material of {other:?}");
+            }
+            seen.push((field, material));
+        }
+    }
+
+    #[test]
+    fn key_material_is_equal_for_equal_netlists() {
+        let n = Parts::sample().build();
+        let material = encode_netlist(&n);
+        assert_eq!(material, encode_netlist(&Parts::sample().build()));
+        assert_eq!(material, encode_netlist(&n.clone()));
+        let back = decode::<Netlist>(&encode(&n)).unwrap();
+        assert_eq!(material, encode_netlist(&back));
+        // A bit at or above `data_bits` is not part of the image: the
+        // key ignores it as the record does, and `validate` refuses it.
+        let mut p = Parts::sample();
+        if let Cell::Bram { init, .. } = &mut p.cells[3] {
+            init[7] |= 1 << 36;
+        }
+        let wide = p.build();
+        assert!(wide.validate().is_err());
+        assert_eq!(material, encode_netlist(&wide));
+    }
+
+    #[test]
+    fn overlay_base_material_is_the_built_base_material() {
+        use fsm_model::generate::{generate, StgSpec};
+        xrand::proptest_lite::run_cases(24, |rng| {
+            let spec = StgSpec {
+                states: rng.random_range(1usize..=40),
+                inputs: rng.random_range(0usize..=9),
+                outputs: rng.random_range(1usize..=4),
+                transitions: rng.random_range(1usize..=48),
+                seed: rng.random(),
+                ..StgSpec::new("member")
+            };
+            let members: Vec<_> = [spec.seed, spec.seed ^ 0x5eed]
+                .into_iter()
+                .filter_map(|seed| {
+                    generate(&StgSpec {
+                        seed,
+                        ..spec.clone()
+                    })
+                    .ok()
+                })
+                .filter_map(|stg| crate::overlay::overlay_fsm(&stg).ok())
+                .collect();
+            let mut bases = Vec::new();
+            for ovl in &members {
+                let n = ovl.fsm_netlist();
+                let label = ovl.class.label();
+                let mut base = n.with_zeroed_bram_init();
+                base.name = label.clone();
+                let material = overlay_base_material(&n, &label);
+                // The replay's construction, and the overlay module's.
+                assert_eq!(material, encode_netlist(&base));
+                assert_eq!(material, encode_netlist(&ovl.base_netlist()));
+                bases.push((label, material));
+            }
+            // Two machines of one class share one base.
+            if let [(l1, m1), (l2, m2)] = bases.as_slice() {
+                assert_eq!(l1 == l2, m1 == m2, "{l1} vs {l2}");
+            }
+        });
+    }
+
+    /// The `m` token of the record's first `B` line.
+    fn image_token(text: &str) -> &str {
+        let line = text.lines().find(|l| l.starts_with("B ")).unwrap();
+        line.split(' ').find(|t| t.starts_with('m')).unwrap()
+    }
+
+    #[test]
+    fn packed_images_roundtrip_on_every_shape() {
+        let mut rng = xrand::SmallRng::seed_from_u64(0x1a6e);
+        for shape in BramShape::ALL {
+            let mask = (1u64 << shape.data_bits) - 1;
+            let images = [
+                (0..shape.depth())
+                    .map(|_| rng.random::<u64>() & mask)
+                    .collect(),
+                vec![0; shape.depth()],
+                vec![mask; shape.depth()],
+            ];
+            for init in images {
+                let n = Parts::with_bram(shape, init).build();
+                assert!(n.validate().is_ok());
+                let text = String::from_utf8(encode(&n)).unwrap();
+                let digits = shape.depth() * shape.data_bits / 4;
+                assert_eq!(image_token(&text).len(), 1 + digits, "{shape}");
+                let back = decode::<Netlist>(text.as_bytes()).unwrap();
+                assert_eq!(back.cells(), n.cells(), "{shape}");
+            }
+        }
+    }
+
+    #[test]
+    fn packing_fast_paths_match_the_general_packer() {
+        let mut rng = xrand::SmallRng::seed_from_u64(0x9ac4);
+        for width in [1, 2, 4] {
+            for len in [0, 1, 15, 16, 63, 64, 65, 200, 1000] {
+                // Runs of zero words, words with bits above `width`, and
+                // plain random words.
+                let words: Vec<u64> = (0..len)
+                    .map(|i| match i / 40 % 3 {
+                        0 => 0,
+                        1 => rng.random::<u64>(),
+                        _ => rng.random::<u64>() & ((1 << width) - 1),
+                    })
+                    .collect();
+                let packed = pack_image(&words, width);
+                assert_eq!(packed.len(), packed_len(len, width));
+                assert_eq!(packed, pack_any(&words, width), "width {width} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_images_are_a_miss() {
+        let text = String::from_utf8(encode(&Parts::sample().build())).unwrap();
+        assert!(decode::<Netlist>(text.as_bytes()).is_some());
+        let token = image_token(&text);
+        let digits = &token[1..];
+        let last = digits.len() - 1;
+        for (what, bad) in [
+            ("a digit short", format!("m{}", &digits[..last])),
+            ("a digit long", format!("{token}0")),
+            ("a non-hex digit", format!("mg{}", &digits[1..])),
+            ("an uppercase digit", format!("mA{}", &digits[1..])),
+            ("no prefix", digits.to_string()),
+            ("the old word list", format!("m{}", "0 ".repeat(511) + "0")),
+        ] {
+            let patched = text.replacen(token, &bad, 1);
+            assert_ne!(patched, text, "{what}");
+            assert!(
+                decode::<Netlist>(patched.as_bytes()).is_none(),
+                "{what} decoded"
+            );
+        }
+        // Three 9-bit words are 27 bits in 7 digits: the top bit of the
+        // last digit is padding and must be zero.
+        let mut w = Writer::default();
+        w.line("x").image("m", &[0x1ff, 0, 0x155], 9);
+        let token = w.text.strip_prefix("x ").unwrap();
+        assert_eq!(token, "mff10455");
+        let read = |t: &str| Line { toks: t.split(' ') }.image("m", 3, 9);
+        assert_eq!(read(token), Some(vec![0x1ff, 0, 0x155]));
+        assert_eq!(read("mff1045d"), None, "a padding bit set");
     }
 
     /// `text` with `tail` appended to every line that starts with `tag`.

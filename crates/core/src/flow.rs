@@ -893,9 +893,7 @@ pub fn emb_overlay_flow(
             let ovl = overlay_fsm(&impl_stg).map_err(overlay_error)?;
             Ok(built(ovl.fsm_netlist(), None, None))
         })?;
-        let mut base = design.netlist.with_zeroed_bram_init();
-        base.name = class.label();
-        physical(design, stg, stimulus, cfg, Resolve::Overlay { class, base })
+        physical(design, stg, stimulus, cfg, Resolve::Overlay(class))
     })
 }
 
@@ -996,14 +994,10 @@ enum Resolve {
     /// images differ, and neither placement nor routing reads those — so
     /// the stored result is exact. Budget and upsize downgrades replay
     /// from the stored artifact: the placement carries its own budget
-    /// outcome, and the device is part of the key.
-    Overlay {
-        /// The machine's overlay class.
-        class: OverlayClass,
-        /// The class base: the netlist with its BRAM images zeroed, named
-        /// for the class.
-        base: Netlist,
-    },
+    /// outcome, and the device is part of the key. The class base (the
+    /// netlist with its BRAM images zeroed, named for the class) is keyed
+    /// without being built, and built only on a miss.
+    Overlay(OverlayClass),
 }
 
 /// One device's worth of physical implementation evidence: what was
@@ -1058,8 +1052,9 @@ struct Target<'a> {
     name: &'a str,
     netlist: &'a Netlist,
     packed: PackedDesign,
-    /// The bytes the physical artifacts are keyed by: the netlist's own,
-    /// or the class base's on the overlay.
+    /// The key material the physical artifacts are keyed by: the
+    /// netlist's own [`cache::encode_netlist`], or on the overlay its
+    /// class base's, computed from the netlist without building the base.
     key_bytes: Vec<u8>,
     cfg: &'a FlowConfig,
 }
@@ -1158,10 +1153,11 @@ impl Target<'_> {
 
     /// The overlay attempt: load the class base's placement and routing
     /// (or build and store them) and reuse them verbatim for this netlist.
+    /// The base — this netlist with its BRAM images zeroed, named after
+    /// the class — is only built on a miss.
     fn overlay(
         &self,
         class: &OverlayClass,
-        base: &Netlist,
         device: Device,
         stage: &mut StageTimings,
     ) -> Result<Implemented, FlowError> {
@@ -1170,11 +1166,13 @@ impl Target<'_> {
         let mut route_ms = 0.0;
         let (ovl_base, base_cache_hit) = timed(&mut stage.place_ms, || {
             cache::cached(&bkey, cache::always, || {
-                let base_packed = pack(base);
+                let mut base = self.netlist.with_zeroed_bram_init();
+                base.name = class.label();
+                let base_packed = pack(&base);
                 let placement =
-                    place(base, &base_packed, device, popts).map_err(|e| self.place_error(e))?;
+                    place(&base, &base_packed, device, popts).map_err(|e| self.place_error(e))?;
                 let routed = timed(&mut route_ms, || {
-                    route(base, &base_packed, &placement, self.cfg.route)
+                    route(&base, &base_packed, &placement, self.cfg.route)
                 })
                 .map_err(|e| self.route_error(e))?;
                 Ok(cache::OverlayBase { placement, routed })
@@ -1248,10 +1246,10 @@ fn physical(
         name: &name,
         netlist: &netlist,
         packed: pack(&netlist),
-        key_bytes: cache::encode_netlist(match &resolve {
-            Resolve::Overlay { base, .. } => base,
-            _ => &netlist,
-        }),
+        key_bytes: match &resolve {
+            Resolve::Overlay(class) => cache::overlay_base_material(&netlist, &class.label()),
+            _ => cache::encode_netlist(&netlist),
+        },
         cfg,
     };
     let mut last_err = None;
@@ -1263,7 +1261,7 @@ fn physical(
                 eco_failure = Some(reason);
                 target.full(device, &mut stage)
             }),
-            Resolve::Overlay { class, base } => target.overlay(class, base, device, &mut stage),
+            Resolve::Overlay(class) => target.overlay(class, device, &mut stage),
         };
         attempt.map_err(|e| last_err = Some(e)).ok()
     });

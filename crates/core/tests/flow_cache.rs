@@ -181,7 +181,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         "ff_flow",
         &BTreeMap::new(),
         &records(&dir),
-        "a879bbb49b1c6471",
+        "5612d5ffe7055625",
     );
     assert_eq!(cold.cache.hits, 0, "cold run must not hit: {}", cold.cache);
     assert!(
@@ -226,7 +226,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
     // flow over an already-cached STG still misses its own artifacts.
     let before_emb = records(&dir);
     let emb = emb_flow(&stg, &EmbOptions::default(), &Stimulus::Random, &cfg).unwrap();
-    pin_digest("emb_flow", &before_emb, &records(&dir), "be2480ec48c55c14");
+    pin_digest("emb_flow", &before_emb, &records(&dir), "abf85211b4c7550c");
     assert!(
         emb.cache.misses >= 2,
         "distinct kind tags must not collide: {}",
@@ -248,7 +248,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 2),
         (2, 0),
         &[("ffg", 1), ("place", 1)],
-        "1f7b6f96ea01fb45",
+        "cb323486defc67b8",
     );
     assert_eq!(gated.kind, ImplKind::FfClockGated);
 
@@ -263,7 +263,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 4),
         (4, 0),
         &[("ecoplace", 1), ("emb", 1), ("embcc", 1), ("place", 1)],
-        "0de585647d69cd15",
+        "5287410c041ec273",
     );
     assert!(cc.eco.as_ref().is_some_and(|e| !e.base_reuse_cache_hit));
     assert!(cc_warm.eco.as_ref().is_some_and(|e| e.base_reuse_cache_hit));
@@ -285,7 +285,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 2),
         (2, 0),
         &[("ovl", 1), ("ovlbase", 1)],
-        "8fd2e8d83d2b8412",
+        "8c4028228755a769",
     );
     assert!(ovl.overlay.as_ref().is_some_and(|o| !o.base_cache_hit));
     assert!(ovl_warm.overlay.as_ref().is_some_and(|o| o.base_cache_hit));
@@ -305,7 +305,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 2),
         (2, 0),
         &[("emb", 1), ("place", 1)],
-        "f4dcbfad6d580bb2",
+        "ede43563bc592f43",
     );
     assert_eq!(auto.kind, ImplKind::Emb);
     assert!(auto
@@ -328,7 +328,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 3),
         (2, 1),
         &[("ff", 1), ("place", 1)],
-        "87516c77019b24c4",
+        "aea3b4b298b61ae5",
     );
     assert_eq!(fallback.kind, ImplKind::Ff);
     assert!(fallback

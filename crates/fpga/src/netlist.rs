@@ -70,7 +70,9 @@ pub enum Cell {
         /// Optional enable net: when low, the output latches hold (the
         /// BRAM is not clocked — the paper's Sec. 6 power lever).
         en: Option<NetId>,
-        /// Memory contents, one word per address (low `data_bits` used).
+        /// Memory contents, one word per address; only the low
+        /// `data_bits` of a word may be set ([`Netlist::validate`]
+        /// refuses a higher bit).
         init: Vec<u64>,
         /// Output-latch value after configuration/reset (the paper relies
         /// on cleared latches addressing word 0).
@@ -416,6 +418,17 @@ impl Netlist {
                             ),
                         });
                     }
+                    // A word is `data_bits` wide: the flow cache stores
+                    // images packed to that width, so a higher bit would
+                    // not survive the round trip. (One OR over the image
+                    // vectorizes; an early-exit scan would not.)
+                    let bits = init.iter().fold(0, |any, &w| any | w);
+                    if shape.data_bits < 64 && bits >> shape.data_bits != 0 {
+                        return Err(NetlistError::Malformed {
+                            cell: id,
+                            reason: "init word wider than data width".into(),
+                        });
+                    }
                 }
                 Cell::Ff { .. } | Cell::Const { .. } => {}
             }
@@ -750,6 +763,40 @@ mod tests {
             assert!(seen.insert(*id));
             assert!(!n.cell(*id).is_sequential());
         }
+    }
+
+    #[test]
+    fn wide_init_word_rejected() {
+        let shape = BramShape {
+            addr_bits: 9,
+            data_bits: 4,
+        };
+        let mut n = Netlist::new("rom");
+        let a: Vec<NetId> = (0..9).map(|i| n.add_net(format!("a{i}"))).collect();
+        let d = n.add_net("d");
+        for (i, net) in a.iter().enumerate() {
+            n.add_input(format!("a{i}"), *net);
+        }
+        n.add_output("d", d);
+        let mut init = vec![0xf; 512];
+        n.add_cell(Cell::Bram {
+            shape,
+            addr: a.clone(),
+            dout: vec![d],
+            en: None,
+            init: init.clone(),
+            output_init: 0,
+        });
+        assert!(n.validate().is_ok(), "every bit below data_bits is legal");
+        init[511] = 0x10;
+        n.replace_bram_init(0, init).unwrap();
+        assert_eq!(
+            n.validate(),
+            Err(NetlistError::Malformed {
+                cell: CellId(0),
+                reason: "init word wider than data width".into(),
+            })
+        );
     }
 
     #[test]

@@ -11,6 +11,9 @@
 #
 #  * benchmark build — the perfbench package (its own workspace) must
 #    build against the workspace crates;
+#  * benchmark self-test — perfbench's own tests must pass, among them
+#    the traced replica matching every compile on every workload, which
+#    fails if the replay's cache keys drift from the flow's;
 #  * formatting — `cargo fmt --all --check` must report no diff;
 #  * clippy — `cargo clippy --workspace --all-targets` must report no
 #    warnings (`-D warnings`);
@@ -109,6 +112,13 @@ cargo build --release --offline --workspace \
 echo "== cargo build --release --offline --manifest-path perfbench/Cargo.toml" >&2
 cargo build --release --offline --manifest-path perfbench/Cargo.toml \
     || fail "benchmark package (perfbench) failed to build against the workspace crates"
+
+# Its self-test replays a small mix through the benchmark's traced
+# replica: a replay whose cache keys no longer match the flow's misses the
+# prebuilt overlay bases, and the replica check fails.
+echo "== cargo test --release --offline --manifest-path perfbench/Cargo.toml" >&2
+cargo test --release --offline --manifest-path perfbench/Cargo.toml \
+    || fail "benchmark self-test (perfbench) failed"
 
 echo "== cargo fmt --all --check" >&2
 cargo fmt --all --check \
