@@ -226,7 +226,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
     // flow over an already-cached STG still misses its own artifacts.
     let before_emb = records(&dir);
     let emb = emb_flow(&stg, &EmbOptions::default(), &Stimulus::Random, &cfg).unwrap();
-    pin_digest("emb_flow", &before_emb, &records(&dir), "abf85211b4c7550c");
+    pin_digest("emb_flow", &before_emb, &records(&dir), "28c1df0e2a18e63e");
     assert!(
         emb.cache.misses >= 2,
         "distinct kind tags must not collide: {}",
@@ -263,7 +263,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 4),
         (4, 0),
         &[("ecoplace", 1), ("emb", 1), ("embcc", 1), ("place", 1)],
-        "5287410c041ec273",
+        "0f67e8177e0cf46c",
     );
     assert!(cc.eco.as_ref().is_some_and(|e| !e.base_reuse_cache_hit));
     assert!(cc_warm.eco.as_ref().is_some_and(|e| e.base_reuse_cache_hit));
@@ -285,7 +285,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 2),
         (2, 0),
         &[("ovl", 1), ("ovlbase", 1)],
-        "8c4028228755a769",
+        "913053708bd71f56",
     );
     assert!(ovl.overlay.as_ref().is_some_and(|o| !o.base_cache_hit));
     assert!(ovl_warm.overlay.as_ref().is_some_and(|o| o.base_cache_hit));
@@ -305,7 +305,7 @@ fn cold_memory_warm_and_disk_warm_runs_agree() {
         (0, 2),
         (2, 0),
         &[("emb", 1), ("place", 1)],
-        "ede43563bc592f43",
+        "7f3b8d8602e9ea13",
     );
     assert_eq!(auto.kind, ImplKind::Emb);
     assert!(auto

@@ -178,6 +178,15 @@ pub struct Netlist {
     outputs: Vec<(String, NetId)>,
 }
 
+/// Whether a word of `init` has a bit at or above `shape.data_bits`. A
+/// word is `data_bits` wide: the flow cache stores images packed to that
+/// width, so a higher bit would not survive the round trip. (One OR over
+/// the image vectorizes; an early-exit scan would not.)
+fn init_too_wide(init: &[u64], shape: BramShape) -> bool {
+    let bits = init.iter().fold(0, |any, &w| any | w);
+    shape.data_bits < 64 && bits >> shape.data_bits != 0
+}
+
 impl Netlist {
     /// An empty netlist.
     #[must_use]
@@ -310,8 +319,8 @@ impl Netlist {
     ///
     /// # Errors
     ///
-    /// Returns a message if the cell is not a BRAM or the image length is
-    /// wrong.
+    /// Returns a message if the cell is not a BRAM, the image length is
+    /// wrong, or a word has a bit at or above the shape's data width.
     pub fn replace_bram_init(
         &mut self,
         cell_index: usize,
@@ -325,6 +334,9 @@ impl Netlist {
                         new_init.len(),
                         shape.depth()
                     ));
+                }
+                if init_too_wide(&new_init, *shape) {
+                    return Err(format!("init word wider than data width of {shape}"));
                 }
                 *init = new_init;
                 Ok(())
@@ -418,12 +430,7 @@ impl Netlist {
                             ),
                         });
                     }
-                    // A word is `data_bits` wide: the flow cache stores
-                    // images packed to that width, so a higher bit would
-                    // not survive the round trip. (One OR over the image
-                    // vectorizes; an early-exit scan would not.)
-                    let bits = init.iter().fold(0, |any, &w| any | w);
-                    if shape.data_bits < 64 && bits >> shape.data_bits != 0 {
+                    if init_too_wide(init, *shape) {
                         return Err(NetlistError::Malformed {
                             cell: id,
                             reason: "init word wider than data width".into(),
@@ -789,7 +796,10 @@ mod tests {
         });
         assert!(n.validate().is_ok(), "every bit below data_bits is legal");
         init[511] = 0x10;
-        n.replace_bram_init(0, init).unwrap();
+        assert!(n.replace_bram_init(0, init.clone()).is_err());
+        if let Cell::Bram { init: old, .. } = &mut n.cells[0] {
+            *old = init;
+        }
         assert_eq!(
             n.validate(),
             Err(NetlistError::Malformed {
